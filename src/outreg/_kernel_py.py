@@ -1,9 +1,13 @@
 """Pure-Python twin of the compiled closed-loop integration kernel.
 
-This file and _kernel.pyx implement the same arithmetic in the same
-operation order, so a run produces bit-identical records on either backend
-(the parity tests compare floats for exact equality).  When editing one,
-edit the other to match, expression by expression.
+This file and _kernel.pyx compute every value with the same expression in
+the same operation order, so a run produces bit-identical records on either
+backend (the parity tests compare floats for exact equality).  When editing
+one, edit the other to match, expression by expression.  The loop structure
+need not match: this twin unrolls the small fixed loops over locals and
+skips the values a mask discards (the cofactors behind a masked coefficient
+estimate), since interpreted loops and list indexing cost more than the
+arithmetic they carry.
 
 Conventions shared by both twins:
   - no ** operator anywhere; powers are explicit products, so both
@@ -48,95 +52,110 @@ def _psi(s):
     return up / dn
 
 
-def _det3(a, b, c, d, e, f, g, h, i):
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
 def _chi_est(y, base, n, m, eps, mask, ahat):
     """Coefficient estimate, reconstruction, and Hankel determinant.
 
-    Reads the filter state from y[base : base + 2n], writes the masked
-    estimate into ahat[0:n], and returns (chi, det).
+    Reads the filter state from y[base : base + 2n] and the 2n filter
+    coefficients from m, writes the masked estimate into ahat[0:n], and
+    returns (chi, det).
     """
     if n == 2:
-        t0 = y[base]
-        t1 = y[base + 1]
-        t2 = y[base + 2]
-        det = t0 * t2 - t1 * t1
-        adj00 = t2
-        adj01 = -t1
-        adj10 = -t1
-        adj11 = t0
+        h0, h1, h2, h3 = y[base:base + 4]
+        det = h0 * h2 - h1 * h1
         if det == 0.0:
             sc = 0.0
         else:
             sc = det / (det * det + _psi(1.0 + det * det - eps * eps))
-        b0 = y[base + 2]
-        b1 = y[base + 3]
-        s = sc * adj00 * b0
-        s = s + sc * adj01 * b1
-        ahat[0] = -s
-        s = sc * adj10 * b0
-        s = s + sc * adj11 * b1
-        ahat[1] = -s
+        # adjugate rows (h2, -h1) and (-h1, h0) against b = (h2, h3)
+        if mask[0]:
+            a0 = 0.0
+        else:
+            a0 = -(sc * h2 * h2 + sc * -h1 * h3)
+        if mask[1]:
+            a1 = 0.0
+        else:
+            a1 = -(sc * -h1 * h2 + sc * h0 * h3)
+        ahat[0] = a0
+        ahat[1] = a1
+        # first row of Xi(ahat) by the row recurrence row_{j+1} = row_j . Phi
+        r0 = 1.0
+        r1 = 0.0
+        p0 = 0.0
+        p1 = 0.0
+        for mj in m:
+            p0 = p0 + mj * r0
+            p1 = p1 + mj * r1
+            last = r1
+            r1 = r0 - a1 * last
+            r0 = -a0 * last
+        return 0.0 + (p0 + r0) * h0 + (p1 + r1) * h1, det
+    # n == 4: Hankel rows (h0..h3), (h1..h4), (h2..h5), (h3..h6) with
+    # b = (h4..h7).  c<r><c> is the (r, c) cofactor: the det3 of its minor
+    # (entries row-major, expanded along the minor's first row), negated
+    # when r + c is odd.  Row 0 always feeds det; a column's other three
+    # cofactors are computed only if the mask keeps its estimate.  The (3, 0)
+    # and (0, 3) minors are the same Hankel block of h1..h5, so c30 is c03.
+    h0, h1, h2, h3, h4, h5, h6, h7 = y[base:base + 8]
+    c00 = h2 * (h4 * h6 - h5 * h5) - h3 * (h3 * h6 - h5 * h4) + h4 * (h3 * h5 - h4 * h4)
+    c01 = -(h1 * (h4 * h6 - h5 * h5) - h3 * (h2 * h6 - h5 * h3) + h4 * (h2 * h5 - h4 * h3))
+    c02 = h1 * (h3 * h6 - h5 * h4) - h2 * (h2 * h6 - h5 * h3) + h4 * (h2 * h4 - h3 * h3)
+    c03 = -(h1 * (h3 * h5 - h4 * h4) - h2 * (h2 * h5 - h4 * h3) + h3 * (h2 * h4 - h3 * h3))
+    det = h0 * c00 + h1 * c01 + h2 * c02 + h3 * c03
+    if det == 0.0:
+        sc = 0.0
     else:
-        # n == 4: 4x4 Hankel from y[base .. base+6]
-        th = [0.0] * 16
-        for r in range(4):
-            for c in range(4):
-                th[r * 4 + c] = y[base + r + c]
-        cof = [0.0] * 16
-        mb = [0.0] * 9
-        for rr in range(4):
-            for cc in range(4):
-                k = 0
-                for r in range(4):
-                    if r == rr:
-                        continue
-                    for c in range(4):
-                        if c == cc:
-                            continue
-                        mb[k] = th[r * 4 + c]
-                        k += 1
-                d3 = _det3(mb[0], mb[1], mb[2], mb[3], mb[4], mb[5], mb[6], mb[7], mb[8])
-                if (rr + cc) % 2 == 1:
-                    d3 = -d3
-                cof[rr * 4 + cc] = d3
-        det = th[0] * cof[0]
-        det = det + th[1] * cof[1]
-        det = det + th[2] * cof[2]
-        det = det + th[3] * cof[3]
-        if det == 0.0:
-            sc = 0.0
-        else:
-            sc = det / (det * det + _psi(1.0 + det * det - eps * eps))
-        for j in range(4):
-            s = 0.0
-            for r in range(4):
-                # adjugate[j][r] is the (r, j) cofactor
-                s = s + sc * cof[r * 4 + j] * y[base + 4 + r]
-            ahat[j] = -s
-    for j in range(n):
-        if mask[j]:
-            ahat[j] = 0.0
-    # first row of Xi(ahat) by the row recurrence row_{j+1} = row_j . Phi
-    row = [0.0] * 4
-    acc = [0.0] * 4
-    row[0] = 1.0
-    for j in range(2 * n):
-        mj = m[j]
-        for c in range(n):
-            acc[c] = acc[c] + mj * row[c]
-        last = row[n - 1]
-        c = n - 1
-        while c > 0:
-            row[c] = row[c - 1] - ahat[c] * last
-            c -= 1
-        row[0] = -ahat[0] * last
-    chi = 0.0
-    for c in range(n):
-        s = acc[c] + row[c]
-        chi = chi + s * y[base + c]
+        sc = det / (det * det + _psi(1.0 + det * det - eps * eps))
+    # ahat[j] = -(adjugate row j . b); adjugate[j][r] is the (r, j) cofactor
+    if mask[0]:
+        a0 = 0.0
+    else:
+        c10 = -(h1 * (h4 * h6 - h5 * h5) - h2 * (h3 * h6 - h5 * h4) + h3 * (h3 * h5 - h4 * h4))
+        c20 = h1 * (h3 * h6 - h4 * h5) - h2 * (h2 * h6 - h4 * h4) + h3 * (h2 * h5 - h3 * h4)
+        a0 = -(0.0 + sc * c00 * h4 + sc * c10 * h5 + sc * c20 * h6 + sc * c03 * h7)
+    if mask[1]:
+        a1 = 0.0
+    else:
+        c11 = h0 * (h4 * h6 - h5 * h5) - h2 * (h2 * h6 - h5 * h3) + h3 * (h2 * h5 - h4 * h3)
+        c21 = -(h0 * (h3 * h6 - h4 * h5) - h2 * (h1 * h6 - h4 * h3) + h3 * (h1 * h5 - h3 * h3))
+        c31 = h0 * (h3 * h5 - h4 * h4) - h2 * (h1 * h5 - h4 * h2) + h3 * (h1 * h4 - h3 * h2)
+        a1 = -(0.0 + sc * c01 * h4 + sc * c11 * h5 + sc * c21 * h6 + sc * c31 * h7)
+    if mask[2]:
+        a2 = 0.0
+    else:
+        c12 = -(h0 * (h3 * h6 - h5 * h4) - h1 * (h2 * h6 - h5 * h3) + h3 * (h2 * h4 - h3 * h3))
+        c22 = h0 * (h2 * h6 - h4 * h4) - h1 * (h1 * h6 - h4 * h3) + h3 * (h1 * h4 - h2 * h3)
+        c32 = -(h0 * (h2 * h5 - h4 * h3) - h1 * (h1 * h5 - h4 * h2) + h3 * (h1 * h3 - h2 * h2))
+        a2 = -(0.0 + sc * c02 * h4 + sc * c12 * h5 + sc * c22 * h6 + sc * c32 * h7)
+    if mask[3]:
+        a3 = 0.0
+    else:
+        c13 = h0 * (h3 * h5 - h4 * h4) - h1 * (h2 * h5 - h4 * h3) + h2 * (h2 * h4 - h3 * h3)
+        c23 = -(h0 * (h2 * h5 - h3 * h4) - h1 * (h1 * h5 - h3 * h3) + h2 * (h1 * h4 - h2 * h3))
+        c33 = h0 * (h2 * h4 - h3 * h3) - h1 * (h1 * h4 - h3 * h2) + h2 * (h1 * h3 - h2 * h2)
+        a3 = -(0.0 + sc * c03 * h4 + sc * c13 * h5 + sc * c23 * h6 + sc * c33 * h7)
+    ahat[0] = a0
+    ahat[1] = a1
+    ahat[2] = a2
+    ahat[3] = a3
+    r0 = 1.0
+    r1 = 0.0
+    r2 = 0.0
+    r3 = 0.0
+    p0 = 0.0
+    p1 = 0.0
+    p2 = 0.0
+    p3 = 0.0
+    for mj in m:
+        p0 = p0 + mj * r0
+        p1 = p1 + mj * r1
+        p2 = p2 + mj * r2
+        p3 = p3 + mj * r3
+        last = r3
+        r3 = r2 - a3 * last
+        r2 = r1 - a2 * last
+        r1 = r0 - a1 * last
+        r0 = -a0 * last
+    chi = 0.0 + (p0 + r0) * h0 + (p1 + r1) * h1 + (p2 + r2) * h2 + (p3 + r3) * h3
     return chi, det
 
 
@@ -175,28 +194,13 @@ def _deriv(t, y, dy, aux, c1, c2, c3, sigma, m1, m2, eps, mask1, mask2,
     dy[1] = -c3 * x2 - c1 * x1 - c2 * (x1 * x1 * x1) + u + d
     dy[2] = sigma * v2
     dy[3] = -sigma * v1
-    dy[4] = y[5]
-    dy[5] = y[6]
-    dy[6] = y[7]
-    s = 0.0
-    for j in range(4):
-        s = s - m1[j] * y[4 + j]
-    dy[7] = s + x2
-    for i in range(8, 15):
-        dy[i] = y[i + 1]
-    s = 0.0
-    for j in range(8):
-        s = s - m2[j] * y[8 + j]
-    dy[15] = s + u
+    dy[4:7] = y[5:8]
+    dy[7] = 0.0 - m1[0] * y[4] - m1[1] * y[5] - m1[2] * y[6] - m1[3] * y[7] + x2
+    dy[8:15] = y[9:16]
+    dy[15] = (0.0 - m2[0] * y[8] - m2[1] * y[9] - m2[2] * y[10] - m2[3] * y[11]
+              - m2[4] * y[12] - m2[5] * y[13] - m2[6] * y[14] - m2[7] * y[15] + u)
     dy[16] = dk
-    aux[0] = e
-    aux[1] = zeta
-    aux[2] = u
-    aux[3] = ahat1[0]
-    aux[4] = ahat2[0]
-    aux[5] = ahat2[2]
-    aux[6] = det1
-    aux[7] = det2
+    aux[:] = e, zeta, u, ahat1[0], ahat2[0], ahat2[2], det1, det2
 
 
 def run_closed_loop(y0, h, n_steps, stride, c1, c2, c3, sigma, m1, m2, eps,
@@ -232,7 +236,6 @@ def run_closed_loop(y0, h, n_steps, stride, c1, c2, c3, sigma, m1, m2, eps,
     k2 = [0.0] * 17
     k3 = [0.0] * 17
     k4 = [0.0] * 17
-    yw = [0.0] * 17
     aux = [0.0] * 8
     auxw = [0.0] * 8
     a1b = [0.0] * 4
@@ -248,28 +251,19 @@ def run_closed_loop(y0, h, n_steps, stride, c1, c2, c3, sigma, m1, m2, eps,
         if step % stride == 0:
             records.append((t, y[0], y[1], aux[0], aux[1], aux[2], aux[3],
                             aux[4], aux[5], aux[6], aux[7], y[16]))
-        for i in range(17):
-            yw[i] = y[i] + half * k1[i]
+        yw = [yi + half * ki for yi, ki in zip(y, k1)]
         _deriv(t + half, yw, k2, auxw, c1, c2, c3, sigma, m1, m2, eps, mask1,
                mask2, rho, kc, k0, mode, dist_amp, dist_freq, a1b, a2b)
-        for i in range(17):
-            yw[i] = y[i] + half * k2[i]
+        yw = [yi + half * ki for yi, ki in zip(y, k2)]
         _deriv(t + half, yw, k3, auxw, c1, c2, c3, sigma, m1, m2, eps, mask1,
                mask2, rho, kc, k0, mode, dist_amp, dist_freq, a1b, a2b)
-        for i in range(17):
-            yw[i] = y[i] + h * k3[i]
+        yw = [yi + h * ki for yi, ki in zip(y, k3)]
         _deriv(t + h, yw, k4, auxw, c1, c2, c3, sigma, m1, m2, eps, mask1,
                mask2, rho, kc, k0, mode, dist_amp, dist_freq, a1b, a2b)
-        bad = 0
-        for i in range(17):
-            s = k1[i] + 2.0 * k2[i]
-            s = s + 2.0 * k3[i]
-            s = s + k4[i]
-            yi = y[i] + h6 * s
-            y[i] = yi
-            if yi != yi or yi > _LIMIT or yi < -_LIMIT:
-                bad = 1
-        if bad:
+        y = [yi + h6 * (a + 2.0 * b + 2.0 * c + d)
+             for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
+        # a nan fails both comparisons
+        if not all(-_LIMIT <= yi <= _LIMIT for yi in y):
             diverged_at = t0 + (step + 1) * h
             break
     if diverged_at < 0.0:

@@ -33,7 +33,7 @@ Keys and defaults:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 from .controller import GainConfig, GainSyntaxError, Polynomial
 from .duffing import DuffingParams
@@ -279,5 +279,3 @@ def with_overrides(cfg: ScenarioConfig, **kw) -> ScenarioConfig:
     validate(out)
     return out
 
-
-_FIELD_NAMES = tuple(f.name for f in fields(ScenarioConfig))

@@ -1,16 +1,63 @@
+import importlib.util
+import itertools
 import os
+import shutil
 import subprocess
 import sys
+import sysconfig
+from pathlib import Path
 
 import pytest
 
+import outreg
 from outreg import _kernel_py
-from outreg.internal_model import hurwitz_pair
 from outreg.linalg import determinant
-from outreg.mapping import MappingConfig, chi, estimate_coeffs, hankel
-from outreg.scenario import ScenarioConfig
+from outreg.mapping import MappingConfig, estimate_coeffs, hankel
+from outreg.scenario import ScenarioConfig, with_overrides
 
-_kernel = pytest.importorskip("outreg._kernel")
+
+@pytest.fixture(scope="module")
+def ckernel(tmp_path_factory):
+    """The compiled twin: the installed extension if there is one, else the
+    tracked C source built with gcc.  The built module is loaded privately
+    (not into sys.modules), so the rest of the suite keeps the backend
+    that outreg.backend chose at import."""
+    try:
+        from outreg import _kernel
+
+        return _kernel
+    except ImportError:
+        pass
+    gcc = shutil.which("gcc")
+    paths = sysconfig.get_paths()
+    if gcc is None or not os.path.exists(os.path.join(paths["include"], "Python.h")):
+        pytest.skip("no outreg._kernel extension and no gcc + Python.h to build one")
+    src = Path(outreg.__file__).with_name("_kernel.c")
+    if not src.exists():
+        pytest.skip("no outreg._kernel extension and no _kernel.c to build one")
+    so = tmp_path_factory.mktemp("kernel") / ("_kernel" + sysconfig.get_config_var("EXT_SUFFIX"))
+    # -ffp-contract=off: no FMA contraction, as in setup.py
+    cmd = [gcc, "-O3", "-ffp-contract=off", "-shared", "-fPIC",
+           "-I" + paths["include"], "-I" + paths["platinclude"], str(src), "-o", str(so)]
+    built = subprocess.run(cmd, capture_output=True, text=True)
+    assert built.returncode == 0, built.stderr
+    spec = importlib.util.spec_from_file_location("outreg._kernel", so)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    # the extension's own init registers it; undo that
+    sys.modules.pop("outreg._kernel", None)
+    return mod
+
+
+@pytest.fixture(params=["python", "compiled"])
+def kern(request):
+    if request.param == "python":
+        return _kernel_py
+    return request.getfixturevalue("ckernel")
+
+
+def _y0(cfg):
+    return [*cfg.x0, *cfg.v0, *cfg.eta1_0, *cfg.eta2_0, cfg.khat0]
 
 
 def _args(cfg, y0, n_steps, stride, mode=0):
@@ -30,76 +77,74 @@ def _assert_identical(a, b):
     assert list(ya) == list(yb)
 
 
-STEADY_Y0 = [1.0, 0.5, 1.0, 1.0,
-             0.06747511312217194, 0.00448868778280543,
-             -0.016868778280542986, -0.0011221719457013574,
-             0.38639929937691186, -0.6123391256240911,
-             -0.10734107266496068, 0.2836164691585286,
-             0.05100307576288878, -0.36460041473277044,
-             -0.06712833603318155, 0.7519667729302537, 0.0]
-
-
-def test_twins_bit_identical_steady():
-    cfg = ScenarioConfig()
-    args = _args(cfg, STEADY_Y0, 2000, 10)
+def test_twins_bit_identical_steady(ckernel, steady_cfg):
+    args = _args(steady_cfg, _y0(steady_cfg), 2000, 10)
     _assert_identical(_kernel_py.run_closed_loop(*args),
-                      _kernel.run_closed_loop(*args))
+                      ckernel.run_closed_loop(*args))
 
 
-def test_twins_bit_identical_divergent():
+def test_twins_bit_identical_divergent(ckernel):
     cfg = ScenarioConfig()
     y0 = [1.0, -1.0, 1.0, 1.0] + [0.0] * 13
     args = _args(cfg, y0, 100000, 10)
     a = _kernel_py.run_closed_loop(*args)
-    b = _kernel.run_closed_loop(*args)
+    b = ckernel.run_closed_loop(*args)
     _assert_identical(a, b)
     assert a[1] == pytest.approx(0.117, abs=1e-12)
 
 
-def test_twins_bit_identical_all_modes():
-    cfg = ScenarioConfig()
+def test_twins_bit_identical_all_modes(ckernel, steady_cfg):
     for mode in (0, 1, 2):
-        args = _args(cfg, STEADY_Y0, 1500, 7, mode=mode)
+        args = _args(steady_cfg, _y0(steady_cfg), 1500, 7, mode=mode)
         _assert_identical(_kernel_py.run_closed_loop(*args),
-                          _kernel.run_closed_loop(*args))
+                          ckernel.run_closed_loop(*args))
 
 
-def test_twins_bit_identical_with_disturbance():
-    cfg = ScenarioConfig()
-    args = _args(cfg, STEADY_Y0, 1500, 10)
+def test_twins_bit_identical_with_disturbance(ckernel, steady_cfg):
+    args = _args(steady_cfg, _y0(steady_cfg), 1500, 10)
     args = args[:17] + (0.05, 7.0)
     _assert_identical(_kernel_py.run_closed_loop(*args),
-                      _kernel.run_closed_loop(*args))
+                      ckernel.run_closed_loop(*args))
 
 
-def test_kernel_input_validation():
+def test_kernel_input_validation(kern):
     cfg = ScenarioConfig()
-    for kern in (_kernel_py, _kernel):
-        with pytest.raises(ValueError):
-            kern.run_closed_loop(*_args(cfg, [0.0] * 16, 10, 1))
-        with pytest.raises(ValueError):
-            kern.run_closed_loop(*_args(cfg, [0.0] * 17, 10, 0))
-        with pytest.raises(ValueError):
-            kern.run_closed_loop(*(_args(cfg, [0.0] * 17, 10, 1) + (-1.0,)))
-        bad = _args(cfg, [0.0] * 17, 10, 1)
-        bad = bad[:8] + ((1.0, 2.0),) + bad[9:]  # m1 too short
-        with pytest.raises(ValueError):
-            kern.run_closed_loop(*bad)
+    with pytest.raises(ValueError):
+        kern.run_closed_loop(*_args(cfg, [0.0] * 16, 10, 1))
+    with pytest.raises(ValueError):
+        kern.run_closed_loop(*_args(cfg, [0.0] * 17, 10, 0))
+    with pytest.raises(ValueError):
+        kern.run_closed_loop(*(_args(cfg, [0.0] * 17, 10, 1) + (-1.0,)))
+    bad = _args(cfg, [0.0] * 17, 10, 1)
+    bad = bad[:8] + ((1.0, 2.0),) + bad[9:]  # m1 too short
+    with pytest.raises(ValueError):
+        kern.run_closed_loop(*bad)
 
 
-def test_kernel_aux_matches_module_path():
+def _bits(mask):
+    return "".join("1" if v else "0" for v in mask)
+
+
+_MASK1S = list(itertools.product((False, True), repeat=2))
+_MASK2S = list(itertools.product((False, True), repeat=4))
+
+
+@pytest.mark.parametrize("mask2", _MASK2S, ids=_bits)
+@pytest.mark.parametrize("mask1", _MASK1S, ids=_bits)
+def test_kernel_aux_matches_module_path(kern, steady_cfg, mask1, mask2):
     # the record's auxiliaries must agree with the module-level operations
     # (different summation orders, so relative tolerance, not bit equality)
+    # under every mask, since a twin may skip the cofactors a mask discards
     from outreg.controller import GainConfig, control_nonadaptive, zeta
 
-    cfg = ScenarioConfig()
+    cfg = with_overrides(steady_cfg, mask1=mask1, mask2=mask2)
     cfg1 = MappingConfig(n=2, m=cfg.m1, epsilon=cfg.epsilon, zero_mask=cfg.mask1)
     cfg2 = MappingConfig(n=4, m=cfg.m2, epsilon=cfg.epsilon, zero_mask=cfg.mask2)
     gains = GainConfig(rho=cfg.rho, k=cfg.k, k0=cfg.k0)
-    y0 = list(STEADY_Y0)
+    y0 = _y0(cfg)
     y0[5] += 0.31  # knock the filters off the invariant set
     y0[10] -= 0.17
-    records, _, _ = _kernel.run_closed_loop(*_args(ScenarioConfig(), y0, 1, 1))
+    records, _, _ = kern.run_closed_loop(*_args(cfg, y0, 1, 1))
     t, x1, x2, e, zv, u, a11, a21, a23, det1, det2, khat = records[0]
     eta1 = y0[4:8]
     eta2 = y0[8:16]
@@ -117,6 +162,8 @@ def test_kernel_aux_matches_module_path():
 
 
 def test_backend_env_override():
+    # forcing "compiled" needs the installed extension, not a test build
+    pytest.importorskip("outreg._kernel")
     code = "import outreg.backend as b; print(b.BACKEND)"
     for forced in ("python", "compiled"):
         env = dict(os.environ, OUTREG_BACKEND=forced)
@@ -130,16 +177,13 @@ def test_backend_env_override():
     assert out.returncode != 0
 
 
-def test_twins_identical_on_overflowing_step():
+def test_twins_identical_on_overflowing_step(ckernel):
     # a state big enough that an RK4 stage overflows to inf and the Hankel
     # determinant becomes nan mid-step; C division quietly produces nan/inf
     # and the python twin must do the same instead of raising
-    pytest.importorskip("outreg._kernel")
-    from outreg import _kernel
-
     cfg = ScenarioConfig()
     y0 = [1e9, 0.0, 1.0, 1.0] + [0.0] * 12 + [0.0]
-    out_c = _kernel.run_closed_loop(*_args(cfg, y0, 5, 1))
+    out_c = ckernel.run_closed_loop(*_args(cfg, y0, 5, 1))
     out_p = _kernel_py.run_closed_loop(*_args(cfg, y0, 5, 1))
     rc, dc, yc = out_c
     rp, dp, yp = out_p

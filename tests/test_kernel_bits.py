@@ -1,0 +1,107 @@
+"""Pin the pure-Python kernel's output bits without needing a compiler.
+
+Each case hashes the struct-packed records, diverged_at and y_final of one
+run.  The digests were taken from the loop-form kernel that mirrors
+_kernel.pyx statement by statement, so any rewrite of _kernel_py that
+changes a single bit of any value (a reassociated sum, a dropped 0.0 seed
+that flips a signed zero) fails here even where the compiled twin cannot
+be built to compare against.
+"""
+
+import hashlib
+import itertools
+import struct
+
+import pytest
+
+from outreg import _kernel_py
+from outreg.scenario import ScenarioConfig
+from outreg.simulate import _kernel_args
+
+
+# sha256 over the packed records, diverged_at and y_final of each case
+DIGESTS = {
+    "nonadaptive":
+        "c9df4d6c2fa56c132b0c193e7d20dcf6290085da060d129364bd57121e587d25",
+    "adaptive":
+        "52b3d11bd70c29063c37d9aed3e20c91dd917651894712eed4c811abb7f576c5",
+    "open_loop":
+        "a52a0ea9c580a9c10d758f16c19b13a40159c9c1bfb1c08edaa8f6a5677ba0fb",
+    "disturbed":
+        "881978b42f8b4c5f1c850e3c67a524c506b0e98f1ea3df4d736b7dcfaf710be3",
+    "cold":
+        "69f4226d265837d5276e27b3b816da1a3c710208cab4806beb8c4fb753ac928b",
+    "overflow":
+        "c4bf6b68213e6e9574025a45d3875506dfb1a4a8c6b2e8713cb27ff838d8cf8c",
+    "signed_zero":
+        "7d00a742f44d68e12854c2e22e1d5692be9b1dc99e366cdd487447fb82f034d9",
+}
+
+
+def _y0(cfg):
+    return [*cfg.x0, *cfg.v0, *cfg.eta1_0, *cfg.eta2_0, cfg.khat0]
+
+
+def _digest(out):
+    records, diverged_at, y_final = out
+    h = hashlib.sha256()
+    for row in records:
+        h.update(struct.pack("<12d", *row))
+    h.update(struct.pack("<d", diverged_at))
+    h.update(struct.pack("<17d", *y_final))
+    return h.hexdigest()
+
+
+def _run(cfg, y0, n_steps, stride, mode="nonadaptive", dist=None):
+    args = list(_kernel_args(cfg, mode))
+    if dist is not None:
+        args[-2:] = dist
+    return _kernel_py.run_closed_loop(y0, cfg.h, n_steps, stride, *args)
+
+
+@pytest.mark.parametrize("mode", ["nonadaptive", "adaptive", "open_loop"])
+def test_steady_bits(steady_cfg, mode):
+    out = _run(steady_cfg, _y0(steady_cfg), 2000, 1, mode)
+    assert out[1] == -1.0
+    assert _digest(out) == DIGESTS[mode]
+
+
+def test_disturbed_bits(steady_cfg):
+    out = _run(steady_cfg, _y0(steady_cfg), 2000, 1, dist=(0.05, 7.0))
+    assert out[1] == -1.0
+    assert _digest(out) == DIGESTS["disturbed"]
+
+
+def test_cold_start_bits():
+    cfg = ScenarioConfig()
+    out = _run(cfg, _y0(cfg), cfg.n_steps, 1)
+    assert out[1] == pytest.approx(0.117, abs=1e-12)
+    assert _digest(out) == DIGESTS["cold"]
+
+
+def test_overflow_bits():
+    cfg = ScenarioConfig()
+    y0 = [1e9, 0.0, 1.0, 1.0] + [0.0] * 13
+    out = _run(cfg, y0, 5, 1)
+    assert out[1] == pytest.approx(cfg.h)
+    assert _digest(out) == DIGESTS["overflow"]
+
+
+def test_signed_zero_bits():
+    # filter states of +0.0 and -0.0 leave every sum's sign to its 0.0 seed,
+    # so dropping any seed, or reordering a sum of zeros, flips a hashed bit
+    cfg = ScenarioConfig()
+    (c1, c2, c3, sigma, m1, m2, eps, _, _, rho, kc, k0, mode,
+     dist_amp, dist_freq) = _kernel_args(cfg, "nonadaptive")
+    m1, m2, rho, kc = ([float(v) for v in xs] for xs in (m1, m2, rho, kc))
+    h = hashlib.sha256()
+    for signs in itertools.product((0.0, -0.0), repeat=8):
+        y = [-0.0, -0.0, 0.0, -0.0, *signs[:4], *signs, 0.0]
+        for mask1 in itertools.product((0, 1), repeat=2):
+            for mask2 in itertools.product((0, 1), repeat=4):
+                dy, aux, ahat1, ahat2 = [0.0] * 17, [0.0] * 8, [0.0] * 4, [0.0] * 4
+                _kernel_py._deriv(0.0, y, dy, aux, c1, c2, c3, sigma, m1, m2, eps,
+                                  list(mask1), list(mask2), rho, kc, k0, mode,
+                                  dist_amp, dist_freq, ahat1, ahat2)
+                h.update(struct.pack("<33d", *dy, *aux, *ahat1, *ahat2))
+    assert h.hexdigest() == DIGESTS["signed_zero"]
