@@ -1,38 +1,20 @@
-"""Build script: compiles the fast closed-loop kernel when Cython and a C
-compiler are available.  The extension is optional -- a failed build leaves
-the pure-Python kernel in charge (same arithmetic, much slower).
-
-Set OUTREG_NO_EXT=1 to skip the extension entirely.
+"""Build script: compiles the closed-loop kernel, a hand-written C twin of
+outreg._kernel_py.  The extension is optional -- without a C compiler the
+install still succeeds and the pure-Python twin runs instead (same
+arithmetic, much slower).
 """
-
-import os
 
 from setuptools import Extension, setup
 
-ext_modules = []
-if os.environ.get("OUTREG_NO_EXT") != "1":
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        cythonize = None
-    if cythonize is not None:
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "outreg._kernel",
-                    ["src/outreg/_kernel.pyx"],
-                    # -ffp-contract=off: no FMA contraction, so the compiled
-                    # kernel is bit-identical to the pure-Python twin
-                    extra_compile_args=["-O3", "-ffp-contract=off"],
-                    optional=True,
-                )
-            ],
-            compiler_directives={
-                "language_level": "3",
-                "boundscheck": False,
-                "wraparound": False,
-                "cdivision": True,
-            },
+setup(
+    ext_modules=[
+        Extension(
+            "outreg._kernel",
+            ["src/outreg/_kernel.c"],
+            # -ffp-contract=off: no FMA contraction, so the compiled kernel is
+            # bit-identical to the pure-Python twin
+            extra_compile_args=["-O3", "-ffp-contract=off"],
+            optional=True,
         )
-
-setup(ext_modules=ext_modules)
+    ]
+)

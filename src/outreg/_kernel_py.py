@@ -1,13 +1,13 @@
 """Pure-Python twin of the compiled closed-loop integration kernel.
 
-This file and _kernel.pyx compute every value with the same expression in
-the same operation order, so a run produces bit-identical records on either
-backend (the parity tests compare floats for exact equality).  When editing
-one, edit the other to match, expression by expression.  The loop structure
-need not match: this twin unrolls the small fixed loops over locals and
-skips the values a mask discards (the cofactors behind a masked coefficient
-estimate), since interpreted loops and list indexing cost more than the
-arithmetic they carry.
+This file and the hand-written C twin _kernel.c compute every value with
+the same expression in the same operation order, so a run produces
+bit-identical records on either backend (the parity tests compare floats for
+exact equality).  When editing one, edit the other to match, expression by
+expression.  Both are straight-line and mask-aware: each Hankel cofactor is
+written out, and a cofactor behind a masked coefficient estimate is never
+computed.  Only the plumbing differs (slices and comprehensions here, indexed
+loops in C).
 
 Conventions shared by both twins:
   - no ** operator anywhere; powers are explicit products, so both

@@ -130,12 +130,6 @@ def scale(a: Matrix, c: float) -> Matrix:
     return Matrix([[c * x for x in a.row(i)] for i in range(a.rows)])
 
 
-def add(a: Matrix, b: Matrix) -> Matrix:
-    if a.rows != b.rows or a.cols != b.cols:
-        raise ShapeError("cannot add %dx%d and %dx%d" % (a.rows, a.cols, b.rows, b.cols))
-    return Matrix([[x + y for x, y in zip(a.row(i), b.row(i))] for i in range(a.rows)])
-
-
 def sub(a: Matrix, b: Matrix) -> Matrix:
     if a.rows != b.rows or a.cols != b.cols:
         raise ShapeError("cannot subtract %dx%d and %dx%d" % (a.rows, a.cols, b.rows, b.cols))

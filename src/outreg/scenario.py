@@ -4,10 +4,10 @@ One assignment per line, dotted keys group related settings, `#` starts a
 comment, blank lines are ignored.  Vector values are comma-separated
 numbers; gain expressions are polynomial text (see controller.Polynomial).
 Every key is optional: an empty file is the stock benchmark scenario.
-Unknown keys are hard errors, as are non-Hurwitz filter coefficients,
-nonpositive step/horizon/epsilon, and wrong vector lengths; benchmark-box
-range checks (plant coefficients, sigma) and unprovable gain lower bounds
-only warn.
+Unknown keys are hard errors, as are non-finite numbers, non-Hurwitz filter
+coefficients, nonpositive step/horizon/epsilon, and wrong vector lengths;
+parse errors carry their line number.  Benchmark-box range checks (plant
+coefficients, sigma) and unprovable gain lower bounds only warn.
 
 Keys and defaults:
 
@@ -33,6 +33,7 @@ Keys and defaults:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .controller import GainConfig, GainSyntaxError, Polynomial
@@ -88,6 +89,9 @@ def _parse_floats(text, count, key, errors):
     except ValueError:
         errors.append("%s: not a number list: %r" % (key, text))
         return None
+    if not all(math.isfinite(v) for v in vals):
+        errors.append("%s: values must be finite, got %r" % (key, text))
+        return None
     if len(vals) != count:
         errors.append("%s: expected %d values, got %d" % (key, count, len(vals)))
         return None
@@ -113,10 +117,14 @@ def _parse_mask(text, count, key, errors):
 
 def _parse_float(text, key, errors):
     try:
-        return float(text)
+        val = float(text)
     except ValueError:
         errors.append("%s: not a number: %r" % (key, text))
         return None
+    if not math.isfinite(val):
+        errors.append("%s: must be finite, got %r" % (key, text))
+        return None
+    return val
 
 
 def _parse_int(text, key, errors):
@@ -158,8 +166,8 @@ def loads(text: str) -> ScenarioConfig:
 
     def take(key, parse, *args):
         if key in seen:
-            _, val = seen.pop(key)
-            out = parse(val, *args, key, errors)
+            lineno, val = seen.pop(key)
+            out = parse(val, *args, "line %d: %s" % (lineno, key), errors)
             if out is not None:
                 return out
         return None

@@ -1,52 +1,14 @@
-import importlib.util
 import itertools
 import os
-import shutil
 import subprocess
 import sys
-import sysconfig
-from pathlib import Path
 
 import pytest
 
-import outreg
 from outreg import _kernel_py
 from outreg.linalg import determinant
 from outreg.mapping import MappingConfig, estimate_coeffs, hankel
 from outreg.scenario import ScenarioConfig, with_overrides
-
-
-@pytest.fixture(scope="module")
-def ckernel(tmp_path_factory):
-    """The compiled twin: the installed extension if there is one, else the
-    tracked C source built with gcc.  The built module is loaded privately
-    (not into sys.modules), so the rest of the suite keeps the backend
-    that outreg.backend chose at import."""
-    try:
-        from outreg import _kernel
-
-        return _kernel
-    except ImportError:
-        pass
-    gcc = shutil.which("gcc")
-    paths = sysconfig.get_paths()
-    if gcc is None or not os.path.exists(os.path.join(paths["include"], "Python.h")):
-        pytest.skip("no outreg._kernel extension and no gcc + Python.h to build one")
-    src = Path(outreg.__file__).with_name("_kernel.c")
-    if not src.exists():
-        pytest.skip("no outreg._kernel extension and no _kernel.c to build one")
-    so = tmp_path_factory.mktemp("kernel") / ("_kernel" + sysconfig.get_config_var("EXT_SUFFIX"))
-    # -ffp-contract=off: no FMA contraction, as in setup.py
-    cmd = [gcc, "-O3", "-ffp-contract=off", "-shared", "-fPIC",
-           "-I" + paths["include"], "-I" + paths["platinclude"], str(src), "-o", str(so)]
-    built = subprocess.run(cmd, capture_output=True, text=True)
-    assert built.returncode == 0, built.stderr
-    spec = importlib.util.spec_from_file_location("outreg._kernel", so)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    # the extension's own init registers it; undo that
-    sys.modules.pop("outreg._kernel", None)
-    return mod
 
 
 @pytest.fixture(params=["python", "compiled"])

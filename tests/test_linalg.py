@@ -8,7 +8,6 @@ from outreg.linalg import (
     Matrix,
     ShapeError,
     SingularMatrixError,
-    add,
     adjugate,
     determinant,
     frobenius_norm,
@@ -184,8 +183,6 @@ def test_shape_errors():
         mat_mul(identity(2), identity(3))
     with pytest.raises(ShapeError):
         mat_vec(identity(2), [1.0])
-    with pytest.raises(ShapeError):
-        add(identity(2), identity(3))
 
 
 def test_helpers():
@@ -193,5 +190,4 @@ def test_helpers():
     assert transpose(a).to_lists() == [[1.0, 3.0], [2.0, 4.0]]
     assert zeros(2, 3).to_lists() == [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
     assert mat_vec(a, [1.0, 1.0]) == [3.0, 7.0]
-    assert add(a, a).to_lists() == [[2.0, 4.0], [6.0, 8.0]]
     assert frobenius_norm(identity(4)) == 2.0

@@ -78,6 +78,14 @@ def test_parse_errors_carry_line_numbers():
         loads("plant.c1 = banana\n")
 
 
+@pytest.mark.parametrize("line", ["init.x = nan, 0", "init.v = inf, 1",
+                                  "gains.k0 = nan", "mapping.epsilon = inf"])
+def test_non_finite_numbers_rejected(line):
+    key = line.split(" =")[0]
+    with pytest.raises(ScenarioError, match="line 2: %s: .*finite" % key):
+        loads("plant.c1 = -1\n" + line + "\n")
+
+
 def test_wrong_vector_length():
     with pytest.raises(ScenarioError, match="expected 4 values"):
         loads("model.m1 = 1, 2, 3\n")
