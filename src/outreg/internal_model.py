@@ -20,6 +20,7 @@ which sylvester_residual evaluates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -63,7 +64,7 @@ class CoeffVector:
         if not vals:
             raise ValueError("coefficient vector must be nonempty")
         for x in vals:
-            if not np.isfinite(x):
+            if not math.isfinite(x):
                 raise ValueError("non-finite coefficient %r" % x)
         object.__setattr__(self, "a", vals)
 

@@ -5,6 +5,13 @@ works with matrices no larger than 8x8, so the kernel favours exactness and
 auditability over speed: determinants come from partial-pivot LU, adjugates
 from explicit cofactors, and there is no BLAS behind it.  All entries are
 plain Python floats.
+
+Every Matrix holds finite entries.  The public constructor checks its
+input; results built here skip that check only where every entry is copied
+from an already validated matrix (identity, zeros, transpose, row slices).
+Results of arithmetic (products, scalings, differences, adjugates) are
+still checked, since they can overflow.  Each sum keeps its 0.0 seed and
+its summation order, so results are the same bits as the plain loops.
 """
 
 from __future__ import annotations
@@ -30,6 +37,8 @@ class SingularMatrixError(ValueError):
 # pivot ratio max|p|/min|p| above which solve_linear refuses to answer
 _COND_LIMIT = 1e12
 
+_EMPTY = "matrix needs at least one row and one column"
+
 
 class Matrix:
     """Immutable real matrix, row-major storage.
@@ -43,18 +52,24 @@ class Matrix:
     def __init__(self, rows_of_entries):
         rows = [list(map(float, r)) for r in rows_of_entries]
         if not rows or not rows[0]:
-            raise ShapeError("matrix needs at least one row and one column")
+            raise ShapeError(_EMPTY)
         ncols = len(rows[0])
         for r in rows:
             if len(r) != ncols:
                 raise ShapeError("ragged rows: expected %d columns, got %d" % (ncols, len(r)))
-        flat = tuple(x for r in rows for x in r)
-        for x in flat:
-            if not math.isfinite(x):
-                raise ValueError("non-finite matrix entry %r" % x)
+        flat = _require_finite(tuple(x for r in rows for x in r))
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", ncols)
         object.__setattr__(self, "data", flat)
+
+    @classmethod
+    def _of(cls, rows, cols, flat):
+        """Wrap a flat row-major tuple of floats already known to be finite."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "data", flat)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -90,50 +105,73 @@ class Matrix:
         return "Matrix(%r)" % (self.to_lists(),)
 
 
+def _require_finite(flat: tuple) -> tuple:
+    if not all(map(math.isfinite, flat)):
+        bad = next(x for x in flat if not math.isfinite(x))
+        raise ValueError("non-finite matrix entry %r" % bad)
+    return flat
+
+
+def _checked(rows: int, cols: int, flat: tuple) -> Matrix:
+    """Matrix over arithmetic results, which must still be finite."""
+    return Matrix._of(rows, cols, _require_finite(flat))
+
+
+def _row_slices(a: Matrix) -> list:
+    n = a.cols
+    d = a.data
+    return [d[i:i + n] for i in range(0, a.rows * n, n)]
+
+
 def identity(n: int) -> Matrix:
-    return Matrix([[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)])
+    if n < 1:
+        raise ShapeError(_EMPTY)
+    flat = [0.0] * (n * n)
+    flat[::n + 1] = [1.0] * n
+    return Matrix._of(n, n, tuple(flat))
 
 
 def zeros(rows: int, cols: int) -> Matrix:
-    return Matrix([[0.0] * cols for _ in range(rows)])
+    if rows < 1 or cols < 1:
+        raise ShapeError(_EMPTY)
+    return Matrix._of(rows, cols, (0.0,) * (rows * cols))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
         raise ShapeError("cannot multiply %dx%d by %dx%d" % (a.rows, a.cols, b.rows, b.cols))
+    bcols = [b.data[j::b.cols] for j in range(b.cols)]
     out = []
-    for i in range(a.rows):
-        arow = a.data[i * a.cols:(i + 1) * a.cols]
-        orow = []
-        for j in range(b.cols):
+    for arow in _row_slices(a):
+        for bcol in bcols:
             s = 0.0
-            for k in range(a.cols):
-                s += arow[k] * b.data[k * b.cols + j]
-            orow.append(s)
-        out.append(orow)
-    return Matrix(out)
+            for x, y in zip(arow, bcol):
+                s += x * y
+            out.append(s)
+    return _checked(a.rows, b.cols, tuple(out))
 
 
 def mat_vec(a: Matrix, v) -> list:
     if a.cols != len(v):
         raise ShapeError("cannot apply %dx%d to vector of length %d" % (a.rows, a.cols, len(v)))
     out = []
-    for i in range(a.rows):
+    for arow in _row_slices(a):
         s = 0.0
-        for k in range(a.cols):
-            s += a.data[i * a.cols + k] * v[k]
+        for x, y in zip(arow, v):
+            s += x * y
         out.append(s)
     return out
 
 
 def scale(a: Matrix, c: float) -> Matrix:
-    return Matrix([[c * x for x in a.row(i)] for i in range(a.rows)])
+    c = float(c)
+    return _checked(a.rows, a.cols, tuple([c * x for x in a.data]))
 
 
 def sub(a: Matrix, b: Matrix) -> Matrix:
     if a.rows != b.rows or a.cols != b.cols:
         raise ShapeError("cannot subtract %dx%d and %dx%d" % (a.rows, a.cols, b.rows, b.cols))
-    return Matrix([[x - y for x, y in zip(a.row(i), b.row(i))] for i in range(a.rows)])
+    return _checked(a.rows, a.cols, tuple([x - y for x, y in zip(a.data, b.data)]))
 
 
 def mat_pow(a: Matrix, k: int) -> Matrix:
@@ -154,50 +192,61 @@ def mat_pow(a: Matrix, k: int) -> Matrix:
     return result
 
 
-def _lu_rows(a: Matrix):
-    return [a.row(i) for i in range(a.rows)]
+def _det_rows(m: list) -> float:
+    """Determinant of the square matrix whose rows are the sequences in m,
+    by LU with partial pivoting.
+
+    Each elimination step keeps only the columns right of the pivot, so
+    rows are sliced, never written; m itself is reordered.
+    """
+    det = 1.0
+    while len(m) > 2:
+        piv = 0
+        best = abs(m[0][0])
+        for r in range(1, len(m)):
+            v = abs(m[r][0])
+            if v > best:
+                best = v
+                piv = r
+        if best == 0.0:
+            return 0.0
+        if piv:
+            m[0], m[piv] = m[piv], m[0]
+            det = -det
+        prow = m[0]
+        pivval = prow[0]
+        det *= pivval
+        ptail = prow[1:]
+        rest = []
+        for row in m[1:]:
+            f = row[0] / pivval
+            if f != 0.0:
+                rest.append([x - f * y for x, y in zip(row[1:], ptail)])
+            else:
+                rest.append(row[1:])
+        m = rest
+    if len(m) == 1:
+        last = m[0][0]
+        return 0.0 if last == 0.0 else det * last
+    # the last two columns of the same elimination, written out
+    (a, b), (c, d) = m
+    if abs(c) > abs(a):
+        a, b, c, d = c, d, a, b
+        det = -det
+    if a == 0.0:
+        return 0.0
+    det *= a
+    f = c / a
+    if f != 0.0:
+        d -= f * b
+    return 0.0 if d == 0.0 else det * d
 
 
 def determinant(a: Matrix) -> float:
     """Determinant via LU with partial pivoting."""
     if not a.is_square:
         raise ShapeError("determinant needs a square matrix, got %dx%d" % (a.rows, a.cols))
-    n = a.rows
-    m = _lu_rows(a)
-    det = 1.0
-    for col in range(n):
-        piv = col
-        best = abs(m[col][col])
-        for r in range(col + 1, n):
-            v = abs(m[r][col])
-            if v > best:
-                best = v
-                piv = r
-        if best == 0.0:
-            return 0.0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        pivval = m[col][col]
-        det *= pivval
-        for r in range(col + 1, n):
-            f = m[r][col] / pivval
-            if f != 0.0:
-                row = m[r]
-                prow = m[col]
-                for c in range(col + 1, n):
-                    row[c] -= f * prow[c]
-    return det
-
-
-def _minor(a: Matrix, drop_row: int, drop_col: int) -> Matrix:
-    return Matrix(
-        [
-            [a.at(i, j) for j in range(a.cols) if j != drop_col]
-            for i in range(a.rows)
-            if i != drop_row
-        ]
-    )
+    return _det_rows(_row_slices(a))
 
 
 def adjugate(a: Matrix) -> Matrix:
@@ -206,16 +255,18 @@ def adjugate(a: Matrix) -> Matrix:
         raise ShapeError("adjugate needs a square matrix, got %dx%d" % (a.rows, a.cols))
     n = a.rows
     if n == 1:
-        return Matrix([[1.0]])
-    out = [[0.0] * n for _ in range(n)]
+        return Matrix._of(1, 1, (1.0,))
+    rows = _row_slices(a)
+    out = [0.0] * (n * n)
     for i in range(n):
+        others = rows[:i] + rows[i + 1:]
         for j in range(n):
-            c = determinant(_minor(a, i, j))
+            c = _det_rows([r[:j] + r[j + 1:] for r in others])
             if (i + j) & 1:
                 c = -c
             # transpose: cofactor (i, j) lands at (j, i)
-            out[j][i] = c
-    return Matrix(out)
+            out[j * n + i] = c
+    return _checked(n, n, tuple(out))
 
 
 def solve_linear(a: Matrix, b) -> list:
@@ -228,7 +279,7 @@ def solve_linear(a: Matrix, b) -> list:
     n = a.rows
     if len(b) != n:
         raise ShapeError("rhs length %d does not match %dx%d" % (len(b), n, n))
-    m = _lu_rows(a)
+    m = [list(r) for r in _row_slices(a)]
     x = [float(v) for v in b]
     max_piv = 0.0
     min_piv = math.inf
@@ -246,15 +297,16 @@ def solve_linear(a: Matrix, b) -> list:
             m[col], m[piv] = m[piv], m[col]
             x[col], x[piv] = x[piv], x[col]
         pivval = m[col][col]
-        max_piv = max(max_piv, best)
-        min_piv = min(min_piv, best)
+        if best > max_piv:
+            max_piv = best
+        if best < min_piv:
+            min_piv = best
+        ptail = m[col][col + 1:]
         for r in range(col + 1, n):
             f = m[r][col] / pivval
             if f != 0.0:
                 row = m[r]
-                prow = m[col]
-                for c in range(col + 1, n):
-                    row[c] -= f * prow[c]
+                row[col + 1:] = [y - f * p for y, p in zip(row[col + 1:], ptail)]
                 x[r] -= f * x[col]
     cond = max_piv / min_piv
     if cond > _COND_LIMIT:
@@ -265,14 +317,15 @@ def solve_linear(a: Matrix, b) -> list:
     for i in range(n - 1, -1, -1):
         s = x[i]
         row = m[i]
-        for j in range(i + 1, n):
-            s -= row[j] * x[j]
+        for r, y in zip(row[i + 1:], x[i + 1:]):
+            s -= r * y
         x[i] = s / row[i]
     return x
 
 
 def transpose(a: Matrix) -> Matrix:
-    return Matrix([[a.at(i, j) for i in range(a.rows)] for j in range(a.cols)])
+    c = a.cols
+    return Matrix._of(c, a.rows, tuple(x for j in range(c) for x in a.data[j::c]))
 
 
 def frobenius_norm(a: Matrix) -> float:

@@ -50,6 +50,23 @@ class ScenarioError(ValueError):
         self.violations = tuple(violations)
         super().__init__("\n".join(self.violations))
 
+    def __reduce__(self):
+        # rebuild from the violations, not from args (the joined message),
+        # so the error crosses a process pool intact
+        return (type(self), (self.violations,))
+
+
+# scenario key -> ScenarioConfig field, for the numeric settings
+_FLOAT_KEYS = (("plant.c1", "c1"), ("plant.c2", "c2"), ("plant.c3", "c3"),
+               ("plant.sigma", "sigma"), ("init.khat", "khat0"),
+               ("mapping.epsilon", "epsilon"), ("gains.k0", "k0"),
+               ("sim.h", "h"), ("sim.t_end", "t_end"),
+               ("sim.disturbance_amp", "disturbance_amp"),
+               ("sim.disturbance_freq", "disturbance_freq"))
+_VECTOR_KEYS = (("init.x", "x0", 2), ("init.v", "v0", 2),
+                ("init.eta1", "eta1_0", 4), ("init.eta2", "eta2_0", 8),
+                ("model.m1", "m1", 4), ("model.m2", "m2", 8))
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -172,18 +189,11 @@ def loads(text: str) -> ScenarioConfig:
                 return out
         return None
 
-    for key, name in (("plant.c1", "c1"), ("plant.c2", "c2"), ("plant.c3", "c3"),
-                      ("plant.sigma", "sigma"), ("init.khat", "khat0"),
-                      ("mapping.epsilon", "epsilon"), ("gains.k0", "k0"),
-                      ("sim.h", "h"), ("sim.t_end", "t_end"),
-                      ("sim.disturbance_amp", "disturbance_amp"),
-                      ("sim.disturbance_freq", "disturbance_freq")):
+    for key, name in _FLOAT_KEYS:
         out = take(key, _parse_float)
         if out is not None:
             kw[name] = out
-    for key, name, count in (("init.x", "x0", 2), ("init.v", "v0", 2),
-                             ("init.eta1", "eta1_0", 4), ("init.eta2", "eta2_0", 8),
-                             ("model.m1", "m1", 4), ("model.m2", "m2", 8)):
+    for key, name, count in _VECTOR_KEYS:
         out = take(key, _parse_floats, count)
         if out is not None:
             kw[name] = out
@@ -216,8 +226,23 @@ def loads(text: str) -> ScenarioConfig:
 
 def validate(cfg: ScenarioConfig):
     """Hard checks raise ScenarioError (all violations at once); box-range
-    and gain-bound checks warn via DuffingParams and GainConfig."""
+    and gain-bound checks warn via DuffingParams and GainConfig.
+
+    Non-finite numbers (loads rejects them at parse time, but overrides
+    and hand-built configs can carry them) are reported first and alone,
+    since every other check assumes finite values.
+    """
     errors = []
+    for key, name in _FLOAT_KEYS:
+        val = getattr(cfg, name)
+        if not math.isfinite(val):
+            errors.append("%s: must be finite, got %r" % (key, val))
+    for key, name, _ in _VECTOR_KEYS:
+        vals = getattr(cfg, name)
+        if not all(math.isfinite(v) for v in vals):
+            errors.append("%s: values must be finite, got %r" % (key, vals))
+    if errors:
+        raise ScenarioError(errors)
     if not cfg.h > 0.0:
         errors.append("sim.h: must be > 0, got %r" % (cfg.h,))
     if not cfg.t_end > 0.0:

@@ -56,6 +56,14 @@ def test_run_bad_config_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_run_infinite_tend_exits_2(tmp_path, capsys):
+    scn = os.path.join(os.path.dirname(__file__), "..", "scenarios", "steady_start.scn")
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", scn, "--tend", "inf", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error:\nsim.t_end: must be finite, got inf\n"
+    assert not out.exists()
+
+
 def test_run_missing_scenario_exits_4(tmp_path):
     assert main(["run", "--scenario", str(tmp_path / "nope.scn"),
                  "--out", str(tmp_path / "o")]) == 4
@@ -116,6 +124,14 @@ def test_sweep_divergent_point_exits_3(tmp_path, capsys):
     assert row[1] == "1"  # diverged flag
     assert float(row[2]) == pytest.approx(0.117, abs=1e-12)
     assert row[3] == ""  # no trailing metric for a diverged run
+
+
+def test_sweep_worker_config_error_arrives_whole(tmp_path, capsys):
+    # the point is validated in a worker process; its ScenarioError has to
+    # cross the pool with its message intact
+    out = str(tmp_path / "sw")
+    assert main(["sweep", "--grid", "sigma=nan", "--out", out, "--jobs", "2"]) == 2
+    assert capsys.readouterr().err == "config error:\nplant.sigma: must be finite, got nan\n"
 
 
 def test_sweep_empty_grid_exits_2(tmp_path, capsys):

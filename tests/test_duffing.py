@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from outreg.acceptance import criterion_5
 from outreg.duffing import (
     DuffingParams,
     duffing_coeffs,
@@ -192,6 +193,7 @@ def test_oracle_chain_chi_and_estimates():
 def test_filter_convergence():
     # driving the filter with the true steady-state input from eta(0) = 0,
     # the state locks onto theta; by t = 50 the gap is below 1e-6
+    worst = 0.0
     for i, m in ((1, M1), (2, M2)):
         spec = hurwitz_pair(m)
         M = np.array(spec.M.to_lists())
@@ -216,3 +218,7 @@ def test_filter_convergence():
         theta = np.array(steady_state_theta(v, P, i, spec))
         gap = float(np.linalg.norm(eta - theta))
         assert gap <= 1e-6
+        worst = max(worst, gap)
+    # acceptance criterion 5 integrates the same filter in its linear form
+    # (eta+ = A eta + B w); it must report the gap of this stepwise loop
+    assert "driven-filter terminal gap %.3g " % worst in criterion_5(0, {})[2]

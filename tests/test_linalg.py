@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from outreg.linalg import (
     mat_mul,
     mat_pow,
     mat_vec,
+    scale,
     solve_linear,
     sub,
     transpose,
@@ -191,3 +194,81 @@ def test_helpers():
     assert zeros(2, 3).to_lists() == [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
     assert mat_vec(a, [1.0, 1.0]) == [3.0, 7.0]
     assert frobenius_norm(identity(4)) == 2.0
+
+
+def test_internal_results_equal_public_builds():
+    # identity, zeros, transpose and adjugate skip the constructor's checks;
+    # what they build must be indistinguishable from a checked Matrix
+    a = Matrix([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    pairs = [
+        (identity(3), Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])),
+        (identity(1), Matrix([[1]])),
+        (zeros(2, 3), Matrix([[0, 0, 0], [0, 0, 0]])),
+        (transpose(a), Matrix([[1, 4], [2, 5], [3, 6]])),
+        (adjugate(Matrix([[1, 2], [3, 4]])), Matrix([[4, -2], [-3, 1]])),
+        (adjugate(Matrix([[7]])), Matrix([[1]])),
+    ]
+    for got, want in pairs:
+        assert got == want and hash(got) == hash(want)
+        assert type(got.data) is tuple
+        assert all(type(x) is float for x in got.data)
+
+
+def test_empty_shapes_rejected():
+    for make in (lambda: identity(0), lambda: identity(-1), lambda: zeros(0, 3),
+                 lambda: zeros(3, 0)):
+        with pytest.raises(ShapeError, match="at least one row and one column"):
+            make()
+
+
+def test_arithmetic_results_reject_overflow():
+    big = Matrix([[1e308]])
+    cases = (
+        lambda: scale(big, 10.0),
+        lambda: mat_mul(big, Matrix([[10.0]])),
+        lambda: sub(big, Matrix([[-1e308]])),
+        # the (2, 2) cofactor is 1e200 * 1e200
+        lambda: adjugate(Matrix([[1e200, 0.0, 0.0], [0.0, 1e200, 0.0], [0.0, 0.0, 1.0]])),
+    )
+    for make in cases:
+        with pytest.raises(ValueError, match="non-finite matrix entry inf"):
+            make()
+    with pytest.raises(ValueError, match="non-finite matrix entry nan"):
+        scale(identity(2), float("nan"))
+
+
+# sha256 of every result below, taken from the plain index-loop forms of
+# these functions: any change to a sum's seed or order, or to the LU's
+# pivoting, that moves a single bit fails here
+LINALG_DIGEST = "e711e9386624dff744aceaa91ac3c1b032aaa5a700572be846daa9e5cf9016c9"
+
+
+def test_linalg_bits():
+    rng = random.Random(2024)
+    pool = (0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 3.0)
+    h = hashlib.sha256()
+
+    def put(vals):
+        h.update(struct.pack("<%dd" % len(vals), *vals))
+
+    for trial in range(400):
+        n = 1 + trial % 5
+        kind = trial % 4
+        rows = [[rng.choice(pool) if kind == 1 else rng.uniform(-3.0, 3.0)
+                 for _ in range(n)] for _ in range(n)]
+        if kind == 2 and n > 1:
+            rows[-1] = list(rows[0])  # exactly singular
+        a = Matrix(rows)
+        b = Matrix([[rng.choice(pool) if kind == 1 else rng.uniform(-3.0, 3.0)
+                     for _ in range(n)] for _ in range(n)])
+        v = [rng.choice(pool) for _ in range(n)]
+        put([determinant(a)])
+        for m in (adjugate(a), mat_mul(a, b), mat_pow(a, 5), scale(a, -0.3),
+                  sub(a, b), transpose(a)):
+            put(m.data)
+        put(mat_vec(a, v))
+        try:
+            put(solve_linear(a, v))
+        except SingularMatrixError as exc:
+            put([exc.condition])
+    assert h.hexdigest() == LINALG_DIGEST

@@ -1,3 +1,4 @@
+import pickle
 import warnings
 
 import pytest
@@ -145,3 +146,21 @@ def test_with_overrides_revalidates():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with_overrides(ScenarioConfig(), sigma=1.0)  # inside all boxes: silent
+
+
+@pytest.mark.parametrize("over, key", [({"sigma": float("nan")}, "plant.sigma"),
+                                       ({"t_end": float("inf")}, "sim.t_end"),
+                                       ({"h": float("-inf")}, "sim.h"),
+                                       ({"x0": (float("nan"), 0.0)}, "init.x")])
+def test_with_overrides_rejects_non_finite(over, key):
+    with pytest.raises(ScenarioError, match="^%s: .*finite" % key) as info:
+        with_overrides(ScenarioConfig(), **over)
+    assert len(info.value.violations) == 1
+
+
+def test_scenario_error_survives_pickling():
+    err = ScenarioError(["plant.sigma: must be finite, got nan", "sim.h: must be > 0"])
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is ScenarioError
+    assert back.violations == err.violations
+    assert str(back) == str(err)
