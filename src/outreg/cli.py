@@ -21,7 +21,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from itertools import product, repeat
 
 from . import svgplot
@@ -174,11 +173,20 @@ def cmd_sweep(args) -> int:
     base = _load_cfg(args)
     axes = parse_grid(args.grid)
     points = list(_grid_points(axes))
-    jobs = args.jobs if args.jobs else min(4, os.cpu_count() or 1)
+    if args.jobs is None:
+        jobs = min(4, os.cpu_count() or 1)
+    elif args.jobs < 1:
+        raise GridError("--jobs: must be >= 1, got %d" % args.jobs)
+    else:
+        jobs = args.jobs
     if jobs == 1:
         results = [_sweep_worker(base, p) for p in points]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # imported here: the pool module is a noticeable share of `run`'s import
+        from concurrent.futures import ProcessPoolExecutor
+
+        # the pool may start every worker up front; never more than there are points
+        with ProcessPoolExecutor(max_workers=min(jobs, len(points))) as pool:
             results = list(pool.map(_sweep_worker, repeat(base), points))
     names = [n for n, _ in axes]
     lines = [",".join(names + list(_SUMMARY_METRICS))]
@@ -233,7 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(ps)
     ps.add_argument("--grid", required=True,
                     help="e.g. 'sigma=0.1,0.5,1,2;c2=-2,0,2'; x0/v0 take a:b pairs")
-    ps.add_argument("--jobs", type=int, help="worker processes (default: up to 4)")
+    ps.add_argument("--jobs", type=int,
+                    help="worker processes, >= 1, at most one per grid point "
+                         "(default: up to 4)")
     pc = sub.add_parser("check", help="run the acceptance criteria and report")
     pc.add_argument("--seed", type=int, default=0)
     return ap

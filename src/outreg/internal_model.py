@@ -16,6 +16,11 @@ a 2n x 2n companion built the same way from m = (m_1, ..., m_2n), N the last
 basis column, and Gamma the first basis row.  Xi(a) and Q tie the two
 together; q_matrix satisfies the Sylvester identity M Q = Q Phi(a) - N Gamma,
 which sylvester_residual evaluates.
+
+hurwitz_pair decides with a pure-Python Routh-Hurwitz test on the filter
+polynomial Taylor-shifted by the margin: every root has Re < -1e-6 exactly
+when p(z - 1e-6) is Hurwitz.  numpy is imported only to name the worst
+eigenvalue of a rejected filter, so the run path never loads it.
 """
 
 from __future__ import annotations
@@ -23,8 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .linalg import (
     Matrix,
@@ -72,12 +75,16 @@ class CoeffVector:
     def n(self) -> int:
         return len(self.a)
 
-    def roots(self) -> np.ndarray:
+    def roots(self):
+        import numpy as np
+
         # descending-order coefficients for np.roots: s^n + a_n s^(n-1) + ... + a_1
         return np.roots([1.0] + [self.a[j] for j in range(self.n - 1, -1, -1)])
 
     def is_admissible(self) -> bool:
         """Distinct roots, all on the imaginary axis (numerical check)."""
+        import numpy as np
+
         r = self.roots()
         if r.size and np.max(np.abs(r.real)) > _ADMISSIBLE_RE_TOL:
             return False
@@ -106,14 +113,14 @@ def admissible_from_frequencies(freqs: Sequence[float]) -> CoeffVector:
 
     Convenience constructor for admissible vectors: the roots are +-i w_j.
     """
-    poly = np.array([1.0])
+    poly = [1.0]  # constant-first, monic
     for w in freqs:
         w = float(w)
         if w <= 0:
             raise ValueError("frequencies must be positive, got %r" % w)
-        poly = np.convolve(poly, np.array([1.0, 0.0, w * w]))
-    # poly is descending (s^2k ... const); convert to constant-first
-    return CoeffVector(poly[::-1][:-1])
+        w2 = w * w
+        poly = [w2 * c + d for c, d in zip(poly + [0.0, 0.0], [0.0, 0.0] + poly)]
+    return CoeffVector(poly[:-1])
 
 
 def companion_matrix(a) -> Matrix:
@@ -147,6 +154,25 @@ class InternalModelSpec:
     Gamma: Matrix
 
 
+def _is_hurwitz_beyond_margin(coeffs: tuple) -> bool:
+    """Routh-Hurwitz test that every root of s^k + c_k s^(k-1) + ... + c_1 has
+    Re < _HURWITZ_MARGIN; a root on the margin counts as outside."""
+    p = [1.0] + list(reversed(coeffs))  # descending
+    k = len(coeffs)
+    # Taylor shift: p(z + margin), by repeated synthetic division
+    for i in range(k):
+        for j in range(1, k + 1 - i):
+            p[j] += _HURWITZ_MARGIN * p[j - 1]
+    # Routh array, two rows at a time; Hurwitz iff its first column is > 0
+    prev, cur = p[0::2], p[1::2]
+    for _ in range(k):
+        if not cur[0] > 0.0:
+            return False
+        r = prev[0] / cur[0]
+        prev, cur = cur, [a - r * b for a, b in zip(prev[1:], cur[1:] + [0.0])]
+    return True
+
+
 def hurwitz_pair(m: Sequence[float]) -> InternalModelSpec:
     """Build the filter pair (M, N) from 2n coefficients, rejecting non-Hurwitz m."""
     coeffs = tuple(float(x) for x in m)
@@ -154,9 +180,11 @@ def hurwitz_pair(m: Sequence[float]) -> InternalModelSpec:
         raise ValueError("need an even number of coefficients (2n), got %d" % len(coeffs))
     n = len(coeffs) // 2
     M = companion_matrix(coeffs)
-    eigs = np.linalg.eigvals(np.array(M.to_lists()))
-    worst = eigs[int(np.argmax(eigs.real))]
-    if worst.real > _HURWITZ_MARGIN:
+    if not _is_hurwitz_beyond_margin(coeffs):
+        import numpy as np
+
+        eigs = np.linalg.eigvals(np.array(M.to_lists()))
+        worst = eigs[int(np.argmax(eigs.real))]
         raise NotHurwitzError(
             "filter polynomial is not Hurwitz: eigenvalue %g%+gj has real part >= %g"
             % (worst.real, worst.imag, _HURWITZ_MARGIN),

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -132,6 +134,63 @@ def test_sweep_worker_config_error_arrives_whole(tmp_path, capsys):
     out = str(tmp_path / "sw")
     assert main(["sweep", "--grid", "sigma=nan", "--out", out, "--jobs", "2"]) == 2
     assert capsys.readouterr().err == "config error:\nplant.sigma: must be finite, got nan\n"
+
+
+@pytest.mark.parametrize("jobs", ["-1", "0"])
+def test_sweep_jobs_below_one_exits_2(tmp_path, capsys, jobs):
+    out = str(tmp_path / "sw")
+    assert main(["sweep", "--grid", "sigma=0.5", "--out", out, "--jobs", jobs]) == 2
+    assert capsys.readouterr().err == "config error:\n--jobs: must be >= 1, got %s\n" % jobs
+    assert not os.path.exists(out)
+
+
+def test_sweep_workers_capped_at_grid_points(tmp_path, steady_cfg, monkeypatch):
+    # records the pool size and maps in-process: no real workers start
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    scn = _steady_scn(tmp_path, steady_cfg, t_end=0.05)
+    for jobs, grid, want in (("64", "sigma=0.5,1", 2), ("3", "sigma=0.5,1;c2=1,2", 3)):
+        out = str(tmp_path / ("sw" + jobs))
+        assert main(["sweep", "--scenario", scn, "--grid", grid,
+                     "--out", out, "--jobs", jobs]) == 0
+        assert sizes[-1] == want
+    assert len(sizes) == 2
+
+
+def test_run_imports_neither_numpy_nor_process_pool(tmp_path):
+    # numpy and the process pool are loaded only by `check`, a rejected
+    # filter and a parallel sweep; a stray module-level import shows here
+    import outreg
+
+    scn = os.path.join(os.path.dirname(__file__), "..", "scenarios", "steady_start.scn")
+    code = ("import sys\n"
+            "from outreg.cli import main\n"
+            "assert main(['run', '--scenario', %r, '--tend', '0.05', '--out', %r]) == 0\n"
+            "print(sorted(m for m in ('numpy', 'concurrent.futures.process') if m in sys.modules))\n"
+            % (scn, str(tmp_path / "run")))
+    src = os.path.dirname(os.path.dirname(outreg.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_sweep_empty_grid_exits_2(tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from outreg.internal_model import (
+    _HURWITZ_MARGIN,
     CoeffVector,
     NotHurwitzError,
     admissible_from_frequencies,
@@ -77,6 +78,17 @@ def test_admissible_from_frequencies():
         admissible_from_frequencies([0.0])
 
 
+@pytest.mark.parametrize("freqs, want", [
+    ([0.5], (0.25, 0.0)),
+    ([0.5, 1.5], (0.5625, 0.0, 2.5, 0.0)),
+    ([0.3, 1.1, 2.7], (0.7938810000000002, 0.0, 9.585900000000004, 0.0,
+                       8.590000000000002, 0.0)),
+])
+def test_admissible_from_frequencies_bits(freqs, want):
+    # exact values of the numpy convolution this product replaced
+    assert admissible_from_frequencies(freqs).a == want
+
+
 def test_hurwitz_pair_accepts_benchmark_filters():
     spec1 = hurwitz_pair(M1)
     assert spec1.n == 2
@@ -103,6 +115,60 @@ def test_hurwitz_pair_rejects_unstable():
         hurwitz_pair((0.0, 1.0))  # s^2 + s has a root at the origin
     with pytest.raises(ValueError):
         hurwitz_pair((1.0, 2.0, 3.0))  # odd length
+
+
+def _worst_real_part(m):
+    return float(np.linalg.eigvals(np.array(companion_matrix(m).to_lists())).real.max())
+
+
+def _accepts(m):
+    try:
+        hurwitz_pair(m)
+    except NotHurwitzError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name, m, accepted", [
+    ("s^2 + s, root at 0", (0.0, 1.0), False),
+    ("s^2 - 1", (-1.0, 0.0), False),
+    # the real parts are exactly the margin: on it counts as outside
+    ("roots -1e-6 +- i", (1.0 + 1e-12, 2e-6), False),
+    ("roots -2e-6 +- i", (1.0 + 4e-12, 4e-6), True),
+    ("roots -2e-6 and -1", (2e-6, 1.0 + 2e-6), True),
+    ("M1", M1, True),
+    ("M2", M2, True),
+])
+def test_hurwitz_gate_boundary_cases(name, m, accepted):
+    assert _accepts(m) is accepted
+
+
+def test_hurwitz_gate_agrees_with_eigenvalues():
+    # seeded random root sets around the margin and across the axis; the
+    # Routh decision must match eigvals wherever the worst real part is
+    # clear of the margin by more than the shift's rounding
+    rng = random.Random(104)
+    compared = 0
+    for _ in range(5000):
+        degree = rng.choice([2, 4, 6, 8])
+        roots = []
+        while len(roots) < degree:
+            if rng.random() < 0.8:
+                re = rng.choice([-1.0, -1.0, -1.0, 1.0]) * 10.0 ** rng.uniform(-7, 1)
+            else:
+                re = rng.uniform(-3.0, 0.5)
+            if degree - len(roots) >= 2 and rng.random() < 0.6:
+                im = rng.uniform(0.01, 3.0)
+                roots += [complex(re, im), complex(re, -im)]
+            else:
+                roots.append(complex(re, 0.0))
+        m = tuple(np.poly(roots).real[::-1][:-1])
+        worst = _worst_real_part(m)
+        if abs(worst - _HURWITZ_MARGIN) <= 1e-7:
+            continue
+        compared += 1
+        assert _accepts(m) is (worst <= _HURWITZ_MARGIN), (m, worst)
+    assert compared > 4800
 
 
 def test_xi_matrix_duffing_first_row():
