@@ -12,7 +12,8 @@ executes the acceptance suite and prints one PASS/FAIL line per criterion.
 
 Exit codes: 0 success, 2 config or grid error, 3 divergence (also: any
 failed sweep point), 4 I/O error.  `check` exits 1 when criteria fail.
-Runs are deterministic; --seed only feeds the random draws inside check.
+Runs are deterministic; check's --seed only feeds its own random draws.
+check runs criteria 1-5 in two forked worker processes beside 6-10.
 """
 
 from __future__ import annotations
@@ -232,8 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the scenario's mode")
         p.add_argument("--step", type=float, help="override integration step h")
         p.add_argument("--tend", type=float, help="override simulation horizon")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for check's random draws (runs are deterministic)")
 
     pr = sub.add_parser("run", help="integrate one scenario, write log/metrics/plots")
     common(pr)
@@ -245,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="worker processes, >= 1, at most one per grid point "
                          "(default: up to 4)")
     pc = sub.add_parser("check", help="run the acceptance criteria and report")
-    pc.add_argument("--seed", type=int, default=0)
+    pc.add_argument("--seed", type=int, default=0,
+                    help="seed for check's random draws (runs are deterministic)")
     return ap
 
 

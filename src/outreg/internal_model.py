@@ -220,13 +220,6 @@ def xi_matrix(a, m: Sequence[float]) -> Matrix:
     return Matrix(acc)
 
 
-def is_xi_singular(a, m, tol: float = 1e-12) -> bool:
-    """Flag (not fail) a numerically singular Xi; callers decide what to do."""
-    from .linalg import determinant
-
-    return abs(determinant(xi_matrix(a, m))) < tol
-
-
 def q_matrix(a, m: Sequence[float]) -> Matrix:
     """Q, the 2n x n matrix whose j-th row is Gamma Xi(a)^-1 Phi(a)^(j-1).
 

@@ -274,13 +274,25 @@ def solve_linear(a: Matrix, b) -> list:
 
     Refuses matrices whose pivot-ratio condition estimate exceeds 1e12.
     """
+    return solve_columns(a, [b])[0]
+
+
+def solve_columns(a: Matrix, bs) -> list:
+    """Solve A x = b for every right-hand side b in bs, from one elimination.
+
+    Returns the solutions in the order of bs.  Each column goes through the
+    same operations, in the same order, as it would alone, so every solution
+    is the same bits as solve_linear's; errors are solve_linear's too.
+    """
     if not a.is_square:
         raise ShapeError("solve needs a square matrix, got %dx%d" % (a.rows, a.cols))
     n = a.rows
-    if len(b) != n:
-        raise ShapeError("rhs length %d does not match %dx%d" % (len(b), n, n))
+    for b in bs:
+        if len(b) != n:
+            raise ShapeError("rhs length %d does not match %dx%d" % (len(b), n, n))
     m = [list(r) for r in _row_slices(a)]
-    x = [float(v) for v in b]
+    # x[r] holds row r of every right-hand side
+    x = [[float(b[r]) for b in bs] for r in range(n)]
     max_piv = 0.0
     min_piv = math.inf
     for col in range(n):
@@ -302,12 +314,13 @@ def solve_linear(a: Matrix, b) -> list:
         if best < min_piv:
             min_piv = best
         ptail = m[col][col + 1:]
+        xcol = x[col]
         for r in range(col + 1, n):
             f = m[r][col] / pivval
             if f != 0.0:
                 row = m[r]
                 row[col + 1:] = [y - f * p for y, p in zip(row[col + 1:], ptail)]
-                x[r] -= f * x[col]
+                x[r] = [y - f * p for y, p in zip(x[r], xcol)]
     cond = max_piv / min_piv
     if cond > _COND_LIMIT:
         raise SingularMatrixError(
@@ -318,9 +331,10 @@ def solve_linear(a: Matrix, b) -> list:
         s = x[i]
         row = m[i]
         for r, y in zip(row[i + 1:], x[i + 1:]):
-            s -= r * y
-        x[i] = s / row[i]
-    return x
+            s = [sj - r * yj for sj, yj in zip(s, y)]
+        pivval = row[i]
+        x[i] = [sj / pivval for sj in s]
+    return [list(col) for col in zip(*x)]
 
 
 def transpose(a: Matrix) -> Matrix:

@@ -110,12 +110,16 @@ def regularized_inverse(theta: Matrix, epsilon: float) -> Matrix:
         raise ShapeError("need a square matrix, got %dx%d" % (theta.rows, theta.cols))
     if not (float(epsilon) > 0.0):
         raise ValueError("epsilon must be > 0, got %r" % (epsilon,))
-    epsilon = float(epsilon)
+    return _inverse_and_det(theta, float(epsilon))[0]
+
+
+def _inverse_and_det(theta: Matrix, epsilon: float):
+    """(O(Theta), det Theta) for a square Theta and a valid epsilon."""
     d = determinant(theta)
     if d == 0.0:
-        return zeros(theta.rows, theta.cols)
+        return zeros(theta.rows, theta.cols), d
     s = d / (d * d + bump_psi(1.0 + d * d - epsilon * epsilon))
-    return scale(adjugate(theta), s)
+    return scale(adjugate(theta), s), d
 
 
 def estimate_coeffs(eta, cfg: MappingConfig) -> CoeffVector:
@@ -135,7 +139,11 @@ def estimate_coeffs(eta, cfg: MappingConfig) -> CoeffVector:
 def chi(eta, cfg: MappingConfig) -> float:
     """Gamma . Xi(a_check(eta)) . col(eta_1, ..., eta_n), a scalar."""
     vals = _eta_tuple(eta, cfg.n)
-    a = estimate_coeffs(vals, cfg)
+    return _chi_of(vals, estimate_coeffs(vals, cfg), cfg)
+
+
+def _chi_of(vals: tuple, a: CoeffVector, cfg: MappingConfig) -> float:
+    """chi for filter state vals (already checked) and its estimate a."""
     xi = xi_matrix(a, cfg.m)
     row = xi.row(0)
     s = 0.0

@@ -5,7 +5,8 @@ comment, blank lines are ignored.  Vector values are comma-separated
 numbers; gain expressions are polynomial text (see controller.Polynomial).
 Every key is optional: an empty file is the stock benchmark scenario.
 Unknown keys are hard errors, as are non-finite numbers, non-Hurwitz filter
-coefficients, nonpositive step/horizon/epsilon, and wrong vector lengths;
+coefficients, nonpositive step/horizon/epsilon, a horizon that rounds to
+zero steps, more than MAX_RECORDS records, and wrong vector lengths;
 parse errors carry their line number.  Benchmark-box range checks (plant
 coefficients, sigma) and unprovable gain lower bounds only warn.
 
@@ -41,6 +42,12 @@ from .duffing import DuffingParams
 from .internal_model import NotHurwitzError, hurwitz_pair
 
 MODES = ("nonadaptive", "adaptive", "open_loop")
+
+# The most records a run may keep.  `outreg run` peaks at about 1.3 kB per
+# record (kernel output, SimLog row, CSV text and plots; measured with
+# CPython 3.11 at stride 1), so this bounds one run near 1.3 GB, and a
+# 4-worker sweep near four times that.  The stock scenario keeps 10,001.
+MAX_RECORDS = 1_000_000
 
 
 class ScenarioError(ValueError):
@@ -249,6 +256,8 @@ def validate(cfg: ScenarioConfig):
         errors.append("sim.t_end: must be > 0, got %r" % (cfg.t_end,))
     if cfg.stride < 1:
         errors.append("sim.stride: must be >= 1, got %r" % (cfg.stride,))
+    if not errors:
+        errors.extend(_run_length_errors(cfg))
     if not cfg.epsilon > 0.0:
         errors.append("mapping.epsilon: must be > 0, got %r" % (cfg.epsilon,))
     if cfg.mode not in MODES:
@@ -269,6 +278,22 @@ def validate(cfg: ScenarioConfig):
     # gain bound warnings piggyback on GainConfig construction
     GainConfig(rho=cfg.rho, k=cfg.k, k0=cfg.k0)
     return cfg
+
+
+def _run_length_errors(cfg: ScenarioConfig) -> list:
+    """A run must take at least one step and keep at most MAX_RECORDS
+    records; h, t_end and stride are already known to be valid."""
+    if not math.isfinite(cfg.t_end / cfg.h):
+        return ["sim: sim.t_end / sim.h overflows (%r / %r)" % (cfg.t_end, cfg.h)]
+    n_steps = cfg.n_steps
+    if n_steps == 0:
+        return ["sim.t_end: %r rounds to 0 steps of sim.h = %r" % (cfg.t_end, cfg.h)]
+    # one record at every stride-th step from step 0, and one at the end
+    records = (n_steps - 1) // cfg.stride + 2
+    if records > MAX_RECORDS:
+        return ["sim: %d steps at sim.stride = %d keep %d records, more than %d"
+                % (n_steps, cfg.stride, records, MAX_RECORDS)]
+    return []
 
 
 def load_scenario(path) -> ScenarioConfig:

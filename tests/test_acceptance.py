@@ -11,6 +11,8 @@ import hashlib
 
 import pytest
 
+import outreg.simulate as simulate
+from outreg import acceptance
 from outreg.acceptance import run_all
 
 # sha256 of repr([(name, passed, detail), ...]) for two seeds: everything
@@ -118,3 +120,32 @@ def test_divergence_reported_with_time(results):
 def test_run_all_output_pinned(seed):
     text = repr([r[:3] for r in run_all(seed=seed)])
     assert hashlib.sha256(text.encode()).hexdigest() == RUN_ALL_DIGESTS[seed]
+
+
+def test_run_all_equals_criteria_called_alone(results):
+    # the invariant the benchmark's traced check relies on: each criterion
+    # called alone with a fresh context prints what `outreg check` prints
+    alone = [getattr(acceptance, "criterion_%d" % i)(0, {}) for i in range(1, 11)]
+    assert [r[:3] for r in run_all(seed=0)] == alone
+
+
+def test_run_all_integrates_every_step_here(monkeypatch):
+    # criteria 1-5 run in worker processes; every kernel call must stay in
+    # this one, where an in-process step counter can see it
+    calls = []
+    kernel = simulate.run_closed_loop
+
+    def counted(y0, h, n_steps, stride, *args, **kwargs):
+        out = kernel(y0, h, n_steps, stride, *args, **kwargs)
+        calls.append((h, n_steps, stride, out[1], len(out[0])))
+        return out
+
+    monkeypatch.setattr(simulate, "run_closed_loop", counted)
+    monkeypatch.setattr(acceptance, "_cache", {})
+    run_all(seed=0)
+    pooled = list(calls)
+    calls.clear()
+    ctx = {}
+    for i in range(6, 11):
+        getattr(acceptance, "criterion_%d" % i)(0, ctx)
+    assert pooled and pooled == calls

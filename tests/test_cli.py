@@ -66,6 +66,23 @@ def test_run_infinite_tend_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_zero_steps_exits_2(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["run", "--step", "10", "--tend", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("config error:\nsim.t_end: 1.0 rounds to 0 "
+                                       "steps of sim.h = 10.0\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", (["run"], ["sweep", "--grid", "sigma=1"]))
+def test_seed_is_check_only(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--seed", "1", "--out", str(tmp_path / "o")])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_missing_scenario_exits_4(tmp_path):
     assert main(["run", "--scenario", str(tmp_path / "nope.scn"),
                  "--out", str(tmp_path / "o")]) == 4

@@ -18,6 +18,7 @@ from outreg.linalg import (
     mat_pow,
     mat_vec,
     scale,
+    solve_columns,
     solve_linear,
     sub,
     transpose,
@@ -170,6 +171,52 @@ def test_solve_rejects_singular():
         err = e
     assert err is not None
     assert err.condition > 1e12
+
+
+def _systems(rng):
+    """Seeded random, duplicated-row, signed-zero and near-singular systems,
+    each with one to four right-hand sides."""
+    for trial in range(600):
+        n = 1 + trial % 6
+        kind = trial % 4
+        if kind == 2:
+            rows = [[rng.choice((0.0, -0.0, 1.0, -1.0, 2.5)) for _ in range(n)]
+                    for _ in range(n)]
+        else:
+            rows = [[rng.uniform(-3.0, 3.0) for _ in range(n)] for _ in range(n)]
+        if kind == 1 and n > 1:
+            rows[-1] = list(rows[0])  # duplicated row: exactly singular
+        elif kind == 3 and n > 1:
+            rows[-1] = [x + rng.uniform(-1e-13, 1e-13) for x in rows[0]]
+        bs = [[rng.choice((0.0, -0.0, rng.uniform(-3.0, 3.0))) for _ in range(n)]
+              for _ in range(1 + trial % 4)]
+        yield Matrix(rows), bs
+
+
+def test_solve_columns_equals_solve_linear_bits():
+    solved = refused = 0
+    for a, bs in _systems(random.Random(31)):
+        try:
+            want = [solve_linear(a, b) for b in bs]
+        except SingularMatrixError as exc:
+            with pytest.raises(SingularMatrixError) as info:
+                solve_columns(a, bs)
+            assert str(info.value) == str(exc)
+            assert repr(info.value.condition) == repr(exc.condition)
+            refused += 1
+            continue
+        # repr tells -0.0 from 0.0
+        assert repr(solve_columns(a, bs)) == repr(want)
+        solved += 1
+    assert solved > 200 and refused > 200
+
+
+def test_solve_columns_shapes():
+    assert solve_columns(identity(3), []) == []
+    with pytest.raises(ShapeError):
+        solve_columns(Matrix([[1.0, 2.0]]), [[1.0]])
+    with pytest.raises(ShapeError):
+        solve_columns(identity(2), [[1.0, 2.0], [1.0]])
 
 
 def test_shape_errors():

@@ -5,6 +5,7 @@ import pytest
 
 from outreg.controller import Polynomial
 from outreg.scenario import (
+    MAX_RECORDS,
     ScenarioConfig,
     ScenarioError,
     load_scenario,
@@ -113,6 +114,27 @@ def test_hard_limits():
             loads(bad + "\n")
     with pytest.raises(ScenarioError, match="mode"):
         loads("mode = turbo\n")
+
+
+def test_zero_step_horizon_rejected():
+    with pytest.raises(ScenarioError, match=r"^sim.t_end: 1.0 rounds to 0 steps of sim.h = 10.0$"):
+        loads("sim.h = 10\nsim.t_end = 1\n")
+    with pytest.raises(ScenarioError, match="rounds to 0 steps"):
+        with_overrides(ScenarioConfig(), t_end=0.0004)
+    assert with_overrides(ScenarioConfig(), t_end=0.0006).n_steps == 1
+
+
+def test_record_count_capped():
+    # stride 1 keeps n_steps + 1 records
+    at_cap = "sim.h = 1\nsim.stride = 1\nsim.t_end = %d\n" % (MAX_RECORDS - 1)
+    assert loads(at_cap).n_steps == MAX_RECORDS - 1
+    with pytest.raises(ScenarioError, match=r"^sim: %d steps at sim.stride = 1 keep %d "
+                       r"records, more than %d$" % (MAX_RECORDS, MAX_RECORDS + 1, MAX_RECORDS)):
+        loads("sim.h = 1\nsim.stride = 1\nsim.t_end = %d\n" % MAX_RECORDS)
+    with pytest.raises(ScenarioError, match="overflows"):
+        with_overrides(ScenarioConfig(), h=1e-300, t_end=1e10)
+    # a stride that keeps the records few lifts the cap
+    assert with_overrides(ScenarioConfig(), t_end=1e4, stride=100).n_steps == 10 ** 7
 
 
 def test_open_loop_mode_accepted():
