@@ -1,0 +1,59 @@
+"""Pin the bytes of every file `outreg run` writes.
+
+Two short runs from the steady start: an adaptive one at stride 1 (the dense
+log, four plots) and a nonadaptive one at stride 10.  Each artifact is
+hashed as written; metrics.json is hashed without its "backend" line, the
+only byte that depends on which kernel twin ran.  Any change to the record
+path, the CSV or SVG formatting or the metrics that moves one byte fails
+here.
+"""
+
+import hashlib
+
+import pytest
+
+from outreg.cli import main
+from outreg.scenario import serialize, with_overrides
+
+CASES = {
+    "adaptive_stride1": {"mode": "adaptive", "stride": 1, "t_end": 0.5},
+    "nonadaptive_stride10": {"mode": "nonadaptive", "stride": 10, "t_end": 2.0},
+}
+
+DIGESTS = {
+    "adaptive_stride1": {
+        "log.csv": "662d75447682275208e08f1f79d2d3b0110710f7649ca590c4142da0a38c2708",
+        "metrics.json": "05accb82c84cf92b68fafedb214a54fc21ae21df6cac81fd5ca8249ef179e71d",
+        "plot_error.svg": "34561c9e16044d83c5a7254180931cc569f3fb3d5866d9a384c6e6d4066115ff",
+        "plot_estimates.svg": "8fd8c770f0d8baa4f933264a92070b881ab7b126c6eb70c4a289b3836e638ca0",
+        "plot_khat.svg": "2ba9c8d626af0f37f1141cade8b428ea80a349ef973ae70780e9169d9de9c238",
+        "plot_trajectory.svg": "221937342831be9e69827556d3be4cc0f89ada1723e49b8e7a75442928e5ce99",
+    },
+    "nonadaptive_stride10": {
+        "log.csv": "7fa2d806c22217c3deb43810a626d8bd12ff25720b7ddc9770f4d6133b364a9d",
+        "metrics.json": "9c9da52179b0fbba30185a62c6515932099050e421793a35eea0321f78b7375d",
+        "plot_error.svg": "5c8a4e7ca906e33610333efe2d035be6ac2b6586b720340da92e51770f69ed47",
+        "plot_estimates.svg": "b0872f72e626c4a5de3a51e4f5bb108655450585df5bb34acdf100e0fcbd3e57",
+        "plot_trajectory.svg": "f5a61a8528f4d3ad095f6a495c1c9f6f6b36b6a8b57cab63ecb56cf106d6893e",
+    },
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_run_artifacts_pinned(tmp_path, steady_cfg, case):
+    scn = tmp_path / "case.scn"
+    scn.write_text(serialize(with_overrides(steady_cfg, **CASES[case])))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scn), "--out", str(out)]) == 0
+    got = {}
+    for path in sorted(out.iterdir()):
+        data = path.read_bytes()
+        if path.name == "metrics.json":
+            data = b"".join(ln for ln in data.splitlines(keepends=True)
+                            if not ln.startswith(b'  "backend": '))
+        got[path.name] = _sha(data)
+    assert got == DIGESTS[case]
