@@ -23,15 +23,21 @@ Record layout (12 columns per row):
   t, x1, x2, e, zeta, u, a11, a21, a23, detT1, detT2, khat
 where a11 is the first entry of the component-1 coefficient estimate and
 a21/a23 the first/third of component 2, all taken from the vector-field
-evaluation at the recorded state.
+evaluation at the recorded state.  Both twins append each row to one
+row-major float64 buffer and return it as a C-contiguous (rows, 12)
+memoryview of format 'd', so len(records) is the row count.
 
 Modes: 0 nonadaptive, 1 adaptive, 2 open loop (u forced to 0; the filters
 and estimators keep running so the log stays comparable).
 """
 
+from array import array
 from math import exp, sin
+from struct import Struct
 
 _LIMIT = 1e9
+# one record row as native float64 bytes, the layout of array("d")
+_ROW = Struct("12d").pack
 
 
 def _psi(s):
@@ -210,12 +216,14 @@ def run_closed_loop(y0, h, n_steps, stride, c1, c2, c3, sigma, m1, m2, eps,
 
     Records a 12-column row at every stride-th step (state before the
     step, auxiliaries from the vector field at that state) and once more
-    after the final step.  Returns (records, diverged_at, y_final);
-    diverged_at is -1.0 on a completed run, otherwise t0 + (step + 1) * h
-    for the first step whose result left the |y| <= 1e9 box or stopped
-    being finite, in which case the record list simply ends early and
-    y_final is the offending state.  t0 only shifts the clock (records,
-    the disturbance phase); it must be >= 0 so -1.0 stays unambiguous.
+    after the final step: (n_steps - 1) // stride + 2 rows on a completed
+    run, one for n_steps = 0.  Returns (records, diverged_at, y_final);
+    records is a (rows, 12) float64 memoryview.  diverged_at is -1.0 on a
+    completed run, otherwise t0 + (step + 1) * h for the first step whose
+    result left the |y| <= 1e9 box or stopped being finite, in which case
+    the records simply end early and y_final is the offending state.  t0
+    only shifts the clock (records, the disturbance phase); it must be >= 0
+    so -1.0 stays unambiguous.
     """
     y = [float(v) for v in y0]
     if len(y) != 17:
@@ -242,15 +250,16 @@ def run_closed_loop(y0, h, n_steps, stride, c1, c2, c3, sigma, m1, m2, eps,
     a2b = [0.0] * 4
     half = 0.5 * h
     h6 = h / 6.0
-    records = []
+    records = array("d")
+    record = records.frombytes
     diverged_at = -1.0
     for step in range(n_steps):
         t = t0 + step * h
         _deriv(t, y, k1, aux, c1, c2, c3, sigma, m1, m2, eps, mask1, mask2,
                rho, kc, k0, mode, dist_amp, dist_freq, a1b, a2b)
         if step % stride == 0:
-            records.append((t, y[0], y[1], aux[0], aux[1], aux[2], aux[3],
-                            aux[4], aux[5], aux[6], aux[7], y[16]))
+            record(_ROW(t, y[0], y[1], aux[0], aux[1], aux[2], aux[3], aux[4],
+                        aux[5], aux[6], aux[7], y[16]))
         yw = [yi + half * ki for yi, ki in zip(y, k1)]
         _deriv(t + half, yw, k2, auxw, c1, c2, c3, sigma, m1, m2, eps, mask1,
                mask2, rho, kc, k0, mode, dist_amp, dist_freq, a1b, a2b)
@@ -270,6 +279,7 @@ def run_closed_loop(y0, h, n_steps, stride, c1, c2, c3, sigma, m1, m2, eps,
         t = t0 + n_steps * h
         _deriv(t, y, k1, aux, c1, c2, c3, sigma, m1, m2, eps, mask1, mask2,
                rho, kc, k0, mode, dist_amp, dist_freq, a1b, a2b)
-        records.append((t, y[0], y[1], aux[0], aux[1], aux[2], aux[3],
-                        aux[4], aux[5], aux[6], aux[7], y[16]))
-    return records, diverged_at, y
+        record(_ROW(t, y[0], y[1], aux[0], aux[1], aux[2], aux[3], aux[4],
+                    aux[5], aux[6], aux[7], y[16]))
+    rows = memoryview(records).cast("B").cast("d", (len(records) // 12, 12))
+    return rows, diverged_at, y

@@ -6,7 +6,8 @@ numbers; gain expressions are polynomial text (see controller.Polynomial).
 Every key is optional: an empty file is the stock benchmark scenario.
 Unknown keys are hard errors, as are non-finite numbers, non-Hurwitz filter
 coefficients, nonpositive step/horizon/epsilon, a horizon that rounds to
-zero steps, more than MAX_RECORDS records, and wrong vector lengths;
+zero steps, more than MAX_STEPS steps or MAX_RECORDS records, and wrong
+vector lengths;
 parse errors carry their line number.  Benchmark-box range checks (plant
 coefficients, sigma) and unprovable gain lower bounds only warn.
 
@@ -43,10 +44,18 @@ from .internal_model import NotHurwitzError, hurwitz_pair
 
 MODES = ("nonadaptive", "adaptive", "open_loop")
 
-# The most records a run may keep.  `outreg run` peaks at about 1.3 kB per
-# record (kernel output, SimLog row, CSV text and plots; measured with
-# CPython 3.11 at stride 1), so this bounds one run near 1.3 GB, and a
-# 4-worker sweep near four times that.  The stock scenario keeps 10,001.
+# The most RK4 steps a run may take.  The pure-python twin integrates about
+# 19k steps/s on a 2-CPU Linux machine (the C twin about 1.4M), so this keeps
+# one run under about nine minutes there (seven seconds compiled) instead of
+# the days an unchecked horizon such as t_end = 1e9 would take.  The largest
+# run anything here makes is 200,000 steps (acceptance criterion 10 at h/2).
+MAX_STEPS = 10_000_000
+
+# The most records a run may keep.  `outreg run` peaks at about 640 B per
+# record (float64 rows in the kernel and SimLog, then the CSV text; peak RSS
+# growth from 10,001 to 100,001 records with CPython 3.11 at stride 1), so
+# this bounds one run near 0.65 GB, and a 4-worker sweep near four times
+# that.  The stock scenario keeps 10,001.
 MAX_RECORDS = 1_000_000
 
 
@@ -281,13 +290,17 @@ def validate(cfg: ScenarioConfig):
 
 
 def _run_length_errors(cfg: ScenarioConfig) -> list:
-    """A run must take at least one step and keep at most MAX_RECORDS
-    records; h, t_end and stride are already known to be valid."""
+    """A run must take at least one and at most MAX_STEPS steps and keep at
+    most MAX_RECORDS records; h, t_end and stride are already known to be
+    valid."""
     if not math.isfinite(cfg.t_end / cfg.h):
         return ["sim: sim.t_end / sim.h overflows (%r / %r)" % (cfg.t_end, cfg.h)]
     n_steps = cfg.n_steps
     if n_steps == 0:
         return ["sim.t_end: %r rounds to 0 steps of sim.h = %r" % (cfg.t_end, cfg.h)]
+    if n_steps > MAX_STEPS:
+        return ["sim: sim.t_end = %r at sim.h = %r is %d steps, more than %d"
+                % (cfg.t_end, cfg.h, n_steps, MAX_STEPS)]
     # one record at every stride-th step from step 0, and one at the end
     records = (n_steps - 1) // cfg.stride + 2
     if records > MAX_RECORDS:

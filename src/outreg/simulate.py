@@ -13,13 +13,21 @@ the partial log and the offending time; callers that want the data anyway
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
+from operator import lt
 
 from .backend import BACKEND, run_closed_loop
 from .scenario import ScenarioConfig
 
 CSV_HEADER = "t,x1,x2,e,zeta,u,a11,a21,a23,detT1,detT2,khat"
-_COLUMNS = tuple(CSV_HEADER.split(","))
+_INDEX = {name: i for i, name in enumerate(CSV_HEADER.split(","))}
+_NCOL = len(_INDEX)
+# one CSV row; 17 significant digits round-trip any double
+_CSV_ROW = ",".join(["%.17g"] * _NCOL)
+_CSV_BLOCK = 1024
 
 _MODE_CODES = {"nonadaptive": 0, "adaptive": 1, "open_loop": 2}
 
@@ -54,36 +62,59 @@ class ClosedLoopState:
 
 
 class SimLog:
-    """Column store for one run; one row per recorded step."""
+    """Records of one run: one row per recorded step, kept row-major in one
+    flat float64 array and read a column at a time.
+
+    rows is the kernel's (rows, 12) float64 memoryview or any iterable of
+    12-value rows; either way each row must have 12 columns and the time
+    column must increase strictly.
+    """
 
     def __init__(self, rows):
-        rows = [tuple(float(v) for v in r) for r in rows]
-        for r in rows:
-            if len(r) != len(_COLUMNS):
-                raise ValueError("rows must have %d columns" % len(_COLUMNS))
-        for a, b in zip(rows, rows[1:]):
-            if not b[0] > a[0]:
-                raise ValueError("time grid must be strictly increasing")
-        self.rows = rows
+        data = array("d")
+        if isinstance(rows, memoryview):
+            if rows.format != "d" or rows.ndim != 2 or rows.shape[1] != _NCOL:
+                raise ValueError("rows must be a (rows, %d) float64 view" % _NCOL)
+            data.frombytes(rows.cast("B"))
+        else:
+            for r in rows:
+                if len(r) != _NCOL:
+                    raise ValueError("rows must have %d columns" % _NCOL)
+                data.extend(r)
+        t = data[0::_NCOL]
+        # a nan fails the comparison too
+        if not all(map(lt, t, islice(t, 1, None))):
+            raise ValueError("time grid must be strictly increasing")
+        self._data = data
 
     def __len__(self):
-        return len(self.rows)
+        return len(self._data) // _NCOL
 
     def __eq__(self, other):
-        return isinstance(other, SimLog) and self.rows == other.rows
+        return isinstance(other, SimLog) and self._data == other._data
 
     def column(self, name: str) -> list:
-        return [r[_COLUMNS.index(name)] for r in self.rows]
+        try:
+            i = _INDEX[name]
+        except KeyError:
+            raise ValueError("no column %r" % (name,)) from None
+        return self._data[i::_NCOL].tolist()
 
     @property
     def t(self):
         return self.column("t")
 
     def to_csv(self) -> str:
+        # a block of 12-field template lines filled by one format op per
+        # _CSV_BLOCK rows, so only one block's floats exist as objects at once
+        d = self._data
+        n = _CSV_BLOCK * _NCOL
         out = [CSV_HEADER]
-        for r in self.rows:
-            out.append(",".join("%.17g" % v for v in r))
-        return "\n".join(out) + "\n"
+        for i in range(0, len(d), n):
+            block = d[i:i + n]
+            out.append("\n".join([_CSV_ROW] * (len(block) // _NCOL)) % tuple(block))
+        out.append("")  # the final newline, without copying the text once more
+        return "\n".join(out)
 
     @classmethod
     def from_csv(cls, text: str) -> "SimLog":
@@ -166,28 +197,24 @@ def metrics(log: SimLog, cfg: ScenarioConfig, settle_threshold: float = 1e-2,
         raise ValueError("empty log")
     t = log.t
     e = log.column("e")
-    u = log.column("u")
-    cut = 0.8 * cfg.t_end
-    tail = [i for i, ti in enumerate(t) if ti >= cut]
+    # t increases strictly, so the trailing window is the suffix from here
+    tail = bisect_left(t, 0.8 * cfg.t_end)
     s2 = cfg.sigma * cfg.sigma
     out = {
         "backend": BACKEND,
         "diverged": diverged_at is not None,
         "diverged_at": diverged_at,
         "t_final": t[-1],
-        "max_abs_u": max(abs(v) for v in u),
+        "max_abs_u": max(map(abs, log.column("u"))),
         "min_detT1": min(log.column("detT1")),
         "min_detT2": min(log.column("detT2")),
         "khat_final": log.column("khat")[-1],
     }
-    if tail and diverged_at is None:
-        a11 = log.column("a11")
-        a21 = log.column("a21")
-        a23 = log.column("a23")
-        out["trailing_sup_e"] = max(abs(e[i]) for i in tail)
-        out["trailing_err_a11"] = max(abs(a11[i] - s2) for i in tail)
-        out["trailing_err_a21"] = max(abs(a21[i] - 9.0 * s2 * s2) for i in tail)
-        out["trailing_err_a23"] = max(abs(a23[i] - 10.0 * s2) for i in tail)
+    if tail < len(t) and diverged_at is None:
+        out["trailing_sup_e"] = max(map(abs, e[tail:]))
+        out["trailing_err_a11"] = max(abs(a - s2) for a in log.column("a11")[tail:])
+        out["trailing_err_a21"] = max(abs(a - 9.0 * s2 * s2) for a in log.column("a21")[tail:])
+        out["trailing_err_a23"] = max(abs(a - 10.0 * s2) for a in log.column("a23")[tail:])
     else:
         out["trailing_sup_e"] = None
         out["trailing_err_a11"] = None

@@ -114,10 +114,12 @@ def line_chart(series, title: str, xlabel: str, ylabel: str) -> str:
     # frame
     out.append('<rect x="%d" y="%d" width="%d" height="%d" fill="none" '
                'stroke="#333333"/>' % (_ML, _MT, pw, ph))
-    # series
+    # series; px(x) and py(y) inlined, one format op per vertex
     for idx, (label, xs, ys) in enumerate(series):
-        xs, ys = _thin(list(xs), list(ys))
-        pts = " ".join("%s,%s" % (_fmt(px(x)), _fmt(py(y))) for x, y in zip(xs, ys))
+        xs, ys = _thin(xs, ys)
+        pts = " ".join(["%.6g,%.6g" % (_ML + (x - xlo) / (xhi - xlo) * pw,
+                                       _MT + ph - (y - ylo) / (yhi - ylo) * ph)
+                        for x, y in zip(xs, ys)])
         out.append('<polyline points="%s" fill="none" stroke="%s" '
                    'stroke-width="1.4"/>' % (pts, _COLORS[idx % len(_COLORS)]))
     # legend

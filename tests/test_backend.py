@@ -1,5 +1,6 @@
 import itertools
 import os
+import struct
 import subprocess
 import sys
 
@@ -33,10 +34,18 @@ def _assert_identical(a, b):
     ra, da, ya = a
     rb, db, yb = b
     assert da == db
-    assert len(ra) == len(rb)
-    for x, y in zip(ra, rb):
-        assert tuple(x) == tuple(y)
+    assert ra.shape == rb.shape
+    assert ra.tolist() == rb.tolist()
     assert list(ya) == list(yb)
+
+
+_QNAN = struct.pack("<Q", 0x7FF8000000000000)
+
+
+def _canonical_bytes(records):
+    # the records' float64 bytes with every nan as one canonical quiet nan
+    flat = records.cast("B").cast("d")
+    return b"".join(_QNAN if v != v else struct.pack("<d", v) for v in flat)
 
 
 def test_twins_bit_identical_steady(ckernel, steady_cfg):
@@ -107,7 +116,7 @@ def test_kernel_aux_matches_module_path(kern, steady_cfg, mask1, mask2):
     y0[5] += 0.31  # knock the filters off the invariant set
     y0[10] -= 0.17
     records, _, _ = kern.run_closed_loop(*_args(cfg, y0, 1, 1))
-    t, x1, x2, e, zv, u, a11, a21, a23, det1, det2, khat = records[0]
+    t, x1, x2, e, zv, u, a11, a21, a23, det1, det2, khat = records.tolist()[0]
     eta1 = y0[4:8]
     eta2 = y0[8:16]
     assert e == y0[0] - y0[2]
@@ -150,8 +159,66 @@ def test_twins_identical_on_overflowing_step(ckernel):
     rc, dc, yc = out_c
     rp, dp, yp = out_p
     assert dc == dp == pytest.approx(cfg.h)
-    assert len(rc) == len(rp)
-    for a, b in zip(rc, rp):
-        assert tuple(a) == tuple(b)
+    assert rc.shape == rp.shape
+    assert rc.tolist() == rp.tolist()
     for a, b in zip(yc, yp):
         assert a == b or (a != a and b != b)  # nan-aware exact match
+
+
+@pytest.mark.parametrize("n_steps, stride", [(1, 1), (10, 1), (10, 3), (10, 10), (10, 11),
+                                             (2000, 7)])
+def test_records_contract(kern, steady_cfg, n_steps, stride):
+    # a row at every stride-th step from step 0 and one after the last step,
+    # as one C-contiguous (rows, 12) float64 view
+    records, diverged_at, _ = kern.run_closed_loop(
+        *_args(steady_cfg, _y0(steady_cfg), n_steps, stride))
+    rows = (n_steps - 1) // stride + 2
+    assert diverged_at == -1.0
+    assert len(records) == rows
+    assert records.shape == (rows, 12)
+    assert records.format == "d" and records.c_contiguous
+    h = steady_cfg.h
+    assert [r[0] for r in records.tolist()] == (
+        [s * h for s in range(0, n_steps, stride)] + [n_steps * h])
+
+
+def test_records_single_row(kern, steady_cfg):
+    # n_steps = 0 records only the final row, at t0
+    records, diverged_at, _ = kern.run_closed_loop(
+        *(_args(steady_cfg, _y0(steady_cfg), 0, 1) + (0.25,)))
+    assert diverged_at == -1.0
+    assert records.shape == (1, 12)
+    assert records.tolist()[0][0] == 0.25
+    # a run that escapes on its first step keeps only the step-0 row
+    cfg = ScenarioConfig()
+    records, diverged_at, _ = kern.run_closed_loop(
+        *_args(cfg, [1e9, 0.0, 1.0, 1.0] + [0.0] * 13, 5, 1))
+    assert diverged_at == pytest.approx(cfg.h)
+    assert records.shape == (1, 12)
+    assert records.tolist()[0][:3] == [0.0, 1e9, 0.0]
+
+
+@pytest.mark.parametrize("case", ["steady", "cold", "overflow"])
+def test_twins_same_record_bytes(ckernel, steady_cfg, case):
+    # bit for bit, signed zeros included; nans compare by position only
+    if case == "steady":
+        args = _args(steady_cfg, _y0(steady_cfg), 1500, 3, mode=1)
+    elif case == "cold":
+        cfg = ScenarioConfig()
+        args = _args(cfg, _y0(cfg), cfg.n_steps, 1)
+    else:
+        args = _args(ScenarioConfig(), [1e9, 0.0, 1.0, 1.0] + [0.0] * 13, 5, 1)
+    rp = _kernel_py.run_closed_loop(*args)[0]
+    rc = ckernel.run_closed_loop(*args)[0]
+    assert rp.shape == rc.shape and rp.format == rc.format == "d"
+    assert _canonical_bytes(rp) == _canonical_bytes(rc)
+
+
+def test_simlog_of_kernel_records_round_trips(kern, steady_cfg):
+    from outreg.simulate import SimLog
+
+    records, _, _ = kern.run_closed_loop(*_args(steady_cfg, _y0(steady_cfg), 300, 1, mode=1))
+    log = SimLog(records)
+    assert len(log) == len(records) == 301
+    assert log == SimLog.from_csv(log.to_csv())
+    assert log.column("khat") == [r[11] for r in records.tolist()]

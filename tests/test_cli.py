@@ -74,6 +74,18 @@ def test_run_zero_steps_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_too_many_steps_exits_2(tmp_path, capsys):
+    # few records (stride 1000), but 1e8 steps
+    scn = tmp_path / "long.scn"
+    scn.write_text("sim.stride = 1000\n")
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(scn), "--tend", "1e5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("config error:\nsim: sim.t_end = 100000.0 at "
+                                       "sim.h = 0.001 is 100000000 steps, more than "
+                                       "10000000\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", (["run"], ["sweep", "--grid", "sigma=1"]))
 def test_seed_is_check_only(argv, tmp_path, capsys):
     with pytest.raises(SystemExit) as info:

@@ -6,6 +6,7 @@ import pytest
 from outreg.controller import Polynomial
 from outreg.scenario import (
     MAX_RECORDS,
+    MAX_STEPS,
     ScenarioConfig,
     ScenarioError,
     load_scenario,
@@ -135,6 +136,19 @@ def test_record_count_capped():
         with_overrides(ScenarioConfig(), h=1e-300, t_end=1e10)
     # a stride that keeps the records few lifts the cap
     assert with_overrides(ScenarioConfig(), t_end=1e4, stride=100).n_steps == 10 ** 7
+
+
+def test_step_count_capped():
+    # a stride that keeps few records no longer hides an endless run
+    with pytest.raises(ScenarioError, match=r"^sim: sim.t_end = 1000000000.0 at sim.h = 0.001 "
+                       r"is 1000000000000 steps, more than %d$" % MAX_STEPS):
+        with_overrides(ScenarioConfig(), t_end=1e9, stride=10 ** 9)
+    at_cap = "sim.h = 1\nsim.stride = %d\nsim.t_end = %d\n" % (MAX_STEPS, MAX_STEPS)
+    assert loads(at_cap).n_steps == MAX_STEPS
+    with pytest.raises(ScenarioError, match="is %d steps, more than" % (MAX_STEPS + 1)):
+        loads("sim.h = 1\nsim.stride = %d\nsim.t_end = %d\n" % (MAX_STEPS, MAX_STEPS + 1))
+    # the largest run made here, criterion 10 at h/2, stays well inside
+    assert with_overrides(ScenarioConfig(), h=5e-4).n_steps == 200_000 < MAX_STEPS
 
 
 def test_open_loop_mode_accepted():

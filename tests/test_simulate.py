@@ -65,6 +65,29 @@ def test_csv_round_trip(steady_cfg):
     assert SimLog.from_csv(log.to_csv()) == log
 
 
+def test_simlog_rejects_bad_rows():
+    from array import array
+
+    row = (0.0,) * 12
+    with pytest.raises(ValueError, match="12 columns"):
+        SimLog([row, (1.0,) * 11])
+    with pytest.raises(ValueError, match=r"\(rows, 12\) float64 view"):
+        SimLog(memoryview(array("d", [0.0] * 22)).cast("B").cast("d", (2, 11)))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        SimLog([row, row])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        SimLog([(1.0,) + row[1:], row])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        SimLog([row, (float("nan"),) + row[1:]])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        SimLog.from_csv(SimLog([row]).to_csv() + "0" + ",0" * 11 + "\n")
+    log = SimLog([row, (1,) * 12])
+    assert len(log) == 2
+    assert log.column("khat") == [0.0, 1.0]
+    with pytest.raises(ValueError, match="no column"):
+        log.column("x3")
+
+
 def test_csv_rejects_bad_header():
     with pytest.raises(ValueError, match="header"):
         SimLog.from_csv("a,b,c\n1,2,3\n")
