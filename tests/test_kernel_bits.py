@@ -38,6 +38,9 @@ DIGESTS = {
         "238234f19bb1e8c1374e4e76333df5e5203827f4a8abbe2666edc5b76c0bec19",
     "signed_zero":
         "7d00a742f44d68e12854c2e22e1d5692be9b1dc99e366cdd487447fb82f034d9",
+    # sha256 over the 64 per-run digests, in product((0, 1)) order
+    "masks":
+        "805b81da753ff44b409ffdf32c072dc98cb88ffff3cf8299edbf5e404891d11f",
 }
 
 
@@ -67,6 +70,20 @@ def _run(kern, cfg, y0, n_steps, stride, mode="nonadaptive", dist=None):
     if dist is not None:
         args[-2:] = dist
     return kern.run_closed_loop(y0, cfg.h, n_steps, stride, *args)
+
+
+def _masks(kern, steady_cfg):
+    # 20 steps from the steady start under each of the 64 mask pairs: nonzero
+    # filter states, so every Hankel minor a kept column reads is nonzero and
+    # a swapped or skipped one changes the bits
+    args = list(_kernel_args(steady_cfg, "nonadaptive"))
+    h = hashlib.sha256()
+    for mask1 in itertools.product((0, 1), repeat=2):
+        for mask2 in itertools.product((0, 1), repeat=4):
+            args[7:9] = mask1, mask2
+            out = kern.run_closed_loop(_y0(steady_cfg), steady_cfg.h, 20, 1, *args)
+            h.update(_digest(out).encode())
+    return h.hexdigest()
 
 
 def _case(kern, name, steady_cfg):
@@ -104,6 +121,14 @@ def test_cold_start_bits(steady_cfg):
                                   "overflow"])
 def test_compiled_twin_bits(ckernel, steady_cfg, case):
     assert _digest(_case(ckernel, case, steady_cfg)) == DIGESTS[case]
+
+
+def test_mask_bits(steady_cfg):
+    assert _masks(_kernel_py, steady_cfg) == DIGESTS["masks"]
+
+
+def test_compiled_twin_mask_bits(ckernel, steady_cfg):
+    assert _masks(ckernel, steady_cfg) == DIGESTS["masks"]
 
 
 def test_overflow_bits(steady_cfg):
