@@ -64,47 +64,72 @@ static double chi_est(const double *h, int n, const double *m, double eps,
     /* n == 4: Hankel rows (h0..h3), (h1..h4), (h2..h5), (h3..h6) with
      * b = (h4..h7).  c<r><c> is the (r, c) cofactor: the det3 of its minor
      * (entries row-major, expanded along the minor's first row), negated
-     * when r + c is odd.  Row 0 always feeds det; a column's other three
-     * cofactors are computed only if the mask keeps its estimate.  The (3, 0)
-     * and (0, 3) minors are the same Hankel block of h1..h5, so c30 is c03. */
+     * when r + c is odd.  d<ab>_<cd> is the 2x2 minor ha * hb - hc * hd;
+     * each is computed once and shared by every cofactor that expands into
+     * it (the products commute bit for bit, so the sharing changes no
+     * value).  Row 0 always feeds det; a column's other three cofactors,
+     * and the minors only they read, are computed only if the mask keeps
+     * its estimate.  The (3, 0) and (0, 3) minors are the same Hankel block
+     * of h1..h5, so c30 is c03. */
     double h0 = h[0], h1 = h[1], h2 = h[2], h3 = h[3];
     double h4 = h[4], h5 = h[5], h6 = h[6], h7 = h[7];
-    double c00 = h2 * (h4 * h6 - h5 * h5) - h3 * (h3 * h6 - h5 * h4) + h4 * (h3 * h5 - h4 * h4);
-    double c01 = -(h1 * (h4 * h6 - h5 * h5) - h3 * (h2 * h6 - h5 * h3) + h4 * (h2 * h5 - h4 * h3));
-    double c02 = h1 * (h3 * h6 - h5 * h4) - h2 * (h2 * h6 - h5 * h3) + h4 * (h2 * h4 - h3 * h3);
-    double c03 = -(h1 * (h3 * h5 - h4 * h4) - h2 * (h2 * h5 - h4 * h3) + h3 * (h2 * h4 - h3 * h3));
+    double d46_55 = h4 * h6 - h5 * h5;
+    double d36_45 = h3 * h6 - h4 * h5;
+    double d35_44 = h3 * h5 - h4 * h4;
+    double d26_35 = h2 * h6 - h3 * h5;
+    double d25_34 = h2 * h5 - h3 * h4;
+    double d24_33 = h2 * h4 - h3 * h3;
+    /* zeroed only so the compiler sees them assigned: a column the mask
+     * drops never reads them, and each is set below when a kept one does */
+    double d26_44 = 0.0, d16_34 = 0.0, d15_24 = 0.0, d15_33 = 0.0, d14_23 = 0.0, d13_22 = 0.0;
+    if (!(mask[0] && mask[2]))
+        d26_44 = h2 * h6 - h4 * h4;
+    if (!(mask[1] && mask[2])) {
+        d16_34 = h1 * h6 - h3 * h4;
+        d15_24 = h1 * h5 - h2 * h4;
+    }
+    if (!(mask[1] && mask[3]))
+        d15_33 = h1 * h5 - h3 * h3;
+    if (!(mask[1] && mask[2] && mask[3]))
+        d14_23 = h1 * h4 - h2 * h3;
+    if (!(mask[2] && mask[3]))
+        d13_22 = h1 * h3 - h2 * h2;
+    double c00 = h2 * d46_55 - h3 * d36_45 + h4 * d35_44;
+    double c01 = -(h1 * d46_55 - h3 * d26_35 + h4 * d25_34);
+    double c02 = h1 * d36_45 - h2 * d26_35 + h4 * d24_33;
+    double c03 = -(h1 * d35_44 - h2 * d25_34 + h3 * d24_33);
     det = h0 * c00 + h1 * c01 + h2 * c02 + h3 * c03;
     sc = det == 0.0 ? 0.0 : det / (det * det + psi(1.0 + det * det - eps * eps));
     /* ahat[j] = -(adjugate row j . b); adjugate[j][r] is the (r, j) cofactor */
     if (mask[0]) {
         a0 = 0.0;
     } else {
-        double c10 = -(h1 * (h4 * h6 - h5 * h5) - h2 * (h3 * h6 - h5 * h4) + h3 * (h3 * h5 - h4 * h4));
-        double c20 = h1 * (h3 * h6 - h4 * h5) - h2 * (h2 * h6 - h4 * h4) + h3 * (h2 * h5 - h3 * h4);
+        double c10 = -(h1 * d46_55 - h2 * d36_45 + h3 * d35_44);
+        double c20 = h1 * d36_45 - h2 * d26_44 + h3 * d25_34;
         a0 = -(0.0 + sc * c00 * h4 + sc * c10 * h5 + sc * c20 * h6 + sc * c03 * h7);
     }
     if (mask[1]) {
         a1 = 0.0;
     } else {
-        double c11 = h0 * (h4 * h6 - h5 * h5) - h2 * (h2 * h6 - h5 * h3) + h3 * (h2 * h5 - h4 * h3);
-        double c21 = -(h0 * (h3 * h6 - h4 * h5) - h2 * (h1 * h6 - h4 * h3) + h3 * (h1 * h5 - h3 * h3));
-        double c31 = h0 * (h3 * h5 - h4 * h4) - h2 * (h1 * h5 - h4 * h2) + h3 * (h1 * h4 - h3 * h2);
+        double c11 = h0 * d46_55 - h2 * d26_35 + h3 * d25_34;
+        double c21 = -(h0 * d36_45 - h2 * d16_34 + h3 * d15_33);
+        double c31 = h0 * d35_44 - h2 * d15_24 + h3 * d14_23;
         a1 = -(0.0 + sc * c01 * h4 + sc * c11 * h5 + sc * c21 * h6 + sc * c31 * h7);
     }
     if (mask[2]) {
         a2 = 0.0;
     } else {
-        double c12 = -(h0 * (h3 * h6 - h5 * h4) - h1 * (h2 * h6 - h5 * h3) + h3 * (h2 * h4 - h3 * h3));
-        double c22 = h0 * (h2 * h6 - h4 * h4) - h1 * (h1 * h6 - h4 * h3) + h3 * (h1 * h4 - h2 * h3);
-        double c32 = -(h0 * (h2 * h5 - h4 * h3) - h1 * (h1 * h5 - h4 * h2) + h3 * (h1 * h3 - h2 * h2));
+        double c12 = -(h0 * d36_45 - h1 * d26_35 + h3 * d24_33);
+        double c22 = h0 * d26_44 - h1 * d16_34 + h3 * d14_23;
+        double c32 = -(h0 * d25_34 - h1 * d15_24 + h3 * d13_22);
         a2 = -(0.0 + sc * c02 * h4 + sc * c12 * h5 + sc * c22 * h6 + sc * c32 * h7);
     }
     if (mask[3]) {
         a3 = 0.0;
     } else {
-        double c13 = h0 * (h3 * h5 - h4 * h4) - h1 * (h2 * h5 - h4 * h3) + h2 * (h2 * h4 - h3 * h3);
-        double c23 = -(h0 * (h2 * h5 - h3 * h4) - h1 * (h1 * h5 - h3 * h3) + h2 * (h1 * h4 - h2 * h3));
-        double c33 = h0 * (h2 * h4 - h3 * h3) - h1 * (h1 * h4 - h3 * h2) + h2 * (h1 * h3 - h2 * h2);
+        double c13 = h0 * d35_44 - h1 * d25_34 + h2 * d24_33;
+        double c23 = -(h0 * d25_34 - h1 * d15_33 + h2 * d14_23);
+        double c33 = h0 * d24_33 - h1 * d14_23 + h2 * d13_22;
         a3 = -(0.0 + sc * c03 * h4 + sc * c13 * h5 + sc * c23 * h6 + sc * c33 * h7);
     }
     ahat[0] = a0;
@@ -342,6 +367,18 @@ static PyObject *run_closed_loop(PyObject *self, PyObject *args, PyObject *kwarg
         goto done;
     if (ny != 17) {
         PyErr_Format(PyExc_ValueError, "state vector must have 17 entries, got %zd", ny);
+        goto done;
+    }
+    if (!(h > 0.0 && isfinite(h))) {
+        PyObject *f = PyFloat_FromDouble(h);
+        if (f != NULL) {
+            PyErr_Format(PyExc_ValueError, "h must be finite and > 0, got %R", f);
+            Py_DECREF(f);
+        }
+        goto done;
+    }
+    if (n_steps < 0) {
+        PyErr_Format(PyExc_ValueError, "n_steps must be >= 0, got %ld", n_steps);
         goto done;
     }
     if (stride < 1) {

@@ -5,9 +5,16 @@ the same expression in the same operation order, so a run produces
 bit-identical records on either backend (the parity tests compare floats for
 exact equality).  When editing one, edit the other to match, expression by
 expression.  Both are straight-line and mask-aware: each Hankel cofactor is
-written out, and a cofactor behind a masked coefficient estimate is never
-computed.  Only the plumbing differs (slices and comprehensions here, indexed
-loops in C).
+written out over named 2x2 minors, each minor computed once, and a cofactor
+or minor that only masked coefficient estimates read is never computed.
+
+Only the plumbing differs.  Here run_closed_loop binds every parameter once
+per run into one vector field f(t, y) -> (dy, aux) (see _field): it unpacks
+the state into locals, hands them to the two estimators (closures bound the
+same way, _hankel2 and _hankel4), and returns dy and aux as tuples; the RK4
+stages are comprehensions over zip.  In C a parameter struct, indexed loops
+and ahat out-parameters do the same work.  _chi_est and _deriv are thin entry
+points over those closures, for timing or testing one part on its own.
 
 Conventions shared by both twins:
   - no ** operator anywhere; powers are explicit products, so both
@@ -32,7 +39,7 @@ and estimators keep running so the log stays comparable).
 """
 
 from array import array
-from math import exp, sin
+from math import exp, isfinite, sin
 from struct import Struct
 
 _LIMIT = 1e9
@@ -58,31 +65,27 @@ def _psi(s):
     return up / dn
 
 
-def _chi_est(y, base, n, m, eps, mask, ahat):
-    """Coefficient estimate, reconstruction, and Hankel determinant.
+def _hankel2(m, mask, eps2):
+    """The n = 2 estimator with m, mask and eps * eps bound: a function of
+    the filter state (h0, h1, h2, h3) returning (chi, det, a0, a1)."""
+    m = tuple(m)
+    skip0, skip1 = mask
 
-    Reads the filter state from y[base : base + 2n] and the 2n filter
-    coefficients from m, writes the masked estimate into ahat[0:n], and
-    returns (chi, det).
-    """
-    if n == 2:
-        h0, h1, h2, h3 = y[base:base + 4]
+    def est(h0, h1, h2, h3):
         det = h0 * h2 - h1 * h1
         if det == 0.0:
             sc = 0.0
         else:
-            sc = det / (det * det + _psi(1.0 + det * det - eps * eps))
+            sc = det / (det * det + _psi(1.0 + det * det - eps2))
         # adjugate rows (h2, -h1) and (-h1, h0) against b = (h2, h3)
-        if mask[0]:
+        if skip0:
             a0 = 0.0
         else:
             a0 = -(sc * h2 * h2 + sc * -h1 * h3)
-        if mask[1]:
+        if skip1:
             a1 = 0.0
         else:
             a1 = -(sc * -h1 * h2 + sc * h0 * h3)
-        ahat[0] = a0
-        ahat[1] = a1
         # first row of Xi(ahat) by the row recurrence row_{j+1} = row_j . Phi
         r0 = 1.0
         r1 = 0.0
@@ -94,119 +97,183 @@ def _chi_est(y, base, n, m, eps, mask, ahat):
             last = r1
             r1 = r0 - a1 * last
             r0 = -a0 * last
-        return 0.0 + (p0 + r0) * h0 + (p1 + r1) * h1, det
-    # n == 4: Hankel rows (h0..h3), (h1..h4), (h2..h5), (h3..h6) with
-    # b = (h4..h7).  c<r><c> is the (r, c) cofactor: the det3 of its minor
-    # (entries row-major, expanded along the minor's first row), negated
-    # when r + c is odd.  Row 0 always feeds det; a column's other three
-    # cofactors are computed only if the mask keeps its estimate.  The (3, 0)
-    # and (0, 3) minors are the same Hankel block of h1..h5, so c30 is c03.
-    h0, h1, h2, h3, h4, h5, h6, h7 = y[base:base + 8]
-    c00 = h2 * (h4 * h6 - h5 * h5) - h3 * (h3 * h6 - h5 * h4) + h4 * (h3 * h5 - h4 * h4)
-    c01 = -(h1 * (h4 * h6 - h5 * h5) - h3 * (h2 * h6 - h5 * h3) + h4 * (h2 * h5 - h4 * h3))
-    c02 = h1 * (h3 * h6 - h5 * h4) - h2 * (h2 * h6 - h5 * h3) + h4 * (h2 * h4 - h3 * h3)
-    c03 = -(h1 * (h3 * h5 - h4 * h4) - h2 * (h2 * h5 - h4 * h3) + h3 * (h2 * h4 - h3 * h3))
-    det = h0 * c00 + h1 * c01 + h2 * c02 + h3 * c03
-    if det == 0.0:
-        sc = 0.0
-    else:
-        sc = det / (det * det + _psi(1.0 + det * det - eps * eps))
-    # ahat[j] = -(adjugate row j . b); adjugate[j][r] is the (r, j) cofactor
-    if mask[0]:
-        a0 = 0.0
-    else:
-        c10 = -(h1 * (h4 * h6 - h5 * h5) - h2 * (h3 * h6 - h5 * h4) + h3 * (h3 * h5 - h4 * h4))
-        c20 = h1 * (h3 * h6 - h4 * h5) - h2 * (h2 * h6 - h4 * h4) + h3 * (h2 * h5 - h3 * h4)
-        a0 = -(0.0 + sc * c00 * h4 + sc * c10 * h5 + sc * c20 * h6 + sc * c03 * h7)
-    if mask[1]:
-        a1 = 0.0
-    else:
-        c11 = h0 * (h4 * h6 - h5 * h5) - h2 * (h2 * h6 - h5 * h3) + h3 * (h2 * h5 - h4 * h3)
-        c21 = -(h0 * (h3 * h6 - h4 * h5) - h2 * (h1 * h6 - h4 * h3) + h3 * (h1 * h5 - h3 * h3))
-        c31 = h0 * (h3 * h5 - h4 * h4) - h2 * (h1 * h5 - h4 * h2) + h3 * (h1 * h4 - h3 * h2)
-        a1 = -(0.0 + sc * c01 * h4 + sc * c11 * h5 + sc * c21 * h6 + sc * c31 * h7)
-    if mask[2]:
-        a2 = 0.0
-    else:
-        c12 = -(h0 * (h3 * h6 - h5 * h4) - h1 * (h2 * h6 - h5 * h3) + h3 * (h2 * h4 - h3 * h3))
-        c22 = h0 * (h2 * h6 - h4 * h4) - h1 * (h1 * h6 - h4 * h3) + h3 * (h1 * h4 - h2 * h3)
-        c32 = -(h0 * (h2 * h5 - h4 * h3) - h1 * (h1 * h5 - h4 * h2) + h3 * (h1 * h3 - h2 * h2))
-        a2 = -(0.0 + sc * c02 * h4 + sc * c12 * h5 + sc * c22 * h6 + sc * c32 * h7)
-    if mask[3]:
-        a3 = 0.0
-    else:
-        c13 = h0 * (h3 * h5 - h4 * h4) - h1 * (h2 * h5 - h4 * h3) + h2 * (h2 * h4 - h3 * h3)
-        c23 = -(h0 * (h2 * h5 - h3 * h4) - h1 * (h1 * h5 - h3 * h3) + h2 * (h1 * h4 - h2 * h3))
-        c33 = h0 * (h2 * h4 - h3 * h3) - h1 * (h1 * h4 - h3 * h2) + h2 * (h1 * h3 - h2 * h2)
-        a3 = -(0.0 + sc * c03 * h4 + sc * c13 * h5 + sc * c23 * h6 + sc * c33 * h7)
-    ahat[0] = a0
-    ahat[1] = a1
-    ahat[2] = a2
-    ahat[3] = a3
-    r0 = 1.0
-    r1 = 0.0
-    r2 = 0.0
-    r3 = 0.0
-    p0 = 0.0
-    p1 = 0.0
-    p2 = 0.0
-    p3 = 0.0
-    for mj in m:
-        p0 = p0 + mj * r0
-        p1 = p1 + mj * r1
-        p2 = p2 + mj * r2
-        p3 = p3 + mj * r3
-        last = r3
-        r3 = r2 - a3 * last
-        r2 = r1 - a2 * last
-        r1 = r0 - a1 * last
-        r0 = -a0 * last
-    chi = 0.0 + (p0 + r0) * h0 + (p1 + r1) * h1 + (p2 + r2) * h2 + (p3 + r3) * h3
+        return 0.0 + (p0 + r0) * h0 + (p1 + r1) * h1, det, a0, a1
+
+    return est
+
+
+def _hankel4(m, mask, eps2):
+    """The n = 4 estimator with m, mask and eps * eps bound: a function of
+    the filter state (h0, ..., h7) returning (chi, det, a0, a1, a2, a3)."""
+    m = tuple(m)
+    skip0, skip1, skip2, skip3 = mask
+    # keep<cols>: the mask keeps one of these columns, so the minors that
+    # only their cofactors read are needed
+    keep02 = not (skip0 and skip2)
+    keep12 = not (skip1 and skip2)
+    keep13 = not (skip1 and skip3)
+    keep23 = not (skip2 and skip3)
+    keep123 = not (skip1 and skip2 and skip3)
+
+    def est(h0, h1, h2, h3, h4, h5, h6, h7):
+        # Hankel rows (h0..h3), (h1..h4), (h2..h5), (h3..h6) with b = (h4..h7).
+        # c<r><c> is the (r, c) cofactor: the det3 of its minor (entries
+        # row-major, expanded along the minor's first row), negated when
+        # r + c is odd.  d<ab>_<cd> is the 2x2 minor ha * hb - hc * hd; each
+        # is computed once and shared by every cofactor that expands into it
+        # (the products commute bit for bit, so the sharing changes no value).
+        # Row 0 always feeds det; a column's other three cofactors, and the
+        # minors only they read, are computed only if the mask keeps its
+        # estimate.  The (3, 0) and (0, 3) minors are the same Hankel block
+        # of h1..h5, so c30 is c03.
+        d46_55 = h4 * h6 - h5 * h5
+        d36_45 = h3 * h6 - h4 * h5
+        d35_44 = h3 * h5 - h4 * h4
+        d26_35 = h2 * h6 - h3 * h5
+        d25_34 = h2 * h5 - h3 * h4
+        d24_33 = h2 * h4 - h3 * h3
+        if keep02:
+            d26_44 = h2 * h6 - h4 * h4
+        if keep12:
+            d16_34 = h1 * h6 - h3 * h4
+            d15_24 = h1 * h5 - h2 * h4
+        if keep13:
+            d15_33 = h1 * h5 - h3 * h3
+        if keep123:
+            d14_23 = h1 * h4 - h2 * h3
+        if keep23:
+            d13_22 = h1 * h3 - h2 * h2
+        c00 = h2 * d46_55 - h3 * d36_45 + h4 * d35_44
+        c01 = -(h1 * d46_55 - h3 * d26_35 + h4 * d25_34)
+        c02 = h1 * d36_45 - h2 * d26_35 + h4 * d24_33
+        c03 = -(h1 * d35_44 - h2 * d25_34 + h3 * d24_33)
+        det = h0 * c00 + h1 * c01 + h2 * c02 + h3 * c03
+        if det == 0.0:
+            sc = 0.0
+        else:
+            sc = det / (det * det + _psi(1.0 + det * det - eps2))
+        # ahat[j] = -(adjugate row j . b); adjugate[j][r] is the (r, j) cofactor
+        if skip0:
+            a0 = 0.0
+        else:
+            c10 = -(h1 * d46_55 - h2 * d36_45 + h3 * d35_44)
+            c20 = h1 * d36_45 - h2 * d26_44 + h3 * d25_34
+            a0 = -(0.0 + sc * c00 * h4 + sc * c10 * h5 + sc * c20 * h6 + sc * c03 * h7)
+        if skip1:
+            a1 = 0.0
+        else:
+            c11 = h0 * d46_55 - h2 * d26_35 + h3 * d25_34
+            c21 = -(h0 * d36_45 - h2 * d16_34 + h3 * d15_33)
+            c31 = h0 * d35_44 - h2 * d15_24 + h3 * d14_23
+            a1 = -(0.0 + sc * c01 * h4 + sc * c11 * h5 + sc * c21 * h6 + sc * c31 * h7)
+        if skip2:
+            a2 = 0.0
+        else:
+            c12 = -(h0 * d36_45 - h1 * d26_35 + h3 * d24_33)
+            c22 = h0 * d26_44 - h1 * d16_34 + h3 * d14_23
+            c32 = -(h0 * d25_34 - h1 * d15_24 + h3 * d13_22)
+            a2 = -(0.0 + sc * c02 * h4 + sc * c12 * h5 + sc * c22 * h6 + sc * c32 * h7)
+        if skip3:
+            a3 = 0.0
+        else:
+            c13 = h0 * d35_44 - h1 * d25_34 + h2 * d24_33
+            c23 = -(h0 * d25_34 - h1 * d15_33 + h2 * d14_23)
+            c33 = h0 * d24_33 - h1 * d14_23 + h2 * d13_22
+            a3 = -(0.0 + sc * c03 * h4 + sc * c13 * h5 + sc * c23 * h6 + sc * c33 * h7)
+        r0 = 1.0
+        r1 = 0.0
+        r2 = 0.0
+        r3 = 0.0
+        p0 = 0.0
+        p1 = 0.0
+        p2 = 0.0
+        p3 = 0.0
+        for mj in m:
+            p0 = p0 + mj * r0
+            p1 = p1 + mj * r1
+            p2 = p2 + mj * r2
+            p3 = p3 + mj * r3
+            last = r3
+            r3 = r2 - a3 * last
+            r2 = r1 - a2 * last
+            r1 = r0 - a1 * last
+            r0 = -a0 * last
+        chi = 0.0 + (p0 + r0) * h0 + (p1 + r1) * h1 + (p2 + r2) * h2 + (p3 + r3) * h3
+        return chi, det, a0, a1, a2, a3
+
+    return est
+
+
+def _field(c1, c2, c3, sigma, m1, m2, eps, mask1, mask2, rho, kc, k0, mode,
+           dist_amp, dist_freq):
+    """The closed-loop vector field with every parameter bound, built once
+    per run: f(t, y) returns (dy, aux) as two tuples, dy the 17 state
+    derivatives and aux = (e, zeta, u, a11, a21, a23, det1, det2)."""
+    chi_est1 = _hankel2(m1, mask1, eps * eps)
+    chi_est2 = _hankel4(m2, mask2, eps * eps)
+    m10, m11, m12, m13 = m1
+    m20, m21, m22, m23, m24, m25, m26, m27 = m2
+    # Horner from the highest coefficient
+    rho_r = tuple(reversed(rho))
+    kc_r = tuple(reversed(kc))
+
+    def f(t, y):
+        # g: the eta1 filter state, h: the eta2 filter state
+        x1, x2, v1, v2, g0, g1, g2, g3, h0, h1, h2, h3, h4, h5, h6, h7, khat = y
+        e = x1 - v1
+        chi1, det1, a10, _ = chi_est1(g0, g1, g2, g3)
+        chi2, det2, a20, _, a22, _ = chi_est2(h0, h1, h2, h3, h4, h5, h6, h7)
+        rho_e = 0.0
+        for c in rho_r:
+            rho_e = rho_e * e + c
+        zeta = x2 - chi1 + rho_e * e
+        kz = 0.0
+        for c in kc_r:
+            kz = kz * zeta + c
+        if mode == 1:
+            u = -(khat * kz * zeta) + chi2
+            dk = kz * zeta * zeta
+        elif mode == 2:
+            u = 0.0
+            dk = 0.0
+        else:
+            u = -(k0 * kz * zeta) + chi2
+            dk = 0.0
+        d = v2 + dist_amp * sin(dist_freq * t)
+        return ((x2, -c3 * x2 - c1 * x1 - c2 * (x1 * x1 * x1) + u + d,
+                 sigma * v2, -sigma * v1,
+                 g1, g2, g3, 0.0 - m10 * g0 - m11 * g1 - m12 * g2 - m13 * g3 + x2,
+                 h1, h2, h3, h4, h5, h6, h7,
+                 (0.0 - m20 * h0 - m21 * h1 - m22 * h2 - m23 * h3
+                  - m24 * h4 - m25 * h5 - m26 * h6 - m27 * h7 + u),
+                 dk),
+                (e, zeta, u, a10, a20, a22, det1, det2))
+
+    return f
+
+
+def _chi_est(y, base, n, m, eps, mask, ahat):
+    """Coefficient estimate, reconstruction, and Hankel determinant.
+
+    Entry point for timing and testing one estimator on its own: binds a
+    per-run estimator, reads the filter state from y[base : base + 2n],
+    writes the masked estimate into ahat[0:n], and returns (chi, det).
+    """
+    est = (_hankel2 if n == 2 else _hankel4)(m, mask, eps * eps)
+    chi, det, *a = est(*y[base:base + 2 * n])
+    ahat[:n] = a
     return chi, det
-
-
-def _horner(coeffs, s):
-    acc = 0.0
-    i = len(coeffs) - 1
-    while i >= 0:
-        acc = acc * s + coeffs[i]
-        i -= 1
-    return acc
 
 
 def _deriv(t, y, dy, aux, c1, c2, c3, sigma, m1, m2, eps, mask1, mask2,
            rho, kc, k0, mode, dist_amp, dist_freq, ahat1, ahat2):
-    x1 = y[0]
-    x2 = y[1]
-    v1 = y[2]
-    v2 = y[3]
-    e = x1 - v1
-    chi1, det1 = _chi_est(y, 4, 2, m1, eps, mask1, ahat1)
-    chi2, det2 = _chi_est(y, 8, 4, m2, eps, mask2, ahat2)
-    rho_e = _horner(rho, e)
-    zeta = x2 - chi1 + rho_e * e
-    kz = _horner(kc, zeta)
-    if mode == 1:
-        u = -(y[16] * kz * zeta) + chi2
-        dk = kz * zeta * zeta
-    elif mode == 2:
-        u = 0.0
-        dk = 0.0
-    else:
-        u = -(k0 * kz * zeta) + chi2
-        dk = 0.0
-    d = v2 + dist_amp * sin(dist_freq * t)
-    dy[0] = x2
-    dy[1] = -c3 * x2 - c1 * x1 - c2 * (x1 * x1 * x1) + u + d
-    dy[2] = sigma * v2
-    dy[3] = -sigma * v1
-    dy[4:7] = y[5:8]
-    dy[7] = 0.0 - m1[0] * y[4] - m1[1] * y[5] - m1[2] * y[6] - m1[3] * y[7] + x2
-    dy[8:15] = y[9:16]
-    dy[15] = (0.0 - m2[0] * y[8] - m2[1] * y[9] - m2[2] * y[10] - m2[3] * y[11]
-              - m2[4] * y[12] - m2[5] * y[13] - m2[6] * y[14] - m2[7] * y[15] + u)
-    dy[16] = dk
-    aux[:] = e, zeta, u, ahat1[0], ahat2[0], ahat2[2], det1, det2
+    """Entry point for timing and testing one vector-field evaluation: binds
+    a per-run field, writes dy[0:17], aux[0:8] and both estimates."""
+    f = _field(c1, c2, c3, sigma, m1, m2, eps, mask1, mask2, rho, kc, k0, mode,
+               dist_amp, dist_freq)
+    dy[:], aux[:] = f(t, y)
+    _chi_est(y, 4, 2, m1, eps, mask1, ahat1)
+    _chi_est(y, 8, 4, m2, eps, mask2, ahat2)
 
 
 def run_closed_loop(y0, h, n_steps, stride, c1, c2, c3, sigma, m1, m2, eps,
@@ -222,12 +289,18 @@ def run_closed_loop(y0, h, n_steps, stride, c1, c2, c3, sigma, m1, m2, eps,
     completed run, otherwise t0 + (step + 1) * h for the first step whose
     result left the |y| <= 1e9 box or stopped being finite, in which case
     the records simply end early and y_final is the offending state.  t0
-    only shifts the clock (records, the disturbance phase); it must be >= 0
-    so -1.0 stays unambiguous.
+    only shifts the clock (records, the disturbance phase).  t0 >= 0 and a
+    finite h > 0 keep -1.0 unambiguous; n_steps must be >= 0.  Raises
+    ValueError otherwise, with the compiled twin's messages.
     """
     y = [float(v) for v in y0]
     if len(y) != 17:
         raise ValueError("state vector must have 17 entries, got %d" % len(y))
+    h = float(h)
+    if not (h > 0.0 and isfinite(h)):
+        raise ValueError("h must be finite and > 0, got %r" % (h,))
+    if n_steps < 0:
+        raise ValueError("n_steps must be >= 0, got %d" % n_steps)
     if stride < 1:
         raise ValueError("stride must be >= 1, got %d" % stride)
     if not t0 >= 0.0:
@@ -238,16 +311,9 @@ def run_closed_loop(y0, h, n_steps, stride, c1, c2, c3, sigma, m1, m2, eps,
     mask2 = [1 if v else 0 for v in mask2]
     if len(m1) != 4 or len(m2) != 8 or len(mask1) != 2 or len(mask2) != 4:
         raise ValueError("need m1[4], m2[8], mask1[2], mask2[4]")
-    rho = [float(v) for v in rho]
-    kc = [float(v) for v in kc]
-    k1 = [0.0] * 17
-    k2 = [0.0] * 17
-    k3 = [0.0] * 17
-    k4 = [0.0] * 17
-    aux = [0.0] * 8
-    auxw = [0.0] * 8
-    a1b = [0.0] * 4
-    a2b = [0.0] * 4
+    f = _field(c1, c2, c3, sigma, m1, m2, eps, mask1, mask2,
+               [float(v) for v in rho], [float(v) for v in kc], k0, mode,
+               dist_amp, dist_freq)
     half = 0.5 * h
     h6 = h / 6.0
     records = array("d")
@@ -255,20 +321,12 @@ def run_closed_loop(y0, h, n_steps, stride, c1, c2, c3, sigma, m1, m2, eps,
     diverged_at = -1.0
     for step in range(n_steps):
         t = t0 + step * h
-        _deriv(t, y, k1, aux, c1, c2, c3, sigma, m1, m2, eps, mask1, mask2,
-               rho, kc, k0, mode, dist_amp, dist_freq, a1b, a2b)
+        k1, aux = f(t, y)
         if step % stride == 0:
-            record(_ROW(t, y[0], y[1], aux[0], aux[1], aux[2], aux[3], aux[4],
-                        aux[5], aux[6], aux[7], y[16]))
-        yw = [yi + half * ki for yi, ki in zip(y, k1)]
-        _deriv(t + half, yw, k2, auxw, c1, c2, c3, sigma, m1, m2, eps, mask1,
-               mask2, rho, kc, k0, mode, dist_amp, dist_freq, a1b, a2b)
-        yw = [yi + half * ki for yi, ki in zip(y, k2)]
-        _deriv(t + half, yw, k3, auxw, c1, c2, c3, sigma, m1, m2, eps, mask1,
-               mask2, rho, kc, k0, mode, dist_amp, dist_freq, a1b, a2b)
-        yw = [yi + h * ki for yi, ki in zip(y, k3)]
-        _deriv(t + h, yw, k4, auxw, c1, c2, c3, sigma, m1, m2, eps, mask1,
-               mask2, rho, kc, k0, mode, dist_amp, dist_freq, a1b, a2b)
+            record(_ROW(t, y[0], y[1], *aux, y[16]))
+        k2 = f(t + half, [yi + half * ki for yi, ki in zip(y, k1)])[0]
+        k3 = f(t + half, [yi + half * ki for yi, ki in zip(y, k2)])[0]
+        k4 = f(t + h, [yi + h * ki for yi, ki in zip(y, k3)])[0]
         y = [yi + h6 * (a + 2.0 * b + 2.0 * c + d)
              for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
         # a nan fails both comparisons
@@ -277,9 +335,6 @@ def run_closed_loop(y0, h, n_steps, stride, c1, c2, c3, sigma, m1, m2, eps,
             break
     if diverged_at < 0.0:
         t = t0 + n_steps * h
-        _deriv(t, y, k1, aux, c1, c2, c3, sigma, m1, m2, eps, mask1, mask2,
-               rho, kc, k0, mode, dist_amp, dist_freq, a1b, a2b)
-        record(_ROW(t, y[0], y[1], aux[0], aux[1], aux[2], aux[3], aux[4],
-                    aux[5], aux[6], aux[7], y[16]))
+        record(_ROW(t, y[0], y[1], *f(t, y)[1], y[16]))
     rows = memoryview(records).cast("B").cast("d", (len(records) // 12, 12))
     return rows, diverged_at, y

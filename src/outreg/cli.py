@@ -180,14 +180,15 @@ def cmd_sweep(args) -> int:
         raise GridError("--jobs: must be >= 1, got %d" % args.jobs)
     else:
         jobs = args.jobs
-    if jobs == 1:
+    # the pool may start every worker up front; never more than there are points
+    workers = min(jobs, len(points))
+    if workers == 1:
         results = [_sweep_worker(base, p) for p in points]
     else:
         # imported here: the pool module is a noticeable share of `run`'s import
         from concurrent.futures import ProcessPoolExecutor
 
-        # the pool may start every worker up front; never more than there are points
-        with ProcessPoolExecutor(max_workers=min(jobs, len(points))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, repeat(base), points))
     names = [n for n, _ in axes]
     lines = [",".join(names + list(_SUMMARY_METRICS))]

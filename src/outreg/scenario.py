@@ -45,10 +45,11 @@ from .internal_model import NotHurwitzError, hurwitz_pair
 MODES = ("nonadaptive", "adaptive", "open_loop")
 
 # The most RK4 steps a run may take.  The pure-python twin integrates about
-# 19k steps/s on a 2-CPU Linux machine (the C twin about 1.4M), so this keeps
-# one run under about nine minutes there (seven seconds compiled) instead of
-# the days an unchecked horizon such as t_end = 1e9 would take.  The largest
-# run anything here makes is 200,000 steps (acceptance criterion 10 at h/2).
+# 24k steps/s on a 2-CPU Linux machine with CPython 3.11 (the C twin about
+# 3.4M; steady orbit, nonadaptive), so this keeps one run under about seven
+# minutes there (three seconds compiled) instead of the days an unchecked
+# horizon such as t_end = 1e9 would take.  The largest run anything here
+# makes is 200,000 steps (acceptance criterion 10 at h/2).
 MAX_STEPS = 10_000_000
 
 # The most records a run may keep.  `outreg run` peaks at about 640 B per

@@ -92,6 +92,26 @@ def test_kernel_input_validation(kern):
         kern.run_closed_loop(*bad)
 
 
+_BAD_STEPS = [
+    # a negative count would still record one row, at t0 + n_steps * h
+    (1e-3, -5, "n_steps must be >= 0, got -5"),
+    # h <= 0 runs the clock backwards, so diverged_at could be negative and
+    # read as -1.0; a nan h would report diverged_at = nan
+    (0.0, 10, "h must be finite and > 0, got 0.0"),
+    (-1e-3, 10, "h must be finite and > 0, got -0.001"),
+    (float("nan"), 10, "h must be finite and > 0, got nan"),
+    (float("inf"), 10, "h must be finite and > 0, got inf"),
+]
+
+
+@pytest.mark.parametrize("h, n_steps, message", _BAD_STEPS)
+def test_kernel_rejects_bad_step(kern, h, n_steps, message):
+    args = _args(ScenarioConfig(), [0.0] * 17, n_steps, 1)
+    with pytest.raises(ValueError) as err:
+        kern.run_closed_loop(args[0], h, *args[2:])
+    assert str(err.value) == message
+
+
 def _bits(mask):
     return "".join("1" if v else "0" for v in mask)
 

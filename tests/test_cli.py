@@ -160,8 +160,9 @@ def test_sweep_divergent_point_exits_3(tmp_path, capsys):
 def test_sweep_worker_config_error_arrives_whole(tmp_path, capsys):
     # the point is validated in a worker process; its ScenarioError has to
     # cross the pool with its message intact
+    # (two points: a one-point grid runs in-process)
     out = str(tmp_path / "sw")
-    assert main(["sweep", "--grid", "sigma=nan", "--out", out, "--jobs", "2"]) == 2
+    assert main(["sweep", "--grid", "sigma=nan,0.5", "--out", out, "--jobs", "2"]) == 2
     assert capsys.readouterr().err == "config error:\nplant.sigma: must be finite, got nan\n"
 
 
@@ -200,6 +201,26 @@ def test_sweep_workers_capped_at_grid_points(tmp_path, steady_cfg, monkeypatch):
                      "--out", out, "--jobs", jobs]) == 0
         assert sizes[-1] == want
     assert len(sizes) == 2
+
+
+def test_sweep_one_worker_runs_in_process(tmp_path, steady_cfg, monkeypatch):
+    # a one-point grid needs one worker whatever --jobs says: no pool at all
+    import concurrent.futures
+
+    scn = _steady_scn(tmp_path, steady_cfg, t_end=0.05)
+    out1 = str(tmp_path / "serial")
+    assert main(["sweep", "--scenario", scn, "--grid", "sigma=0.5",
+                 "--out", out1, "--jobs", "1"]) == 0
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-worker sweep started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    out4 = str(tmp_path / "jobs4")
+    assert main(["sweep", "--scenario", scn, "--grid", "sigma=0.5",
+                 "--out", out4, "--jobs", "4"]) == 0
+    assert ((tmp_path / "jobs4" / "summary.csv").read_bytes()
+            == (tmp_path / "serial" / "summary.csv").read_bytes())
 
 
 def test_run_imports_neither_numpy_nor_process_pool(tmp_path):
