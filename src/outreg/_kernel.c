@@ -393,6 +393,10 @@ static PyObject *run_closed_loop(PyObject *self, PyObject *args, PyObject *kwarg
         }
         goto done;
     }
+    if (p.mode < 0 || p.mode > 2) {
+        PyErr_Format(PyExc_ValueError, "mode must be 0, 1 or 2, got %d", p.mode);
+        goto done;
+    }
     p.m1 = as_doubles(m1o, &nm1);
     if (p.m1 == NULL)
         goto done;

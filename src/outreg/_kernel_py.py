@@ -39,7 +39,7 @@ and estimators keep running so the log stays comparable).
 """
 
 from array import array
-from math import exp, isfinite, sin
+from math import exp, isfinite, isnan, sin
 from struct import Struct
 
 _LIMIT = 1e9
@@ -290,8 +290,9 @@ def run_closed_loop(y0, h, n_steps, stride, c1, c2, c3, sigma, m1, m2, eps,
     result left the |y| <= 1e9 box or stopped being finite, in which case
     the records simply end early and y_final is the offending state.  t0
     only shifts the clock (records, the disturbance phase).  t0 >= 0 and a
-    finite h > 0 keep -1.0 unambiguous; n_steps must be >= 0.  Raises
-    ValueError otherwise, with the compiled twin's messages.
+    finite h > 0 keep -1.0 unambiguous; n_steps must be >= 0, and mode is
+    0 (nonadaptive), 1 (adaptive) or 2 (open loop).  Raises ValueError
+    otherwise, with the compiled twin's messages.
     """
     y = [float(v) for v in y0]
     if len(y) != 17:
@@ -305,6 +306,8 @@ def run_closed_loop(y0, h, n_steps, stride, c1, c2, c3, sigma, m1, m2, eps,
         raise ValueError("stride must be >= 1, got %d" % stride)
     if not t0 >= 0.0:
         raise ValueError("t0 must be >= 0, got %r" % (t0,))
+    if mode not in (0, 1, 2):
+        raise ValueError("mode must be 0, 1 or 2, got %d" % mode)
     m1 = [float(v) for v in m1]
     m2 = [float(v) for v in m2]
     mask1 = [1 if v else 0 for v in mask1]
@@ -329,8 +332,8 @@ def run_closed_loop(y0, h, n_steps, stride, c1, c2, c3, sigma, m1, m2, eps,
         k4 = f(t + h, [yi + h * ki for yi, ki in zip(y, k3)])[0]
         y = [yi + h6 * (a + 2.0 * b + 2.0 * c + d)
              for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
-        # a nan fails both comparisons
-        if not all(-_LIMIT <= yi <= _LIMIT for yi in y):
+        # min and max may pass over a nan, but it makes the sum nan
+        if not (-_LIMIT <= min(y) and max(y) <= _LIMIT) or isnan(sum(y)):
             diverged_at = t0 + (step + 1) * h
             break
     if diverged_at < 0.0:

@@ -8,7 +8,12 @@ the strict marker turns these into hard errors and forces a review.
 """
 
 import hashlib
+import os
+import random
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 import outreg.simulate as simulate
@@ -149,3 +154,49 @@ def test_run_all_integrates_every_step_here(monkeypatch):
     for i in range(6, 11):
         getattr(acceptance, "criterion_%d" % i)(0, ctx)
     assert pooled and pooled == calls
+
+
+def _random_pairs_by_convolve(seed, count):
+    # the numpy formulation _random_pairs replaced: descending polynomials
+    # multiplied by np.convolve, with the RNG drawn in the same order
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        nf = rng.randint(1, 2)
+        freqs = []
+        while len(freqs) < nf:
+            w = rng.uniform(0.2, 3.0)
+            if all(abs(w - f) > 0.05 for f in freqs):
+                freqs.append(w)
+        poly = [1.0]
+        for w in freqs:
+            poly = np.convolve(poly, [1.0, 0.0, w * w]).tolist()
+        mpoly = [1.0]
+        for _ in range(4 * nf):
+            mpoly = np.convolve(mpoly, [1.0, rng.uniform(0.3, 3.0)]).tolist()
+        out.append((tuple(poly[::-1][:-1]), tuple(mpoly[::-1][:-1])))
+    return out
+
+
+def test_random_pairs_match_convolve_bit_for_bit():
+    # repr round-trips every float and tells -0.0 from 0.0
+    for seed in range(200):
+        assert (repr(acceptance._random_pairs(seed, 100))
+                == repr(_random_pairs_by_convolve(seed, 100))), seed
+
+
+def test_check_criteria_import_no_numpy():
+    # criteria 1, 2 and 5 are the ones that used numpy; the others never did
+    code = ("import sys\n"
+            "from outreg import acceptance\n"
+            "for fn in (acceptance.criterion_1, acceptance.criterion_2,\n"
+            "           acceptance.criterion_5):\n"
+            "    assert fn(0, {})[1]\n"
+            "print('numpy' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(acceptance.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

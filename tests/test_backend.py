@@ -112,6 +112,15 @@ def test_kernel_rejects_bad_step(kern, h, n_steps, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("mode", [-1, 3, 7])
+def test_kernel_rejects_unknown_mode(kern, mode):
+    # any mode but 1 or 2 would otherwise run as nonadaptive
+    args = _args(ScenarioConfig(), [0.0] * 17, 10, 1, mode=mode)
+    with pytest.raises(ValueError) as err:
+        kern.run_closed_loop(*args)
+    assert str(err.value) == "mode must be 0, 1 or 2, got %d" % mode
+
+
 def _bits(mask):
     return "".join("1" if v else "0" for v in mask)
 

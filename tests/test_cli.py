@@ -224,8 +224,9 @@ def test_sweep_one_worker_runs_in_process(tmp_path, steady_cfg, monkeypatch):
 
 
 def test_run_imports_neither_numpy_nor_process_pool(tmp_path):
-    # numpy and the process pool are loaded only by `check`, a rejected
-    # filter and a parallel sweep; a stray module-level import shows here
+    # numpy is loaded only by a rejected filter and the admissibility
+    # helpers, the process pool only by `check` and a parallel sweep; a
+    # stray module-level import shows here
     import outreg
 
     scn = os.path.join(os.path.dirname(__file__), "..", "scenarios", "steady_start.scn")
