@@ -26,6 +26,7 @@ from .duffing import (
     exo_derivative,
     exo_flow,
     regulator_solution,
+    steady_state_q,
     steady_state_theta,
     steady_state_xi,
 )
@@ -213,11 +214,12 @@ def criterion_5(seed, ctx):
     worst = 0.0
     period = 2.0 * math.pi / _P.sigma
     comps = [(1, _CFG1, hurwitz_pair(_CFG1.m)), (2, _CFG2, hurwitz_pair(_CFG2.m))]
+    qs = [steady_state_q(_P, i, spec) for i, _, spec in comps]
     for j in range(100):
         v = exo_flow((1.0, 1.0), _P.sigma, period * j / 100.0)
         u_ss = regulator_solution(v, _P)[2]
-        for (i, cfg, spec), target in zip(comps, (_P.sigma * v[1], u_ss)):
-            theta = steady_state_theta(v, _P, i, spec)
+        for (i, cfg, spec), q, target in zip(comps, qs, (_P.sigma * v[1], u_ss)):
+            theta = steady_state_theta(v, _P, i, spec, q)
             if abs(determinant(hankel(theta))) >= eps:
                 qualifying += 1
             worst = max(worst, abs(chi(theta, cfg) - target))
@@ -250,8 +252,8 @@ def criterion_5(seed, ctx):
             etas[c] = [sum(map(mul, a_row, eta)) + sum(map(mul, g_row, w))
                        for a_row, g_row in zip(*maps[c])]
     v = exo_flow((1.0, 1.0), _P.sigma, t)
-    worst_gap = max(math.dist(eta, steady_state_theta(v, _P, i, spec))
-                    for eta, (i, _, spec) in zip(etas, comps))
+    worst_gap = max(math.dist(eta, steady_state_theta(v, _P, i, spec, q))
+                    for eta, (i, _, spec), q in zip(etas, comps, qs))
     filt_ok = worst_gap <= 1e-6
 
     note = ""

@@ -142,14 +142,23 @@ def duffing_coeffs(p: DuffingParams):
     return (a1, a2)
 
 
-def steady_state_theta(v, p: DuffingParams, i: int, spec: InternalModelSpec):
+def steady_state_q(p: DuffingParams, i: int, spec: InternalModelSpec):
+    """The Q of component i, which maps its generator state xi to theta.
+
+    Q depends on the component but not on the exosystem state, so a caller
+    that needs theta at many phases builds it once.
+    """
+    a1, a2 = duffing_coeffs(p)
+    return q_matrix(a1 if i == 1 else a2, spec.m)
+
+
+def steady_state_theta(v, p: DuffingParams, i: int, spec: InternalModelSpec, q=None):
     """Exact steady-state internal-model state theta = Q xi for component i.
 
     This is the state the filter eta converges to; it is the oracle against
     which the coefficient estimator and the chi reconstruction are checked.
+    q, if given, is steady_state_q(p, i, spec).
     """
-    a1, a2 = duffing_coeffs(p)
-    a = a1 if i == 1 else a2
-    xi = steady_state_xi(v, p, i)
-    Q = q_matrix(a, spec.m)
-    return tuple(mat_vec(Q, xi))
+    if q is None:
+        q = steady_state_q(p, i, spec)
+    return tuple(mat_vec(q, steady_state_xi(v, p, i)))

@@ -45,9 +45,9 @@ from .internal_model import NotHurwitzError, hurwitz_pair
 MODES = ("nonadaptive", "adaptive", "open_loop")
 
 # The most RK4 steps a run may take.  The pure-python twin integrates about
-# 24k steps/s on a 2-CPU Linux machine with CPython 3.11 (the C twin about
-# 3.4M; steady orbit, nonadaptive), so this keeps one run under about seven
-# minutes there (three seconds compiled) instead of the days an unchecked
+# 55k steps/s on a 2-CPU Linux machine with CPython 3.11 (the C twin about
+# 2.6M; steady orbit, nonadaptive), so this keeps one run under about three
+# minutes there (four seconds compiled) instead of the days an unchecked
 # horizon such as t_end = 1e9 would take.  The largest run anything here
 # makes is 200,000 steps (acceptance criterion 10 at h/2).
 MAX_STEPS = 10_000_000

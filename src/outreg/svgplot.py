@@ -39,6 +39,10 @@ def _nice_ticks(lo: float, hi: float, target: int = 6):
     v = first
     while v <= hi + step * 1e-9:
         ticks.append(0.0 if abs(v) < step * 1e-9 else v)
+        # on a span of a few ulps the step can be below half an ulp of v,
+        # so v + step == v: stop instead of appending v forever
+        if v + step == v:
+            break
         v += step
     return ticks or [lo, hi]
 

@@ -161,20 +161,38 @@ def test_kernel_aux_matches_module_path(kern, steady_cfg, mask1, mask2):
     assert u == pytest.approx(control_nonadaptive(zm, eta2, gains, cfg2), rel=1e-10)
 
 
+def _forced_backend(forced):
+    import outreg
+
+    src = os.path.dirname(os.path.dirname(outreg.__file__))
+    env = dict(os.environ, OUTREG_BACKEND=forced, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", "import outreg.backend as b; print(b.BACKEND)"],
+                          env=env, capture_output=True, text=True)
+
+
 def test_backend_env_override():
-    # forcing "compiled" needs the installed extension, not a test build
-    pytest.importorskip("outreg._kernel")
-    code = "import outreg.backend as b; print(b.BACKEND)"
-    for forced in ("python", "compiled"):
-        env = dict(os.environ, OUTREG_BACKEND=forced)
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == forced
-    env = dict(os.environ, OUTREG_BACKEND="fortran")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
+    out = _forced_backend("python")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "python"
+    out = _forced_backend("fortran")
     assert out.returncode != 0
+    assert "OUTREG_BACKEND must be 'compiled' or 'python', got 'fortran'" in out.stderr
+    # forcing "compiled" needs the installed extension, not a test build
+    try:
+        from outreg import _kernel  # noqa: F401
+    except ImportError:
+        built = False
+    else:
+        built = True
+    out = _forced_backend("compiled")
+    if built:
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "compiled"
+    else:
+        assert out.returncode != 0
+        assert ("OUTREG_BACKEND=compiled but the outreg._kernel extension is not built"
+                in out.stderr)
 
 
 def test_twins_identical_on_overflowing_step(ckernel):

@@ -1,10 +1,14 @@
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
+import outreg
 from outreg import svgplot
-from outreg.simulate import run
-from outreg.scenario import with_overrides
+from outreg.simulate import SimLog, run
+from outreg.scenario import serialize, with_overrides
 
 
 @pytest.fixture
@@ -67,3 +71,35 @@ def test_empty_series_rejected():
 def test_mismatched_lengths_rejected():
     with pytest.raises(ValueError):
         svgplot.line_chart([("m", (0.0, 1.0), (1.0,))], "t", "x", "y")
+
+
+def test_one_ulp_axis_terminates(tmp_path, steady_cfg):
+    # khat moves by one ulp in this run, so the khat plot's y axis spans one
+    # ulp and the tick step is below half an ulp of 1.0: v += step left v
+    # unchanged and the tick loop appended forever.  The run happens in a
+    # child capped at 1 GB of address space, so a regression fails on
+    # MemoryError or the timeout instead of exhausting the machine.
+    cfg = with_overrides(steady_cfg, x0=(1.0, 0.5000004), khat0=1.0,
+                         mode="adaptive", t_end=0.001)
+    scn = tmp_path / "ulp.scn"
+    scn.write_text(serialize(cfg))
+    out_dir = tmp_path / "out"
+    code = ("import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from outreg import svgplot\n"
+            "from outreg.cli import main\n"
+            "print(svgplot._nice_ticks(1.0, 1.0000000000000002))\n"
+            "assert main(['run', '--scenario', %r, '--out', %r]) == 0\n"
+            % (str(scn), str(out_dir)))
+    src = os.path.dirname(os.path.dirname(outreg.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    # one tick, just below the axis, so the chart draws none
+    assert out.stdout == "[0.9999999999999999]\n"
+    log = SimLog.from_csv((out_dir / "log.csv").read_text())
+    assert log.column("khat") == [1.0, 1.0000000000000002]
+    root = _parse((out_dir / "plot_khat.svg").read_text())
+    assert root.tag.endswith("svg")
