@@ -17,11 +17,9 @@ from .scenario import (
     with_overrides,
 )
 from .simulate import (
-    ClosedLoopState,
     DivergenceError,
     SimLog,
     metrics,
-    rk4_step,
     run,
 )
 
@@ -31,11 +29,9 @@ __all__ = [
     "ScenarioError",
     "load_scenario",
     "with_overrides",
-    "ClosedLoopState",
     "DivergenceError",
     "SimLog",
     "metrics",
-    "rk4_step",
     "run",
     "__version__",
 ]

@@ -26,6 +26,7 @@ from itertools import product, repeat
 
 from . import svgplot
 from .scenario import (
+    MODES,
     ScenarioConfig,
     ScenarioError,
     load_scenario,
@@ -230,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--scenario", help="scenario file (omit for the stock benchmark)")
         p.add_argument("--out", default="out", help="output directory (default: out)")
-        p.add_argument("--mode", choices=("nonadaptive", "adaptive", "open_loop"),
+        p.add_argument("--mode", choices=MODES,
                        help="override the scenario's mode")
         p.add_argument("--step", type=float, help="override integration step h")
         p.add_argument("--tend", type=float, help="override simulation horizon")

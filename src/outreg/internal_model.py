@@ -19,8 +19,8 @@ which sylvester_residual evaluates.
 
 hurwitz_pair decides with a pure-Python Routh-Hurwitz test on the filter
 polynomial Taylor-shifted by the margin: every root has Re < -1e-6 exactly
-when p(z - 1e-6) is Hurwitz.  numpy is imported only to name the worst
-eigenvalue of a rejected filter, so the run path never loads it.
+when p(z - 1e-6) is Hurwitz.  A rejected filter is reported by the first
+Routh first-column entry that is not positive.
 """
 
 from __future__ import annotations
@@ -40,20 +40,12 @@ from .linalg import (
     sub,
 )
 
-# admissibility gates: roots on the imaginary axis, pairwise distinct
-_ADMISSIBLE_RE_TOL = 1e-8
-_ADMISSIBLE_SEP_TOL = 1e-6
-
 # Hurwitz gate: strictly inside the left half-plane with a safety margin
 _HURWITZ_MARGIN = -1e-6
 
 
 class NotHurwitzError(ValueError):
     """The candidate filter polynomial has a non-decaying mode."""
-
-    def __init__(self, message, eigenvalue=None):
-        super().__init__(message)
-        self.eigenvalue = eigenvalue
 
 
 @dataclass(frozen=True)
@@ -74,32 +66,6 @@ class CoeffVector:
     @property
     def n(self) -> int:
         return len(self.a)
-
-    def roots(self):
-        import numpy as np
-
-        # descending-order coefficients for np.roots: s^n + a_n s^(n-1) + ... + a_1
-        return np.roots([1.0] + [self.a[j] for j in range(self.n - 1, -1, -1)])
-
-    def is_admissible(self) -> bool:
-        """Distinct roots, all on the imaginary axis (numerical check)."""
-        import numpy as np
-
-        r = self.roots()
-        if r.size and np.max(np.abs(r.real)) > _ADMISSIBLE_RE_TOL:
-            return False
-        for i in range(len(r)):
-            for j in range(i + 1, len(r)):
-                if abs(r[i] - r[j]) < _ADMISSIBLE_SEP_TOL:
-                    return False
-        return True
-
-    def require_admissible(self):
-        if not self.is_admissible():
-            raise ValueError(
-                "coefficients %r do not give distinct roots on the imaginary axis" % (self.a,)
-            )
-        return self
 
 
 def _coeffs(a) -> tuple:
@@ -154,9 +120,13 @@ class InternalModelSpec:
     Gamma: Matrix
 
 
-def _is_hurwitz_beyond_margin(coeffs: tuple) -> bool:
+def _routh_failure(coeffs: tuple):
     """Routh-Hurwitz test that every root of s^k + c_k s^(k-1) + ... + c_1 has
-    Re < _HURWITZ_MARGIN; a root on the margin counts as outside."""
+    Re < _HURWITZ_MARGIN; a root on the margin counts as outside.
+
+    Returns None when the test passes, else (row, entry): the first Routh
+    array row, 1..k below the leading one, whose first-column entry is not
+    > 0, and that entry."""
     p = [1.0] + list(reversed(coeffs))  # descending
     k = len(coeffs)
     # Taylor shift: p(z + margin), by repeated synthetic division
@@ -165,12 +135,12 @@ def _is_hurwitz_beyond_margin(coeffs: tuple) -> bool:
             p[j] += _HURWITZ_MARGIN * p[j - 1]
     # Routh array, two rows at a time; Hurwitz iff its first column is > 0
     prev, cur = p[0::2], p[1::2]
-    for _ in range(k):
+    for row in range(1, k + 1):
         if not cur[0] > 0.0:
-            return False
+            return row, cur[0]
         r = prev[0] / cur[0]
         prev, cur = cur, [a - r * b for a, b in zip(prev[1:], cur[1:] + [0.0])]
-    return True
+    return None
 
 
 def hurwitz_pair(m: Sequence[float]) -> InternalModelSpec:
@@ -180,16 +150,12 @@ def hurwitz_pair(m: Sequence[float]) -> InternalModelSpec:
         raise ValueError("need an even number of coefficients (2n), got %d" % len(coeffs))
     n = len(coeffs) // 2
     M = companion_matrix(coeffs)
-    if not _is_hurwitz_beyond_margin(coeffs):
-        import numpy as np
-
-        eigs = np.linalg.eigvals(np.array(M.to_lists()))
-        worst = eigs[int(np.argmax(eigs.real))]
+    failure = _routh_failure(coeffs)
+    if failure is not None:
         raise NotHurwitzError(
-            "filter polynomial is not Hurwitz: eigenvalue %g%+gj has real part >= %g"
-            % (worst.real, worst.imag, _HURWITZ_MARGIN),
-            eigenvalue=complex(worst),
-        )
+            "filter polynomial shifted by %g fails Routh-Hurwitz: row %d of %d "
+            "has first-column entry %r, not > 0"
+            % (_HURWITZ_MARGIN, failure[0], len(coeffs), failure[1]))
     N = Matrix([[0.0]] * (2 * n - 1) + [[1.0]])
     Gamma = Matrix([[1.0] + [0.0] * (n - 1)])
     return InternalModelSpec(n=n, m=coeffs, M=M, N=N, Gamma=Gamma)

@@ -42,6 +42,7 @@ from .controller import GainConfig, GainSyntaxError, Polynomial
 from .duffing import DuffingParams
 from .internal_model import NotHurwitzError, hurwitz_pair
 
+# in kernel order: simulate passes each mode's index here as its mode code
 MODES = ("nonadaptive", "adaptive", "open_loop")
 
 # The most RK4 steps a run may take.  The pure-python twin integrates about

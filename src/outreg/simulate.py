@@ -1,10 +1,10 @@
 """Closed-loop simulation driver: fixed-step RK4 runs, logs, and metrics.
 
 run() integrates a ScenarioConfig through the backend kernel and returns a
-SimLog; rk4_step() exposes a single integration step on a structured state.
-Identical configs give byte-identical logs: the time grid is t = step * h
-(products, not accumulated sums), the kernel arithmetic is fixed, and CSV
-formatting uses 17 significant digits, enough to round-trip any double.
+SimLog.  Identical configs give byte-identical logs: the time grid is
+t = step * h (products, not accumulated sums), the kernel arithmetic is
+fixed, and CSV formatting uses 17 significant digits, enough to round-trip
+any double.
 
 A run whose state leaves the |y| <= 1e9 box raises DivergenceError carrying
 the partial log and the offending time; callers that want the data anyway
@@ -15,12 +15,11 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import islice
 from operator import lt
 
 from .backend import BACKEND, run_closed_loop
-from .scenario import ScenarioConfig
+from .scenario import MODES, ScenarioConfig
 
 CSV_HEADER = "t,x1,x2,e,zeta,u,a11,a21,a23,detT1,detT2,khat"
 _INDEX = {name: i for i, name in enumerate(CSV_HEADER.split(","))}
@@ -29,36 +28,7 @@ _NCOL = len(_INDEX)
 _CSV_ROW = ",".join(["%.17g"] * _NCOL)
 _CSV_BLOCK = 1024
 
-_MODE_CODES = {"nonadaptive": 0, "adaptive": 1, "open_loop": 2}
-
-
-@dataclass(frozen=True)
-class ClosedLoopState:
-    """Structured closed-loop state; k_hat is None in nonadaptive use."""
-
-    x: tuple
-    v: tuple
-    eta1: tuple
-    eta2: tuple
-    k_hat: float | None = None
-
-    def __post_init__(self):
-        if len(self.x) != 2 or len(self.v) != 2 or len(self.eta1) != 4 or len(self.eta2) != 8:
-            raise ValueError("need x[2], v[2], eta1[4], eta2[8]")
-
-    @property
-    def dimension(self) -> int:
-        return 14 if self.k_hat is None else 15
-
-    def pack(self) -> list:
-        kh = 0.0 if self.k_hat is None else float(self.k_hat)
-        return [*map(float, self.x), *map(float, self.v),
-                *map(float, self.eta1), *map(float, self.eta2), kh]
-
-    @classmethod
-    def unpack(cls, y, adaptive: bool) -> "ClosedLoopState":
-        return cls(x=(y[0], y[1]), v=(y[2], y[3]), eta1=tuple(y[4:8]),
-                   eta2=tuple(y[8:16]), k_hat=y[16] if adaptive else None)
+_MODE_CODES = {mode: code for code, mode in enumerate(MODES)}
 
 
 class SimLog:
@@ -155,32 +125,6 @@ def run(cfg: ScenarioConfig, mode: str | None = None) -> SimLog:
     if diverged_at >= 0.0:
         raise DivergenceError(diverged_at, log)
     return log
-
-
-def rk4_step(state: ClosedLoopState, h: float, cfg: ScenarioConfig,
-             t0: float = 0.0) -> ClosedLoopState:
-    """One RK4 step of the full coupled field; u recomputed per stage.
-
-    Produces exactly the state run() would reach after the same step (both
-    delegate to the kernel).  t0 sets the clock for the disturbance term.
-    The law follows the state: a k_hat value selects the adaptive law, its
-    absence the scenario's mode (downgraded to nonadaptive if that was
-    adaptive, since there is no k_hat to integrate).
-    """
-    if not h > 0.0:
-        raise ValueError("h must be > 0, got %r" % (h,))
-    adaptive = state.k_hat is not None
-    if adaptive:
-        mode = "adaptive"
-    elif cfg.mode == "adaptive":
-        mode = "nonadaptive"
-    else:
-        mode = cfg.mode
-    records, diverged_at, y = run_closed_loop(
-        state.pack(), h, 1, 1, *_kernel_args(cfg, mode), t0)
-    if diverged_at >= 0.0:
-        raise DivergenceError(diverged_at, SimLog(records))
-    return ClosedLoopState.unpack(y, adaptive)
 
 
 def metrics(log: SimLog, cfg: ScenarioConfig, settle_threshold: float = 1e-2,

@@ -10,6 +10,7 @@ before drawing; that only drops drawn vertices, never rescales axes.
 from __future__ import annotations
 
 import math
+import sys
 
 _MAX_POINTS = 2000
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
@@ -29,6 +30,10 @@ def _nice_ticks(lo: float, hi: float, target: int = 6):
         pad = abs(lo) * 0.1 or 1.0
         lo, hi = lo - pad, hi + pad
     raw = (hi - lo) / max(target - 1, 1)
+    # a span that overflows, or a raw step below the normal range (where
+    # 10 ** floor(log10(raw)) can underflow to 0), has no round ticks
+    if not sys.float_info.min <= raw < math.inf:
+        return [lo, hi]
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:

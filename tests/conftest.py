@@ -9,25 +9,22 @@ from pathlib import Path
 import pytest
 
 import outreg
+from outreg.duffing import DuffingParams, regulator_solution, steady_state_theta
+from outreg.internal_model import hurwitz_pair
 from outreg.scenario import ScenarioConfig, with_overrides
-
-# exact steady-state initial data for the stock benchmark: plant on the
-# regulator-equation solution, filters at theta = Q xi(v(0)).  From here the
-# loop has nothing to learn and the error stays at integration-noise level,
-# which makes a clean regression scenario (see tests that use it).
-STEADY_X0 = (1.0, 0.5)
-STEADY_ETA1 = (0.06747511312217194, 0.00448868778280543,
-               -0.016868778280542986, -0.0011221719457013574)
-STEADY_ETA2 = (0.38639929937691186, -0.6123391256240911,
-               -0.10734107266496068, 0.2836164691585286,
-               0.05100307576288878, -0.36460041473277044,
-               -0.06712833603318155, 0.7519667729302537)
-
 
 @pytest.fixture
 def steady_cfg():
-    return with_overrides(ScenarioConfig(), x0=STEADY_X0,
-                          eta1_0=STEADY_ETA1, eta2_0=STEADY_ETA2)
+    """The stock benchmark started on its steady orbit: plant on the
+    regulator-equation solution, filters at theta = Q xi(v(0)).  From here
+    the loop has nothing to learn and the error stays at integration-noise
+    level, which makes a clean regression scenario (see tests that use it)."""
+    cfg = ScenarioConfig()
+    p = DuffingParams(cfg.c1, cfg.c2, cfg.c3, cfg.sigma)
+    return with_overrides(
+        cfg, x0=regulator_solution(cfg.v0, p)[:2],
+        eta1_0=steady_state_theta(cfg.v0, p, 1, hurwitz_pair(cfg.m1)),
+        eta2_0=steady_state_theta(cfg.v0, p, 2, hurwitz_pair(cfg.m2)))
 
 
 @pytest.fixture(scope="session")

@@ -54,6 +54,21 @@ def test_twins_bit_identical_steady(ckernel, steady_cfg):
                       ckernel.run_closed_loop(*args))
 
 
+def test_one_step_calls_chain_into_one_run(kern, steady_cfg):
+    # five one-step calls, each with its clock at t0 = i*h, give the rows and
+    # final state of one five-step call bit for bit, disturbance phase included
+    cfg = with_overrides(steady_cfg, disturbance_amp=0.05, disturbance_freq=7.0)
+    records, _, y_run = kern.run_closed_loop(*_args(cfg, _y0(cfg), 5, 1))
+    rows = []
+    y = _y0(cfg)
+    for i in range(5):
+        rec, diverged_at, y = kern.run_closed_loop(*_args(cfg, y, 1, 1), i * cfg.h)
+        assert diverged_at == -1.0
+        rows += rec.tolist()[:1 if i < 4 else 2]
+    assert rows == records.tolist()
+    assert list(y) == list(y_run)
+
+
 def test_twins_bit_identical_divergent(ckernel):
     cfg = ScenarioConfig()
     y0 = [1.0, -1.0, 1.0, 1.0] + [0.0] * 13

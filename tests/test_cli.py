@@ -224,9 +224,8 @@ def test_sweep_one_worker_runs_in_process(tmp_path, steady_cfg, monkeypatch):
 
 
 def test_run_imports_neither_numpy_nor_process_pool(tmp_path):
-    # numpy is loaded only by a rejected filter and the admissibility
-    # helpers, the process pool only by `check` and a parallel sweep; a
-    # stray module-level import shows here
+    # the package imports no numpy, and only `check` and a parallel sweep
+    # import the process pool; a stray module-level import shows here
     import outreg
 
     scn = os.path.join(os.path.dirname(__file__), "..", "scenarios", "steady_start.scn")
@@ -242,6 +241,33 @@ def test_run_imports_neither_numpy_nor_process_pool(tmp_path):
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_runs_with_numpy_blocked(tmp_path):
+    # numpy is no runtime dependency: with a stub that refuses to import,
+    # every submodule still imports and a non-Hurwitz filter is still a
+    # config error, not an ImportError traceback
+    import outreg
+
+    stub = tmp_path / "stub"
+    stub.mkdir()
+    (stub / "numpy.py").write_text("raise ImportError('numpy is blocked')\n")
+    scn = tmp_path / "bad.scn"
+    scn.write_text("model.m1 = -1, 0, 0, 0\n")
+    code = ("import importlib, pkgutil, sys\n"
+            "import outreg\n"
+            "for m in pkgutil.iter_modules(outreg.__path__):\n"
+            "    importlib.import_module('outreg.' + m.name)\n"
+            "from outreg.cli import main\n"
+            "sys.exit(main(['run', '--scenario', %r, '--out', %r]))\n"
+            % (str(scn), str(tmp_path / "o")))
+    src = os.path.dirname(os.path.dirname(outreg.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(stub), src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 2, out.stderr
+    assert "M1 not Hurwitz" in out.stderr
 
 
 def test_sweep_empty_grid_exits_2(tmp_path, capsys):

@@ -140,10 +140,11 @@ def test_duffing_coeffs_values():
     a1, a2 = duffing_coeffs(P)
     assert a1.a == (0.25, 0.0)
     assert a2.a == (0.5625, 0.0, 2.5, 0.0)
-    assert a1.is_admissible() and a2.is_admissible()
-    # roots of the second polynomial are +-i sigma and +-3i sigma
-    r = sorted(a2.roots(), key=lambda z: z.imag)
-    assert r == pytest.approx([-1.5j, -0.5j, 0.5j, 1.5j], abs=1e-9)
+    # distinct roots on the imaginary axis: +-i sigma, then +-i sigma and
+    # +-3i sigma; np.roots wants the constant last
+    for cv, want in ((a1, [-0.5j, 0.5j]), (a2, [-1.5j, -0.5j, 0.5j, 1.5j])):
+        r = sorted(np.roots([1.0, *reversed(cv.a)]), key=lambda z: z.imag)
+        assert r == pytest.approx(want, abs=1e-9)
 
 
 def test_exo_energy_drift_rk4():

@@ -1,3 +1,4 @@
+import os
 import pickle
 import warnings
 
@@ -174,6 +175,16 @@ def test_load_scenario_reads_file(tmp_path):
     p.write_text("plant.sigma = 2.0\nmode = adaptive\n")
     cfg = load_scenario(p)
     assert cfg.sigma == 2.0 and cfg.mode == "adaptive"
+
+
+def test_steady_start_file_is_the_derived_start(steady_cfg):
+    # steady_start.scn pastes the start as literals; they must equal the
+    # derivation in conftest.steady_cfg bit for bit
+    cfg = load_scenario(os.path.join(os.path.dirname(__file__), "..", "scenarios",
+                                     "steady_start.scn"))
+    assert cfg.x0 == steady_cfg.x0
+    assert cfg.eta1_0 == steady_cfg.eta1_0
+    assert cfg.eta2_0 == steady_cfg.eta2_0
 
 
 def test_with_overrides_revalidates():

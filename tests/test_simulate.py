@@ -3,14 +3,7 @@ import pytest
 from outreg.backend import run_closed_loop
 from outreg.controller import Polynomial
 from outreg.scenario import ScenarioConfig, with_overrides
-from outreg.simulate import (
-    ClosedLoopState,
-    DivergenceError,
-    SimLog,
-    metrics,
-    rk4_step,
-    run,
-)
+from outreg.simulate import DivergenceError, SimLog, metrics, run
 
 
 def test_default_nonadaptive_run_diverges():
@@ -123,39 +116,6 @@ def test_zero_state_zero_gains_stays_zero():
     log = run(cfg)
     for name in ("x1", "x2", "e", "zeta", "u", "khat"):
         assert all(v == 0.0 for v in log.column(name))
-
-
-def test_rk4_step_matches_run(steady_cfg):
-    # stepping one state at a time reproduces the batch run bit for bit,
-    # disturbance phase included
-    cfg = with_overrides(steady_cfg, disturbance_amp=0.05, disturbance_freq=7.0)
-    y0 = [*cfg.x0, *cfg.v0, *cfg.eta1_0, *cfg.eta2_0, cfg.khat0]
-    _, _, y_batch = run_closed_loop(
-        y0, cfg.h, 5, 1, cfg.c1, cfg.c2, cfg.c3, cfg.sigma, cfg.m1, cfg.m2,
-        cfg.epsilon, cfg.mask1, cfg.mask2, cfg.rho.coeffs, cfg.k.coeffs,
-        cfg.k0, 0, cfg.disturbance_amp, cfg.disturbance_freq)
-    state = ClosedLoopState(x=tuple(cfg.x0), v=tuple(cfg.v0),
-                            eta1=cfg.eta1_0, eta2=cfg.eta2_0)
-    for i in range(5):
-        state = rk4_step(state, cfg.h, cfg, t0=i * cfg.h)
-    assert state.pack()[:16] == y_batch[:16]
-
-
-def test_rk4_step_divergence_carries_time():
-    cfg = ScenarioConfig()
-    state = ClosedLoopState(x=(1e9, 0.0), v=(1.0, 1.0),
-                            eta1=(0.0,) * 4, eta2=(0.0,) * 8)
-    with pytest.raises(DivergenceError) as exc:
-        rk4_step(state, cfg.h, cfg)
-    assert exc.value.time == pytest.approx(cfg.h)
-
-
-def test_closed_loop_state_shape():
-    s = ClosedLoopState(x=(1.0, 2.0), v=(3.0, 4.0), eta1=(0.0,) * 4, eta2=(0.0,) * 8)
-    assert s.dimension == 14
-    assert ClosedLoopState.unpack(s.pack(), adaptive=True).dimension == 15
-    with pytest.raises(ValueError):
-        ClosedLoopState(x=(1.0,), v=(3.0, 4.0), eta1=(0.0,) * 4, eta2=(0.0,) * 8)
 
 
 def test_step_halving_agreement(steady_cfg):

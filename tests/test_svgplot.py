@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -57,6 +58,22 @@ def test_line_chart_thins_long_series():
 def test_constant_series_padded_axes():
     svg = svgplot.line_chart([("c", (0.0, 1.0, 2.0), (5.0, 5.0, 5.0))],
                              "flat", "t", "y")
+    _parse(svg)
+    assert "NaN" not in svg and "inf" not in svg
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (0.0, 5e-324),    # the step underflowed to 0: log10 domain error
+    (-1e308, 1e308),  # hi - lo overflowed to inf
+])
+def test_degenerate_span_ticks_are_finite(lo, hi):
+    ticks = svgplot._nice_ticks(lo, hi)
+    assert ticks and all(math.isfinite(t) and lo <= t <= hi for t in ticks)
+
+
+def test_one_subnormal_span_chart():
+    # _bounds leaves a column that spans one subnormal unpadded
+    svg = svgplot.line_chart([("s", (0.0, 1.0), (0.0, 5e-324))], "tiny", "t", "y")
     _parse(svg)
     assert "NaN" not in svg and "inf" not in svg
 
