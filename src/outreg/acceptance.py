@@ -40,11 +40,12 @@ from .scenario import ScenarioConfig, with_overrides
 from .simulate import DivergenceError, metrics, run
 from .closed_forms import closed_form_ahat1, closed_form_ahat2, closed_form_chi1, closed_form_chi2
 
-_P = DuffingParams()
-_M1 = (10.0, 18.0, 15.0, 6.0)
-_M2 = (1.0, 5.0, 13.0, 22.0, 26.0, 22.0, 13.0, 5.0)
-_CFG1 = MappingConfig(2, _M1, 0.1, (False, True))
-_CFG2 = MappingConfig(4, _M2, 0.1, (False, True, False, True))
+# the stock benchmark point, as ScenarioConfig() defines it
+_STOCK = ScenarioConfig()
+_P = DuffingParams(_STOCK.c1, _STOCK.c2, _STOCK.c3, _STOCK.sigma)
+_M1, _M2 = _STOCK.m1, _STOCK.m2
+_CFG1 = MappingConfig(2, _M1, _STOCK.epsilon, _STOCK.mask1)
+_CFG2 = MappingConfig(4, _M2, _STOCK.epsilon, _STOCK.mask2)
 
 
 def _duffing_pairs():
@@ -270,7 +271,7 @@ def criterion_5(seed, ctx):
 def _default_run(ctx, mode):
     key = "run-" + mode
     if key not in ctx:
-        cfg = with_overrides(ScenarioConfig(), mode=mode)
+        cfg = with_overrides(_STOCK, mode=mode)
         try:
             log = run(cfg)
             ctx[key] = (cfg, log, None)
@@ -328,7 +329,6 @@ def criterion_8(seed, ctx):
 
 
 def criterion_9(seed, ctx):
-    base = ScenarioConfig()
     diverged = 0
     worst = 0.0
     worst_at = None
@@ -336,7 +336,7 @@ def criterion_9(seed, ctx):
     for sg in (0.1, 0.5, 1.0, 2.0):
         for c2 in (-2.0, 0.0, 2.0):
             total += 1
-            cfg = with_overrides(base, sigma=sg, c2=c2)
+            cfg = with_overrides(_STOCK, sigma=sg, c2=c2)
             try:
                 log = run(cfg)
             except DivergenceError:

@@ -21,6 +21,14 @@ from .internal_model import InternalModelSpec
 from .linalg import ShapeError, mat_vec
 from .mapping import MappingConfig, chi
 
+# The highest power a gain polynomial may have.  The kernels evaluate rho
+# and k by Horner four times per RK4 step, so a step costs time linear in
+# the degree: raising both gains from degree 4 to 64 made a pure-python step
+# 1.6-1.8 times as long (steady orbit, 5,000 steps, CPython 3.11 on a 2-CPU
+# Linux machine), so scenario.MAX_STEPS still bounds a run's time.
+# The stock gains have degree 4.
+MAX_GAIN_DEGREE = 64
+
 _TERM_RE = re.compile(r"^([0-9]+(?:\.[0-9]*)?|\.[0-9]+)?(?:/([0-9]+(?:\.[0-9]*)?))?(\*?s(?:\^([0-9]+))?)?$")
 
 
@@ -74,7 +82,11 @@ class Polynomial:
             elif power is None:
                 deg = 1
             else:
-                deg = int(power)
+                # int() refuses very long digit strings: count the digits first
+                deg = int(power) if len(power.lstrip("0")) < 10 else MAX_GAIN_DEGREE + 1
+            if deg > MAX_GAIN_DEGREE:
+                raise GainSyntaxError("term %r has degree above %d in gain expression %r"
+                                      % (piece, MAX_GAIN_DEGREE, text))
             degree_to_coeff[deg] = degree_to_coeff.get(deg, 0.0) + sign * coeff
         top = max(degree_to_coeff)
         return cls([degree_to_coeff.get(d, 0.0) for d in range(top + 1)])
@@ -142,10 +154,6 @@ class GainConfig:
             warnings.warn("cannot prove k(s) >= 1 for all s: %r" % self.k.format(), stacklevel=2)
         if self.k0 < 1.0:
             warnings.warn("k0 = %g is below the k0 >= 1 design bound" % self.k0, stacklevel=2)
-
-    @classmethod
-    def from_text(cls, rho: str, k: str, k0: float) -> "GainConfig":
-        return cls(rho=Polynomial.parse(rho), k=Polynomial.parse(k), k0=k0)
 
 
 def zeta(x2: float, eta1, e: float, gains: GainConfig, map1: MappingConfig) -> float:

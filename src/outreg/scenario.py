@@ -3,34 +3,15 @@
 One assignment per line, dotted keys group related settings, `#` starts a
 comment, blank lines are ignored.  Vector values are comma-separated
 numbers; gain expressions are polynomial text (see controller.Polynomial).
-Every key is optional: an empty file is the stock benchmark scenario.
+Every key is optional: an empty file is the stock benchmark scenario, and
+scenarios/default.scn spells out every key at its default (a test pins it
+to ScenarioConfig() and to the key table _KEYS below).
 Unknown keys are hard errors, as are non-finite numbers, non-Hurwitz filter
 coefficients, nonpositive step/horizon/epsilon, a horizon that rounds to
-zero steps, more than MAX_STEPS steps or MAX_RECORDS records, and wrong
-vector lengths;
-parse errors carry their line number.  Benchmark-box range checks (plant
+zero steps, more than MAX_STEPS steps or MAX_RECORDS records, wrong vector
+lengths and gains above controller.MAX_GAIN_DEGREE; parse errors carry their
+line number and are listed in line order.  Benchmark-box range checks (plant
 coefficients, sigma) and unprovable gain lower bounds only warn.
-
-Keys and defaults:
-
-    plant.c1 = -2          plant.c2 = 1.5         plant.c3 = 0.5
-    plant.sigma = 0.5
-    init.x = 1, -1         init.v = 1, 1
-    init.eta1 = 0, 0, 0, 0
-    init.eta2 = 0, 0, 0, 0, 0, 0, 0, 0
-    init.khat = 0
-    model.m1 = 10, 18, 15, 6
-    model.m2 = 1, 5, 13, 22, 26, 22, 13, 5
-    mapping.epsilon = 0.1
-    mapping.mask1 = 0, 1
-    mapping.mask2 = 0, 1, 0, 1
-    gains.rho = 10 + 4*s^4
-    gains.k = 1 + s^2
-    gains.k0 = 1
-    sim.h = 0.001          sim.t_end = 100        sim.stride = 10
-    sim.disturbance_amp = 0
-    sim.disturbance_freq = 0
-    mode = nonadaptive     # nonadaptive | adaptive | open_loop
 """
 
 from __future__ import annotations
@@ -38,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .controller import GainConfig, GainSyntaxError, Polynomial
+from .controller import GainConfig, Polynomial
 from .duffing import DuffingParams
 from .internal_model import NotHurwitzError, hurwitz_pair
 
@@ -74,18 +55,6 @@ class ScenarioError(ValueError):
         return (type(self), (self.violations,))
 
 
-# scenario key -> ScenarioConfig field, for the numeric settings
-_FLOAT_KEYS = (("plant.c1", "c1"), ("plant.c2", "c2"), ("plant.c3", "c3"),
-               ("plant.sigma", "sigma"), ("init.khat", "khat0"),
-               ("mapping.epsilon", "epsilon"), ("gains.k0", "k0"),
-               ("sim.h", "h"), ("sim.t_end", "t_end"),
-               ("sim.disturbance_amp", "disturbance_amp"),
-               ("sim.disturbance_freq", "disturbance_freq"))
-_VECTOR_KEYS = (("init.x", "x0", 2), ("init.v", "v0", 2),
-                ("init.eta1", "eta1_0", 4), ("init.eta2", "eta2_0", 8),
-                ("model.m1", "m1", 4), ("model.m2", "m2", 8))
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     c1: float = -2.0
@@ -117,124 +86,130 @@ class ScenarioConfig:
         return int(round(self.t_end / self.h))
 
 
-def _parse_floats(text, count, key, errors):
-    parts = [p.strip() for p in text.split(",")]
-    try:
-        vals = tuple(float(p) for p in parts)
-    except ValueError:
-        errors.append("%s: not a number list: %r" % (key, text))
-        return None
-    if not all(math.isfinite(v) for v in vals):
-        errors.append("%s: values must be finite, got %r" % (key, text))
-        return None
-    if len(vals) != count:
-        errors.append("%s: expected %d values, got %d" % (key, count, len(vals)))
-        return None
-    return vals
+# A parser turns a value's text into a field value or raises ValueError
+# whose message follows "line N: key: " in the error.
 
-
-def _parse_mask(text, count, key, errors):
-    parts = [p.strip().lower() for p in text.split(",")]
-    vals = []
-    for p in parts:
-        if p in ("0", "false", "no"):
-            vals.append(False)
-        elif p in ("1", "true", "yes"):
-            vals.append(True)
-        else:
-            errors.append("%s: mask entries must be 0/1, got %r" % (key, p))
-            return None
-    if len(vals) != count:
-        errors.append("%s: expected %d entries, got %d" % (key, count, len(vals)))
-        return None
-    return tuple(vals)
-
-
-def _parse_float(text, key, errors):
+def _float(text):
     try:
         val = float(text)
     except ValueError:
-        errors.append("%s: not a number: %r" % (key, text))
-        return None
+        raise ValueError("not a number: %r" % text) from None
     if not math.isfinite(val):
-        errors.append("%s: must be finite, got %r" % (key, text))
-        return None
+        raise ValueError("must be finite, got %r" % text)
     return val
 
 
-def _parse_int(text, key, errors):
+def _floats(count):
+    def parse(text):
+        try:
+            vals = tuple(float(p) for p in text.split(","))
+        except ValueError:
+            raise ValueError("not a number list: %r" % text) from None
+        if not all(map(math.isfinite, vals)):
+            raise ValueError("values must be finite, got %r" % text)
+        if len(vals) != count:
+            raise ValueError("expected %d values, got %d" % (count, len(vals)))
+        return vals
+    return parse
+
+
+_MASK_WORDS = {"0": False, "false": False, "no": False,
+               "1": True, "true": True, "yes": True}
+
+
+def _mask(count):
+    def parse(text):
+        vals = []
+        for p in text.split(","):
+            p = p.strip().lower()
+            if p not in _MASK_WORDS:
+                raise ValueError("mask entries must be 0/1, got %r" % p)
+            vals.append(_MASK_WORDS[p])
+        if len(vals) != count:
+            raise ValueError("expected %d entries, got %d" % (count, len(vals)))
+        return tuple(vals)
+    return parse
+
+
+def _int(text):
     try:
         return int(text)
     except ValueError:
-        errors.append("%s: not an integer: %r" % (key, text))
-        return None
+        raise ValueError("not an integer: %r" % text) from None
 
 
-def _parse_gain(text, key, errors):
-    try:
-        return Polynomial.parse(text)
-    except GainSyntaxError as exc:
-        errors.append("%s: %s" % (key, exc))
-        return None
+def _mode(text):
+    if text not in MODES:
+        raise ValueError("must be one of %s, got %r" % ("/".join(MODES), text))
+    return text
+
+
+def _fmt_floats(vals):
+    return ", ".join(map(repr, vals))
+
+
+def _fmt_mask(mask):
+    return ", ".join("1" if v else "0" for v in mask)
+
+
+# The scenario grammar, in serialize() order: key, ScenarioConfig field,
+# parser, formatter.  validate() checks that the fields formatted by repr
+# (floats) and _fmt_floats (float vectors) are finite, since overrides and
+# hand-built configs never pass through the parsers.
+_KEYS = (
+    ("plant.c1", "c1", _float, repr),
+    ("plant.c2", "c2", _float, repr),
+    ("plant.c3", "c3", _float, repr),
+    ("plant.sigma", "sigma", _float, repr),
+    ("init.x", "x0", _floats(2), _fmt_floats),
+    ("init.v", "v0", _floats(2), _fmt_floats),
+    ("init.eta1", "eta1_0", _floats(4), _fmt_floats),
+    ("init.eta2", "eta2_0", _floats(8), _fmt_floats),
+    ("init.khat", "khat0", _float, repr),
+    ("model.m1", "m1", _floats(4), _fmt_floats),
+    ("model.m2", "m2", _floats(8), _fmt_floats),
+    ("mapping.epsilon", "epsilon", _float, repr),
+    ("mapping.mask1", "mask1", _mask(2), _fmt_mask),
+    ("mapping.mask2", "mask2", _mask(4), _fmt_mask),
+    ("gains.rho", "rho", Polynomial.parse, Polynomial.format),
+    ("gains.k", "k", Polynomial.parse, Polynomial.format),
+    ("gains.k0", "k0", _float, repr),
+    ("sim.h", "h", _float, repr),
+    ("sim.t_end", "t_end", _float, repr),
+    ("sim.stride", "stride", _int, "%d".__mod__),
+    ("sim.disturbance_amp", "disturbance_amp", _float, repr),
+    ("sim.disturbance_freq", "disturbance_freq", _float, repr),
+    ("mode", "mode", _mode, str),
+)
+_PARSERS = {key: (name, parse) for key, name, parse, _ in _KEYS}
 
 
 def loads(text: str) -> ScenarioConfig:
-    """Parse scenario text; ScenarioError lists every problem at once."""
+    """Parse scenario text; ScenarioError lists every problem at once, in
+    line order."""
     errors = []
-    seen = {}
+    seen = set()
+    kw = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            errors.append("line %d: expected key = value, got %r" % (lineno, raw.strip()))
-            continue
-        key, _, val = line.partition("=")
+        key, eq, val = line.partition("=")
         key = key.strip()
-        val = val.strip()
-        if key in seen:
+        if not eq:
+            errors.append("line %d: expected key = value, got %r" % (lineno, raw.strip()))
+        elif key in seen:
             errors.append("line %d: duplicate key %r" % (lineno, key))
-            continue
-        seen[key] = (lineno, val)
-
-    kw = {}
-
-    def take(key, parse, *args):
-        if key in seen:
-            lineno, val = seen.pop(key)
-            out = parse(val, *args, "line %d: %s" % (lineno, key), errors)
-            if out is not None:
-                return out
-        return None
-
-    for key, name in _FLOAT_KEYS:
-        out = take(key, _parse_float)
-        if out is not None:
-            kw[name] = out
-    for key, name, count in _VECTOR_KEYS:
-        out = take(key, _parse_floats, count)
-        if out is not None:
-            kw[name] = out
-    for key, name, count in (("mapping.mask1", "mask1", 2), ("mapping.mask2", "mask2", 4)):
-        out = take(key, _parse_mask, count)
-        if out is not None:
-            kw[name] = out
-    for key, name in (("gains.rho", "rho"), ("gains.k", "k")):
-        out = take(key, _parse_gain)
-        if out is not None:
-            kw[name] = out
-    out = take("sim.stride", _parse_int)
-    if out is not None:
-        kw["stride"] = out
-    if "mode" in seen:
-        lineno, val = seen.pop("mode")
-        if val in MODES:
-            kw["mode"] = val
+        elif key not in _PARSERS:
+            seen.add(key)
+            errors.append("line %d: unknown key %r" % (lineno, key))
         else:
-            errors.append("line %d: mode must be one of %s, got %r"
-                          % (lineno, "/".join(MODES), val))
-    for key, (lineno, _) in sorted(seen.items(), key=lambda kv: kv[1][0]):
-        errors.append("line %d: unknown key %r" % (lineno, key))
+            seen.add(key)
+            name, parse = _PARSERS[key]
+            try:
+                kw[name] = parse(val.strip())
+            except ValueError as exc:
+                errors.append("line %d: %s: %s" % (lineno, key, exc))
     if errors:
         raise ScenarioError(errors)
     cfg = ScenarioConfig(**kw)
@@ -251,14 +226,12 @@ def validate(cfg: ScenarioConfig):
     since every other check assumes finite values.
     """
     errors = []
-    for key, name in _FLOAT_KEYS:
+    for key, name, _, fmt in _KEYS:
         val = getattr(cfg, name)
-        if not math.isfinite(val):
+        if fmt is repr and not math.isfinite(val):
             errors.append("%s: must be finite, got %r" % (key, val))
-    for key, name, _ in _VECTOR_KEYS:
-        vals = getattr(cfg, name)
-        if not all(math.isfinite(v) for v in vals):
-            errors.append("%s: values must be finite, got %r" % (key, vals))
+        elif fmt is _fmt_floats and not all(map(math.isfinite, val)):
+            errors.append("%s: values must be finite, got %r" % (key, val))
     if errors:
         raise ScenarioError(errors)
     if not cfg.h > 0.0:
@@ -271,8 +244,10 @@ def validate(cfg: ScenarioConfig):
         errors.extend(_run_length_errors(cfg))
     if not cfg.epsilon > 0.0:
         errors.append("mapping.epsilon: must be > 0, got %r" % (cfg.epsilon,))
-    if cfg.mode not in MODES:
-        errors.append("mode: must be one of %s, got %r" % ("/".join(MODES), cfg.mode))
+    try:
+        _mode(cfg.mode)
+    except ValueError as exc:
+        errors.append("mode: %s" % exc)
     for name, m, label in (("model.m1", cfg.m1, "M1"), ("model.m2", cfg.m2, "M2")):
         try:
             hurwitz_pair(m)
@@ -318,32 +293,8 @@ def load_scenario(path) -> ScenarioConfig:
 
 def serialize(cfg: ScenarioConfig) -> str:
     """Canonical text form; loads(serialize(cfg)) == cfg."""
-    lines = [
-        "plant.c1 = %r" % cfg.c1,
-        "plant.c2 = %r" % cfg.c2,
-        "plant.c3 = %r" % cfg.c3,
-        "plant.sigma = %r" % cfg.sigma,
-        "init.x = %s" % ", ".join("%r" % v for v in cfg.x0),
-        "init.v = %s" % ", ".join("%r" % v for v in cfg.v0),
-        "init.eta1 = %s" % ", ".join("%r" % v for v in cfg.eta1_0),
-        "init.eta2 = %s" % ", ".join("%r" % v for v in cfg.eta2_0),
-        "init.khat = %r" % cfg.khat0,
-        "model.m1 = %s" % ", ".join("%r" % v for v in cfg.m1),
-        "model.m2 = %s" % ", ".join("%r" % v for v in cfg.m2),
-        "mapping.epsilon = %r" % cfg.epsilon,
-        "mapping.mask1 = %s" % ", ".join("1" if v else "0" for v in cfg.mask1),
-        "mapping.mask2 = %s" % ", ".join("1" if v else "0" for v in cfg.mask2),
-        "gains.rho = %s" % cfg.rho.format(),
-        "gains.k = %s" % cfg.k.format(),
-        "gains.k0 = %r" % cfg.k0,
-        "sim.h = %r" % cfg.h,
-        "sim.t_end = %r" % cfg.t_end,
-        "sim.stride = %d" % cfg.stride,
-        "sim.disturbance_amp = %r" % cfg.disturbance_amp,
-        "sim.disturbance_freq = %r" % cfg.disturbance_freq,
-        "mode = %s" % cfg.mode,
-    ]
-    return "\n".join(lines) + "\n"
+    return "".join("%s = %s\n" % (key, fmt(getattr(cfg, name)))
+                   for key, name, _, fmt in _KEYS)
 
 
 def with_overrides(cfg: ScenarioConfig, **kw) -> ScenarioConfig:

@@ -109,33 +109,29 @@ def _kernel_args(cfg: ScenarioConfig, mode: str):
             _MODE_CODES[mode], cfg.disturbance_amp, cfg.disturbance_freq)
 
 
-def run(cfg: ScenarioConfig, mode: str | None = None) -> SimLog:
+def run(cfg: ScenarioConfig) -> SimLog:
     """Integrate the scenario from t = 0 to t_end; returns the SimLog.
 
-    mode overrides cfg.mode when given.  Raises DivergenceError (with the
-    partial log attached) if the state blows up before t_end.
+    Raises DivergenceError (with the partial log attached) if the state
+    blows up before t_end.
     """
-    mode = cfg.mode if mode is None else mode
-    if mode not in _MODE_CODES:
-        raise ValueError("mode must be one of %s" % "/".join(_MODE_CODES))
     y0 = [*cfg.x0, *cfg.v0, *cfg.eta1_0, *cfg.eta2_0, cfg.khat0]
     records, diverged_at, _ = run_closed_loop(
-        y0, cfg.h, cfg.n_steps, cfg.stride, *_kernel_args(cfg, mode))
+        y0, cfg.h, cfg.n_steps, cfg.stride, *_kernel_args(cfg, cfg.mode))
     log = SimLog(records)
     if diverged_at >= 0.0:
         raise DivergenceError(diverged_at, log)
     return log
 
 
-def metrics(log: SimLog, cfg: ScenarioConfig, settle_threshold: float = 1e-2,
-            diverged_at: float | None = None) -> dict:
+def metrics(log: SimLog, cfg: ScenarioConfig, diverged_at: float | None = None) -> dict:
     """Quantities the acceptance thresholds talk about, as a flat dict.
 
     Trailing-window statistics cover t >= 0.8 * t_end; they are None when
     the log ends earlier (a diverged run).  Estimation errors compare the
     logged estimates against the exosystem targets sigma^2, 9 sigma^4 and
     10 sigma^2.  Settling time is the first logged t after which |e| never
-    exceeds settle_threshold.
+    exceeds 1e-2.
     """
     if not len(log):
         raise ValueError("empty log")
@@ -166,7 +162,7 @@ def metrics(log: SimLog, cfg: ScenarioConfig, settle_threshold: float = 1e-2,
         out["trailing_err_a23"] = None
     settle = None
     for i in range(len(e) - 1, -1, -1):
-        if abs(e[i]) > settle_threshold:
+        if abs(e[i]) > 1e-2:
             settle = t[i + 1] if i + 1 < len(t) else None
             break
         settle = t[i]

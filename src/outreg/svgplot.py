@@ -53,13 +53,17 @@ def _nice_ticks(lo: float, hi: float, target: int = 6):
 
 
 def _bounds(vals):
-    lo = min(vals)
-    hi = max(vals)
-    if lo == hi:
-        pad = abs(lo) * 0.1 or 1.0
-        return lo - pad, hi + pad
-    pad = (hi - lo) * 0.05
-    return lo - pad, hi + pad
+    """(lo, hi, scale): the range of vals times scale, padded by 5% of the
+    span (10% of the value, or 1, for a constant).  scale is 1, or 1/4 when
+    the padded span would overflow a double, so every coordinate computed
+    from scaled values stays finite."""
+    for scale in (1.0, 0.25):
+        lo = min(vals) * scale
+        hi = max(vals) * scale
+        pad = (hi - lo) * 0.05 if lo != hi else abs(lo) * 0.1 or 1.0
+        if not math.isinf((hi + pad) - (lo - pad)):
+            break
+    return lo - pad, hi + pad, scale
 
 
 def _thin(xs, ys):
@@ -85,16 +89,16 @@ def line_chart(series, title: str, xlabel: str, ylabel: str) -> str:
             raise ValueError("series %r: x/y length mismatch" % label)
         if not xs:
             raise ValueError("series %r is empty" % label)
-    xlo, xhi = _bounds([x for _, xs, _ in series for x in xs])
-    ylo, yhi = _bounds([y for _, _, ys in series for y in ys])
+    xlo, xhi, sx = _bounds([x for _, xs, _ in series for x in xs])
+    ylo, yhi, sy = _bounds([y for _, _, ys in series for y in ys])
     pw = _W - _ML - _MR
     ph = _H - _MT - _MB
 
     def px(x):
-        return _ML + (x - xlo) / (xhi - xlo) * pw
+        return _ML + (x * sx - xlo) / (xhi - xlo) * pw
 
     def py(y):
-        return _MT + ph - (y - ylo) / (yhi - ylo) * ph
+        return _MT + ph - (y * sy - ylo) / (yhi - ylo) * ph
 
     out = []
     out.append('<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
@@ -103,16 +107,16 @@ def line_chart(series, title: str, xlabel: str, ylabel: str) -> str:
     out.append('<rect width="%d" height="%d" fill="#ffffff"/>' % (_W, _H))
     out.append('<text x="%d" y="20" font-size="15" fill="#222">%s</text>' % (_ML, title))
     # gridlines and ticks
-    for tx in _nice_ticks(xlo, xhi):
-        if tx < xlo or tx > xhi:
+    for tx in _nice_ticks(xlo / sx, xhi / sx):
+        if not xlo <= tx * sx <= xhi:
             continue
         X = _fmt(px(tx))
         out.append('<line x1="%s" y1="%d" x2="%s" y2="%d" stroke="#dddddd"/>'
                    % (X, _MT, X, _MT + ph))
         out.append('<text x="%s" y="%d" font-size="11" fill="#444" '
                    'text-anchor="middle">%s</text>' % (X, _MT + ph + 16, _fmt(tx)))
-    for ty in _nice_ticks(ylo, yhi):
-        if ty < ylo or ty > yhi:
+    for ty in _nice_ticks(ylo / sy, yhi / sy):
+        if not ylo <= ty * sy <= yhi:
             continue
         Y = _fmt(py(ty))
         out.append('<line x1="%d" y1="%s" x2="%d" y2="%s" stroke="#dddddd"/>'
@@ -126,8 +130,8 @@ def line_chart(series, title: str, xlabel: str, ylabel: str) -> str:
     # series; px(x) and py(y) inlined, one format op per vertex
     for idx, (label, xs, ys) in enumerate(series):
         xs, ys = _thin(xs, ys)
-        pts = " ".join(["%.6g,%.6g" % (_ML + (x - xlo) / (xhi - xlo) * pw,
-                                       _MT + ph - (y - ylo) / (yhi - ylo) * ph)
+        pts = " ".join(["%.6g,%.6g" % (_ML + (x * sx - xlo) / (xhi - xlo) * pw,
+                                       _MT + ph - (y * sy - ylo) / (yhi - ylo) * ph)
                         for x, y in zip(xs, ys)])
         out.append('<polyline points="%s" fill="none" stroke="%s" '
                    'stroke-width="1.4"/>' % (pts, _COLORS[idx % len(_COLORS)]))

@@ -19,7 +19,7 @@ M1 = (10.0, 18.0, 15.0, 6.0)
 M2 = (1.0, 5.0, 13.0, 22.0, 26.0, 22.0, 13.0, 5.0)
 CFG1 = MappingConfig(n=2, m=M1, epsilon=0.1, zero_mask=(False, True))
 CFG2 = MappingConfig(n=4, m=M2, epsilon=0.1, zero_mask=(False, True, False, True))
-GAINS = GainConfig.from_text("10 + 4*s^4", "1 + s^2", 1.0)
+GAINS = GainConfig(Polynomial.parse("10 + 4*s^4"), Polynomial.parse("1 + s^2"), 1.0)
 
 
 def test_polynomial_parse_benchmark_gains():
@@ -77,17 +77,17 @@ def test_polynomial_horner_matches_direct_sum():
 
 def test_gain_config_warns_on_unprovable_bounds():
     with pytest.warns(UserWarning, match="rho"):
-        GainConfig.from_text("s^2", "1 + s^2", 1.0)  # constant 0 < 1
+        GainConfig(Polynomial.parse("s^2"), Polynomial.parse("1 + s^2"), 1.0)  # constant 0 < 1
     with pytest.warns(UserWarning, match="k\\(s\\)"):
-        GainConfig.from_text("10", "1 + s", 1.0)  # odd power
+        GainConfig(Polynomial.parse("10"), Polynomial.parse("1 + s"), 1.0)  # odd power
     with pytest.warns(UserWarning, match="k0"):
-        GainConfig.from_text("10", "1 + s^2", 0.5)
+        GainConfig(Polynomial.parse("10"), Polynomial.parse("1 + s^2"), 0.5)
     # benchmark gains are provable: no warning
     import warnings as _w
 
     with _w.catch_warnings():
         _w.simplefilter("error")
-        GainConfig.from_text("10 + 4*s^4", "1 + s^2", 1.0)
+        GainConfig(Polynomial.parse("10 + 4*s^4"), Polynomial.parse("1 + s^2"), 1.0)
 
 
 def test_zeta_examples():

@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from outreg.controller import Polynomial
+from outreg.controller import MAX_GAIN_DEGREE, GainSyntaxError, Polynomial
 from outreg.scenario import (
     MAX_RECORDS,
     MAX_STEPS,
@@ -63,6 +63,56 @@ def test_round_trip_modified():
         mode="adaptive",
     )
     assert loads(serialize(cfg)) == cfg
+
+
+def test_serialize_defaults_pinned():
+    # the canonical text of the stock scenario, byte for byte
+    assert serialize(ScenarioConfig()) == (
+        "plant.c1 = -2.0\n"
+        "plant.c2 = 1.5\n"
+        "plant.c3 = 0.5\n"
+        "plant.sigma = 0.5\n"
+        "init.x = 1.0, -1.0\n"
+        "init.v = 1.0, 1.0\n"
+        "init.eta1 = 0.0, 0.0, 0.0, 0.0\n"
+        "init.eta2 = 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0\n"
+        "init.khat = 0.0\n"
+        "model.m1 = 10.0, 18.0, 15.0, 6.0\n"
+        "model.m2 = 1.0, 5.0, 13.0, 22.0, 26.0, 22.0, 13.0, 5.0\n"
+        "mapping.epsilon = 0.1\n"
+        "mapping.mask1 = 0, 1\n"
+        "mapping.mask2 = 0, 1, 0, 1\n"
+        "gains.rho = 10 + 4*s^4\n"
+        "gains.k = 1 + s^2\n"
+        "gains.k0 = 1.0\n"
+        "sim.h = 0.001\n"
+        "sim.t_end = 100.0\n"
+        "sim.stride = 10\n"
+        "sim.disturbance_amp = 0.0\n"
+        "sim.disturbance_freq = 0.0\n"
+        "mode = nonadaptive\n")
+
+
+def test_default_file_is_every_key_at_its_default():
+    path = os.path.join(os.path.dirname(__file__), "..", "scenarios", "default.scn")
+    assert load_scenario(path) == ScenarioConfig()
+    with open(path, encoding="utf-8") as fh:
+        keys = [ln.split("=")[0].strip() for ln in fh
+                if ln.split("#")[0].strip()]
+    # serialize writes every key of the grammar once, in table order
+    assert keys == [ln.split(" = ")[0] for ln in serialize(ScenarioConfig()).splitlines()]
+
+
+def test_errors_listed_in_line_order():
+    with pytest.raises(ScenarioError) as info:
+        loads("plant.c9 = 1\nsim.h = fast\nsim.h = 1\njunk\nmode = turbo\n")
+    assert info.value.violations == (
+        "line 1: unknown key 'plant.c9'",
+        "line 2: sim.h: not a number: 'fast'",
+        "line 3: duplicate key 'sim.h'",
+        "line 4: expected key = value, got 'junk'",
+        "line 5: mode: must be one of nonadaptive/adaptive/open_loop, got 'turbo'",
+    )
 
 
 def test_unknown_key_rejected():
@@ -168,6 +218,17 @@ def test_range_checks_warn_only():
 def test_gain_syntax_error_is_config_error():
     with pytest.raises(ScenarioError, match="gains.rho"):
         loads("gains.rho = 10 + 4*x^4\n")
+
+
+def test_gain_degree_capped_at_parse_time():
+    assert loads("gains.rho = 10 + s^%d\n" % MAX_GAIN_DEGREE).rho.coeffs[-1] == 1.0
+    # each would otherwise build a coefficient list that long before the run
+    for power in (str(MAX_GAIN_DEGREE + 1), "1000000", "1000000000", "1" + "0" * 5000):
+        with pytest.raises(ScenarioError, match=r"^line 2: gains.rho: term '\+s\^%s' has "
+                           r"degree above %d" % (power, MAX_GAIN_DEGREE)):
+            loads("plant.c1 = -1\ngains.rho = 10 + s^%s\n" % power)
+    with pytest.raises(GainSyntaxError, match="degree above"):
+        Polynomial.parse("1 + s^0000000065")
 
 
 def test_load_scenario_reads_file(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -76,6 +77,17 @@ def test_one_subnormal_span_chart():
     svg = svgplot.line_chart([("s", (0.0, 1.0), (0.0, 5e-324))], "tiny", "t", "y")
     _parse(svg)
     assert "NaN" not in svg and "inf" not in svg
+
+
+def test_overflowing_span_chart():
+    # hi - lo overflows a double, so _bounds scales the column down
+    svg = svgplot.line_chart([("s", (0.0, 1.0), (-1e308, 1e308))], "huge", "t", "y")
+    line = _parse(svg).find("{http://www.w3.org/2000/svg}polyline")
+    assert not re.search(r"\b(nan|inf)\b", svg, re.IGNORECASE)
+    # both vertices land inside the plot frame
+    for point in line.get("points").split():
+        x, y = map(float, point.split(","))
+        assert 64 <= x <= 744 and 34 <= y <= 394
 
 
 def test_empty_series_rejected():
