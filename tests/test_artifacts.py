@@ -1,14 +1,16 @@
-"""Pin the bytes of every file `outreg run` writes.
+"""Pin the bytes of every file `outreg run` and `outreg sweep` write.
 
 Two short runs from the steady start: an adaptive one at stride 1 (the dense
 log, four plots) and a nonadaptive one at stride 10.  Each artifact is
 hashed as written; metrics.json is hashed without its "backend" line, the
-only byte that depends on which kernel twin ran.  Any change to the record
-path, the CSV or SVG formatting or the metrics that moves one byte fails
-here.
+only byte that depends on which kernel twin ran.  One short sweep over a
+scalar and a vector axis pins summary.csv.  Any change to the record path,
+the CSV or SVG formatting, the metrics or the grid parser that moves one
+byte fails here.
 """
 
 import hashlib
+import os
 
 import pytest
 
@@ -57,3 +59,15 @@ def test_run_artifacts_pinned(tmp_path, steady_cfg, case):
                             if not ln.startswith(b'  "backend": '))
         got[path.name] = _sha(data)
     assert got == DIGESTS[case]
+
+
+SWEEP_SUMMARY_DIGEST = "6dc385fd90697b40c4da1b824e97b733cb03f3e300ae85e7751313370ea48ecb"
+
+
+def test_sweep_summary_pinned(tmp_path):
+    scn = os.path.join(os.path.dirname(__file__), "..", "scenarios", "steady_start.scn")
+    out = tmp_path / "sw"
+    # half the points escape within the horizon, so the sweep exits 3
+    assert main(["sweep", "--scenario", scn, "--tend", "1", "--jobs", "1",
+                 "--grid", "sigma=0.5,1;c2=0,2;x0=1:0.5,1:0", "--out", str(out)]) == 3
+    assert _sha((out / "summary.csv").read_bytes()) == SWEEP_SUMMARY_DIGEST
