@@ -67,10 +67,9 @@ static double chi_est(const double *h, int n, const double *m, double eps,
      * when r + c is odd.  d<ab>_<cd> is the 2x2 minor ha * hb - hc * hd;
      * each is computed once and shared by every cofactor that expands into
      * it (the products commute bit for bit, so the sharing changes no
-     * value).  Row 0 always feeds det; a column's other three cofactors,
-     * and the minors only they read, are computed only if the mask keeps
-     * its estimate.  The (3, 0) and (0, 3) minors are the same Hankel block
-     * of h1..h5, so c30 is c03. */
+     * value).  Row 0 always feeds det; a column's other three cofactors
+     * are computed only if the mask keeps its estimate.  The (3, 0) and
+     * (0, 3) minors are the same Hankel block of h1..h5, so c30 is c03. */
     double h0 = h[0], h1 = h[1], h2 = h[2], h3 = h[3];
     double h4 = h[4], h5 = h[5], h6 = h[6], h7 = h[7];
     double d46_55 = h4 * h6 - h5 * h5;
@@ -79,21 +78,12 @@ static double chi_est(const double *h, int n, const double *m, double eps,
     double d26_35 = h2 * h6 - h3 * h5;
     double d25_34 = h2 * h5 - h3 * h4;
     double d24_33 = h2 * h4 - h3 * h3;
-    /* zeroed only so the compiler sees them assigned: a column the mask
-     * drops never reads them, and each is set below when a kept one does */
-    double d26_44 = 0.0, d16_34 = 0.0, d15_24 = 0.0, d15_33 = 0.0, d14_23 = 0.0, d13_22 = 0.0;
-    if (!(mask[0] && mask[2]))
-        d26_44 = h2 * h6 - h4 * h4;
-    if (!(mask[1] && mask[2])) {
-        d16_34 = h1 * h6 - h3 * h4;
-        d15_24 = h1 * h5 - h2 * h4;
-    }
-    if (!(mask[1] && mask[3]))
-        d15_33 = h1 * h5 - h3 * h3;
-    if (!(mask[1] && mask[2] && mask[3]))
-        d14_23 = h1 * h4 - h2 * h3;
-    if (!(mask[2] && mask[3]))
-        d13_22 = h1 * h3 - h2 * h2;
+    double d26_44 = h2 * h6 - h4 * h4;
+    double d16_34 = h1 * h6 - h3 * h4;
+    double d15_24 = h1 * h5 - h2 * h4;
+    double d15_33 = h1 * h5 - h3 * h3;
+    double d14_23 = h1 * h4 - h2 * h3;
+    double d13_22 = h1 * h3 - h2 * h2;
     double c00 = h2 * d46_55 - h3 * d36_45 + h4 * d35_44;
     double c01 = -(h1 * d46_55 - h3 * d26_35 + h4 * d25_34);
     double c02 = h1 * d36_45 - h2 * d26_35 + h4 * d24_33;

@@ -6,7 +6,7 @@ bit-identical records on either backend (the parity tests compare floats for
 exact equality).  When editing one, edit the other to match, expression by
 expression.  Both are straight-line and mask-aware: each Hankel cofactor is
 written out over named 2x2 minors, each minor computed once, and a cofactor
-or minor that only masked coefficient estimates read is never computed.
+that only masked coefficient estimates read is never computed.
 
 Only the plumbing differs.  Here run_closed_loop binds every parameter once
 per run into one vector field (see _field) that takes the state as 17 scalars,
@@ -108,13 +108,6 @@ def _hankel4(m, mask, eps2):
     the filter state (h0, ..., h7) returning (chi, det, a0, a1, a2, a3)."""
     m = tuple(m)
     skip0, skip1, skip2, skip3 = mask
-    # keep<cols>: the mask keeps one of these columns, so the minors that
-    # only their cofactors read are needed
-    keep02 = not (skip0 and skip2)
-    keep12 = not (skip1 and skip2)
-    keep13 = not (skip1 and skip3)
-    keep23 = not (skip2 and skip3)
-    keep123 = not (skip1 and skip2 and skip3)
 
     def est(h0, h1, h2, h3, h4, h5, h6, h7):
         # Hankel rows (h0..h3), (h1..h4), (h2..h5), (h3..h6) with b = (h4..h7).
@@ -123,27 +116,21 @@ def _hankel4(m, mask, eps2):
         # r + c is odd.  d<ab>_<cd> is the 2x2 minor ha * hb - hc * hd; each
         # is computed once and shared by every cofactor that expands into it
         # (the products commute bit for bit, so the sharing changes no value).
-        # Row 0 always feeds det; a column's other three cofactors, and the
-        # minors only they read, are computed only if the mask keeps its
-        # estimate.  The (3, 0) and (0, 3) minors are the same Hankel block
-        # of h1..h5, so c30 is c03.
+        # Row 0 always feeds det; a column's other three cofactors are
+        # computed only if the mask keeps its estimate.  The (3, 0) and
+        # (0, 3) minors are the same Hankel block of h1..h5, so c30 is c03.
         d46_55 = h4 * h6 - h5 * h5
         d36_45 = h3 * h6 - h4 * h5
         d35_44 = h3 * h5 - h4 * h4
         d26_35 = h2 * h6 - h3 * h5
         d25_34 = h2 * h5 - h3 * h4
         d24_33 = h2 * h4 - h3 * h3
-        if keep02:
-            d26_44 = h2 * h6 - h4 * h4
-        if keep12:
-            d16_34 = h1 * h6 - h3 * h4
-            d15_24 = h1 * h5 - h2 * h4
-        if keep13:
-            d15_33 = h1 * h5 - h3 * h3
-        if keep123:
-            d14_23 = h1 * h4 - h2 * h3
-        if keep23:
-            d13_22 = h1 * h3 - h2 * h2
+        d26_44 = h2 * h6 - h4 * h4
+        d16_34 = h1 * h6 - h3 * h4
+        d15_24 = h1 * h5 - h2 * h4
+        d15_33 = h1 * h5 - h3 * h3
+        d14_23 = h1 * h4 - h2 * h3
+        d13_22 = h1 * h3 - h2 * h2
         c00 = h2 * d46_55 - h3 * d36_45 + h4 * d35_44
         c01 = -(h1 * d46_55 - h3 * d26_35 + h4 * d25_34)
         c02 = h1 * d36_45 - h2 * d26_35 + h4 * d24_33

@@ -7,7 +7,8 @@
 
 `run` writes log.csv, metrics.json and three SVG plots (four in adaptive
 mode) into --out.  `sweep` writes one summary.csv row per grid point; rows
-appear in grid order regardless of worker completion order.  `check`
+appear in grid order regardless of worker completion order; its axes are the
+numeric ScenarioConfig fields, a vector's components joined by ':'.  `check`
 executes the acceptance suite and prints one PASS/FAIL line per criterion.
 
 Exit codes: 0 success, 2 config or grid error, 3 divergence (also: any
@@ -25,13 +26,8 @@ import sys
 from itertools import product, repeat
 
 from . import svgplot
-from .scenario import (
-    MODES,
-    ScenarioConfig,
-    ScenarioError,
-    load_scenario,
-    with_overrides,
-)
+from .scenario import (_KEYS, MODES, ScenarioConfig, ScenarioError, _fmt_floats, _number,
+                       load_scenario, with_overrides)
 from .simulate import DivergenceError, SimLog, metrics, run
 
 EXIT_OK = 0
@@ -39,7 +35,10 @@ EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_IO = 4
 
-GRID_KEYS = ("c1", "c2", "c3", "sigma", "x0", "v0")
+# sweep axes in file order: each field whose _KEYS row holds one float (None)
+# or a vector of floats (its length)
+_AXES = {name: None if fmt is repr else len(getattr(ScenarioConfig(), name))
+         for _, name, _, fmt in _KEYS if fmt in (repr, _fmt_floats)}
 
 _SUMMARY_METRICS = ("diverged", "diverged_at", "trailing_sup_e",
                     "trailing_err_a11", "trailing_err_a21",
@@ -105,7 +104,6 @@ def cmd_run(args) -> int:
 def parse_grid(spec: str):
     """'sigma=0.1,0.5;x0=1:-1,0:0' -> ordered [(name, [values])]."""
     axes = []
-    names = set()
     for part in (spec or "").split(";"):
         part = part.strip()
         if not part:
@@ -114,30 +112,22 @@ def parse_grid(spec: str):
         name = name.strip()
         if not eq:
             raise GridError("grid axis %r has no values" % part)
-        if name not in GRID_KEYS:
-            raise GridError("unknown grid key %r (allowed: %s)"
-                            % (name, ", ".join(GRID_KEYS)))
-        if name in names:
+        if name not in _AXES:
+            raise GridError("unknown grid key %r (allowed: %s)" % (name, ", ".join(_AXES)))
+        if name in dict(axes):
             raise GridError("duplicate grid key %r" % name)
-        names.add(name)
+        length = _AXES[name]
         items = []
         for tok in vals.split(","):
-            tok = tok.strip()
-            if not tok:
-                raise GridError("%s: empty value" % name)
             try:
-                if name in ("x0", "v0"):
-                    a, sep, b = tok.partition(":")
-                    if not sep:
-                        raise ValueError
-                    items.append((float(a), float(b)))
-                else:
-                    items.append(float(tok))
+                # no finiteness check: validate names the scenario key
+                point = tuple(map(_number, tok.strip().split(":")))
             except ValueError:
-                raise GridError("%s: bad value %r%s"
-                                % (name, tok,
-                                   " (vector axes use a:b pairs)"
-                                   if name in ("x0", "v0") else ""))
+                point = ()
+            if len(point) != (length or 1):
+                hint = "" if length is None else " (%d numbers joined by ':')" % length
+                raise GridError("%s: bad value %r%s" % (name, tok.strip(), hint))
+            items.append(point if length else point[0])
         axes.append((name, items))
     if not axes:
         raise GridError("no grid points")
@@ -241,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("sweep", help="run a parameter grid, write summary.csv")
     common(ps)
     ps.add_argument("--grid", required=True,
-                    help="e.g. 'sigma=0.1,0.5,1,2;c2=-2,0,2'; x0/v0 take a:b pairs")
+                    help="e.g. 'sigma=0.1,0.5,1,2;c2=-2,0,2'; axes are the numeric "
+                         "scenario fields, vectors as a:b:...")
     ps.add_argument("--jobs", type=int,
                     help="worker processes, >= 1, at most one per grid point "
                          "(default: up to 4)")

@@ -6,12 +6,14 @@ replaces k0 by an integrated gain k_hat with k_hat' = k(zeta) zeta^2 >= 0.
 The two filters run eta1' = M1 eta1 + N1 x2 and eta2' = M2 eta2 + N2 u.
 
 Gain shapes rho and k are restricted polynomials parsed from text such as
-"10 + 4*s^4"; coefficients may be decimals or rationals like 3/2, no
-scientific notation.  No saturation or rate limiting is applied to u.
+"10 + 4*s^4"; coefficients are finite decimals or rationals like 3/2 with
+nonzero denominators, no scientific notation.  No saturation or rate
+limiting is applied to u.
 """
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
 from dataclasses import dataclass
@@ -76,7 +78,9 @@ class Polynomial:
                 raise GainSyntaxError("bad term %r in gain expression %r" % (piece, text))
             coeff = float(num) if num is not None else 1.0
             if den is not None:
-                coeff = coeff / float(den)
+                # a denominator of 0, or one such as 0.000...1 that rounds to
+                # 0.0, gives nan, which the finiteness check below rejects
+                coeff = coeff / float(den) if float(den) else math.nan
             if svar is None:
                 deg = 0
             elif power is None:
@@ -88,6 +92,9 @@ class Polynomial:
                 raise GainSyntaxError("term %r has degree above %d in gain expression %r"
                                       % (piece, MAX_GAIN_DEGREE, text))
             degree_to_coeff[deg] = degree_to_coeff.get(deg, 0.0) + sign * coeff
+        if not all(map(math.isfinite, degree_to_coeff.values())):
+            raise GainSyntaxError("gain expression %r has a zero denominator or a "
+                                  "coefficient that is not finite" % text)
         top = max(degree_to_coeff)
         return cls([degree_to_coeff.get(d, 0.0) for d in range(top + 1)])
 

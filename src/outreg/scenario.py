@@ -1,8 +1,9 @@
 """Scenario configuration: a flat key = value text format.
 
 One assignment per line, dotted keys group related settings, `#` starts a
-comment, blank lines are ignored.  Vector values are comma-separated
-numbers; gain expressions are polynomial text (see controller.Polynomial).
+comment, blank lines are ignored.  Numbers are ASCII without '_'; vector
+values are comma-separated numbers; gain expressions are polynomial text
+(see controller.Polynomial).
 Every key is optional: an empty file is the stock benchmark scenario, and
 scenarios/default.scn spells out every key at its default (a test pins it
 to ScenarioConfig() and to the key table _KEYS below).
@@ -89,9 +90,17 @@ class ScenarioConfig:
 # A parser turns a value's text into a field value or raises ValueError
 # whose message follows "line N: key: " in the error.
 
+def _number(text, kind=float):
+    # kind(text) for ASCII text without '_' only: float() and int() also read
+    # other scripts' digits and '_' digit separators
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return kind(text)
+
+
 def _float(text):
     try:
-        val = float(text)
+        val = _number(text)
     except ValueError:
         raise ValueError("not a number: %r" % text) from None
     if not math.isfinite(val):
@@ -102,7 +111,7 @@ def _float(text):
 def _floats(count):
     def parse(text):
         try:
-            vals = tuple(float(p) for p in text.split(","))
+            vals = tuple(map(_number, text.split(",")))
         except ValueError:
             raise ValueError("not a number list: %r" % text) from None
         if not all(map(math.isfinite, vals)):
@@ -133,7 +142,7 @@ def _mask(count):
 
 def _int(text):
     try:
-        return int(text)
+        return _number(text, int)
     except ValueError:
         raise ValueError("not an integer: %r" % text) from None
 
@@ -154,8 +163,9 @@ def _fmt_mask(mask):
 
 # The scenario grammar, in serialize() order: key, ScenarioConfig field,
 # parser, formatter.  validate() checks that the fields formatted by repr
-# (floats) and _fmt_floats (float vectors) are finite, since overrides and
-# hand-built configs never pass through the parsers.
+# (floats), _fmt_floats (float vectors) and Polynomial.format are finite,
+# since overrides and hand-built configs never pass through the parsers.
+# The float and float-vector fields are cli.parse_grid's sweep axes.
 _KEYS = (
     ("plant.c1", "c1", _float, repr),
     ("plant.c2", "c2", _float, repr),
@@ -232,6 +242,8 @@ def validate(cfg: ScenarioConfig):
             errors.append("%s: must be finite, got %r" % (key, val))
         elif fmt is _fmt_floats and not all(map(math.isfinite, val)):
             errors.append("%s: values must be finite, got %r" % (key, val))
+        elif fmt is Polynomial.format and not all(map(math.isfinite, val.coeffs)):
+            errors.append("%s: coefficients must be finite, got %r" % (key, val.coeffs))
     if errors:
         raise ScenarioError(errors)
     if not cfg.h > 0.0:

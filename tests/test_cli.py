@@ -117,6 +117,57 @@ def test_parse_grid():
             parse_grid(bad)
 
 
+def test_parse_grid_axes_are_the_numeric_scenario_fields():
+    assert parse_grid("k0=1,10;epsilon=0.1;m2=1:5:13:22:26:22:13:5") == [
+        ("k0", [1.0, 10.0]), ("epsilon", [0.1]),
+        ("m2", [(1.0, 5.0, 13.0, 22.0, 26.0, 22.0, 13.0, 5.0)])]
+    # masks, gains, the stride and the mode are no axes
+    for key in ("mask1", "rho", "k", "stride", "mode"):
+        with pytest.raises(GridError, match="unknown grid key %r" % key):
+            parse_grid("%s=1" % key)
+
+
+@pytest.mark.parametrize("spec", ["x0=1:2:3", "m1=10:18:15", "eta2_0=0:0", "sigma=1:2"])
+def test_parse_grid_rejects_wrong_vector_length(spec):
+    with pytest.raises(GridError, match="bad value"):
+        parse_grid(spec)
+
+
+@pytest.mark.parametrize("spec", ["sigma=1_0", "sigma=0.5,\u0661", "x0=1:\u0663",
+                                  "k0=0.\u0665"])
+def test_parse_grid_numbers_are_ascii_decimals(spec):
+    # float() would read these as 10, 1, 3 and 0.5
+    with pytest.raises(GridError, match="bad value"):
+        parse_grid(spec)
+
+
+@pytest.mark.parametrize("grid", ["k0=1,10", "epsilon=0.1,0.3",
+                                  "disturbance_amp=0,0.01;disturbance_freq=7",
+                                  "m1=10:18:15:6"])
+def test_sweep_new_axes_run_one_row_per_point(tmp_path, grid):
+    scn = os.path.join(os.path.dirname(__file__), "..", "scenarios", "steady_start.scn")
+    out = tmp_path / "sw"
+    assert main(["sweep", "--scenario", scn, "--tend", "0.5", "--jobs", "1",
+                 "--grid", grid, "--out", str(out)]) == 0
+    lines = (out / "summary.csv").read_text().splitlines()
+    axes = parse_grid(grid)
+    assert lines[0].split(",")[:len(axes) + 1] == [n for n, _ in axes] + ["diverged"]
+    points = 1
+    for _, vals in axes:
+        points *= len(vals)
+    assert len(lines) == 1 + points
+    # each point's value reached its run: no two rows report the same metrics
+    if points > 1:
+        assert len({l.split(",", len(axes))[-1] for l in lines[1:]}) == points
+
+
+def test_sweep_non_finite_vector_value_is_config_error(tmp_path, capsys):
+    out = str(tmp_path / "sw")
+    assert main(["sweep", "--grid", "x0=1:inf", "--out", out, "--jobs", "1"]) == 2
+    assert capsys.readouterr().err == ("config error:\ninit.x: values must be finite, "
+                                       "got (1.0, inf)\n")
+
+
 def test_sweep_rows_follow_grid_order(tmp_path, steady_cfg):
     # open-loop runs stay bounded for these parameters, so the whole grid
     # completes and the summary preserves the order the axes were given in
@@ -268,6 +319,15 @@ def test_runs_with_numpy_blocked(tmp_path):
                          capture_output=True, text=True)
     assert out.returncode == 2, out.stderr
     assert "M1 not Hurwitz" in out.stderr
+
+
+def test_run_zero_gain_denominator_exits_2(tmp_path, capsys):
+    scn = tmp_path / "bad.scn"
+    scn.write_text("plant.sigma = 0.5\ngains.rho = 10 + 1/0*s^4\n")
+    assert main(["run", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:\nline 2: gains.rho: gain expression ")
+    assert "zero denominator" in err
 
 
 def test_sweep_empty_grid_exits_2(tmp_path, capsys):

@@ -47,6 +47,13 @@ def test_polynomial_parse_rejects_bad_syntax():
             Polynomial.parse(bad)
 
 
+def test_polynomial_parse_rejects_zero_denominator_and_non_finite():
+    for bad in ("1/0", "s + 3/0.0*s^2", "1/0." + "0" * 400 + "1", "9" * 400,
+                "9" * 308 + " - " + "9" * 309):
+        with pytest.raises(GainSyntaxError, match="zero denominator or a coefficient"):
+            Polynomial.parse(bad)
+
+
 def test_polynomial_format_round_trip():
     rng = random.Random(57)
     cases = [

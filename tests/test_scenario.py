@@ -140,6 +140,21 @@ def test_non_finite_numbers_rejected(line):
         loads("plant.c1 = -1\n" + line + "\n")
 
 
+@pytest.mark.parametrize("line, err", [
+    ("plant.c2 = 1_5", "not a number: '1_5'"),
+    ("gains.k0 = 1_0", "not a number: '1_0'"),
+    ("sim.stride = \u0661\u0660", "not an integer: '\u0661\u0660'"),
+    ("init.x = 1, \u0663", "not a number list: '1, \u0663'"),
+    ("plant.sigma = 0.\u0665", "not a number: '0.\u0665'"),
+])
+def test_numbers_are_ascii_decimals(line, err):
+    # float() and int() would read these as 15, 10, 10, (1, 3) and 0.5
+    key = line.split(" =")[0]
+    with pytest.raises(ScenarioError) as info:
+        loads("plant.c1 = -1\n" + line + "\n")
+    assert info.value.violations == ("line 2: %s: %s" % (key, err),)
+
+
 def test_wrong_vector_length():
     with pytest.raises(ScenarioError, match="expected 4 values"):
         loads("model.m1 = 1, 2, 3\n")
@@ -231,6 +246,19 @@ def test_gain_degree_capped_at_parse_time():
         Polynomial.parse("1 + s^0000000065")
 
 
+@pytest.mark.parametrize("expr", ["1/0", "10 + 4/0*s^4", "1/0." + "0" * 400 + "1",
+                                  "9" * 400, "9" * 308 + " + " + "9" * 308,
+                                  "1/0." + "0" * 320 + "1"],
+                         ids=["1/0", "4/0", "den-underflows", "inf-term", "sum-overflows",
+                              "quotient-overflows"])
+def test_gain_zero_denominator_and_non_finite_coefficient_rejected(expr):
+    # each once raised ZeroDivisionError or parsed to an inf coefficient
+    # that serialize wrote and loads then refused
+    with pytest.raises(ScenarioError, match=r"^line 2: gains.rho: gain expression .* has a "
+                       "zero denominator or a coefficient that is not finite$"):
+        loads("plant.c1 = -1\ngains.rho = %s\n" % expr)
+
+
 def test_load_scenario_reads_file(tmp_path):
     p = tmp_path / "s.scn"
     p.write_text("plant.sigma = 2.0\nmode = adaptive\n")
@@ -259,7 +287,9 @@ def test_with_overrides_revalidates():
 @pytest.mark.parametrize("over, key", [({"sigma": float("nan")}, "plant.sigma"),
                                        ({"t_end": float("inf")}, "sim.t_end"),
                                        ({"h": float("-inf")}, "sim.h"),
-                                       ({"x0": (float("nan"), 0.0)}, "init.x")])
+                                       ({"x0": (float("nan"), 0.0)}, "init.x"),
+                                       ({"rho": Polynomial((1.0, float("inf")))}, "gains.rho"),
+                                       ({"k": Polynomial((float("nan"),))}, "gains.k")])
 def test_with_overrides_rejects_non_finite(over, key):
     with pytest.raises(ScenarioError, match="^%s: .*finite" % key) as info:
         with_overrides(ScenarioConfig(), **over)
