@@ -50,20 +50,10 @@ class GridError(ValueError):
 
 
 def _load_cfg(args) -> ScenarioConfig:
-    if args.scenario:
-        cfg = load_scenario(args.scenario)
-    else:
-        cfg = ScenarioConfig()
-    over = {}
-    if getattr(args, "mode", None):
-        over["mode"] = args.mode
-    if getattr(args, "step", None) is not None:
-        over["h"] = args.step
-    if getattr(args, "tend", None) is not None:
-        over["t_end"] = args.tend
-    if over:
-        cfg = with_overrides(cfg, **over)
-    return cfg
+    cfg = load_scenario(args.scenario) if args.scenario else ScenarioConfig()
+    over = {name: val for name, val in (("mode", args.mode), ("h", args.step),
+                                        ("t_end", args.tend)) if val is not None}
+    return with_overrides(cfg, **over) if over else cfg
 
 
 def _write(path: str, text: str):
@@ -165,6 +155,12 @@ def cmd_sweep(args) -> int:
     base = _load_cfg(args)
     axes = parse_grid(args.grid)
     points = list(_grid_points(axes))
+    for point in points:  # reject a bad point before any point runs
+        try:
+            with_overrides(base, **point)
+        except ScenarioError as exc:
+            where = ", ".join("%s=%s" % (n, _summary_cell(v)) for n, v in point.items())
+            raise ScenarioError("grid point %s: %s" % (where, v) for v in exc.violations) from None
     if args.jobs is None:
         jobs = min(4, os.cpu_count() or 1)
     elif args.jobs < 1:

@@ -7,6 +7,8 @@ values are comma-separated numbers; gain expressions are polynomial text
 Every key is optional: an empty file is the stock benchmark scenario, and
 scenarios/default.scn spells out every key at its default (a test pins it
 to ScenarioConfig() and to the key table _KEYS below).
+`init = steady` is no field: loads sets init.x, init.eta1 and init.eta2 on
+the file's steady orbit (steady_start) once, and overrides keep that start.
 Unknown keys are hard errors, as are non-finite numbers, non-Hurwitz filter
 coefficients, nonpositive step/horizon/epsilon, a horizon that rounds to
 zero steps, more than MAX_STEPS steps or MAX_RECORDS records, wrong vector
@@ -21,7 +23,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .controller import GainConfig, Polynomial
-from .duffing import DuffingParams
+from .duffing import DuffingParams, regulator_solution, steady_state_theta
 from .internal_model import NotHurwitzError, hurwitz_pair
 
 # in kernel order: simulate passes each mode's index here as its mode code
@@ -197,34 +199,58 @@ _PARSERS = {key: (name, parse) for key, name, parse, _ in _KEYS}
 def loads(text: str) -> ScenarioConfig:
     """Parse scenario text; ScenarioError lists every problem at once, in
     line order."""
-    errors = []
-    seen = set()
+    errors = []  # (line, message)
+    lines = {}  # key -> its line
     kw = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, eq, val = line.partition("=")
-        key = key.strip()
+        key, val = key.strip(), val.strip()
         if not eq:
-            errors.append("line %d: expected key = value, got %r" % (lineno, raw.strip()))
-        elif key in seen:
-            errors.append("line %d: duplicate key %r" % (lineno, key))
-        elif key not in _PARSERS:
-            seen.add(key)
-            errors.append("line %d: unknown key %r" % (lineno, key))
+            errors.append((lineno, "expected key = value, got %r" % raw.strip()))
+        elif key in lines:
+            errors.append((lineno, "duplicate key %r" % key))
         else:
-            seen.add(key)
-            name, parse = _PARSERS[key]
-            try:
-                kw[name] = parse(val.strip())
-            except ValueError as exc:
-                errors.append("line %d: %s: %s" % (lineno, key, exc))
+            lines[key] = lineno
+            if key == "init":
+                if val != "steady":
+                    errors.append((lineno, "init: must be steady, got %r" % val))
+            elif key not in _PARSERS:
+                errors.append((lineno, "unknown key %r" % key))
+            else:
+                name, parse = _PARSERS[key]
+                try:
+                    kw[name] = parse(val)
+                except ValueError as exc:
+                    errors.append((lineno, "%s: %s" % (key, exc)))
+    if "init" in lines:
+        errors += [(lines[k], "%s: not allowed with init = steady (line %d)" % (k, lines["init"]))
+                   for k in ("init.x", "init.eta1", "init.eta2") if k in lines]
     if errors:
-        raise ScenarioError(errors)
-    cfg = ScenarioConfig(**kw)
-    validate(cfg)
+        raise ScenarioError("line %d: %s" % err for err in sorted(errors))
+    cfg = validate(ScenarioConfig(**kw))
+    if "init" in lines:
+        try:
+            cfg = steady_start(cfg)
+        except ValueError as exc:
+            raise ScenarioError(["line %d: init: %s" % (lines["init"], exc)]) from None
     return cfg
+
+
+def steady_start(cfg: ScenarioConfig) -> ScenarioConfig:
+    """cfg (valid) started on its steady orbit at v0: the plant on the
+    regulator-equation solution, each filter at theta = Q xi(v0).  ValueError
+    when Q cannot be formed or a derived value is not finite.  cfg stands in
+    for the DuffingParams the formulas read, whose box warnings validate gave."""
+    out = replace(cfg, x0=regulator_solution(cfg.v0, cfg)[:2],
+                  eta1_0=steady_state_theta(cfg.v0, cfg, 1, hurwitz_pair(cfg.m1)),
+                  eta2_0=steady_state_theta(cfg.v0, cfg, 2, hurwitz_pair(cfg.m2)))
+    errors = _non_finite(out)
+    if errors:
+        raise ValueError("derived " + "; ".join(errors))
+    return out
 
 
 def validate(cfg: ScenarioConfig):
@@ -235,15 +261,7 @@ def validate(cfg: ScenarioConfig):
     and hand-built configs can carry them) are reported first and alone,
     since every other check assumes finite values.
     """
-    errors = []
-    for key, name, _, fmt in _KEYS:
-        val = getattr(cfg, name)
-        if fmt is repr and not math.isfinite(val):
-            errors.append("%s: must be finite, got %r" % (key, val))
-        elif fmt is _fmt_floats and not all(map(math.isfinite, val)):
-            errors.append("%s: values must be finite, got %r" % (key, val))
-        elif fmt is Polynomial.format and not all(map(math.isfinite, val.coeffs)):
-            errors.append("%s: coefficients must be finite, got %r" % (key, val.coeffs))
+    errors = _non_finite(cfg)
     if errors:
         raise ScenarioError(errors)
     if not cfg.h > 0.0:
@@ -276,6 +294,19 @@ def validate(cfg: ScenarioConfig):
     # gain bound warnings piggyback on GainConfig construction
     GainConfig(rho=cfg.rho, k=cfg.k, k0=cfg.k0)
     return cfg
+
+
+def _non_finite(cfg: ScenarioConfig) -> list:
+    errors = []
+    for key, name, _, fmt in _KEYS:
+        val = getattr(cfg, name)
+        if fmt is repr and not math.isfinite(val):
+            errors.append("%s: must be finite, got %r" % (key, val))
+        elif fmt is _fmt_floats and not all(map(math.isfinite, val)):
+            errors.append("%s: values must be finite, got %r" % (key, val))
+        elif fmt is Polynomial.format and not all(map(math.isfinite, val.coeffs)):
+            errors.append("%s: coefficients must be finite, got %r" % (key, val.coeffs))
+    return errors
 
 
 def _run_length_errors(cfg: ScenarioConfig) -> list:
@@ -311,7 +342,5 @@ def serialize(cfg: ScenarioConfig) -> str:
 
 def with_overrides(cfg: ScenarioConfig, **kw) -> ScenarioConfig:
     """replace() plus re-validation; used by sweeps and CLI flags."""
-    out = replace(cfg, **kw)
-    validate(out)
-    return out
+    return validate(replace(cfg, **kw))
 

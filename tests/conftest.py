@@ -9,9 +9,16 @@ from pathlib import Path
 import pytest
 
 import outreg
-from outreg.duffing import DuffingParams, regulator_solution, steady_state_theta
-from outreg.internal_model import hurwitz_pair
-from outreg.scenario import ScenarioConfig, with_overrides
+from outreg.scenario import ScenarioConfig, steady_start
+
+# the stock benchmark started on its steady orbit (`init = steady`)
+STEADY_SCN = os.path.join(os.path.dirname(__file__), "..", "scenarios", "steady_start.scn")
+
+
+def y0(cfg):
+    """The kernel's 17-entry initial state of cfg, as simulate.run packs it."""
+    return [*cfg.x0, *cfg.v0, *cfg.eta1_0, *cfg.eta2_0, cfg.khat0]
+
 
 @pytest.fixture
 def steady_cfg():
@@ -19,12 +26,7 @@ def steady_cfg():
     regulator-equation solution, filters at theta = Q xi(v(0)).  From here
     the loop has nothing to learn and the error stays at integration-noise
     level, which makes a clean regression scenario (see tests that use it)."""
-    cfg = ScenarioConfig()
-    p = DuffingParams(cfg.c1, cfg.c2, cfg.c3, cfg.sigma)
-    return with_overrides(
-        cfg, x0=regulator_solution(cfg.v0, p)[:2],
-        eta1_0=steady_state_theta(cfg.v0, p, 1, hurwitz_pair(cfg.m1)),
-        eta2_0=steady_state_theta(cfg.v0, p, 2, hurwitz_pair(cfg.m2)))
+    return steady_start(ScenarioConfig())
 
 
 @pytest.fixture(scope="session")

@@ -10,9 +10,9 @@ byte fails here.
 """
 
 import hashlib
-import os
 
 import pytest
+from conftest import STEADY_SCN
 
 from outreg.cli import main
 from outreg.scenario import serialize, with_overrides
@@ -65,9 +65,8 @@ SWEEP_SUMMARY_DIGEST = "6dc385fd90697b40c4da1b824e97b733cb03f3e300ae85e775131337
 
 
 def test_sweep_summary_pinned(tmp_path):
-    scn = os.path.join(os.path.dirname(__file__), "..", "scenarios", "steady_start.scn")
     out = tmp_path / "sw"
     # half the points escape within the horizon, so the sweep exits 3
-    assert main(["sweep", "--scenario", scn, "--tend", "1", "--jobs", "1",
+    assert main(["sweep", "--scenario", STEADY_SCN, "--tend", "1", "--jobs", "1",
                  "--grid", "sigma=0.5,1;c2=0,2;x0=1:0.5,1:0", "--out", str(out)]) == 3
     assert _sha((out / "summary.csv").read_bytes()) == SWEEP_SUMMARY_DIGEST

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import pytest
+from conftest import y0
 
 from outreg import _kernel_py
 from outreg.linalg import determinant
@@ -17,10 +18,6 @@ def kern(request):
     if request.param == "python":
         return _kernel_py
     return request.getfixturevalue("ckernel")
-
-
-def _y0(cfg):
-    return [*cfg.x0, *cfg.v0, *cfg.eta1_0, *cfg.eta2_0, cfg.khat0]
 
 
 def _args(cfg, y0, n_steps, stride, mode=0):
@@ -49,7 +46,7 @@ def _canonical_bytes(records):
 
 
 def test_twins_bit_identical_steady(ckernel, steady_cfg):
-    args = _args(steady_cfg, _y0(steady_cfg), 2000, 10)
+    args = _args(steady_cfg, y0(steady_cfg), 2000, 10)
     _assert_identical(_kernel_py.run_closed_loop(*args),
                       ckernel.run_closed_loop(*args))
 
@@ -58,9 +55,9 @@ def test_one_step_calls_chain_into_one_run(kern, steady_cfg):
     # five one-step calls, each with its clock at t0 = i*h, give the rows and
     # final state of one five-step call bit for bit, disturbance phase included
     cfg = with_overrides(steady_cfg, disturbance_amp=0.05, disturbance_freq=7.0)
-    records, _, y_run = kern.run_closed_loop(*_args(cfg, _y0(cfg), 5, 1))
+    records, _, y_run = kern.run_closed_loop(*_args(cfg, y0(cfg), 5, 1))
     rows = []
-    y = _y0(cfg)
+    y = y0(cfg)
     for i in range(5):
         rec, diverged_at, y = kern.run_closed_loop(*_args(cfg, y, 1, 1), i * cfg.h)
         assert diverged_at == -1.0
@@ -81,13 +78,13 @@ def test_twins_bit_identical_divergent(ckernel):
 
 def test_twins_bit_identical_all_modes(ckernel, steady_cfg):
     for mode in (0, 1, 2):
-        args = _args(steady_cfg, _y0(steady_cfg), 1500, 7, mode=mode)
+        args = _args(steady_cfg, y0(steady_cfg), 1500, 7, mode=mode)
         _assert_identical(_kernel_py.run_closed_loop(*args),
                           ckernel.run_closed_loop(*args))
 
 
 def test_twins_bit_identical_with_disturbance(ckernel, steady_cfg):
-    args = _args(steady_cfg, _y0(steady_cfg), 1500, 10)
+    args = _args(steady_cfg, y0(steady_cfg), 1500, 10)
     args = args[:17] + (0.05, 7.0)
     _assert_identical(_kernel_py.run_closed_loop(*args),
                       ckernel.run_closed_loop(*args))
@@ -156,14 +153,14 @@ def test_kernel_aux_matches_module_path(kern, steady_cfg, mask1, mask2):
     cfg1 = MappingConfig(n=2, m=cfg.m1, epsilon=cfg.epsilon, zero_mask=cfg.mask1)
     cfg2 = MappingConfig(n=4, m=cfg.m2, epsilon=cfg.epsilon, zero_mask=cfg.mask2)
     gains = GainConfig(rho=cfg.rho, k=cfg.k, k0=cfg.k0)
-    y0 = _y0(cfg)
-    y0[5] += 0.31  # knock the filters off the invariant set
-    y0[10] -= 0.17
-    records, _, _ = kern.run_closed_loop(*_args(cfg, y0, 1, 1))
+    state = y0(cfg)
+    state[5] += 0.31  # knock the filters off the invariant set
+    state[10] -= 0.17
+    records, _, _ = kern.run_closed_loop(*_args(cfg, state, 1, 1))
     t, x1, x2, e, zv, u, a11, a21, a23, det1, det2, khat = records.tolist()[0]
-    eta1 = y0[4:8]
-    eta2 = y0[8:16]
-    assert e == y0[0] - y0[2]
+    eta1 = state[4:8]
+    eta2 = state[8:16]
+    assert e == state[0] - state[2]
     est1 = estimate_coeffs(eta1, cfg1)
     est2 = estimate_coeffs(eta2, cfg2)
     assert a11 == pytest.approx(est1.a[0], rel=1e-10)
@@ -171,7 +168,7 @@ def test_kernel_aux_matches_module_path(kern, steady_cfg, mask1, mask2):
     assert a23 == pytest.approx(est2.a[2], rel=1e-10)
     assert det1 == pytest.approx(determinant(hankel(eta1)), rel=1e-10)
     assert det2 == pytest.approx(determinant(hankel(eta2)), rel=1e-10)
-    zm = zeta(y0[1], eta1, e, gains, cfg1)
+    zm = zeta(state[1], eta1, e, gains, cfg1)
     assert zv == pytest.approx(zm, rel=1e-10)
     assert u == pytest.approx(control_nonadaptive(zm, eta2, gains, cfg2), rel=1e-10)
 
@@ -233,7 +230,7 @@ def test_records_contract(kern, steady_cfg, n_steps, stride):
     # a row at every stride-th step from step 0 and one after the last step,
     # as one C-contiguous (rows, 12) float64 view
     records, diverged_at, _ = kern.run_closed_loop(
-        *_args(steady_cfg, _y0(steady_cfg), n_steps, stride))
+        *_args(steady_cfg, y0(steady_cfg), n_steps, stride))
     rows = (n_steps - 1) // stride + 2
     assert diverged_at == -1.0
     assert len(records) == rows
@@ -247,7 +244,7 @@ def test_records_contract(kern, steady_cfg, n_steps, stride):
 def test_records_single_row(kern, steady_cfg):
     # n_steps = 0 records only the final row, at t0
     records, diverged_at, _ = kern.run_closed_loop(
-        *(_args(steady_cfg, _y0(steady_cfg), 0, 1) + (0.25,)))
+        *(_args(steady_cfg, y0(steady_cfg), 0, 1) + (0.25,)))
     assert diverged_at == -1.0
     assert records.shape == (1, 12)
     assert records.tolist()[0][0] == 0.25
@@ -264,10 +261,10 @@ def test_records_single_row(kern, steady_cfg):
 def test_twins_same_record_bytes(ckernel, steady_cfg, case):
     # bit for bit, signed zeros included; nans compare by position only
     if case == "steady":
-        args = _args(steady_cfg, _y0(steady_cfg), 1500, 3, mode=1)
+        args = _args(steady_cfg, y0(steady_cfg), 1500, 3, mode=1)
     elif case == "cold":
         cfg = ScenarioConfig()
-        args = _args(cfg, _y0(cfg), cfg.n_steps, 1)
+        args = _args(cfg, y0(cfg), cfg.n_steps, 1)
     else:
         args = _args(ScenarioConfig(), [1e9, 0.0, 1.0, 1.0] + [0.0] * 13, 5, 1)
     rp = _kernel_py.run_closed_loop(*args)[0]
@@ -279,7 +276,7 @@ def test_twins_same_record_bytes(ckernel, steady_cfg, case):
 def test_simlog_of_kernel_records_round_trips(kern, steady_cfg):
     from outreg.simulate import SimLog
 
-    records, _, _ = kern.run_closed_loop(*_args(steady_cfg, _y0(steady_cfg), 300, 1, mode=1))
+    records, _, _ = kern.run_closed_loop(*_args(steady_cfg, y0(steady_cfg), 300, 1, mode=1))
     log = SimLog(records)
     assert len(log) == len(records) == 301
     assert log == SimLog.from_csv(log.to_csv())

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import pytest
+from conftest import STEADY_SCN
 
 from outreg.cli import main, parse_grid, GridError
 from outreg.scenario import ScenarioConfig, serialize, with_overrides
@@ -59,9 +60,8 @@ def test_run_bad_config_exits_2(tmp_path, capsys):
 
 
 def test_run_infinite_tend_exits_2(tmp_path, capsys):
-    scn = os.path.join(os.path.dirname(__file__), "..", "scenarios", "steady_start.scn")
     out = tmp_path / "o"
-    assert main(["run", "--scenario", scn, "--tend", "inf", "--out", str(out)]) == 2
+    assert main(["run", "--scenario", STEADY_SCN, "--tend", "inf", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "config error:\nsim.t_end: must be finite, got inf\n"
     assert not out.exists()
 
@@ -145,9 +145,8 @@ def test_parse_grid_numbers_are_ascii_decimals(spec):
                                   "disturbance_amp=0,0.01;disturbance_freq=7",
                                   "m1=10:18:15:6"])
 def test_sweep_new_axes_run_one_row_per_point(tmp_path, grid):
-    scn = os.path.join(os.path.dirname(__file__), "..", "scenarios", "steady_start.scn")
     out = tmp_path / "sw"
-    assert main(["sweep", "--scenario", scn, "--tend", "0.5", "--jobs", "1",
+    assert main(["sweep", "--scenario", STEADY_SCN, "--tend", "0.5", "--jobs", "1",
                  "--grid", grid, "--out", str(out)]) == 0
     lines = (out / "summary.csv").read_text().splitlines()
     axes = parse_grid(grid)
@@ -164,8 +163,8 @@ def test_sweep_new_axes_run_one_row_per_point(tmp_path, grid):
 def test_sweep_non_finite_vector_value_is_config_error(tmp_path, capsys):
     out = str(tmp_path / "sw")
     assert main(["sweep", "--grid", "x0=1:inf", "--out", out, "--jobs", "1"]) == 2
-    assert capsys.readouterr().err == ("config error:\ninit.x: values must be finite, "
-                                       "got (1.0, inf)\n")
+    assert capsys.readouterr().err == ("config error:\ngrid point x0=1:inf: init.x: values "
+                                       "must be finite, got (1.0, inf)\n")
 
 
 def test_sweep_rows_follow_grid_order(tmp_path, steady_cfg):
@@ -209,12 +208,39 @@ def test_sweep_divergent_point_exits_3(tmp_path, capsys):
 
 
 def test_sweep_worker_config_error_arrives_whole(tmp_path, capsys):
-    # the point is validated in a worker process; its ScenarioError has to
-    # cross the pool with its message intact
-    # (two points: a one-point grid runs in-process)
+    # a parallel sweep (two points: a one-point grid runs in-process) names
+    # the bad point, its message whole, before the pool starts; a worker's
+    # error crossing the pool is test_scenario_error_survives_pickling's case
     out = str(tmp_path / "sw")
     assert main(["sweep", "--grid", "sigma=nan,0.5", "--out", out, "--jobs", "2"]) == 2
-    assert capsys.readouterr().err == "config error:\nplant.sigma: must be finite, got nan\n"
+    assert capsys.readouterr().err == ("config error:\ngrid point sigma=nan: plant.sigma: "
+                                       "must be finite, got nan\n")
+    assert not os.path.exists(out)
+
+
+def test_sweep_rejects_a_bad_point_before_running_any(tmp_path, capsys, monkeypatch):
+    import outreg.cli
+
+    ran = []
+    monkeypatch.setattr(outreg.cli, "run", lambda cfg: ran.append(cfg))
+    out = tmp_path / "sw"
+    assert main(["sweep", "--scenario", STEADY_SCN, "--grid", "t_end=20,1e9", "--jobs", "1",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error:\ngrid point t_end=1000000000: sim: sim.t_end = 1000000000.0 at "
+        "sim.h = 0.001 is 1000000000000 steps, more than 10000000\n")
+    assert ran == []
+    assert not out.exists()
+
+
+def test_run_bad_steady_start_exits_2(tmp_path, capsys):
+    scn = tmp_path / "far.scn"
+    scn.write_text("init.v = 1e200, 1e200\ninit = steady\n")
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(scn), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error:\nline 2: init: derived init.eta2: values must be finite, got (nan, ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("jobs", ["-1", "0"])
@@ -279,12 +305,11 @@ def test_run_imports_neither_numpy_nor_process_pool(tmp_path):
     # import the process pool; a stray module-level import shows here
     import outreg
 
-    scn = os.path.join(os.path.dirname(__file__), "..", "scenarios", "steady_start.scn")
     code = ("import sys\n"
             "from outreg.cli import main\n"
             "assert main(['run', '--scenario', %r, '--tend', '0.05', '--out', %r]) == 0\n"
             "print(sorted(m for m in ('numpy', 'concurrent.futures.process') if m in sys.modules))\n"
-            % (scn, str(tmp_path / "run")))
+            % (STEADY_SCN, str(tmp_path / "run")))
     src = os.path.dirname(os.path.dirname(outreg.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))

@@ -16,6 +16,7 @@ import itertools
 import struct
 
 import pytest
+from conftest import y0
 
 from outreg import _kernel_py
 from outreg.scenario import ScenarioConfig
@@ -42,10 +43,6 @@ DIGESTS = {
     "masks":
         "805b81da753ff44b409ffdf32c072dc98cb88ffff3cf8299edbf5e404891d11f",
 }
-
-
-def _y0(cfg):
-    return [*cfg.x0, *cfg.v0, *cfg.eta1_0, *cfg.eta2_0, cfg.khat0]
 
 
 _QNAN = struct.pack("<Q", 0x7FF8000000000000)
@@ -81,7 +78,7 @@ def _masks(kern, steady_cfg):
     for mask1 in itertools.product((0, 1), repeat=2):
         for mask2 in itertools.product((0, 1), repeat=4):
             args[7:9] = mask1, mask2
-            out = kern.run_closed_loop(_y0(steady_cfg), steady_cfg.h, 20, 1, *args)
+            out = kern.run_closed_loop(y0(steady_cfg), steady_cfg.h, 20, 1, *args)
             h.update(_digest(out).encode())
     return h.hexdigest()
 
@@ -92,10 +89,10 @@ def _case(kern, name, steady_cfg):
         return _run(kern, cfg, [1e9, 0.0, 1.0, 1.0] + [0.0] * 13, 5, 1)
     if name == "cold":
         cfg = ScenarioConfig()
-        return _run(kern, cfg, _y0(cfg), cfg.n_steps, 1)
+        return _run(kern, cfg, y0(cfg), cfg.n_steps, 1)
     if name == "disturbed":
-        return _run(kern, steady_cfg, _y0(steady_cfg), 2000, 1, dist=(0.05, 7.0))
-    return _run(kern, steady_cfg, _y0(steady_cfg), 2000, 1, name)
+        return _run(kern, steady_cfg, y0(steady_cfg), 2000, 1, dist=(0.05, 7.0))
+    return _run(kern, steady_cfg, y0(steady_cfg), 2000, 1, name)
 
 
 @pytest.mark.parametrize("mode", ["nonadaptive", "adaptive", "open_loop"])

@@ -11,6 +11,7 @@ same operations in the same order, so they must agree bit for bit.
 import struct
 
 import pytest
+from conftest import y0
 
 from outreg import _kernel_py
 from outreg.scenario import ScenarioConfig, with_overrides
@@ -73,10 +74,6 @@ def _same(a, b):
     return _bits(a) == _bits(b)
 
 
-def _y0(cfg):
-    return [*cfg.x0, *cfg.v0, *cfg.eta1_0, *cfg.eta2_0, cfg.khat0]
-
-
 def _case(name, steady_cfg):
     """(y0, h, n_steps, stride, *kernel args, t0) of one case."""
     cfg, mode, t0 = steady_cfg, name, 0.0
@@ -92,9 +89,9 @@ def _case(name, steady_cfg):
     args = list(_kernel_args(cfg, mode))
     if name == "disturbed":
         args[-2:] = 0.05, 7.0
-    y0 = _y0(cfg)
-    y0[16] = 0.5  # khat rides along in every mode, and adapts in one
-    return (y0, cfg.h, 200, 3, *args, t0)
+    state = y0(cfg)
+    state[16] = 0.5  # khat rides along in every mode, and adapts in one
+    return (state, cfg.h, 200, 3, *args, t0)
 
 
 @pytest.mark.parametrize("name", ["nonadaptive", "adaptive", "open_loop", "masks",

@@ -13,8 +13,11 @@ from outreg.scenario import (
     load_scenario,
     loads,
     serialize,
+    steady_start,
     with_overrides,
 )
+
+SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
 
 def test_empty_text_gives_defaults():
@@ -94,7 +97,7 @@ def test_serialize_defaults_pinned():
 
 
 def test_default_file_is_every_key_at_its_default():
-    path = os.path.join(os.path.dirname(__file__), "..", "scenarios", "default.scn")
+    path = os.path.join(SCENARIOS, "default.scn")
     assert load_scenario(path) == ScenarioConfig()
     with open(path, encoding="utf-8") as fh:
         keys = [ln.split("=")[0].strip() for ln in fh
@@ -266,14 +269,83 @@ def test_load_scenario_reads_file(tmp_path):
     assert cfg.sigma == 2.0 and cfg.mode == "adaptive"
 
 
-def test_steady_start_file_is_the_derived_start(steady_cfg):
-    # steady_start.scn pastes the start as literals; they must equal the
-    # derivation in conftest.steady_cfg bit for bit
-    cfg = load_scenario(os.path.join(os.path.dirname(__file__), "..", "scenarios",
-                                     "steady_start.scn"))
-    assert cfg.x0 == steady_cfg.x0
-    assert cfg.eta1_0 == steady_cfg.eta1_0
-    assert cfg.eta2_0 == steady_cfg.eta2_0
+def test_init_steady_derives_the_start_at_the_files_own_point():
+    stock = loads("init = steady\n")
+    assert stock == steady_start(ScenarioConfig())
+    assert stock.x0 == (1.0, 0.5) and stock.eta1_0 != (0.0,) * 4
+    # the file's plant and init.v feed the derivation wherever they stand;
+    # init.v and init.khat may sit beside it
+    cfg = loads("init = steady\nplant.sigma = 1\ninit.v = 0.3, -1.2\ninit.khat = 2\n")
+    assert cfg == steady_start(with_overrides(ScenarioConfig(), sigma=1.0, v0=(0.3, -1.2),
+                                              khat0=2.0))
+    assert cfg.x0 == (0.3, -1.2) and cfg.khat0 == 2.0
+
+
+def test_overrides_keep_the_loaded_start():
+    stock = loads("init = steady\n")
+    moved = with_overrides(stock, sigma=1.0)
+    assert moved.x0 == stock.x0 and moved.eta2_0 == stock.eta2_0
+    assert moved.x0 != loads("plant.sigma = 1\ninit = steady\n").x0
+
+
+def test_init_errors_carry_line_numbers():
+    with pytest.raises(ScenarioError) as info:
+        loads("init = cold\n")
+    assert info.value.violations == ("line 1: init: must be steady, got 'cold'",)
+    # both orders, listed in line order among the parse errors
+    with pytest.raises(ScenarioError) as info:
+        loads("init.x = 1, 0\nsim.h = fast\ninit = steady\ninit.v = 1, 1\n"
+              "init.eta2 = 0, 0, 0, 0, 0, 0, 0, 0\ninit = steady\n")
+    assert info.value.violations == (
+        "line 1: init.x: not allowed with init = steady (line 3)",
+        "line 2: sim.h: not a number: 'fast'",
+        "line 5: init.eta2: not allowed with init = steady (line 3)",
+        "line 6: duplicate key 'init'",
+    )
+    with pytest.raises(ScenarioError, match=r"^line 2: init.eta1: not allowed with init = "
+                       r"steady \(line 1\)$"):
+        loads("init = steady\ninit.eta1 = 0, 0, 0, 0\n")
+
+
+def test_non_finite_derived_start_is_a_config_error():
+    # each input is finite, but u_ss = c2*v1^3 overflows to inf, then nan
+    with pytest.raises(ScenarioError, match=r"^line 2: init: derived init.eta2: values must be "
+                       r"finite, got \(nan, ") as info:
+        loads("init.v = 1e200, 1e200\ninit = steady\n")
+    assert len(info.value.violations) == 1
+
+
+def test_singular_q_is_a_config_error(monkeypatch):
+    from outreg import duffing
+    from outreg.linalg import SingularMatrixError
+
+    def singular(a, m):
+        raise SingularMatrixError("numerically singular: pivot ratio 1e+13 exceeds 1e+12")
+
+    monkeypatch.setattr(duffing, "q_matrix", singular)
+    with pytest.raises(ScenarioError) as info:
+        loads("plant.c1 = -1\ninit = steady\n")
+    assert info.value.violations == (
+        "line 2: init: numerically singular: pivot ratio 1e+13 exceeds 1e+12",)
+
+
+def test_init_steady_warns_as_often_as_the_file_without_it():
+    def warned(text):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            loads(text)
+        return [str(w.message) for w in caught]
+
+    assert warned("plant.sigma = 2.5\ninit = steady\n") == warned("plant.sigma = 2.5\n") == [
+        "sigma = 2.5 is outside the benchmark box [0.1, 2]"]
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(SCENARIOS)))
+def test_scenario_files_load_silently_and_round_trip(name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cfg = load_scenario(os.path.join(SCENARIOS, name))
+    assert loads(serialize(cfg)) == cfg
 
 
 def test_with_overrides_revalidates():

@@ -1,8 +1,9 @@
 import pytest
+from conftest import y0
 
 from outreg.backend import run_closed_loop
 from outreg.controller import Polynomial
-from outreg.scenario import ScenarioConfig, with_overrides
+from outreg.scenario import ScenarioConfig, loads, with_overrides
 from outreg.simulate import DivergenceError, SimLog, metrics, run
 
 
@@ -44,6 +45,14 @@ def test_steady_start_estimates_lock(steady_cfg):
     assert m["trailing_err_a11"] <= 1e-4
     assert m["trailing_err_a21"] <= 1e-4
     assert m["trailing_err_a23"] <= 1e-4
+
+
+@pytest.mark.parametrize("line", ["plant.sigma = 1", "plant.sigma = 2", "init.v = 0.3, -1.2"])
+def test_derived_start_holds_off_the_stock_point(line):
+    # init = steady at points whose start nobody wrote down: the loop starts
+    # on the manifold, so the error stays at integration-noise level
+    log = run(loads("init = steady\nsim.t_end = 1\n" + line + "\n"))
+    assert max(map(abs, log.column("e"))) < 1e-9
 
 
 def test_determinism_byte_exact(steady_cfg):
@@ -125,9 +134,8 @@ def test_step_halving_agreement(steady_cfg):
     fine = with_overrides(base, h=5e-4)
 
     def final_state(cfg):
-        y0 = [*cfg.x0, *cfg.v0, *cfg.eta1_0, *cfg.eta2_0, cfg.khat0]
         _, diverged, y = run_closed_loop(
-            y0, cfg.h, cfg.n_steps, cfg.stride, cfg.c1, cfg.c2, cfg.c3,
+            y0(cfg), cfg.h, cfg.n_steps, cfg.stride, cfg.c1, cfg.c2, cfg.c3,
             cfg.sigma, cfg.m1, cfg.m2, cfg.epsilon, cfg.mask1, cfg.mask2,
             cfg.rho.coeffs, cfg.k.coeffs, cfg.k0, 0, 0.0, 0.0)
         assert diverged < 0.0
