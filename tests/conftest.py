@@ -1,14 +1,11 @@
 import importlib.util
 import os
-import shutil
-import subprocess
 import sys
-import sysconfig
-from pathlib import Path
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import pytest
 
-import outreg
+from outreg import backend
 from outreg.scenario import ScenarioConfig, steady_start
 
 # the stock benchmark started on its steady orbit (`init = steady`)
@@ -31,34 +28,33 @@ def steady_cfg():
 
 @pytest.fixture(scope="session")
 def ckernel(tmp_path_factory):
-    """The compiled twin: the installed extension if there is one, else the
-    tracked C source built with gcc.  The built module is loaded privately
-    (not into sys.modules), so the rest of the suite keeps the backend
-    that outreg.backend chose at import."""
+    """The compiled twin, built from the tracked _kernel.c by the package's
+    own recipe (outreg.backend.build) with warnings as errors, to keep the
+    hand-written source clean.  It is loaded privately (not into
+    sys.modules), so the rest of the suite keeps the backend that
+    outreg.backend chose at import, and a run under OUTREG_BACKEND=python
+    still checks twin parity.  A warning fails it; without a compiler or a
+    _kernel.c it is the installed extension."""
+    so = tmp_path_factory.mktemp("kernel") / ("_kernel" + EXTENSION_SUFFIXES[0])
     try:
-        from outreg import _kernel
-
+        backend.build(so, extra_flags=("-Wall", "-Wextra", "-Werror"))
+    except backend.CompileError:
+        raise
+    except backend.BuildError as exc:
+        try:
+            from outreg import _kernel
+        except ImportError:
+            pytest.skip("no outreg._kernel extension and no build: %s" % exc)
         return _kernel
-    except ImportError:
-        pass
-    gcc = shutil.which("gcc")
-    paths = sysconfig.get_paths()
-    if gcc is None or not os.path.exists(os.path.join(paths["include"], "Python.h")):
-        pytest.skip("no outreg._kernel extension and no gcc + Python.h to build one")
-    src = Path(outreg.__file__).with_name("_kernel.c")
-    if not src.exists():
-        pytest.skip("no outreg._kernel extension and no _kernel.c to build one")
-    so = tmp_path_factory.mktemp("kernel") / ("_kernel" + sysconfig.get_config_var("EXT_SUFFIX"))
-    # setup.py's flags (-ffp-contract=off: no FMA contraction), plus warnings
-    # as errors to keep the hand-written source clean
-    cmd = [gcc, "-O3", "-ffp-contract=off", "-Wall", "-Wextra", "-Werror", "-shared",
-           "-fPIC", "-I" + paths["include"], "-I" + paths["platinclude"], str(src),
-           "-o", str(so)]
-    built = subprocess.run(cmd, capture_output=True, text=True)
-    assert built.returncode == 0, built.stderr
-    spec = importlib.util.spec_from_file_location("outreg._kernel", so)
+    name = "outreg._kernel"
+    # the extension's own init registers it over any backend-loaded twin;
+    # put back what was there
+    prev = sys.modules.get(name)
+    spec = importlib.util.spec_from_file_location(name, so)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
-    # the extension's own init registers it; undo that
-    sys.modules.pop("outreg._kernel", None)
+    if prev is None:
+        sys.modules.pop(name, None)
+    else:
+        sys.modules[name] = prev
     return mod

@@ -190,13 +190,9 @@ def test_backend_env_override():
     out = _forced_backend("fortran")
     assert out.returncode != 0
     assert "OUTREG_BACKEND must be 'compiled' or 'python', got 'fortran'" in out.stderr
-    # forcing "compiled" needs the installed extension, not a test build
-    try:
-        from outreg import _kernel  # noqa: F401
-    except ImportError:
-        built = False
-    else:
-        built = True
+    # forcing "compiled" works exactly when the default import finds the
+    # installed extension or builds the twin, whatever this process chose
+    built = _forced_backend("").stdout.strip() == "compiled"
     out = _forced_backend("compiled")
     if built:
         assert out.returncode == 0, out.stderr

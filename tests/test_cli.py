@@ -302,14 +302,20 @@ def test_sweep_one_worker_runs_in_process(tmp_path, steady_cfg, monkeypatch):
 
 def test_run_imports_neither_numpy_nor_process_pool(tmp_path):
     # the package imports no numpy, and only `check` and a parallel sweep
-    # import the process pool; a stray module-level import shows here
+    # import the process pool; a stray module-level import shows here.  A
+    # compiled twin already built (by this process's import) is a cache hit,
+    # which imports no hashlib and none of the build's subprocess or sysconfig
     import outreg
 
+    watched = ["numpy", "concurrent.futures.process"]
+    if outreg.BACKEND == "compiled":
+        watched += ["hashlib", "subprocess", "sysconfig"]
     code = ("import sys\n"
+            "before = set(sys.modules)\n"
             "from outreg.cli import main\n"
             "assert main(['run', '--scenario', %r, '--tend', '0.05', '--out', %r]) == 0\n"
-            "print(sorted(m for m in ('numpy', 'concurrent.futures.process') if m in sys.modules))\n"
-            % (STEADY_SCN, str(tmp_path / "run")))
+            "print(sorted(m for m in %r if m in set(sys.modules) - before))\n"
+            % (STEADY_SCN, str(tmp_path / "run"), watched))
     src = os.path.dirname(os.path.dirname(outreg.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
