@@ -4,12 +4,13 @@ The closed-loop integrator exists twice: a compiled extension and a pure
 Python fallback written to perform identical floating-point work (see
 _kernel_py).  Import prefers the compiled one: an installed outreg._kernel
 extension, else _kernel.c built here on first import into the package's
-__pycache__/, under a name keyed by the source bytes and FLAGS.  Every later
-import loads that file without running the compiler.  Without a C compiler,
-Python.h or a writable __pycache__/, import silently falls back to the
-Python twin.  Set OUTREG_BACKEND=python or OUTREG_BACKEND=compiled to force
-a choice; forcing the compiled backend raises, with the reason, if no
-extension imports or builds.
+__pycache__/, under a name keyed by the source bytes and FLAGS; a build
+removes the builds of other keys.  Every later import loads that file
+without running the compiler.  Without a C compiler, Python.h or a writable
+__pycache__/, import silently falls back to the Python twin.  Set
+OUTREG_BACKEND=python or OUTREG_BACKEND=compiled to force a choice; forcing
+the compiled backend raises, with the reason, if no extension imports or
+builds.
 """
 
 import os
@@ -80,6 +81,20 @@ def build(so_path, extra_flags=()):
         raise
 
 
+def _drop_stale(so_path):
+    """Remove the other keys' builds beside the fresh build so_path: those
+    of older sources or flags.  Temp files are left alone, since a
+    concurrent build may be about to move its own into place."""
+    folder, name = os.path.split(so_path)
+    for other in os.listdir(folder):
+        if (other.startswith("_kernel.") and not other.startswith(name)
+                and not other.endswith(".tmp")):
+            try:
+                os.unlink(os.path.join(folder, other))
+            except OSError:
+                pass
+
+
 def _compiled():
     """The compiled twin: the installed extension, else the one built here."""
     try:
@@ -102,6 +117,7 @@ def _compiled():
                            % (key, importlib.machinery.EXTENSION_SUFFIXES[0]))
     if not os.path.exists(so_path):
         build(so_path)
+        _drop_stale(so_path)
     name = __package__ + "._kernel"
     spec = importlib.util.spec_from_file_location(name, so_path)
     module = importlib.util.module_from_spec(spec)

@@ -6,9 +6,11 @@
     outreg check [--seed N]
 
 `run` writes log.csv, metrics.json and three SVG plots (four in adaptive
-mode) into --out.  `sweep` writes one summary.csv row per grid point; rows
-appear in grid order regardless of worker completion order; its axes are the
-numeric ScenarioConfig fields, a vector's components joined by ':'.  `check`
+mode) into --out.  `sweep` writes one summary.csv row per grid point, in grid
+order; its axes are the numeric ScenarioConfig fields, a vector's components
+joined by ':'.  `sweep --jobs N` runs the grid in N processes, the calling
+one included (never more than there are points): it forks N - 1 children,
+and process k runs the fixed stripe of points k, k + N, k + 2N, ...  `check`
 executes the acceptance suite and prints one PASS/FAIL line per criterion.
 
 Exit codes: 0 success, 2 config or grid error, 3 divergence (also: any
@@ -23,7 +25,7 @@ import argparse
 import json
 import os
 import sys
-from itertools import product, repeat
+from itertools import product
 
 from . import svgplot
 from .scenario import (_KEYS, MODES, ScenarioConfig, ScenarioError, _fmt_floats, _number,
@@ -139,6 +141,74 @@ def _sweep_worker(base: ScenarioConfig, overrides: dict) -> dict:
         return metrics(exc.partial, cfg, diverged_at=exc.time)
 
 
+def _run_stripe(write_fd: int, inherited: list, base: ScenarioConfig, stripe):
+    """A forked child's whole life: close the inherited read ends, run the
+    stripe, send back one pickled (True, reports) or (False, exception)
+    through write_fd, and leave by os._exit, so no caller's code runs on in
+    the child.  An exception that does not pickle leaves with status 1 and
+    writes nothing."""
+    import pickle
+
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        try:
+            got = (True, [_sweep_worker(base, p) for p in stripe])
+        except Exception as exc:
+            got = (False, exc)
+        data = pickle.dumps(got)
+        with open(write_fd, "wb") as fh:
+            fh.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _fan_out(base: ScenarioConfig, points: list, workers: int) -> list:
+    """_sweep_worker over every point in `workers` processes, this one
+    included: it forks workers - 1 children, child k runs points[k::workers]
+    while this process runs points[0::workers], and the reports come back in
+    grid order.  A child's exception is raised here; every child is reaped
+    (killed first if it still runs) before this returns or raises."""
+    import pickle
+    import signal
+
+    pids, fds = [], []  # children not yet reaped, read ends not yet closed
+    try:
+        for k in range(1, workers):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _run_stripe(w, fds + [r], base, points[k::workers])
+            os.close(w)
+            pids.append(pid)
+            fds.append(r)
+        results = [None] * len(points)
+        results[0::workers] = [_sweep_worker(base, p) for p in points[0::workers]]
+        for k, (pid, r) in enumerate(zip(list(pids), fds), 1):
+            with open(r, "rb", closefd=False) as fh:
+                data = fh.read()
+            _, status = os.waitpid(pid, 0)
+            pids.remove(pid)
+            if not data:
+                code = os.waitstatus_to_exitcode(status)
+                raise RuntimeError("sweep worker %d (pid %d) %s without a result"
+                                   % (k, pid, "exited with status %d" % code if code >= 0
+                                      else "was killed by " + signal.Signals(-code).name))
+            ok, got = pickle.loads(data)
+            if not ok:
+                raise got
+            results[k::workers] = got
+        return results
+    finally:
+        for fd in fds:
+            os.close(fd)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _summary_cell(v) -> str:
     if v is None:
         return ""
@@ -167,16 +237,7 @@ def cmd_sweep(args) -> int:
         raise GridError("--jobs: must be >= 1, got %d" % args.jobs)
     else:
         jobs = args.jobs
-    # the pool may start every worker up front; never more than there are points
-    workers = min(jobs, len(points))
-    if workers == 1:
-        results = [_sweep_worker(base, p) for p in points]
-    else:
-        # imported here: the pool module is a noticeable share of `run`'s import
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_worker, repeat(base), points))
+    results = _fan_out(base, points, min(jobs, len(points)))
     names = [n for n, _ in axes]
     lines = [",".join(names + list(_SUMMARY_METRICS))]
     any_diverged = False
@@ -230,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="e.g. 'sigma=0.1,0.5,1,2;c2=-2,0,2'; axes are the numeric "
                          "scenario fields, vectors as a:b:...")
     ps.add_argument("--jobs", type=int,
-                    help="worker processes, >= 1, at most one per grid point "
-                         "(default: up to 4)")
+                    help="processes, >= 1, this one included, at most one per grid "
+                         "point (default: up to 4)")
     pc = sub.add_parser("check", help="run the acceptance criteria and report")
     pc.add_argument("--seed", type=int, default=0,
                     help="seed for check's random draws (runs are deterministic)")

@@ -63,13 +63,6 @@ class DuffingParams:
             warnings.warn("sigma = %r is outside the benchmark box [0.1, 2]" % (self.sigma,))
 
 
-def duffing_derivative(x, u: float, d: float, p: DuffingParams):
-    """Plant vector field at state x = (x1, x2) under input u and disturbance d."""
-    x1, x2 = float(x[0]), float(x[1])
-    dx2 = -p.c3 * x2 - p.c1 * x1 - p.c2 * (x1 * x1 * x1) + u + d
-    return (x2, dx2)
-
-
 def exo_derivative(v, sigma: float):
     """Exosystem vector field: a rotation at rate sigma."""
     return (sigma * float(v[1]), -sigma * float(v[0]))

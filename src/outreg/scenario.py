@@ -54,7 +54,7 @@ class ScenarioError(ValueError):
 
     def __reduce__(self):
         # rebuild from the violations, not from args (the joined message),
-        # so the error crosses a process pool intact
+        # so the error crosses a pickle (a sweep child's pipe) intact
         return (type(self), (self.violations,))
 
 

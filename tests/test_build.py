@@ -122,3 +122,22 @@ def test_concurrent_cold_imports_leave_one_file(pkg):
     assert results == [(expect, ""), (expect, "")]
     assert [p.returncode for p in procs] == [0, 0]
 
+
+def test_a_rebuild_removes_the_old_key(pkg):
+    assert _report(pkg)[1][0] == "compiled"
+    old = _cache(pkg)
+    cache = pkg / "outreg" / "__pycache__"
+    # not builds, so they stay: another file, and a concurrent build's temp file
+    tmp = old[0] + ".concurrent.tmp"
+    for name in ("other.pyc", tmp):
+        (cache / name).write_bytes(b"")
+    keep = sorted(p.name for p in cache.iterdir() if p.name not in old)
+    with open(pkg / "outreg" / "_kernel.c", "a", encoding="utf-8") as fh:
+        fh.write("/* one more line */\n")
+    # with a compiler the changed source builds, and only its key stays
+    rc, out, err = _report(pkg)
+    new = [name for name in _cache(pkg) if name != tmp]
+    assert (rc, err) == (0, "")
+    assert len(new) == 1 and new != old and new[0].endswith(".so")
+    assert out == ["compiled", str(cache / new[0])]
+    assert sorted(p.name for p in cache.iterdir() if p.name not in new) == keep

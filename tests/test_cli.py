@@ -6,8 +6,8 @@ import sys
 import pytest
 from conftest import STEADY_SCN
 
-from outreg.cli import main, parse_grid, GridError
-from outreg.scenario import ScenarioConfig, serialize, with_overrides
+from outreg.cli import GridError, _fan_out, _grid_points, main, parse_grid
+from outreg.scenario import ScenarioError, serialize, with_overrides
 
 RUN_FILES = ("log.csv", "metrics.json", "plot_trajectory.svg",
              "plot_error.svg", "plot_estimates.svg")
@@ -208,9 +208,9 @@ def test_sweep_divergent_point_exits_3(tmp_path, capsys):
 
 
 def test_sweep_worker_config_error_arrives_whole(tmp_path, capsys):
-    # a parallel sweep (two points: a one-point grid runs in-process) names
-    # the bad point, its message whole, before the pool starts; a worker's
-    # error crossing the pool is test_scenario_error_survives_pickling's case
+    # a parallel sweep (two points: a one-point grid forks nothing) names
+    # the bad point, its message whole, before any child starts; a child's
+    # error crossing the pipe is test_sweep_child_error_reaches_the_parent's
     out = str(tmp_path / "sw")
     assert main(["sweep", "--grid", "sigma=nan,0.5", "--out", out, "--jobs", "2"]) == 2
     assert capsys.readouterr().err == ("config error:\ngrid point sigma=nan: plant.sigma: "
@@ -251,78 +251,172 @@ def test_sweep_jobs_below_one_exits_2(tmp_path, capsys, jobs):
     assert not os.path.exists(out)
 
 
-def test_sweep_workers_capped_at_grid_points(tmp_path, steady_cfg, monkeypatch):
-    # records the pool size and maps in-process: no real workers start
-    import concurrent.futures
+@pytest.fixture
+def forks(monkeypatch):
+    """Counts the os.fork calls that return in this process (the parent's)."""
+    pids = []
+    fork = os.fork
 
-    sizes = []
+    def counting():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    monkeypatch.setattr(os, "fork", counting)
+    return pids
 
-        def __enter__(self):
-            return self
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+@pytest.mark.parametrize("jobs, grid, want", [
+    ("64", "sigma=0.5,1", 1),        # capped at the points: 2 processes
+    ("3", "sigma=0.5,1;c2=1,2", 2),  # 3 processes, this one included
+    ("4", "sigma=0.5", 0),           # one point runs here whatever --jobs says
+    ("1", "sigma=0.5,1", 0),
+], ids=["capped-at-points", "three-processes", "one-point", "jobs-1"])
+def test_sweep_forks_jobs_minus_one_children(tmp_path, steady_cfg, forks, jobs, grid, want):
     scn = _steady_scn(tmp_path, steady_cfg, t_end=0.05)
-    for jobs, grid, want in (("64", "sigma=0.5,1", 2), ("3", "sigma=0.5,1;c2=1,2", 3)):
-        out = str(tmp_path / ("sw" + jobs))
-        assert main(["sweep", "--scenario", scn, "--grid", grid,
-                     "--out", out, "--jobs", jobs]) == 0
-        assert sizes[-1] == want
-    assert len(sizes) == 2
+    out = tmp_path / "sw"
+    assert main(["sweep", "--scenario", scn, "--grid", grid,
+                 "--out", str(out), "--jobs", jobs]) == 0
+    assert len(forks) == want
+    assert len((out / "summary.csv").read_text().splitlines()) == 1 + len(
+        list(_grid_points(parse_grid(grid))))
 
 
-def test_sweep_one_worker_runs_in_process(tmp_path, steady_cfg, monkeypatch):
-    # a one-point grid needs one worker whatever --jobs says: no pool at all
-    import concurrent.futures
-
-    scn = _steady_scn(tmp_path, steady_cfg, t_end=0.05)
-    out1 = str(tmp_path / "serial")
-    assert main(["sweep", "--scenario", scn, "--grid", "sigma=0.5",
-                 "--out", out1, "--jobs", "1"]) == 0
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a one-worker sweep started a process pool")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    out4 = str(tmp_path / "jobs4")
-    assert main(["sweep", "--scenario", scn, "--grid", "sigma=0.5",
-                 "--out", out4, "--jobs", "4"]) == 0
-    assert ((tmp_path / "jobs4" / "summary.csv").read_bytes()
-            == (tmp_path / "serial" / "summary.csv").read_bytes())
+def test_sweep_summary_bytes_do_not_depend_on_jobs(tmp_path, steady_cfg, forks):
+    # by t = 2, 9 of these 12 points escape (at 0.324 to 1.528) and 3 hold;
+    # every stripe layout must give the serial bytes
+    scn = _steady_scn(tmp_path, steady_cfg, t_end=2.0)
+    got = {}
+    for jobs in ("1", "2", "3", "12"):
+        out = tmp_path / ("j" + jobs)
+        assert main(["sweep", "--scenario", scn, "--grid", "sigma=0.1,0.5,1,2;c2=-2,0,2",
+                     "--out", str(out), "--jobs", jobs]) == 3
+        got[jobs] = (out / "summary.csv").read_bytes()
+    assert len(forks) == 0 + 1 + 2 + 11
+    assert got["2"] == got["3"] == got["12"] == got["1"]
+    diverged = [l.split(",")[2] for l in got["1"].decode().splitlines()[1:]]
+    assert diverged.count("1") == 9 and diverged.count("0") == 3
 
 
-def test_run_imports_neither_numpy_nor_process_pool(tmp_path):
-    # the package imports no numpy, and only `check` and a parallel sweep
-    # import the process pool; a stray module-level import shows here.  A
-    # compiled twin already built (by this process's import) is a cache hit,
-    # which imports no hashlib and none of the build's subprocess or sysconfig
+def test_sweep_child_error_reaches_the_parent(monkeypatch, steady_cfg, forks):
+    import signal
+
+    import outreg.cli
+
+    parent = os.getpid()
+    real = outreg.cli._sweep_worker
+    points = [{"sigma": s} for s in (0.5, 1.0, 2.0)]
+
+    def failing(exc):
+        def worker(base, point):
+            if point["sigma"] == 2.0:  # child 2's stripe; the parent's passes
+                assert os.getpid() != parent
+                raise exc
+            return real(with_overrides(base, t_end=0.01), point)
+        return worker
+
+    # ScenarioError keeps its type and its violations, one per line
+    bad = ScenarioError(["plant.sigma: first", "plant.c2: second"])
+    monkeypatch.setattr(outreg.cli, "_sweep_worker", failing(bad))
+    with pytest.raises(ScenarioError) as err:
+        _fan_out(steady_cfg, points, 3)
+    assert err.value.violations == bad.violations
+    monkeypatch.setattr(outreg.cli, "_sweep_worker", failing(ZeroDivisionError("no sweep")))
+    with pytest.raises(ZeroDivisionError, match="^no sweep$"):
+        _fan_out(steady_cfg, points, 3)
+
+    # an exception that cannot be pickled (its class is local) leaves with status 1
+    class Local(Exception):
+        pass
+
+    monkeypatch.setattr(outreg.cli, "_sweep_worker", failing(Local("local")))
+    with pytest.raises(RuntimeError, match=r"^sweep worker 2 \(pid \d+\) exited with "
+                                           r"status 1 without a result$"):
+        _fan_out(steady_cfg, points, 3)
+
+    # a child that dies without writing is named with its signal
+    def killed(base, point):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(with_overrides(base, t_end=0.01), point)
+
+    monkeypatch.setattr(outreg.cli, "_sweep_worker", killed)
+    with pytest.raises(RuntimeError, match=r"^sweep worker 1 \(pid \d+\) was killed by "
+                                           r"SIGKILL without a result$"):
+        _fan_out(steady_cfg, points, 2)
+    assert len(forks) == 2 + 2 + 2 + 1
+    for pid in forks:  # every child was reaped
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_sweep_parent_error_leaves_no_child_alive(monkeypatch, steady_cfg, forks):
+    import time
+
+    import outreg.cli
+
+    parent = os.getpid()
+
+    def worker(base, point):
+        if os.getpid() != parent:
+            time.sleep(60)  # children still busy when the parent's stripe fails
+        raise KeyError("parent stripe")
+
+    monkeypatch.setattr(outreg.cli, "_sweep_worker", worker)
+    t0 = time.monotonic()
+    with pytest.raises(KeyError, match="parent stripe"):
+        _fan_out(steady_cfg, [{"sigma": s} for s in (0.5, 1.0, 2.0, 0.1)], 4)
+    assert time.monotonic() - t0 < 30  # killed, not waited for
+    assert len(forks) == 3
+    for pid in forks:
+        with pytest.raises(ChildProcessError):  # reaped: no longer our child
+            os.waitpid(pid, os.WNOHANG)
+        with pytest.raises(ProcessLookupError):  # and gone
+            os.kill(pid, 0)
+
+
+def _new_imports(argv, rc, watched):
+    """The modules of watched that main(argv), returning rc, imports in a
+    fresh interpreter beyond what its start-up loaded."""
     import outreg
 
-    watched = ["numpy", "concurrent.futures.process"]
-    if outreg.BACKEND == "compiled":
-        watched += ["hashlib", "subprocess", "sysconfig"]
     code = ("import sys\n"
             "before = set(sys.modules)\n"
             "from outreg.cli import main\n"
-            "assert main(['run', '--scenario', %r, '--tend', '0.05', '--out', %r]) == 0\n"
+            "assert main(%r) == %d\n"
             "print(sorted(m for m in %r if m in set(sys.modules) - before))\n"
-            % (STEADY_SCN, str(tmp_path / "run"), watched))
+            % (argv, rc, watched))
     src = os.path.dirname(os.path.dirname(outreg.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_run_imports_neither_numpy_nor_process_pool(tmp_path):
+    # the package imports no numpy, and only `check` imports the process
+    # pool; a stray module-level import shows here.  A compiled twin already
+    # built (by this process's import) is a cache hit, which imports no
+    # hashlib and none of the build's subprocess or sysconfig
+    import outreg
+
+    watched = ["numpy", "concurrent.futures.process"]
+    if outreg.BACKEND == "compiled":
+        watched += ["hashlib", "subprocess", "sysconfig"]
+    assert _new_imports(["run", "--scenario", STEADY_SCN, "--tend", "0.05",
+                         "--out", str(tmp_path / "run")], 0, watched) == "[]"
+
+
+def test_parallel_sweep_imports_no_process_pool(tmp_path):
+    # a parallel sweep forks its own children: no concurrent.futures, no
+    # multiprocessing
+    assert _new_imports(["sweep", "--scenario", STEADY_SCN, "--tend", "0.05",
+                         "--grid", "sigma=0.5,1", "--jobs", "2",
+                         "--out", str(tmp_path / "sw")], 0,
+                        ["numpy", "concurrent.futures", "multiprocessing"]) == "[]"
 
 
 def test_runs_with_numpy_blocked(tmp_path):
