@@ -7,23 +7,22 @@ the divergence instead of a trailing-window metric and fails honestly.
 See README "Behavior notes" for the analysis of the stock cold-start
 escape.
 
-run_all(seed) executes all ten, criteria 1-5 in worker processes beside
-6-10 in the calling process, and caches per seed so `outreg check` and the
-test suite can share one execution.
+run_all(seed) executes all ten, criteria 1-5 in two forked children
+beside 6-10 in the calling process, and caches per seed so `outreg check`
+and the test suite can share one execution.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import random
 import time
+from functools import partial
 from operator import mul
 
 from .duffing import (
     DuffingParams,
     duffing_coeffs,
-    exo_derivative,
     exo_flow,
     regulator_solution,
     steady_state_q,
@@ -36,6 +35,8 @@ from .linalg import (Matrix, determinant, identity, mat_mul, mat_pow, mat_vec,
                      solve_columns, transpose, zeros)
 from .mapping import (MappingConfig, _chi_of, _inverse_and_det, chi, estimate_coeffs,
                       hankel, regularized_inverse)
+from . import simulate
+from .cli import _fan_out, _grid_points, _sweep_worker, parse_grid
 from .scenario import ScenarioConfig, with_overrides
 from .simulate import DivergenceError, metrics, run
 from .closed_forms import closed_form_ahat1, closed_form_ahat2, closed_form_chi1, closed_form_chi2
@@ -329,29 +330,22 @@ def criterion_8(seed, ctx):
 
 
 def criterion_9(seed, ctx):
-    diverged = 0
+    # the grid `outreg sweep` runs, point by point as a sweep runs it
+    points = list(_grid_points(parse_grid("sigma=0.1,0.5,1,2;c2=-2,0,2")))
+    reports = [_sweep_worker(_STOCK, point) for point in points]
+    diverged = sum(rep["diverged"] for rep in reports)
     worst = 0.0
     worst_at = None
-    total = 0
-    for sg in (0.1, 0.5, 1.0, 2.0):
-        for c2 in (-2.0, 0.0, 2.0):
-            total += 1
-            cfg = with_overrides(_STOCK, sigma=sg, c2=c2)
-            try:
-                log = run(cfg)
-            except DivergenceError:
-                diverged += 1
-                continue
-            sup_e = metrics(log, cfg)["trailing_sup_e"]
-            if sup_e > worst:
-                worst, worst_at = sup_e, (sg, c2)
+    for point, rep in zip(points, reports):
+        if not rep["diverged"] and rep["trailing_sup_e"] > worst:
+            worst, worst_at = rep["trailing_sup_e"], (point["sigma"], point["c2"])
     passed = diverged == 0 and worst <= 5e-2
     if diverged:
         detail = ("%d/%d grid runs escape in finite time (bound requires 0 "
-                  "divergences and trailing sup|e| <= 5e-2)" % (diverged, total))
+                  "divergences and trailing sup|e| <= 5e-2)" % (diverged, len(points)))
     else:
         detail = ("all %d runs complete; worst trailing sup|e| = %.3g at "
-                  "sigma=%g, c2=%g (tol 5e-2)" % (total, worst, *worst_at))
+                  "sigma=%g, c2=%g (tol 5e-2)" % (len(points), worst, *worst_at))
     return ("robustness-sweep", passed, detail)
 
 
@@ -379,17 +373,13 @@ def criterion_10(seed, ctx):
         parts.append((shift < 0.10,
                       "step-halving shift %.3g (tol < 0.10)" % shift))
 
-    # (b) exosystem norm drift over 100 s
-    v = (1.0, 1.0)
-    h = 1e-3
-    s = _P.sigma
-    for step in range(100000):
-        k1 = exo_derivative(v, s)
-        k2 = exo_derivative((v[0] + 0.5 * h * k1[0], v[1] + 0.5 * h * k1[1]), s)
-        k3 = exo_derivative((v[0] + 0.5 * h * k2[0], v[1] + 0.5 * h * k2[1]), s)
-        k4 = exo_derivative((v[0] + h * k3[0], v[1] + h * k3[1]), s)
-        v = (v[0] + h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
-             v[1] + h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]))
+    # (b) exosystem norm drift over 100 s, in the kernel the runs use: one
+    # open-loop run of the stock scenario, whose state entries 2, 3 are v
+    # from v(0) = (1, 1)
+    ol = with_overrides(_STOCK, mode="open_loop")
+    y0 = [*ol.x0, *ol.v0, *ol.eta1_0, *ol.eta2_0, ol.khat0]
+    v = simulate.run_closed_loop(y0, ol.h, ol.n_steps, ol.n_steps,
+                                 *simulate._kernel_args(ol, ol.mode))[2][2:4]
     drift = abs(math.hypot(*v) - math.sqrt(2.0)) / math.sqrt(2.0)
     parts.append((drift <= 1e-8, "exosystem norm drift %.3g over 100 s "
                   "(tol 1e-8)" % drift))
@@ -406,13 +396,11 @@ def criterion_10(seed, ctx):
 
 _CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
              criterion_6, criterion_7, criterion_8, criterion_9, criterion_10)
-# criteria 1-5 touch no kernel and share nothing, so they run in worker
-# processes; these are their indices, longest first, so that the last one
-# to start is short
-_POOLED = (3, 4, 2, 1, 0)
-# two workers beside the calling process: on two CPUs `outreg check` took
-# a median 2.65 s with one worker, 1.62 s with two and 1.83 s with three
-_WORKERS = 2
+# the _CRITERIA indices each process runs: this one runs 6-10 with one
+# shared context, one forked child criterion 4 and another 5, 3, 2 and 1,
+# which touch no kernel.  On two CPUs 4 alone took 0.92 s and the other four
+# together 0.94 s
+_GROUPS = ((5, 6, 7, 8, 9), (3,), (4, 2, 1, 0))
 
 _cache = {}
 
@@ -423,31 +411,23 @@ def _timed(fn, seed, ctx):
     return name, passed, detail, time.perf_counter() - t0
 
 
+def _run_group(seed, group):
+    ctx = {}
+    return {i: _timed(_CRITERIA[i], seed, ctx) for i in group}
+
+
 def run_all(seed: int = 0):
     """Run all ten criteria; returns [(name, passed, detail, seconds)].
 
-    Criteria 1-5 run in worker processes, each with a fresh context, while
-    6-10 run here with one shared context: 6, 7 and 10 reuse one cached
-    run, and every kernel step is integrated in this process.
-
-    The workers are forked, so call this from a process that has started
-    no threads.  Spawned workers would each import this module and its
-    imports again: on two CPUs `outreg check` took 2.35 s that way
-    (forkserver 2.12 s, fork 1.80 s) and its peak RSS grew by 1.3 MB, when
-    that import still included numpy.
+    Criteria 6-10 run here with one shared context: 6, 7 and 10 reuse one
+    cached run, and every kernel step is integrated in this process.
+    cli._fan_out forks two children meanwhile, one for criterion 4 and one
+    for 5, 3, 2 and 1, so call this from a process that has started no
+    threads.  A criterion's exception is raised here.
     """
-    if seed in _cache:
-        return _cache[seed]
-    # imported here: importing this module should not pay for the pool
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    workers = min(_WORKERS, os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers,
-                             mp_context=multiprocessing.get_context("fork")) as pool:
-        pooled = {i: pool.submit(_timed, _CRITERIA[i], seed, {}) for i in _POOLED}
-        ctx = {}
-        here = [_timed(fn, seed, ctx) for fn in _CRITERIA[len(_POOLED):]]
-        results = [pooled[i].result() for i in range(len(_POOLED))] + here
-    _cache[seed] = results
-    return results
+    if seed not in _cache:
+        done = {}
+        for got in _fan_out([partial(_run_group, seed, group) for group in _GROUPS]):
+            done.update(got)
+        _cache[seed] = [done[i] for i in range(len(_CRITERIA))]
+    return _cache[seed]

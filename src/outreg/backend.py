@@ -7,10 +7,14 @@ extension, else _kernel.c built here on first import into the package's
 __pycache__/, under a name keyed by the source bytes and FLAGS; a build
 removes the builds of other keys.  Every later import loads that file
 without running the compiler.  Without a C compiler, Python.h or a writable
-__pycache__/, import silently falls back to the Python twin.  Set
+__pycache__/, import silently falls back to the Python twin, and a failed
+build leaves __pycache__/_kernel.<key>.failed holding the reason, so later
+imports fall back at once instead of trying again.  Set
 OUTREG_BACKEND=python or OUTREG_BACKEND=compiled to force a choice; forcing
-the compiled backend raises, with the reason, if no extension imports or
-builds.
+the compiled backend ignores that marker and builds again, and raises, with
+the reason, if no extension imports or builds.  So after installing a
+compiler, import once with OUTREG_BACKEND=compiled (or delete the marker):
+the successful build removes the marker with the other keys' files.
 """
 
 import os
@@ -113,10 +117,25 @@ def _compiled():
     except OSError as exc:
         raise BuildError("cannot read %s: %s" % (_SOURCE, exc.strerror or exc)) from None
     key = zlib.crc32(" ".join(FLAGS).encode(), zlib.crc32(source))
-    so_path = os.path.join(os.path.dirname(_SOURCE), "__pycache__", "_kernel.%08x%s"
-                           % (key, importlib.machinery.EXTENSION_SUFFIXES[0]))
+    stem = os.path.join(os.path.dirname(_SOURCE), "__pycache__", "_kernel.%08x" % key)
+    so_path = stem + importlib.machinery.EXTENSION_SUFFIXES[0]
     if not os.path.exists(so_path):
-        build(so_path)
+        if _choice != "compiled":
+            try:
+                with open(stem + ".failed", encoding="utf-8") as fh:
+                    raise BuildError(fh.read())
+            except OSError:  # no marker: build
+                pass
+        try:
+            build(so_path)
+        except BuildError as exc:
+            try:
+                os.makedirs(os.path.dirname(stem), exist_ok=True)
+                with open(stem + ".failed", "w", encoding="utf-8") as fh:
+                    fh.write(str(exc))
+            except OSError:
+                pass
+            raise
         _drop_stale(so_path)
     name = __package__ + "._kernel"
     spec = importlib.util.spec_from_file_location(name, so_path)

@@ -16,7 +16,8 @@ executes the acceptance suite and prints one PASS/FAIL line per criterion.
 Exit codes: 0 success, 2 config or grid error, 3 divergence (also: any
 failed sweep point), 4 I/O error.  `check` exits 1 when criteria fail.
 Runs are deterministic; check's --seed only feeds its own random draws.
-check runs criteria 1-5 in two forked worker processes beside 6-10.
+check forks two children, one for criterion 4 and one for 5, 3, 2 and 1,
+and runs 6-10 itself.
 """
 
 from __future__ import annotations
@@ -141,11 +142,11 @@ def _sweep_worker(base: ScenarioConfig, overrides: dict) -> dict:
         return metrics(exc.partial, cfg, diverged_at=exc.time)
 
 
-def _run_stripe(write_fd: int, inherited: list, base: ScenarioConfig, stripe):
-    """A forked child's whole life: close the inherited read ends, run the
-    stripe, send back one pickled (True, reports) or (False, exception)
-    through write_fd, and leave by os._exit, so no caller's code runs on in
-    the child.  An exception that does not pickle leaves with status 1 and
+def _run_child(write_fd: int, inherited: list, job):
+    """A forked child's whole life: close the inherited read ends, run job,
+    send back one pickled (True, result) or (False, exception) through
+    write_fd, and leave by os._exit, so no caller's code runs on in the
+    child.  An exception that does not pickle leaves with status 1 and
     writes nothing."""
     import pickle
 
@@ -154,7 +155,7 @@ def _run_stripe(write_fd: int, inherited: list, base: ScenarioConfig, stripe):
         for fd in inherited:
             os.close(fd)
         try:
-            got = (True, [_sweep_worker(base, p) for p in stripe])
+            got = (True, job())
         except Exception as exc:
             got = (False, exc)
         data = pickle.dumps(got)
@@ -165,27 +166,27 @@ def _run_stripe(write_fd: int, inherited: list, base: ScenarioConfig, stripe):
         os._exit(code)
 
 
-def _fan_out(base: ScenarioConfig, points: list, workers: int) -> list:
-    """_sweep_worker over every point in `workers` processes, this one
-    included: it forks workers - 1 children, child k runs points[k::workers]
-    while this process runs points[0::workers], and the reports come back in
-    grid order.  A child's exception is raised here; every child is reaped
-    (killed first if it still runs) before this returns or raises."""
+def _fan_out(jobs: list) -> list:
+    """[job() for job in jobs], in len(jobs) processes: jobs[0] runs in this
+    one while forked child k runs jobs[k], and the results come back in
+    order.  The package's only parallel path; call it from a process that
+    has started no threads.  A child's exception is raised here; every child
+    is reaped (killed first if it still runs) before this returns or
+    raises."""
     import pickle
     import signal
 
     pids, fds = [], []  # children not yet reaped, read ends not yet closed
     try:
-        for k in range(1, workers):
+        for job in jobs[1:]:
             r, w = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _run_stripe(w, fds + [r], base, points[k::workers])
+                _run_child(w, fds + [r], job)
             os.close(w)
             pids.append(pid)
             fds.append(r)
-        results = [None] * len(points)
-        results[0::workers] = [_sweep_worker(base, p) for p in points[0::workers]]
+        results = [jobs[0]()]
         for k, (pid, r) in enumerate(zip(list(pids), fds), 1):
             with open(r, "rb", closefd=False) as fh:
                 data = fh.read()
@@ -193,13 +194,13 @@ def _fan_out(base: ScenarioConfig, points: list, workers: int) -> list:
             pids.remove(pid)
             if not data:
                 code = os.waitstatus_to_exitcode(status)
-                raise RuntimeError("sweep worker %d (pid %d) %s without a result"
+                raise RuntimeError("child %d (pid %d) %s without a result"
                                    % (k, pid, "exited with status %d" % code if code >= 0
                                       else "was killed by " + signal.Signals(-code).name))
             ok, got = pickle.loads(data)
             if not ok:
                 raise got
-            results[k::workers] = got
+            results.append(got)
         return results
     finally:
         for fd in fds:
@@ -237,7 +238,14 @@ def cmd_sweep(args) -> int:
         raise GridError("--jobs: must be >= 1, got %d" % args.jobs)
     else:
         jobs = args.jobs
-    results = _fan_out(base, points, min(jobs, len(points)))
+    # process k runs the fixed stripe points[k::n]; the stripes interleave
+    # back into grid order
+    n = min(jobs, len(points))
+    results = [None] * len(points)
+    stripes = _fan_out([lambda s=points[k::n]: [_sweep_worker(base, p) for p in s]
+                        for k in range(n)])
+    for k, stripe in enumerate(stripes):
+        results[k::n] = stripe
     names = [n for n, _ in axes]
     lines = [",".join(names + list(_SUMMARY_METRICS))]
     any_diverged = False

@@ -56,6 +56,11 @@ def _cache(root):
                   if p.name.startswith("_kernel.")) if cache.exists() else []
 
 
+def _marker(root):
+    """The name of the marker a failed build of root's _kernel.c leaves."""
+    return [n for n in _cache(root) if n.endswith(".failed")]
+
+
 def test_setup_py_compiles_with_the_package_flags():
     # setup.py's extension and a checkout's first-import build use one
     # flag tuple; -ffp-contract=off is what keeps the twins bit-identical
@@ -84,10 +89,12 @@ def test_a_changed_source_is_a_new_key(pkg):
     old = _cache(pkg)
     with open(pkg / "outreg" / "_kernel.c", "a", encoding="utf-8") as fh:
         fh.write("/* one more line */\n")
-    # the old file no longer matches, and without a compiler nothing new is built
+    # the old file no longer matches, and without a compiler nothing new is
+    # built: only the new key's failure marker is added
     rc, out, err = _report(pkg, path="")
     assert (rc, out, err) == (0, ["python", "None"], "")
-    assert _cache(pkg) == old
+    new = _marker(pkg)
+    assert len(new) == 1 and _cache(pkg) == sorted(old + new)
 
 
 def test_no_compiler_falls_back_silently_and_explains_when_forced(pkg):
@@ -97,7 +104,8 @@ def test_no_compiler_falls_back_silently_and_explains_when_forced(pkg):
     assert rc != 0
     assert PREFIX + ": no C compiler: " in err
     assert "is not on PATH" in err
-    assert _cache(pkg) == []
+    # nothing was built: the one file is the failed build's marker
+    assert _cache(pkg) == _marker(pkg) and len(_marker(pkg)) == 1
 
 
 def test_a_failed_compile_names_the_compiler_error(pkg):
@@ -109,8 +117,8 @@ def test_a_failed_compile_names_the_compiler_error(pkg):
     assert rc != 0
     assert PREFIX + ": " in err and "failed: " in err
     assert "broken source" in err.strip().splitlines()[-1]
-    # the failed builds leave no temp file behind
-    assert _cache(pkg) == []
+    # the failed builds leave no temp file behind, only their marker
+    assert _cache(pkg) == _marker(pkg) and len(_marker(pkg)) == 1
 
 
 def test_concurrent_cold_imports_leave_one_file(pkg):
@@ -141,3 +149,34 @@ def test_a_rebuild_removes_the_old_key(pkg):
     assert len(new) == 1 and new != old and new[0].endswith(".so")
     assert out == ["compiled", str(cache / new[0])]
     assert sorted(p.name for p in cache.iterdir() if p.name not in new) == keep
+
+
+def test_a_failed_build_is_not_retried_until_forced(pkg):
+    # the first import finds no compiler and leaves the reason in a marker
+    assert _report(pkg, path="")[:2] == (0, ["python", "None"])
+    (marker,) = _marker(pkg)
+    reason = (pkg / "outreg" / "__pycache__" / marker).read_text(encoding="utf-8")
+    assert reason.startswith("no C compiler: ") and reason.endswith("is not on PATH")
+    # a later default import falls back on the marker alone: it imports
+    # none of the build's modules, and builds nothing though a compiler is
+    # on PATH now
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import outreg.backend as b\n"
+            "print(b.BACKEND, sorted({'subprocess', 'sysconfig'} & (set(sys.modules) - before)))\n")
+    env = {k: v for k, v in os.environ.items() if k != "OUTREG_BACKEND"}
+    env["PYTHONPATH"] = str(pkg)
+    done = subprocess.run([sys.executable, "-c", code], env=env, text=True,
+                          capture_output=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "python []\n", "")
+    assert _cache(pkg) == [marker]
+    # forcing the compiled twin ignores the marker: without a compiler it
+    # builds again and raises the reason, with one it builds, and the build
+    # removes the marker
+    rc, out, err = _report(pkg, path="", choice="compiled")
+    assert rc != 0 and PREFIX + ": " + reason in err
+    rc, out, err = _report(pkg, choice="compiled")
+    built = _cache(pkg)
+    assert (rc, err) == (0, "") and len(built) == 1 and built[0].endswith(".so")
+    assert out == ["compiled", str(pkg / "outreg" / "__pycache__" / built[0])]
+    assert _report(pkg, path="") == (0, out, "")

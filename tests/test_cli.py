@@ -299,74 +299,62 @@ def test_sweep_summary_bytes_do_not_depend_on_jobs(tmp_path, steady_cfg, forks):
     assert diverged.count("1") == 9 and diverged.count("0") == 3
 
 
-def test_sweep_child_error_reaches_the_parent(monkeypatch, steady_cfg, forks):
+def test_sweep_child_error_reaches_the_parent(forks):
     import signal
 
-    import outreg.cli
-
     parent = os.getpid()
-    real = outreg.cli._sweep_worker
-    points = [{"sigma": s} for s in (0.5, 1.0, 2.0)]
 
     def failing(exc):
-        def worker(base, point):
-            if point["sigma"] == 2.0:  # child 2's stripe; the parent's passes
-                assert os.getpid() != parent
-                raise exc
-            return real(with_overrides(base, t_end=0.01), point)
-        return worker
+        def job():
+            assert os.getpid() != parent
+            raise exc
+        return job
 
-    # ScenarioError keeps its type and its violations, one per line
+    # results come back in job order: this process's first, then child k's
+    assert _fan_out([os.getpid] * 3) == [parent] + forks[-2:]
+
+    # ScenarioError keeps its type and its violations, one per line; child
+    # 2 fails while this process's job and child 1's pass
     bad = ScenarioError(["plant.sigma: first", "plant.c2: second"])
-    monkeypatch.setattr(outreg.cli, "_sweep_worker", failing(bad))
     with pytest.raises(ScenarioError) as err:
-        _fan_out(steady_cfg, points, 3)
+        _fan_out([os.getpid, os.getpid, failing(bad)])
     assert err.value.violations == bad.violations
-    monkeypatch.setattr(outreg.cli, "_sweep_worker", failing(ZeroDivisionError("no sweep")))
     with pytest.raises(ZeroDivisionError, match="^no sweep$"):
-        _fan_out(steady_cfg, points, 3)
+        _fan_out([os.getpid, os.getpid, failing(ZeroDivisionError("no sweep"))])
 
     # an exception that cannot be pickled (its class is local) leaves with status 1
     class Local(Exception):
         pass
 
-    monkeypatch.setattr(outreg.cli, "_sweep_worker", failing(Local("local")))
-    with pytest.raises(RuntimeError, match=r"^sweep worker 2 \(pid \d+\) exited with "
+    with pytest.raises(RuntimeError, match=r"^child 2 \(pid \d+\) exited with "
                                            r"status 1 without a result$"):
-        _fan_out(steady_cfg, points, 3)
+        _fan_out([os.getpid, os.getpid, failing(Local("local"))])
 
     # a child that dies without writing is named with its signal
-    def killed(base, point):
-        if os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return real(with_overrides(base, t_end=0.01), point)
+    def killed():
+        os.kill(os.getpid(), signal.SIGKILL)
 
-    monkeypatch.setattr(outreg.cli, "_sweep_worker", killed)
-    with pytest.raises(RuntimeError, match=r"^sweep worker 1 \(pid \d+\) was killed by "
+    with pytest.raises(RuntimeError, match=r"^child 1 \(pid \d+\) was killed by "
                                            r"SIGKILL without a result$"):
-        _fan_out(steady_cfg, points, 2)
-    assert len(forks) == 2 + 2 + 2 + 1
+        _fan_out([os.getpid, killed])
+    assert len(forks) == 2 + 2 + 2 + 2 + 1
     for pid in forks:  # every child was reaped
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
 
 
-def test_sweep_parent_error_leaves_no_child_alive(monkeypatch, steady_cfg, forks):
+def test_sweep_parent_error_leaves_no_child_alive(forks):
     import time
 
-    import outreg.cli
+    def busy():
+        time.sleep(60)  # children still busy when this process's job fails
 
-    parent = os.getpid()
+    def fails():
+        raise KeyError("parent job")
 
-    def worker(base, point):
-        if os.getpid() != parent:
-            time.sleep(60)  # children still busy when the parent's stripe fails
-        raise KeyError("parent stripe")
-
-    monkeypatch.setattr(outreg.cli, "_sweep_worker", worker)
     t0 = time.monotonic()
-    with pytest.raises(KeyError, match="parent stripe"):
-        _fan_out(steady_cfg, [{"sigma": s} for s in (0.5, 1.0, 2.0, 0.1)], 4)
+    with pytest.raises(KeyError, match="parent job"):
+        _fan_out([fails, busy, busy, busy])
     assert time.monotonic() - t0 < 30  # killed, not waited for
     assert len(forks) == 3
     for pid in forks:
@@ -376,9 +364,32 @@ def test_sweep_parent_error_leaves_no_child_alive(monkeypatch, steady_cfg, forks
             os.kill(pid, 0)
 
 
+def test_run_all_child_error_reaches_the_caller(monkeypatch, forks):
+    # criterion 4 runs in a forked child of run_all; its exception is
+    # raised from run_all with its type, and no child outlives the call
+    from outreg import acceptance
+
+    def criterion_4(seed, ctx):
+        raise ZeroDivisionError("criterion 4 in a child")
+
+    def quick(seed, ctx):
+        return ("quick", True, "")
+
+    monkeypatch.setattr(acceptance, "_cache", {})
+    monkeypatch.setattr(acceptance, "_CRITERIA", (quick,) * 3 + (criterion_4,) + (quick,) * 6)
+    with pytest.raises(ZeroDivisionError, match="^criterion 4 in a child$"):
+        acceptance.run_all(seed=0)
+    assert acceptance._cache == {}
+    assert len(forks) == 2
+    for pid in forks:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
 def _new_imports(argv, rc, watched):
     """The modules of watched that main(argv), returning rc, imports in a
-    fresh interpreter beyond what its start-up loaded."""
+    fresh interpreter beyond what its start-up loaded: the last line it
+    prints, after whatever main prints."""
     import outreg
 
     code = ("import sys\n"
@@ -393,12 +404,12 @@ def _new_imports(argv, rc, watched):
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    return out.stdout.strip()
+    return out.stdout.strip().splitlines()[-1]
 
 
 def test_run_imports_neither_numpy_nor_process_pool(tmp_path):
-    # the package imports no numpy, and only `check` imports the process
-    # pool; a stray module-level import shows here.  A compiled twin already
+    # the package imports no numpy and no process pool: `sweep` and `check`
+    # fork their own children; a stray module-level import shows here.  A compiled twin already
     # built (by this process's import) is a cache hit, which imports no
     # hashlib and none of the build's subprocess or sysconfig
     import outreg
@@ -416,6 +427,12 @@ def test_parallel_sweep_imports_no_process_pool(tmp_path):
     assert _new_imports(["sweep", "--scenario", STEADY_SCN, "--tend", "0.05",
                          "--grid", "sigma=0.5,1", "--jobs", "2",
                          "--out", str(tmp_path / "sw")], 0,
+                        ["numpy", "concurrent.futures", "multiprocessing"]) == "[]"
+
+
+def test_check_imports_no_process_pool():
+    # check forks its own two children, and its criteria import no numpy
+    assert _new_imports(["check", "--seed", "0"], 1,
                         ["numpy", "concurrent.futures", "multiprocessing"]) == "[]"
 
 

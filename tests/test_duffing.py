@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from conftest import y0
 
 from outreg.acceptance import criterion_5
 from outreg.duffing import (
@@ -16,6 +17,8 @@ from outreg.duffing import (
 )
 from outreg.internal_model import hurwitz_pair
 from outreg.mapping import MappingConfig, chi, estimate_coeffs
+from outreg.scenario import ScenarioConfig, with_overrides
+from outreg.simulate import _kernel_args
 
 P = DuffingParams()  # c = (-2, 1.5, 0.5), sigma = 0.5
 M1 = (10.0, 18.0, 15.0, 6.0)
@@ -155,7 +158,7 @@ def test_duffing_coeffs_values():
         assert r == pytest.approx(want, abs=1e-9)
 
 
-def test_exo_energy_drift_rk4():
+def test_exo_energy_drift_rk4(ckernel):
     # 100 s at h = 1e-3; relative norm drift must stay below 1e-8
     v1, v2 = 1.0, 1.0
     h = 1e-3
@@ -172,6 +175,14 @@ def test_exo_energy_drift_rk4():
     # and the endpoint agrees with the closed form
     vf = exo_flow((1.0, 1.0), s, 100.0)
     assert (v1, v2) == pytest.approx(vf, abs=1e-7)
+    # criterion 10(b) reads v from the kernel: the open-loop stock run
+    # integrates the same exosystem from v(0) = (1, 1) bit for bit
+    cfg = with_overrides(ScenarioConfig(), mode="open_loop")
+    assert (cfg.v0, cfg.sigma, cfg.h, cfg.n_steps) == ((1.0, 1.0), s, h, 100000)
+    _, diverged_at, y_final = ckernel.run_closed_loop(
+        y0(cfg), cfg.h, cfg.n_steps, cfg.n_steps, *_kernel_args(cfg, cfg.mode))
+    assert diverged_at == -1.0
+    assert tuple(y_final[2:4]) == (v1, v2)
 
 
 def test_theta_dimensions():
