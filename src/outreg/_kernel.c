@@ -331,26 +331,25 @@ static PyObject *run_closed_loop(PyObject *self, PyObject *args, PyObject *kwarg
 {
     static char *kwlist[] = {"y0", "h", "n_steps", "stride", "c1", "c2", "c3",
                              "sigma", "m1", "m2", "eps", "mask1", "mask2", "rho",
-                             "kc", "k0", "mode", "dist_amp", "dist_freq", "t0",
-                             NULL};
+                             "kc", "k0", "mode", "dist_amp", "dist_freq", NULL};
     PyObject *y0, *m1o, *m2o, *mask1o, *mask2o, *rhoo, *kco;
     PyObject *records = NULL, *yfinal = NULL, *result = NULL;
     recbuf rec = {NULL, 0, 0};
     double *y = NULL;
     double yw[17], k1[17], k2[17], k3[17], k4[17];
     double aux[8], auxw[8], a1b[4], a2b[4];
-    double h, t0 = 0.0, t, half, h6, diverged_at;
+    double h, t, half, h6, diverged_at;
     long n_steps, stride, step;
     Py_ssize_t ny, nm1, nm2, nk1, nk2;
     params p = {0};
     int i, bad;
 
     (void)self;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OdllddddOOdOOOOdidd|d:run_closed_loop",
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OdllddddOOdOOOOdidd:run_closed_loop",
                                      kwlist, &y0, &h, &n_steps, &stride, &p.c1,
                                      &p.c2, &p.c3, &p.sigma, &m1o, &m2o, &p.eps,
                                      &mask1o, &mask2o, &rhoo, &kco, &p.k0, &p.mode,
-                                     &p.dist_amp, &p.dist_freq, &t0))
+                                     &p.dist_amp, &p.dist_freq))
         return NULL;
     y = as_doubles(y0, &ny);
     if (y == NULL)
@@ -373,14 +372,6 @@ static PyObject *run_closed_loop(PyObject *self, PyObject *args, PyObject *kwarg
     }
     if (stride < 1) {
         PyErr_Format(PyExc_ValueError, "stride must be >= 1, got %ld", stride);
-        goto done;
-    }
-    if (!(t0 >= 0.0)) {
-        PyObject *f = PyFloat_FromDouble(t0);
-        if (f != NULL) {
-            PyErr_Format(PyExc_ValueError, "t0 must be >= 0, got %R", f);
-            Py_DECREF(f);
-        }
         goto done;
     }
     if (p.mode < 0 || p.mode > 2) {
@@ -414,7 +405,7 @@ static PyObject *run_closed_loop(PyObject *self, PyObject *args, PyObject *kwarg
     h6 = h / 6.0;
     diverged_at = -1.0;
     for (step = 0; step < n_steps; step++) {
-        t = t0 + step * h;
+        t = step * h;
         deriv(t, y, k1, aux, &p, a1b, a2b);
         if (step % stride == 0 && append_record(&rec, t, y, aux) < 0)
             goto done;
@@ -435,12 +426,12 @@ static PyObject *run_closed_loop(PyObject *self, PyObject *args, PyObject *kwarg
                 bad = 1;
         }
         if (bad) {
-            diverged_at = t0 + (step + 1) * h;
+            diverged_at = (step + 1) * h;
             break;
         }
     }
     if (diverged_at < 0.0) {
-        t = t0 + n_steps * h;
+        t = n_steps * h;
         deriv(t, y, k1, aux, &p, a1b, a2b);
         if (append_record(&rec, t, y, aux) < 0)
             goto done;

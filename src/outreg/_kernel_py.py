@@ -264,8 +264,7 @@ def _deriv(t, y, dy, aux, c1, c2, c3, sigma, m1, m2, eps, mask1, mask2,
 
 
 def run_closed_loop(y0, h, n_steps, stride, c1, c2, c3, sigma, m1, m2, eps,
-                    mask1, mask2, rho, kc, k0, mode, dist_amp, dist_freq,
-                    t0=0.0):
+                    mask1, mask2, rho, kc, k0, mode, dist_amp, dist_freq):
     """Integrate the closed loop with classical RK4 at fixed step h.
 
     Records a 12-column row at every stride-th step (state before the
@@ -273,13 +272,12 @@ def run_closed_loop(y0, h, n_steps, stride, c1, c2, c3, sigma, m1, m2, eps,
     after the final step: (n_steps - 1) // stride + 2 rows on a completed
     run, one for n_steps = 0.  Returns (records, diverged_at, y_final);
     records is a (rows, 12) float64 memoryview.  diverged_at is -1.0 on a
-    completed run, otherwise t0 + (step + 1) * h for the first step whose
+    completed run, otherwise (step + 1) * h for the first step whose
     result left the |y| <= 1e9 box or stopped being finite, in which case
-    the records simply end early and y_final is the offending state.  t0
-    only shifts the clock (records, the disturbance phase).  t0 >= 0 and a
-    finite h > 0 keep -1.0 unambiguous; n_steps must be >= 0, and mode is
-    0 (nonadaptive), 1 (adaptive) or 2 (open loop).  Raises ValueError
-    otherwise, with the compiled twin's messages.
+    the records simply end early and y_final is the offending state.  The
+    clock starts at 0.  A finite h > 0 keeps -1.0 unambiguous; n_steps
+    must be >= 0, and mode is 0 (nonadaptive), 1 (adaptive) or 2 (open
+    loop).  Raises ValueError otherwise, with the compiled twin's messages.
     """
     y = [float(v) for v in y0]
     if len(y) != 17:
@@ -291,8 +289,6 @@ def run_closed_loop(y0, h, n_steps, stride, c1, c2, c3, sigma, m1, m2, eps,
         raise ValueError("n_steps must be >= 0, got %d" % n_steps)
     if stride < 1:
         raise ValueError("stride must be >= 1, got %d" % stride)
-    if not t0 >= 0.0:
-        raise ValueError("t0 must be >= 0, got %r" % (t0,))
     if mode not in (0, 1, 2):
         raise ValueError("mode must be 0, 1 or 2, got %d" % mode)
     m1 = [float(v) for v in m1]
@@ -311,7 +307,7 @@ def run_closed_loop(y0, h, n_steps, stride, c1, c2, c3, sigma, m1, m2, eps,
     record = records.frombytes
     diverged_at = -1.0
     for step in range(n_steps):
-        t = t0 + step * h
+        t = step * h
         (k1_0, k1_1, k1_2, k1_3, k1_4, k1_5, k1_6, k1_7, k1_8, k1_9, k1_10, k1_11, k1_12,
          k1_13, k1_14, k1_15, k1_16, e, zeta, u, a11, a21, a23, det1, det2) = f(
             t, x1, x2, v1, v2, g0, g1, g2, g3, h0, h1, h2, h3, h4, h5, h6, h7, khat)
@@ -357,10 +353,10 @@ def run_closed_loop(y0, h, n_steps, stride, c1, c2, c3, sigma, m1, m2, eps,
         y = (x1, x2, v1, v2, g0, g1, g2, g3, h0, h1, h2, h3, h4, h5, h6, h7, khat)
         # min and max may pass over a nan, but it makes the sum nan
         if not (-_LIMIT <= min(y) and max(y) <= _LIMIT) or isnan(sum(y)):
-            diverged_at = t0 + (step + 1) * h
+            diverged_at = (step + 1) * h
             break
     if diverged_at < 0.0:
-        t = t0 + n_steps * h
+        t = n_steps * h
         record(_ROW(t, x1, x2, *f(t, *y)[17:], khat))
     rows = memoryview(records).cast("B").cast("d", (len(records) // 12, 12))
     return rows, diverged_at, list(y)

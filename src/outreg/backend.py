@@ -2,27 +2,29 @@
 
 The closed-loop integrator exists twice: a compiled extension and a pure
 Python fallback written to perform identical floating-point work (see
-_kernel_py).  Import prefers the compiled one: an installed outreg._kernel
-extension, else _kernel.c built here on first import into the package's
-__pycache__/, under a name keyed by the source bytes and FLAGS; a build
-removes the builds of other keys.  Every later import loads that file
-without running the compiler.  Without a C compiler, Python.h or a writable
-__pycache__/, import silently falls back to the Python twin, and a failed
-build leaves __pycache__/_kernel.<key>.failed holding the reason, so later
-imports fall back at once instead of trying again.  Set
-OUTREG_BACKEND=python or OUTREG_BACKEND=compiled to force a choice; forcing
-the compiled backend ignores that marker and builds again, and raises, with
-the reason, if no extension imports or builds.  So after installing a
-compiler, import once with OUTREG_BACKEND=compiled (or delete the marker):
-the successful build removes the marker with the other keys' files.
+_kernel_py).  Import prefers the compiled one, and there is one way to get
+it: the first import builds _kernel.c into the package's __pycache__/,
+under a name keyed by the source bytes and FLAGS, and a build removes the
+builds of other keys.  Every later import loads that file without running
+the compiler.  A checkout, an editable install and an installed package
+(which ships _kernel.c as package data) all build the same way; a
+_kernel.*.so beside the package's modules is never loaded.  Without a C
+compiler, Python.h or a writable __pycache__/, import silently falls back
+to the Python twin, and a failed build leaves
+__pycache__/_kernel.<key>.failed holding the reason, so later imports fall
+back at once instead of trying again.  Set OUTREG_BACKEND=python or
+OUTREG_BACKEND=compiled to force a choice; forcing the compiled backend
+ignores that marker and builds again, and raises, with the reason, if the
+extension does not build or load.  So after installing a compiler, import
+once with OUTREG_BACKEND=compiled (or delete the marker): the successful
+build removes the marker with the other keys' files.
 """
 
 import os
 import sys
 
-# setup.py's extra_compile_args (a test pins the two): -ffp-contract=off
-# forbids FMA contraction, so the compiled twin is bit-identical to the
-# pure-Python one
+# the only compiler flags the twin is built with: -ffp-contract=off forbids
+# FMA contraction, so the compiled twin is bit-identical to the pure-Python one
 FLAGS = ("-O3", "-ffp-contract=off")
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
@@ -100,13 +102,7 @@ def _drop_stale(so_path):
 
 
 def _compiled():
-    """The compiled twin: the installed extension, else the one built here."""
-    try:
-        from . import _kernel
-
-        return _kernel
-    except ImportError:
-        pass
+    """The compiled twin, built here on a cache miss."""
     import importlib.machinery
     import importlib.util
     import zlib

@@ -63,11 +63,6 @@ class DuffingParams:
             warnings.warn("sigma = %r is outside the benchmark box [0.1, 2]" % (self.sigma,))
 
 
-def exo_derivative(v, sigma: float):
-    """Exosystem vector field: a rotation at rate sigma."""
-    return (sigma * float(v[1]), -sigma * float(v[0]))
-
-
 def exo_flow(v0, sigma: float, t: float):
     """Exact exosystem solution at time t from v0 (rotation matrix applied to v0)."""
     c, s = cos(sigma * t), sin(sigma * t)

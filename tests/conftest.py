@@ -33,19 +33,15 @@ def ckernel(tmp_path_factory):
     hand-written source clean.  It is loaded privately (not into
     sys.modules), so the rest of the suite keeps the backend that
     outreg.backend chose at import, and a run under OUTREG_BACKEND=python
-    still checks twin parity.  A warning fails it; without a compiler or a
-    _kernel.c it is the installed extension."""
+    still checks twin parity.  A warning fails it; without a compiler or
+    Python.h it skips, with the build's reason."""
     so = tmp_path_factory.mktemp("kernel") / ("_kernel" + EXTENSION_SUFFIXES[0])
     try:
         backend.build(so, extra_flags=("-Wall", "-Wextra", "-Werror"))
     except backend.CompileError:
         raise
     except backend.BuildError as exc:
-        try:
-            from outreg import _kernel
-        except ImportError:
-            pytest.skip("no outreg._kernel extension and no build: %s" % exc)
-        return _kernel
+        pytest.skip("the C twin does not build here: %s" % exc)
     name = "outreg._kernel"
     # the extension's own init registers it over any backend-loaded twin;
     # put back what was there

@@ -52,17 +52,19 @@ def test_twins_bit_identical_steady(ckernel, steady_cfg):
 
 
 def test_one_step_calls_chain_into_one_run(kern, steady_cfg):
-    # five one-step calls, each with its clock at t0 = i*h, give the rows and
-    # final state of one five-step call bit for bit, disturbance phase included
-    cfg = with_overrides(steady_cfg, disturbance_amp=0.05, disturbance_freq=7.0)
+    # with the disturbance off the field does not read the clock, so five
+    # one-step calls, each with its clock starting at 0, give the rows (but
+    # for their times) and the final state of one five-step call bit for bit
+    cfg = steady_cfg
+    assert cfg.disturbance_amp == 0.0
     records, _, y_run = kern.run_closed_loop(*_args(cfg, y0(cfg), 5, 1))
     rows = []
     y = y0(cfg)
     for i in range(5):
-        rec, diverged_at, y = kern.run_closed_loop(*_args(cfg, y, 1, 1), i * cfg.h)
+        rec, diverged_at, y = kern.run_closed_loop(*_args(cfg, y, 1, 1))
         assert diverged_at == -1.0
         rows += rec.tolist()[:1 if i < 4 else 2]
-    assert rows == records.tolist()
+    assert [row[1:] for row in rows] == [row[1:] for row in records.tolist()]
     assert list(y) == list(y_run)
 
 
@@ -96,8 +98,9 @@ def test_kernel_input_validation(kern):
         kern.run_closed_loop(*_args(cfg, [0.0] * 16, 10, 1))
     with pytest.raises(ValueError):
         kern.run_closed_loop(*_args(cfg, [0.0] * 17, 10, 0))
-    with pytest.raises(ValueError):
-        kern.run_closed_loop(*(_args(cfg, [0.0] * 17, 10, 1) + (-1.0,)))
+    # the clock always starts at 0: there is no 20th argument
+    with pytest.raises(TypeError):
+        kern.run_closed_loop(*(_args(cfg, [0.0] * 17, 10, 1) + (0.0,)))
     bad = _args(cfg, [0.0] * 17, 10, 1)
     bad = bad[:8] + ((1.0, 2.0),) + bad[9:]  # m1 too short
     with pytest.raises(ValueError):
@@ -105,7 +108,7 @@ def test_kernel_input_validation(kern):
 
 
 _BAD_STEPS = [
-    # a negative count would still record one row, at t0 + n_steps * h
+    # a negative count would still record one row, at n_steps * h
     (1e-3, -5, "n_steps must be >= 0, got -5"),
     # h <= 0 runs the clock backwards, so diverged_at could be negative and
     # read as -1.0; a nan h would report diverged_at = nan
@@ -190,8 +193,8 @@ def test_backend_env_override():
     out = _forced_backend("fortran")
     assert out.returncode != 0
     assert "OUTREG_BACKEND must be 'compiled' or 'python', got 'fortran'" in out.stderr
-    # forcing "compiled" works exactly when the default import finds the
-    # installed extension or builds the twin, whatever this process chose
+    # forcing "compiled" works exactly when the default import builds the
+    # twin or finds its build, whatever this process chose
     built = _forced_backend("").stdout.strip() == "compiled"
     out = _forced_backend("compiled")
     if built:
@@ -238,12 +241,12 @@ def test_records_contract(kern, steady_cfg, n_steps, stride):
 
 
 def test_records_single_row(kern, steady_cfg):
-    # n_steps = 0 records only the final row, at t0
+    # n_steps = 0 records only the final row, at t = 0
     records, diverged_at, _ = kern.run_closed_loop(
-        *(_args(steady_cfg, y0(steady_cfg), 0, 1) + (0.25,)))
+        *_args(steady_cfg, y0(steady_cfg), 0, 1))
     assert diverged_at == -1.0
     assert records.shape == (1, 12)
-    assert records.tolist()[0][0] == 0.25
+    assert records.tolist()[0][0] == 0.0
     # a run that escapes on its first step keeps only the step-0 row
     cfg = ScenarioConfig()
     records, diverged_at, _ = kern.run_closed_loop(

@@ -3,11 +3,11 @@ __pycache__/ cache).  Each test that imports works on its own copy of the
 package, so the checkout's cache is never touched, and starts at most two
 children."""
 
-import ast
 import os
 import shutil
 import subprocess
 import sys
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import pytest
 
@@ -15,7 +15,7 @@ import outreg
 from outreg import backend
 
 PKG = os.path.dirname(outreg.__file__)
-SETUP_PY = os.path.join(os.path.dirname(os.path.dirname(PKG)), "setup.py")
+PYPROJECT = os.path.join(os.path.dirname(os.path.dirname(PKG)), "pyproject.toml")
 PREFIX = "OUTREG_BACKEND=compiled but the outreg._kernel extension is not built"
 REPORT = ("import sys, outreg.backend as b\n"
           "print(b.BACKEND, getattr(sys.modules.get('outreg._kernel'), '__file__', None))\n")
@@ -24,10 +24,7 @@ REPORT = ("import sys, outreg.backend as b\n"
 @pytest.fixture
 def pkg(ckernel, tmp_path):
     """A copy of the package with no __pycache__/, on a machine that can
-    build: the ckernel fixture built its twin instead of falling back to
-    the installed extension."""
-    if ckernel is sys.modules.get("outreg._kernel"):
-        pytest.skip("ckernel is the installed extension: no compiler here")
+    build: the ckernel fixture skips where it cannot."""
     root = tmp_path / "src"
     shutil.copytree(PKG, root / "outreg", ignore=shutil.ignore_patterns("__pycache__", "*.so"))
     return root
@@ -61,13 +58,14 @@ def _marker(root):
     return [n for n in _cache(root) if n.endswith(".failed")]
 
 
-def test_setup_py_compiles_with_the_package_flags():
-    # setup.py's extension and a checkout's first-import build use one
-    # flag tuple; -ffp-contract=off is what keeps the twins bit-identical
-    tree = ast.parse(open(SETUP_PY, encoding="utf-8").read())
-    args = [ast.literal_eval(node.value) for node in ast.walk(tree)
-            if isinstance(node, ast.keyword) and node.arg == "extra_compile_args"]
-    assert args == [list(backend.FLAGS)]
+def test_an_install_ships_the_kernel_source():
+    # an installed package builds the twin on first import as a checkout
+    # does, so it needs _kernel.c; -ffp-contract=off is what keeps the
+    # twins bit-identical
+    tomllib = pytest.importorskip("tomllib")
+    with open(PYPROJECT, "rb") as fh:
+        setuptools = tomllib.load(fh)["tool"]["setuptools"]
+    assert "_kernel.c" in setuptools["package-data"]["outreg"]
     assert "-ffp-contract=off" in backend.FLAGS
 
 
@@ -95,6 +93,18 @@ def test_a_changed_source_is_a_new_key(pkg):
     assert (rc, out, err) == (0, ["python", "None"], "")
     new = _marker(pkg)
     assert len(new) == 1 and _cache(pkg) == sorted(old + new)
+
+
+def test_an_extension_beside_the_modules_is_not_loaded(pkg, ckernel):
+    # an extension an older editable install built in place is ignored:
+    # the first import builds the edited source and loads that build
+    shutil.copyfile(ckernel.__file__, pkg / "outreg" / ("_kernel" + EXTENSION_SUFFIXES[0]))
+    with open(pkg / "outreg" / "_kernel.c", "a", encoding="utf-8") as fh:
+        fh.write("/* one more line */\n")
+    rc, out, err = _report(pkg)
+    assert (rc, out[0], err) == (0, "compiled", "")
+    assert os.path.dirname(out[1]) == str(pkg / "outreg" / "__pycache__")
+    assert [os.path.basename(out[1])] == _cache(pkg)
 
 
 def test_no_compiler_falls_back_silently_and_explains_when_forced(pkg):

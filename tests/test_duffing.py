@@ -9,7 +9,6 @@ from outreg.acceptance import criterion_5
 from outreg.duffing import (
     DuffingParams,
     duffing_coeffs,
-    exo_derivative,
     exo_flow,
     regulator_solution,
     steady_state_theta,
@@ -34,6 +33,13 @@ def duffing_derivative(x, u: float, d: float, p: DuffingParams):
     x1, x2 = float(x[0]), float(x[1])
     dx2 = -p.c3 * x2 - p.c1 * x1 - p.c2 * (x1 * x1 * x1) + u + d
     return (x2, dx2)
+
+
+def exo_derivative(v, sigma: float):
+    """Exosystem vector field, a rotation at rate sigma: the oracle the
+    exosystem's exact flow and an RK4 loop over it are checked against
+    (the kernel twins spell the same field inline)."""
+    return (sigma * float(v[1]), -sigma * float(v[0]))
 
 
 def test_params_validation():

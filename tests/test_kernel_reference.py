@@ -19,7 +19,7 @@ from outreg.simulate import _kernel_args
 
 
 def _reference_run(y0, h, n_steps, stride, c1, c2, c3, sigma, m1, m2, eps,
-                   mask1, mask2, rho, kc, k0, mode, dist_amp, dist_freq, t0=0.0):
+                   mask1, mask2, rho, kc, k0, mode, dist_amp, dist_freq):
     # the list forms run_closed_loop hands to its helpers
     m1, m2, rho, kc = ([float(v) for v in xs] for xs in (m1, m2, rho, kc))
     mask1, mask2 = ([1 if v else 0 for v in xs] for xs in (mask1, mask2))
@@ -43,7 +43,7 @@ def _reference_run(y0, h, n_steps, stride, c1, c2, c3, sigma, m1, m2, eps,
     rows = []
     diverged_at = -1.0
     for step in range(n_steps):
-        t = t0 + step * h
+        t = step * h
         k1, aux = f(t, y)
         if step % stride == 0:
             rows.append([t, y[0], y[1], *aux, y[16]])
@@ -54,10 +54,10 @@ def _reference_run(y0, h, n_steps, stride, c1, c2, c3, sigma, m1, m2, eps,
              for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
         # a nan fails both comparisons
         if any(not -1e9 <= v <= 1e9 for v in y):
-            diverged_at = t0 + (step + 1) * h
+            diverged_at = (step + 1) * h
             break
     if diverged_at < 0.0:
-        t = t0 + n_steps * h
+        t = n_steps * h
         rows.append([t, y[0], y[1], *f(t, y)[1], y[16]])
     return rows, diverged_at, y
 
@@ -75,8 +75,8 @@ def _same(a, b):
 
 
 def _case(name, steady_cfg):
-    """(y0, h, n_steps, stride, *kernel args, t0) of one case."""
-    cfg, mode, t0 = steady_cfg, name, 0.0
+    """(y0, h, n_steps, stride, *kernel args) of one case."""
+    cfg, mode = steady_cfg, name
     if name == "masks":
         cfg = with_overrides(steady_cfg, mask1=(True, False),
                              mask2=(True, False, False, True))
@@ -85,13 +85,13 @@ def _case(name, steady_cfg):
         # escapes at t = 0.117, inside the 200 steps
         cfg, mode = ScenarioConfig(), "nonadaptive"
     elif name == "disturbed":
-        mode, t0 = "nonadaptive", 0.25
+        mode = "nonadaptive"
     args = list(_kernel_args(cfg, mode))
     if name == "disturbed":
         args[-2:] = 0.05, 7.0
     state = y0(cfg)
     state[16] = 0.5  # khat rides along in every mode, and adapts in one
-    return (state, cfg.h, 200, 3, *args, t0)
+    return (state, cfg.h, 200, 3, *args)
 
 
 @pytest.mark.parametrize("name", ["nonadaptive", "adaptive", "open_loop", "masks",
