@@ -40,8 +40,8 @@ EXIT_IO = 4
 
 # sweep axes in file order: each field whose _KEYS row holds one float (None)
 # or a vector of floats (its length)
-_AXES = {name: None if fmt is repr else len(getattr(ScenarioConfig(), name))
-         for _, name, _, fmt in _KEYS if fmt in (repr, _fmt_floats)}
+_AXES = {name: None if fmt is repr else len(default)
+         for _, name, _, fmt, default in _KEYS if fmt in (repr, _fmt_floats)}
 
 _SUMMARY_METRICS = ("diverged", "diverged_at", "trailing_sup_e",
                     "trailing_err_a11", "trailing_err_a21",

@@ -16,12 +16,12 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from .internal_model import InternalModelSpec
 from .linalg import ShapeError, mat_vec
 from .mapping import MappingConfig, chi
+from .record import Record
 
 # The highest power a gain polynomial may have.  The kernels evaluate rho
 # and k by Horner four times per RK4 step, so a step costs time linear in
@@ -38,11 +38,10 @@ class GainSyntaxError(ValueError):
     """Gain expression text outside the restricted polynomial grammar."""
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Record):
     """Real polynomial, coefficients ascending: coeffs[j] multiplies s^j."""
 
-    coeffs: tuple
+    _fields = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[float]):
         vals = [float(c) for c in coeffs]
@@ -50,7 +49,7 @@ class Polynomial:
             vals.pop()
         if not vals:
             vals = [0.0]
-        object.__setattr__(self, "coeffs", tuple(vals))
+        self.__dict__["coeffs"] = tuple(vals)
 
     @classmethod
     def parse(cls, text: str) -> "Polynomial":
@@ -140,8 +139,7 @@ class Polynomial:
         return True
 
 
-@dataclass(frozen=True)
-class GainConfig:
+class GainConfig(Record):
     """Gain shapes for the feedback laws.
 
     The stability analysis behind the laws assumes rho(s) >= 1, k(s) >= 1
@@ -149,18 +147,17 @@ class GainConfig:
     them, matching the warn-only posture of scenario validation.
     """
 
-    rho: Polynomial
-    k: Polynomial
-    k0: float
+    _fields = ("rho", "k", "k0")
 
-    def __post_init__(self):
-        object.__setattr__(self, "k0", float(self.k0))
-        if not self.rho.provably_at_least_one():
-            warnings.warn("cannot prove rho(s) >= 1 for all s: %r" % self.rho.format(), stacklevel=2)
-        if not self.k.provably_at_least_one():
-            warnings.warn("cannot prove k(s) >= 1 for all s: %r" % self.k.format(), stacklevel=2)
-        if self.k0 < 1.0:
-            warnings.warn("k0 = %g is below the k0 >= 1 design bound" % self.k0, stacklevel=2)
+    def __init__(self, rho: Polynomial, k: Polynomial, k0: float):
+        k0 = float(k0)
+        if not rho.provably_at_least_one():
+            warnings.warn("cannot prove rho(s) >= 1 for all s: %r" % rho.format(), stacklevel=2)
+        if not k.provably_at_least_one():
+            warnings.warn("cannot prove k(s) >= 1 for all s: %r" % k.format(), stacklevel=2)
+        if k0 < 1.0:
+            warnings.warn("k0 = %g is below the k0 >= 1 design bound" % k0, stacklevel=2)
+        self.__dict__.update(rho=rho, k=k, k0=k0)
 
 
 def zeta(x2: float, eta1, e: float, gains: GainConfig, map1: MappingConfig) -> float:

@@ -24,15 +24,14 @@ without any numerical root finding.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from math import cos, sin
 
 from .internal_model import CoeffVector, InternalModelSpec, q_matrix
 from .linalg import mat_vec
+from .record import Record
 
 
-@dataclass(frozen=True)
-class DuffingParams:
+class DuffingParams(Record):
     """Plant coefficients and exosystem frequency.
 
     The benchmark ranges c_i in [-2, 2] and sigma in [0.1, 2] are advisory:
@@ -40,27 +39,24 @@ class DuffingParams:
     in this module is valid for any finite parameters.
     """
 
-    c1: float = -2.0
-    c2: float = 1.5
-    c3: float = 0.5
-    sigma: float = 0.5
+    _fields = ("c1", "c2", "c3", "sigma")
 
-    def __post_init__(self):
-        for name in ("c1", "c2", "c3", "sigma"):
+    def __init__(self, c1: float = -2.0, c2: float = 1.5, c3: float = 0.5, sigma: float = 0.5):
+        self.__dict__.update(c1=float(c1), c2=float(c2), c3=float(c3), sigma=float(sigma))
+        for name in self._fields:
             val = getattr(self, name)
-            val = float(val)
             if val != val or val in (float("inf"), float("-inf")):
                 raise ValueError("%s must be finite, got %r" % (name, val))
-            object.__setattr__(self, name, val)
         if self.sigma <= 0.0:
             raise ValueError("sigma must be positive, got %r" % (self.sigma,))
         for name in ("c1", "c2", "c3"):
             if not -2.0 <= getattr(self, name) <= 2.0:
                 warnings.warn(
-                    "%s = %r is outside the benchmark box [-2, 2]" % (name, getattr(self, name))
-                )
+                    "%s = %r is outside the benchmark box [-2, 2]" % (name, getattr(self, name)),
+                    stacklevel=2)
         if not 0.1 <= self.sigma <= 2.0:
-            warnings.warn("sigma = %r is outside the benchmark box [0.1, 2]" % (self.sigma,))
+            warnings.warn("sigma = %r is outside the benchmark box [0.1, 2]" % (self.sigma,),
+                          stacklevel=2)
 
 
 def exo_flow(v0, sigma: float, t: float):

@@ -26,7 +26,6 @@ Routh first-column entry that is not positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .linalg import (
@@ -39,6 +38,7 @@ from .linalg import (
     solve_linear,
     sub,
 )
+from .record import Record
 
 # Hurwitz gate: strictly inside the left half-plane with a safety margin
 _HURWITZ_MARGIN = -1e-6
@@ -48,11 +48,10 @@ class NotHurwitzError(ValueError):
     """The candidate filter polynomial has a non-decaying mode."""
 
 
-@dataclass(frozen=True)
-class CoeffVector:
+class CoeffVector(Record):
     """Coefficients (a_1, ..., a_n) of s^n + a_n s^(n-1) + ... + a_1."""
 
-    a: tuple
+    _fields = ("a",)
 
     def __init__(self, a: Sequence[float]):
         vals = tuple(float(x) for x in a)
@@ -61,7 +60,7 @@ class CoeffVector:
         for x in vals:
             if not math.isfinite(x):
                 raise ValueError("non-finite coefficient %r" % x)
-        object.__setattr__(self, "a", vals)
+        self.__dict__["a"] = vals
 
     @property
     def n(self) -> int:
@@ -104,20 +103,18 @@ def companion_matrix(a) -> Matrix:
     return Matrix(rows)
 
 
-@dataclass(frozen=True)
-class InternalModelSpec:
+class InternalModelSpec(Record):
     """Filter data (M, N, Gamma) for one internal-model component.
 
     n is the generator dimension; m holds the 2n filter coefficients, M is
-    the 2n x 2n companion of m (verified Hurwitz at construction), N is the
+    the 2n x 2n companion of m (verified Hurwitz by hurwitz_pair), N is the
     last basis column and Gamma the first basis row.
     """
 
-    n: int
-    m: tuple
-    M: Matrix
-    N: Matrix
-    Gamma: Matrix
+    _fields = ("n", "m", "M", "N", "Gamma")
+
+    def __init__(self, n: int, m: tuple, M: Matrix, N: Matrix, Gamma: Matrix):
+        self.__dict__.update(n=n, m=m, M=M, N=N, Gamma=Gamma)
 
 
 def _routh_failure(coeffs: tuple):

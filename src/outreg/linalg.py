@@ -74,6 +74,10 @@ class Matrix:
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
+    def __reduce__(self):
+        # unpickling would set the slots through __setattr__, which refuses
+        return (Matrix._of, (self.rows, self.cols, self.data))
+
     def at(self, i, j):
         """Entry in row i, column j (0-based)."""
         if not (0 <= i < self.rows and 0 <= j < self.cols):

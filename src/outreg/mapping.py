@@ -18,15 +18,14 @@ steady-state signal estimate used by the control laws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .internal_model import CoeffVector, xi_matrix
 from .linalg import Matrix, ShapeError, adjugate, determinant, mat_vec, scale, zeros
+from .record import Record
 
 
-@dataclass(frozen=True)
-class MappingConfig:
+class MappingConfig(Record):
     """Estimator configuration for one internal-model component.
 
     n: generator dimension (the filter state has 2n entries).
@@ -37,26 +36,22 @@ class MappingConfig:
         after estimation (structurally known zeros of the benchmark).
     """
 
-    n: int
-    m: tuple
-    epsilon: float
-    zero_mask: Optional[tuple] = None
+    _fields = ("n", "m", "epsilon", "zero_mask")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, m: Sequence[float], epsilon: float,
+                 zero_mask: Optional[Sequence[bool]] = None):
+        if n < 1:
             raise ValueError("dimension must be >= 1")
-        m = tuple(float(x) for x in self.m)
-        if len(m) != 2 * self.n:
-            raise ShapeError("m has %d entries, expected 2n = %d" % (len(m), 2 * self.n))
-        object.__setattr__(self, "m", m)
-        if not (float(self.epsilon) > 0.0):
-            raise ValueError("epsilon must be > 0, got %r" % (self.epsilon,))
-        object.__setattr__(self, "epsilon", float(self.epsilon))
-        if self.zero_mask is not None:
-            zm = tuple(bool(b) for b in self.zero_mask)
-            if len(zm) != self.n:
-                raise ShapeError("zero_mask has %d entries, expected n = %d" % (len(zm), self.n))
-            object.__setattr__(self, "zero_mask", zm)
+        m = tuple(float(x) for x in m)
+        if len(m) != 2 * n:
+            raise ShapeError("m has %d entries, expected 2n = %d" % (len(m), 2 * n))
+        if not (float(epsilon) > 0.0):
+            raise ValueError("epsilon must be > 0, got %r" % (epsilon,))
+        if zero_mask is not None:
+            zero_mask = tuple(bool(b) for b in zero_mask)
+            if len(zero_mask) != n:
+                raise ShapeError("zero_mask has %d entries, expected n = %d" % (len(zero_mask), n))
+        self.__dict__.update(n=n, m=m, epsilon=float(epsilon), zero_mask=zero_mask)
 
 
 def _eta_tuple(eta, n=None):

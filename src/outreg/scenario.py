@@ -20,11 +20,11 @@ coefficients, sigma) and unprovable gain lower bounds only warn.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 
 from .controller import GainConfig, Polynomial
 from .duffing import DuffingParams, regulator_solution, steady_state_theta
 from .internal_model import NotHurwitzError, hurwitz_pair
+from .record import Record
 
 # in kernel order: simulate passes each mode's index here as its mode code
 MODES = ("nonadaptive", "adaptive", "open_loop")
@@ -56,37 +56,6 @@ class ScenarioError(ValueError):
         # rebuild from the violations, not from args (the joined message),
         # so the error crosses a pickle (a sweep child's pipe) intact
         return (type(self), (self.violations,))
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    c1: float = -2.0
-    c2: float = 1.5
-    c3: float = 0.5
-    sigma: float = 0.5
-    x0: tuple = (1.0, -1.0)
-    v0: tuple = (1.0, 1.0)
-    eta1_0: tuple = (0.0, 0.0, 0.0, 0.0)
-    eta2_0: tuple = (0.0,) * 8
-    khat0: float = 0.0
-    m1: tuple = (10.0, 18.0, 15.0, 6.0)
-    m2: tuple = (1.0, 5.0, 13.0, 22.0, 26.0, 22.0, 13.0, 5.0)
-    epsilon: float = 0.1
-    mask1: tuple = (False, True)
-    mask2: tuple = (False, True, False, True)
-    rho: Polynomial = field(default_factory=lambda: Polynomial((10.0, 0.0, 0.0, 0.0, 4.0)))
-    k: Polynomial = field(default_factory=lambda: Polynomial((1.0, 0.0, 1.0)))
-    k0: float = 1.0
-    h: float = 1e-3
-    t_end: float = 100.0
-    stride: int = 10
-    disturbance_amp: float = 0.0
-    disturbance_freq: float = 0.0
-    mode: str = "nonadaptive"
-
-    @property
-    def n_steps(self) -> int:
-        return int(round(self.t_end / self.h))
 
 
 # A parser turns a value's text into a field value or raises ValueError
@@ -164,36 +133,60 @@ def _fmt_mask(mask):
 
 
 # The scenario grammar, in serialize() order: key, ScenarioConfig field,
-# parser, formatter.  validate() checks that the fields formatted by repr
-# (floats), _fmt_floats (float vectors) and Polynomial.format are finite,
-# since overrides and hand-built configs never pass through the parsers.
-# The float and float-vector fields are cli.parse_grid's sweep axes.
+# parser, formatter, default.  validate() checks that the fields formatted by
+# repr (floats), _fmt_floats (float vectors) and Polynomial.format are
+# finite, since overrides and hand-built configs never pass through the
+# parsers.  The float and float-vector fields are cli.parse_grid's sweep axes.
 _KEYS = (
-    ("plant.c1", "c1", _float, repr),
-    ("plant.c2", "c2", _float, repr),
-    ("plant.c3", "c3", _float, repr),
-    ("plant.sigma", "sigma", _float, repr),
-    ("init.x", "x0", _floats(2), _fmt_floats),
-    ("init.v", "v0", _floats(2), _fmt_floats),
-    ("init.eta1", "eta1_0", _floats(4), _fmt_floats),
-    ("init.eta2", "eta2_0", _floats(8), _fmt_floats),
-    ("init.khat", "khat0", _float, repr),
-    ("model.m1", "m1", _floats(4), _fmt_floats),
-    ("model.m2", "m2", _floats(8), _fmt_floats),
-    ("mapping.epsilon", "epsilon", _float, repr),
-    ("mapping.mask1", "mask1", _mask(2), _fmt_mask),
-    ("mapping.mask2", "mask2", _mask(4), _fmt_mask),
-    ("gains.rho", "rho", Polynomial.parse, Polynomial.format),
-    ("gains.k", "k", Polynomial.parse, Polynomial.format),
-    ("gains.k0", "k0", _float, repr),
-    ("sim.h", "h", _float, repr),
-    ("sim.t_end", "t_end", _float, repr),
-    ("sim.stride", "stride", _int, "%d".__mod__),
-    ("sim.disturbance_amp", "disturbance_amp", _float, repr),
-    ("sim.disturbance_freq", "disturbance_freq", _float, repr),
-    ("mode", "mode", _mode, str),
+    ("plant.c1", "c1", _float, repr, -2.0),
+    ("plant.c2", "c2", _float, repr, 1.5),
+    ("plant.c3", "c3", _float, repr, 0.5),
+    ("plant.sigma", "sigma", _float, repr, 0.5),
+    ("init.x", "x0", _floats(2), _fmt_floats, (1.0, -1.0)),
+    ("init.v", "v0", _floats(2), _fmt_floats, (1.0, 1.0)),
+    ("init.eta1", "eta1_0", _floats(4), _fmt_floats, (0.0,) * 4),
+    ("init.eta2", "eta2_0", _floats(8), _fmt_floats, (0.0,) * 8),
+    ("init.khat", "khat0", _float, repr, 0.0),
+    ("model.m1", "m1", _floats(4), _fmt_floats, (10.0, 18.0, 15.0, 6.0)),
+    ("model.m2", "m2", _floats(8), _fmt_floats, (1.0, 5.0, 13.0, 22.0, 26.0, 22.0, 13.0, 5.0)),
+    ("mapping.epsilon", "epsilon", _float, repr, 0.1),
+    ("mapping.mask1", "mask1", _mask(2), _fmt_mask, (False, True)),
+    ("mapping.mask2", "mask2", _mask(4), _fmt_mask, (False, True, False, True)),
+    ("gains.rho", "rho", Polynomial.parse, Polynomial.format,
+     Polynomial((10.0, 0.0, 0.0, 0.0, 4.0))),
+    ("gains.k", "k", Polynomial.parse, Polynomial.format, Polynomial((1.0, 0.0, 1.0))),
+    ("gains.k0", "k0", _float, repr, 1.0),
+    ("sim.h", "h", _float, repr, 1e-3),
+    ("sim.t_end", "t_end", _float, repr, 100.0),
+    ("sim.stride", "stride", _int, "%d".__mod__, 10),
+    ("sim.disturbance_amp", "disturbance_amp", _float, repr, 0.0),
+    ("sim.disturbance_freq", "disturbance_freq", _float, repr, 0.0),
+    ("mode", "mode", _mode, str, "nonadaptive"),
 )
-_PARSERS = {key: (name, parse) for key, name, parse, _ in _KEYS}
+_PARSERS = {key: (name, parse) for key, name, parse, _, _ in _KEYS}
+
+
+class ScenarioConfig(Record):
+    """One scenario: a field per _KEYS row, built by keyword; a field left
+    out takes its row's default.  The fields are stored as given (validate
+    checks them)."""
+
+    _fields = tuple(row[1] for row in _KEYS)
+
+    def __init__(self, **kw):
+        for _, name, _, _, default in _KEYS:
+            self.__dict__[name] = kw.pop(name, default)
+        if kw:
+            raise TypeError("ScenarioConfig() got an unexpected keyword argument %r"
+                            % next(iter(kw)))
+
+    def replace(self, **changes) -> ScenarioConfig:
+        """A copy with the given fields changed (not validated)."""
+        return ScenarioConfig(**{**self.__dict__, **changes})
+
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.t_end / self.h))
 
 
 def loads(text: str) -> ScenarioConfig:
@@ -244,9 +237,9 @@ def steady_start(cfg: ScenarioConfig) -> ScenarioConfig:
     regulator-equation solution, each filter at theta = Q xi(v0).  ValueError
     when Q cannot be formed or a derived value is not finite.  cfg stands in
     for the DuffingParams the formulas read, whose box warnings validate gave."""
-    out = replace(cfg, x0=regulator_solution(cfg.v0, cfg)[:2],
-                  eta1_0=steady_state_theta(cfg.v0, cfg, 1, hurwitz_pair(cfg.m1)),
-                  eta2_0=steady_state_theta(cfg.v0, cfg, 2, hurwitz_pair(cfg.m2)))
+    out = cfg.replace(x0=regulator_solution(cfg.v0, cfg)[:2],
+                      eta1_0=steady_state_theta(cfg.v0, cfg, 1, hurwitz_pair(cfg.m1)),
+                      eta2_0=steady_state_theta(cfg.v0, cfg, 2, hurwitz_pair(cfg.m2)))
     errors = _non_finite(out)
     if errors:
         raise ValueError("derived " + "; ".join(errors))
@@ -298,7 +291,7 @@ def validate(cfg: ScenarioConfig):
 
 def _non_finite(cfg: ScenarioConfig) -> list:
     errors = []
-    for key, name, _, fmt in _KEYS:
+    for key, name, _, fmt, _ in _KEYS:
         val = getattr(cfg, name)
         if fmt is repr and not math.isfinite(val):
             errors.append("%s: must be finite, got %r" % (key, val))
@@ -337,10 +330,10 @@ def load_scenario(path) -> ScenarioConfig:
 def serialize(cfg: ScenarioConfig) -> str:
     """Canonical text form; loads(serialize(cfg)) == cfg."""
     return "".join("%s = %s\n" % (key, fmt(getattr(cfg, name)))
-                   for key, name, _, fmt in _KEYS)
+                   for key, name, _, fmt, _ in _KEYS)
 
 
 def with_overrides(cfg: ScenarioConfig, **kw) -> ScenarioConfig:
-    """replace() plus re-validation; used by sweeps and CLI flags."""
-    return validate(replace(cfg, **kw))
+    """cfg.replace() plus re-validation; used by sweeps and CLI flags."""
+    return validate(cfg.replace(**kw))
 

@@ -407,6 +407,11 @@ def _new_imports(argv, rc, watched):
     return out.stdout.strip().splitlines()[-1]
 
 
+# dataclasses and the inspect it pulls in cost about 27 ms of start-up; the
+# package's records are plain classes (outreg.record)
+_NO_DATACLASSES = ["dataclasses", "inspect"]
+
+
 def test_run_imports_neither_numpy_nor_process_pool(tmp_path):
     # the package imports no numpy and no process pool: `sweep` and `check`
     # fork their own children; a stray module-level import shows here.  A compiled twin already
@@ -414,7 +419,7 @@ def test_run_imports_neither_numpy_nor_process_pool(tmp_path):
     # hashlib and none of the build's subprocess or sysconfig
     import outreg
 
-    watched = ["numpy", "concurrent.futures.process"]
+    watched = ["numpy", "concurrent.futures.process"] + _NO_DATACLASSES
     if outreg.BACKEND == "compiled":
         watched += ["hashlib", "subprocess", "sysconfig"]
     assert _new_imports(["run", "--scenario", STEADY_SCN, "--tend", "0.05",
@@ -427,13 +432,15 @@ def test_parallel_sweep_imports_no_process_pool(tmp_path):
     assert _new_imports(["sweep", "--scenario", STEADY_SCN, "--tend", "0.05",
                          "--grid", "sigma=0.5,1", "--jobs", "2",
                          "--out", str(tmp_path / "sw")], 0,
-                        ["numpy", "concurrent.futures", "multiprocessing"]) == "[]"
+                        ["numpy", "concurrent.futures", "multiprocessing"]
+                        + _NO_DATACLASSES) == "[]"
 
 
 def test_check_imports_no_process_pool():
     # check forks its own two children, and its criteria import no numpy
     assert _new_imports(["check", "--seed", "0"], 1,
-                        ["numpy", "concurrent.futures", "multiprocessing"]) == "[]"
+                        ["numpy", "concurrent.futures", "multiprocessing"]
+                        + _NO_DATACLASSES) == "[]"
 
 
 def test_runs_with_numpy_blocked(tmp_path):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import pickle
 import random
 import struct
 
@@ -45,6 +46,14 @@ def test_matrix_is_immutable():
     a = Matrix([[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(AttributeError):
         a.rows = 3
+
+
+def test_matrix_survives_pickling():
+    a = Matrix([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    back = pickle.loads(pickle.dumps(a))
+    assert back == a and (back.rows, back.cols) == (2, 3)
+    with pytest.raises(AttributeError):
+        back.rows = 3
 
 
 def test_mat_pow_examples():

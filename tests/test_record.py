@@ -1,0 +1,117 @@
+"""The record contract: the package's seven value types compare, hash,
+print, refuse assignment and pickle the way frozen dataclasses do."""
+
+import pickle
+
+import pytest
+
+from outreg.controller import GainConfig, Polynomial
+from outreg.duffing import DuffingParams
+from outreg.internal_model import CoeffVector, hurwitz_pair
+from outreg.mapping import MappingConfig
+from outreg.scenario import ScenarioConfig, with_overrides
+
+_STOCK_REPR = (
+    "ScenarioConfig(c1=-2.0, c2=1.5, c3=0.5, sigma=0.5, x0=(1.0, -1.0), v0=(1.0, 1.0), "
+    "eta1_0=(0.0, 0.0, 0.0, 0.0), eta2_0=(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), "
+    "khat0=0.0, m1=(10.0, 18.0, 15.0, 6.0), "
+    "m2=(1.0, 5.0, 13.0, 22.0, 26.0, 22.0, 13.0, 5.0), epsilon=0.1, mask1=(False, True), "
+    "mask2=(False, True, False, True), rho=Polynomial(coeffs=(10.0, 0.0, 0.0, 0.0, 4.0)), "
+    "k=Polynomial(coeffs=(1.0, 0.0, 1.0)), k0=1.0, h=0.001, t_end=100.0, stride=10, "
+    "disturbance_amp=0.0, disturbance_freq=0.0, mode='nonadaptive')")
+
+# (build, build an equal record from other inputs, build a different one, repr)
+RECORDS = {
+    "CoeffVector": (lambda: CoeffVector((1.0, 2.0)), lambda: CoeffVector([1, 2]),
+                    lambda: CoeffVector((1.0, 3.0)), "CoeffVector(a=(1.0, 2.0))"),
+    "InternalModelSpec": (
+        lambda: hurwitz_pair((2.0, 3.0)), lambda: hurwitz_pair([2, 3]),
+        lambda: hurwitz_pair((2.0, 4.0)),
+        "InternalModelSpec(n=1, m=(2.0, 3.0), M=Matrix([[0.0, 1.0], [-2.0, -3.0]]), "
+        "N=Matrix([[0.0], [1.0]]), Gamma=Matrix([[1.0]]))"),
+    "MappingConfig": (
+        lambda: MappingConfig(n=2, m=(1.0, 2.0, 3.0, 4.0), epsilon=0.1),
+        lambda: MappingConfig(2, [1, 2, 3, 4], 0.1),
+        lambda: MappingConfig(n=2, m=(1.0, 2.0, 3.0, 4.0), epsilon=0.1, zero_mask=(0, 1)),
+        "MappingConfig(n=2, m=(1.0, 2.0, 3.0, 4.0), epsilon=0.1, zero_mask=None)"),
+    "DuffingParams": (lambda: DuffingParams(), lambda: DuffingParams(-2, 1.5, 0.5, 0.5),
+                      lambda: DuffingParams(sigma=1.0),
+                      "DuffingParams(c1=-2.0, c2=1.5, c3=0.5, sigma=0.5)"),
+    "Polynomial": (lambda: Polynomial((1.0, 0.0, 2.0)), lambda: Polynomial([1, 0, 2, 0]),
+                   lambda: Polynomial((1.0, 0.0, 3.0)), "Polynomial(coeffs=(1.0, 0.0, 2.0))"),
+    "GainConfig": (
+        lambda: GainConfig(Polynomial((1.0,)), Polynomial((1.0, 0.0, 1.0)), 2.0),
+        lambda: GainConfig(rho=Polynomial([1]), k=Polynomial.parse("1 + s^2"), k0=2),
+        lambda: GainConfig(Polynomial((1.0,)), Polynomial((1.0, 0.0, 1.0)), 3.0),
+        "GainConfig(rho=Polynomial(coeffs=(1.0,)), k=Polynomial(coeffs=(1.0, 0.0, 1.0)), "
+        "k0=2.0)"),
+    "ScenarioConfig": (lambda: ScenarioConfig(), lambda: ScenarioConfig(c1=-2.0, mode="nonadaptive"),
+                       lambda: ScenarioConfig(k0=2.0), _STOCK_REPR),
+}
+NAMES = sorted(RECORDS)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_equal_values_give_equal_records_and_hashes(name):
+    build, build_equal, build_other, _ = RECORDS[name]
+    a, b = build(), build_equal()
+    assert type(a).__name__ == name
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert a != build_other()
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_another_class_is_not_equal(name):
+    a = RECORDS[name][0]()
+    # the same fields in a subclass, as a frozen dataclass compares them
+    sub = object.__new__(type("Sub", (type(a),), {}))
+    sub.__dict__.update(a.__dict__)
+    assert a != sub and sub != a
+    assert a.__eq__(object()) is NotImplemented
+    for other in NAMES:
+        if other != name:
+            assert a != RECORDS[other][0]()
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_repr_is_pinned(name):
+    assert repr(RECORDS[name][0]()) == RECORDS[name][3]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_fields_refuse_assignment_and_deletion(name):
+    a = RECORDS[name][0]()
+    for field in a._fields:
+        before = getattr(a, field)
+        with pytest.raises(AttributeError):
+            setattr(a, field, before)
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+        assert getattr(a, field) is before
+    with pytest.raises(AttributeError):
+        a.extra = 1
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_pickle_round_trip(name):
+    a = RECORDS[name][0]()
+    back = pickle.loads(pickle.dumps(a))
+    assert type(back) is type(a)
+    assert back == a and hash(back) == hash(a)
+
+
+def test_unknown_scenario_field_is_a_type_error():
+    # as dataclasses.replace reports it
+    with pytest.raises(TypeError, match="unexpected keyword argument 'nope'"):
+        with_overrides(ScenarioConfig(), nope=1)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'nope'"):
+        ScenarioConfig(nope=1)
+
+
+def test_replace_changes_only_the_named_fields():
+    cfg = ScenarioConfig()
+    out = cfg.replace(k0=2.0, mode="adaptive")
+    assert (out.k0, out.mode) == (2.0, "adaptive")
+    assert out.replace(k0=1.0, mode="nonadaptive") == cfg
+    assert cfg == ScenarioConfig()

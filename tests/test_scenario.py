@@ -348,6 +348,23 @@ def test_scenario_files_load_silently_and_round_trip(name):
     assert loads(serialize(cfg)) == cfg
 
 
+@pytest.mark.parametrize("over, message", [
+    ({"k0": 0.5}, "k0 = 0.5 is below the k0 >= 1 design bound"),
+    ({"k": Polynomial((1.0, 1.0))}, "cannot prove k(s) >= 1 for all s: '1 + s'"),
+    ({"c1": 3.0}, "c1 = 3.0 is outside the benchmark box [-2, 2]"),
+    ({"sigma": 2.5}, "sigma = 2.5 is outside the benchmark box [0.1, 2]")])
+def test_box_and_gain_warnings_name_the_validating_line(over, message):
+    # each warning points at the line in validate() that built the record,
+    # not at the record's own module or a generated __init__
+    import outreg.scenario
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with_overrides(ScenarioConfig(), **over)
+    assert [(str(w.message), w.filename) for w in caught] == [
+        (message, outreg.scenario.__file__)]
+
+
 def test_with_overrides_revalidates():
     with pytest.raises(ScenarioError):
         with_overrides(ScenarioConfig(), h=-1.0)
