@@ -35,10 +35,9 @@ from .linalg import (Matrix, determinant, identity, mat_mul, mat_pow, mat_vec,
                      solve_columns, transpose, zeros)
 from .mapping import (MappingConfig, _chi_of, _inverse_and_det, chi, estimate_coeffs,
                       hankel, regularized_inverse)
-from . import simulate
 from .cli import _fan_out, _grid_points, _sweep_worker, parse_grid
 from .scenario import ScenarioConfig, with_overrides
-from .simulate import DivergenceError, metrics, run
+from .simulate import integrate, metrics
 from .closed_forms import closed_form_ahat1, closed_form_ahat2, closed_form_chi1, closed_form_chi2
 
 # the stock benchmark point, as ScenarioConfig() defines it
@@ -273,11 +272,8 @@ def _default_run(ctx, mode):
     key = "run-" + mode
     if key not in ctx:
         cfg = with_overrides(_STOCK, mode=mode)
-        try:
-            log = run(cfg)
-            ctx[key] = (cfg, log, None)
-        except DivergenceError as exc:
-            ctx[key] = (cfg, exc.partial, exc.time)
+        log, died, _ = integrate(cfg)
+        ctx[key] = (cfg, log, died)
     return ctx[key]
 
 
@@ -355,11 +351,7 @@ def criterion_10(seed, ctx):
     # (a) step halving moves criterion 6's metric by < 10%
     cfg, log, died = _default_run(ctx, "nonadaptive")
     half = with_overrides(cfg, h=cfg.h / 2.0)
-    try:
-        log_h = run(half)
-        died_h = None
-    except DivergenceError as exc:
-        log_h, died_h = exc.partial, exc.time
+    log_h, died_h, _ = integrate(half)
     if died is not None or died_h is not None:
         parts.append((False,
                       "step-halving: metric undefined, runs diverge at "
@@ -374,12 +366,10 @@ def criterion_10(seed, ctx):
                       "step-halving shift %.3g (tol < 0.10)" % shift))
 
     # (b) exosystem norm drift over 100 s, in the kernel the runs use: one
-    # open-loop run of the stock scenario, whose state entries 2, 3 are v
-    # from v(0) = (1, 1)
-    ol = with_overrides(_STOCK, mode="open_loop")
-    y0 = [*ol.x0, *ol.v0, *ol.eta1_0, *ol.eta2_0, ol.khat0]
-    v = simulate.run_closed_loop(y0, ol.h, ol.n_steps, ol.n_steps,
-                                 *simulate._kernel_args(ol, ol.mode))[2][2:4]
+    # open-loop run of the stock scenario, recording only its first and last
+    # steps, whose final state entries 2, 3 are v from v(0) = (1, 1)
+    ol = with_overrides(_STOCK, mode="open_loop", stride=_STOCK.n_steps)
+    v = integrate(ol)[2][2:4]
     drift = abs(math.hypot(*v) - math.sqrt(2.0)) / math.sqrt(2.0)
     parts.append((drift <= 1e-8, "exosystem norm drift %.3g over 100 s "
                   "(tol 1e-8)" % drift))

@@ -31,7 +31,7 @@ from itertools import product
 from . import svgplot
 from .scenario import (_KEYS, MODES, ScenarioConfig, ScenarioError, _fmt_floats, _number,
                        load_scenario, with_overrides)
-from .simulate import DivergenceError, SimLog, metrics, run
+from .simulate import SimLog, integrate, metrics
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -78,15 +78,9 @@ def _write_run_outputs(outdir: str, log: SimLog, report: dict, adaptive: bool):
 
 def cmd_run(args) -> int:
     cfg = _load_cfg(args)
-    adaptive = cfg.mode == "adaptive"
-    try:
-        log = run(cfg)
-        diverged_at = None
-    except DivergenceError as exc:
-        log = exc.partial
-        diverged_at = exc.time
+    log, diverged_at, _ = integrate(cfg)
     report = metrics(log, cfg, diverged_at=diverged_at)
-    _write_run_outputs(args.out, log, report, adaptive)
+    _write_run_outputs(args.out, log, report, cfg.mode == "adaptive")
     if diverged_at is not None:
         print("run diverged at t = %g; partial outputs written to %s"
               % (diverged_at, args.out), file=sys.stderr)
@@ -135,11 +129,8 @@ def _grid_points(axes):
 
 def _sweep_worker(base: ScenarioConfig, overrides: dict) -> dict:
     cfg = with_overrides(base, **overrides)
-    try:
-        log = run(cfg)
-        return metrics(log, cfg)
-    except DivergenceError as exc:
-        return metrics(exc.partial, cfg, diverged_at=exc.time)
+    log, diverged_at, _ = integrate(cfg)
+    return metrics(log, cfg, diverged_at=diverged_at)
 
 
 def _run_child(write_fd: int, inherited: list, job):

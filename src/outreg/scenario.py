@@ -323,8 +323,16 @@ def _run_length_errors(cfg: ScenarioConfig) -> list:
 
 
 def load_scenario(path) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+    """loads() of the file's UTF-8 text; bytes that are not UTF-8 are a
+    ScenarioError naming their line and byte offset."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(["line %d: not UTF-8: byte 0x%02x at offset %d" % (
+            data.count(b"\n", 0, exc.start) + 1, data[exc.start], exc.start)]) from None
+    return loads(text)
 
 
 def serialize(cfg: ScenarioConfig) -> str:

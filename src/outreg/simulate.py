@@ -6,9 +6,9 @@ t = step * h (products, not accumulated sums), the kernel arithmetic is
 fixed, and CSV formatting uses 17 significant digits, enough to round-trip
 any double.
 
-A run whose state leaves the |y| <= 1e9 box raises DivergenceError carrying
-the partial log and the offending time; callers that want the data anyway
-(the CLI, sweep collectors) catch it and keep the log.
+integrate() is the one run path; the CLI, the sweep and the acceptance
+criteria call it and keep the partial log of a run whose state leaves the
+|y| <= 1e9 box.  run() raises DivergenceError for such a run instead.
 """
 
 from __future__ import annotations
@@ -109,17 +109,25 @@ def _kernel_args(cfg: ScenarioConfig, mode: str):
             _MODE_CODES[mode], cfg.disturbance_amp, cfg.disturbance_freq)
 
 
-def run(cfg: ScenarioConfig) -> SimLog:
-    """Integrate the scenario from t = 0 to t_end; returns the SimLog.
+def _initial_state(cfg: ScenarioConfig) -> list:
+    """The kernel's 17-entry state at t = 0: x, v, eta1, eta2, khat."""
+    return [*cfg.x0, *cfg.v0, *cfg.eta1_0, *cfg.eta2_0, cfg.khat0]
 
-    Raises DivergenceError (with the partial log attached) if the state
-    blows up before t_end.
-    """
-    y0 = [*cfg.x0, *cfg.v0, *cfg.eta1_0, *cfg.eta2_0, cfg.khat0]
-    records, diverged_at, _ = run_closed_loop(
-        y0, cfg.h, cfg.n_steps, cfg.stride, *_kernel_args(cfg, cfg.mode))
-    log = SimLog(records)
-    if diverged_at >= 0.0:
+
+def integrate(cfg: ScenarioConfig):
+    """Integrate the scenario from t = 0 to t_end; returns (log, diverged_at,
+    y_final).  diverged_at is None on a completed run, else the time the
+    state left the box, with log the partial log up to it and y_final the
+    kernel's state there."""
+    records, diverged_at, y_final = run_closed_loop(
+        _initial_state(cfg), cfg.h, cfg.n_steps, cfg.stride, *_kernel_args(cfg, cfg.mode))
+    return SimLog(records), diverged_at if diverged_at >= 0.0 else None, y_final
+
+
+def run(cfg: ScenarioConfig) -> SimLog:
+    """integrate(cfg)'s log; DivergenceError, with the partial log, if it escapes."""
+    log, diverged_at, _ = integrate(cfg)
+    if diverged_at is not None:
         raise DivergenceError(diverged_at, log)
     return log
 

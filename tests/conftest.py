@@ -12,11 +12,6 @@ from outreg.scenario import ScenarioConfig, steady_start
 STEADY_SCN = os.path.join(os.path.dirname(__file__), "..", "scenarios", "steady_start.scn")
 
 
-def y0(cfg):
-    """The kernel's 17-entry initial state of cfg, as simulate.run packs it."""
-    return [*cfg.x0, *cfg.v0, *cfg.eta1_0, *cfg.eta2_0, cfg.khat0]
-
-
 @pytest.fixture
 def steady_cfg():
     """The stock benchmark started on its steady orbit: plant on the

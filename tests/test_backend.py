@@ -5,12 +5,12 @@ import subprocess
 import sys
 
 import pytest
-from conftest import y0
 
 from outreg import _kernel_py
 from outreg.linalg import determinant
 from outreg.mapping import MappingConfig, estimate_coeffs, hankel
-from outreg.scenario import ScenarioConfig, with_overrides
+from outreg.scenario import MODES, ScenarioConfig, with_overrides
+from outreg.simulate import _initial_state, _kernel_args
 
 
 @pytest.fixture(params=["python", "compiled"])
@@ -20,11 +20,8 @@ def kern(request):
     return request.getfixturevalue("ckernel")
 
 
-def _args(cfg, y0, n_steps, stride, mode=0):
-    return (y0, cfg.h, n_steps, stride, cfg.c1, cfg.c2, cfg.c3, cfg.sigma,
-            cfg.m1, cfg.m2, cfg.epsilon, cfg.mask1, cfg.mask2,
-            cfg.rho.coeffs, cfg.k.coeffs, cfg.k0, mode,
-            cfg.disturbance_amp, cfg.disturbance_freq)
+def _args(cfg, y0, n_steps, stride, mode="nonadaptive"):
+    return (y0, cfg.h, n_steps, stride, *_kernel_args(cfg, mode))
 
 
 def _assert_identical(a, b):
@@ -46,7 +43,7 @@ def _canonical_bytes(records):
 
 
 def test_twins_bit_identical_steady(ckernel, steady_cfg):
-    args = _args(steady_cfg, y0(steady_cfg), 2000, 10)
+    args = _args(steady_cfg, _initial_state(steady_cfg), 2000, 10)
     _assert_identical(_kernel_py.run_closed_loop(*args),
                       ckernel.run_closed_loop(*args))
 
@@ -57,9 +54,9 @@ def test_one_step_calls_chain_into_one_run(kern, steady_cfg):
     # for their times) and the final state of one five-step call bit for bit
     cfg = steady_cfg
     assert cfg.disturbance_amp == 0.0
-    records, _, y_run = kern.run_closed_loop(*_args(cfg, y0(cfg), 5, 1))
+    records, _, y_run = kern.run_closed_loop(*_args(cfg, _initial_state(cfg), 5, 1))
     rows = []
-    y = y0(cfg)
+    y = _initial_state(cfg)
     for i in range(5):
         rec, diverged_at, y = kern.run_closed_loop(*_args(cfg, y, 1, 1))
         assert diverged_at == -1.0
@@ -79,14 +76,14 @@ def test_twins_bit_identical_divergent(ckernel):
 
 
 def test_twins_bit_identical_all_modes(ckernel, steady_cfg):
-    for mode in (0, 1, 2):
-        args = _args(steady_cfg, y0(steady_cfg), 1500, 7, mode=mode)
+    for mode in MODES:
+        args = _args(steady_cfg, _initial_state(steady_cfg), 1500, 7, mode=mode)
         _assert_identical(_kernel_py.run_closed_loop(*args),
                           ckernel.run_closed_loop(*args))
 
 
 def test_twins_bit_identical_with_disturbance(ckernel, steady_cfg):
-    args = _args(steady_cfg, y0(steady_cfg), 1500, 10)
+    args = _args(steady_cfg, _initial_state(steady_cfg), 1500, 10)
     args = args[:17] + (0.05, 7.0)
     _assert_identical(_kernel_py.run_closed_loop(*args),
                       ckernel.run_closed_loop(*args))
@@ -130,7 +127,8 @@ def test_kernel_rejects_bad_step(kern, h, n_steps, message):
 @pytest.mark.parametrize("mode", [-1, 3, 7])
 def test_kernel_rejects_unknown_mode(kern, mode):
     # any mode but 1 or 2 would otherwise run as nonadaptive
-    args = _args(ScenarioConfig(), [0.0] * 17, 10, 1, mode=mode)
+    args = _args(ScenarioConfig(), [0.0] * 17, 10, 1)
+    args = args[:16] + (mode,) + args[17:]
     with pytest.raises(ValueError) as err:
         kern.run_closed_loop(*args)
     assert str(err.value) == "mode must be 0, 1 or 2, got %d" % mode
@@ -156,7 +154,7 @@ def test_kernel_aux_matches_module_path(kern, steady_cfg, mask1, mask2):
     cfg1 = MappingConfig(n=2, m=cfg.m1, epsilon=cfg.epsilon, zero_mask=cfg.mask1)
     cfg2 = MappingConfig(n=4, m=cfg.m2, epsilon=cfg.epsilon, zero_mask=cfg.mask2)
     gains = GainConfig(rho=cfg.rho, k=cfg.k, k0=cfg.k0)
-    state = y0(cfg)
+    state = _initial_state(cfg)
     state[5] += 0.31  # knock the filters off the invariant set
     state[10] -= 0.17
     records, _, _ = kern.run_closed_loop(*_args(cfg, state, 1, 1))
@@ -174,6 +172,36 @@ def test_kernel_aux_matches_module_path(kern, steady_cfg, mask1, mask2):
     zm = zeta(state[1], eta1, e, gains, cfg1)
     assert zv == pytest.approx(zm, rel=1e-10)
     assert u == pytest.approx(control_nonadaptive(zm, eta2, gains, cfg2), rel=1e-10)
+
+
+def test_adaptive_field_matches_module_path(steady_cfg):
+    # off the invariant set the adaptive vector field is the module-level
+    # control law and filter dynamics: zeta, u, the gain rate and the 12
+    # filter derivatives agree to a relative 1e-10
+    from outreg.controller import GainConfig, control_adaptive, eta_derivatives, zeta
+    from outreg.internal_model import hurwitz_pair
+
+    cfg = steady_cfg
+    cfg1 = MappingConfig(n=2, m=cfg.m1, epsilon=cfg.epsilon, zero_mask=cfg.mask1)
+    cfg2 = MappingConfig(n=4, m=cfg.m2, epsilon=cfg.epsilon, zero_mask=cfg.mask2)
+    gains = GainConfig(rho=cfg.rho, k=cfg.k, k0=cfg.k0)
+    state = _initial_state(cfg)
+    state[5] += 0.31  # knock the filters off the invariant set
+    state[10] -= 0.17
+    state[16] = 0.7  # a nonzero adapted gain
+    dy, aux = [0.0] * 17, [0.0] * 8
+    _kernel_py._deriv(0.0, state, dy, aux, *_kernel_args(cfg, "adaptive"), [0.0] * 2,
+                      [0.0] * 4)
+    e, zv, u = aux[:3]
+    eta1, eta2 = state[4:8], state[8:16]
+    zm = zeta(state[1], eta1, e, gains, cfg1)
+    um, kdot = control_adaptive(zm, eta2, state[16], gains, cfg2)
+    d1, d2 = eta_derivatives(eta1, eta2, state[1], um, hurwitz_pair(cfg.m1),
+                             hurwitz_pair(cfg.m2))
+    assert zv == pytest.approx(zm, rel=1e-10)
+    assert u == pytest.approx(um, rel=1e-10)
+    assert dy[16] == pytest.approx(kdot, rel=1e-10)
+    assert dy[4:16] == pytest.approx(d1 + d2, rel=1e-10)
 
 
 def _forced_backend(forced):
@@ -229,7 +257,7 @@ def test_records_contract(kern, steady_cfg, n_steps, stride):
     # a row at every stride-th step from step 0 and one after the last step,
     # as one C-contiguous (rows, 12) float64 view
     records, diverged_at, _ = kern.run_closed_loop(
-        *_args(steady_cfg, y0(steady_cfg), n_steps, stride))
+        *_args(steady_cfg, _initial_state(steady_cfg), n_steps, stride))
     rows = (n_steps - 1) // stride + 2
     assert diverged_at == -1.0
     assert len(records) == rows
@@ -243,7 +271,7 @@ def test_records_contract(kern, steady_cfg, n_steps, stride):
 def test_records_single_row(kern, steady_cfg):
     # n_steps = 0 records only the final row, at t = 0
     records, diverged_at, _ = kern.run_closed_loop(
-        *_args(steady_cfg, y0(steady_cfg), 0, 1))
+        *_args(steady_cfg, _initial_state(steady_cfg), 0, 1))
     assert diverged_at == -1.0
     assert records.shape == (1, 12)
     assert records.tolist()[0][0] == 0.0
@@ -260,10 +288,10 @@ def test_records_single_row(kern, steady_cfg):
 def test_twins_same_record_bytes(ckernel, steady_cfg, case):
     # bit for bit, signed zeros included; nans compare by position only
     if case == "steady":
-        args = _args(steady_cfg, y0(steady_cfg), 1500, 3, mode=1)
+        args = _args(steady_cfg, _initial_state(steady_cfg), 1500, 3, mode="adaptive")
     elif case == "cold":
         cfg = ScenarioConfig()
-        args = _args(cfg, y0(cfg), cfg.n_steps, 1)
+        args = _args(cfg, _initial_state(cfg), cfg.n_steps, 1)
     else:
         args = _args(ScenarioConfig(), [1e9, 0.0, 1.0, 1.0] + [0.0] * 13, 5, 1)
     rp = _kernel_py.run_closed_loop(*args)[0]
@@ -275,7 +303,8 @@ def test_twins_same_record_bytes(ckernel, steady_cfg, case):
 def test_simlog_of_kernel_records_round_trips(kern, steady_cfg):
     from outreg.simulate import SimLog
 
-    records, _, _ = kern.run_closed_loop(*_args(steady_cfg, y0(steady_cfg), 300, 1, mode=1))
+    records, _, _ = kern.run_closed_loop(
+        *_args(steady_cfg, _initial_state(steady_cfg), 300, 1, mode="adaptive"))
     log = SimLog(records)
     assert len(log) == len(records) == 301
     assert log == SimLog.from_csv(log.to_csv())

@@ -1,12 +1,13 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 from conftest import STEADY_SCN
 
-from outreg.cli import GridError, _fan_out, _grid_points, main, parse_grid
+from outreg.cli import _AXES, GridError, _fan_out, _grid_points, main, parse_grid
 from outreg.scenario import ScenarioError, serialize, with_overrides
 
 RUN_FILES = ("log.csv", "metrics.json", "plot_trajectory.svg",
@@ -57,6 +58,26 @@ def test_run_bad_config_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "M1 not Hurwitz" in err
     assert not (tmp_path / "o").exists()
+
+
+def test_run_scenario_not_utf8_exits_2(tmp_path, capsys):
+    # a Latin-1 byte in a comment is a config error naming where it is, not
+    # a traceback with check's "criteria failed" status
+    scn = tmp_path / "latin1.scn"
+    scn.write_bytes(b"plant.c1 = -2\nplant.c2 = 1.5  # caf\xe9\n")
+    assert main(["run", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "config error:\nline 2: not UTF-8: byte 0xe9 at offset 35\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_readme_lists_the_sweep_axes():
+    # the README's axis list is cli._AXES, so a new _KEYS row cannot leave
+    # it stale
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        listed = re.search(r"named as in `ScenarioConfig`: `([^`]*)`", fh.read())
+    assert listed and listed.group(1).split() == list(_AXES)
 
 
 def test_run_infinite_tend_exits_2(tmp_path, capsys):
@@ -222,7 +243,7 @@ def test_sweep_rejects_a_bad_point_before_running_any(tmp_path, capsys, monkeypa
     import outreg.cli
 
     ran = []
-    monkeypatch.setattr(outreg.cli, "run", lambda cfg: ran.append(cfg))
+    monkeypatch.setattr(outreg.cli, "integrate", lambda cfg: ran.append(cfg))
     out = tmp_path / "sw"
     assert main(["sweep", "--scenario", STEADY_SCN, "--grid", "t_end=20,1e9", "--jobs", "1",
                  "--out", str(out)]) == 2

@@ -3,7 +3,6 @@ import random
 
 import numpy as np
 import pytest
-from conftest import y0
 
 from outreg.acceptance import criterion_5
 from outreg.duffing import (
@@ -17,7 +16,7 @@ from outreg.duffing import (
 from outreg.internal_model import hurwitz_pair
 from outreg.mapping import MappingConfig, chi, estimate_coeffs
 from outreg.scenario import ScenarioConfig, with_overrides
-from outreg.simulate import _kernel_args
+from outreg.simulate import _initial_state, _kernel_args
 
 P = DuffingParams()  # c = (-2, 1.5, 0.5), sigma = 0.5
 M1 = (10.0, 18.0, 15.0, 6.0)
@@ -186,7 +185,7 @@ def test_exo_energy_drift_rk4(ckernel):
     cfg = with_overrides(ScenarioConfig(), mode="open_loop")
     assert (cfg.v0, cfg.sigma, cfg.h, cfg.n_steps) == ((1.0, 1.0), s, h, 100000)
     _, diverged_at, y_final = ckernel.run_closed_loop(
-        y0(cfg), cfg.h, cfg.n_steps, cfg.n_steps, *_kernel_args(cfg, cfg.mode))
+        _initial_state(cfg), cfg.h, cfg.n_steps, cfg.n_steps, *_kernel_args(cfg, cfg.mode))
     assert diverged_at == -1.0
     assert tuple(y_final[2:4]) == (v1, v2)
 

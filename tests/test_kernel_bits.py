@@ -16,11 +16,10 @@ import itertools
 import struct
 
 import pytest
-from conftest import y0
 
 from outreg import _kernel_py
 from outreg.scenario import ScenarioConfig
-from outreg.simulate import _kernel_args
+from outreg.simulate import _initial_state, _kernel_args
 
 
 # sha256 over the packed records, diverged_at and y_final of each case
@@ -78,7 +77,7 @@ def _masks(kern, steady_cfg):
     for mask1 in itertools.product((0, 1), repeat=2):
         for mask2 in itertools.product((0, 1), repeat=4):
             args[7:9] = mask1, mask2
-            out = kern.run_closed_loop(y0(steady_cfg), steady_cfg.h, 20, 1, *args)
+            out = kern.run_closed_loop(_initial_state(steady_cfg), steady_cfg.h, 20, 1, *args)
             h.update(_digest(out).encode())
     return h.hexdigest()
 
@@ -89,10 +88,10 @@ def _case(kern, name, steady_cfg):
         return _run(kern, cfg, [1e9, 0.0, 1.0, 1.0] + [0.0] * 13, 5, 1)
     if name == "cold":
         cfg = ScenarioConfig()
-        return _run(kern, cfg, y0(cfg), cfg.n_steps, 1)
+        return _run(kern, cfg, _initial_state(cfg), cfg.n_steps, 1)
     if name == "disturbed":
-        return _run(kern, steady_cfg, y0(steady_cfg), 2000, 1, dist=(0.05, 7.0))
-    return _run(kern, steady_cfg, y0(steady_cfg), 2000, 1, name)
+        return _run(kern, steady_cfg, _initial_state(steady_cfg), 2000, 1, dist=(0.05, 7.0))
+    return _run(kern, steady_cfg, _initial_state(steady_cfg), 2000, 1, name)
 
 
 @pytest.mark.parametrize("mode", ["nonadaptive", "adaptive", "open_loop"])

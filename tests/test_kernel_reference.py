@@ -11,11 +11,10 @@ same operations in the same order, so they must agree bit for bit.
 import struct
 
 import pytest
-from conftest import y0
 
 from outreg import _kernel_py
 from outreg.scenario import ScenarioConfig, with_overrides
-from outreg.simulate import _kernel_args
+from outreg.simulate import _initial_state, _kernel_args
 
 
 def _reference_run(y0, h, n_steps, stride, c1, c2, c3, sigma, m1, m2, eps,
@@ -89,7 +88,7 @@ def _case(name, steady_cfg):
     args = list(_kernel_args(cfg, mode))
     if name == "disturbed":
         args[-2:] = 0.05, 7.0
-    state = y0(cfg)
+    state = _initial_state(cfg)
     state[16] = 0.5  # khat rides along in every mode, and adapts in one
     return (state, cfg.h, 200, 3, *args)
 

@@ -1,10 +1,15 @@
 import pytest
-from conftest import y0
+from conftest import STEADY_SCN
 
-from outreg.backend import run_closed_loop
 from outreg.controller import Polynomial
-from outreg.scenario import ScenarioConfig, loads, with_overrides
-from outreg.simulate import DivergenceError, SimLog, metrics, run
+from outreg.scenario import ScenarioConfig, load_scenario, loads, steady_start, with_overrides
+from outreg.simulate import DivergenceError, SimLog, integrate, metrics, run
+
+
+@pytest.fixture(scope="module")
+def steady_log():
+    """The 100 s steady-start run, integrated once for the tests that read it."""
+    return run(steady_start(ScenarioConfig()))
 
 
 def test_default_nonadaptive_run_diverges():
@@ -26,8 +31,8 @@ def test_default_adaptive_run_diverges():
     assert exc.value.time == pytest.approx(0.056, abs=1e-12)
 
 
-def test_steady_start_holds_full_horizon(steady_cfg):
-    log = run(steady_cfg)
+def test_steady_start_holds_full_horizon(steady_cfg, steady_log):
+    log = steady_log
     assert len(log) == 10001
     m = metrics(log, steady_cfg)
     assert m["trailing_sup_e"] <= 1e-6
@@ -39,9 +44,8 @@ def test_steady_start_holds_full_horizon(steady_cfg):
     assert abs(m["min_detT2"]) < steady_cfg.epsilon
 
 
-def test_steady_start_estimates_lock(steady_cfg):
-    log = run(steady_cfg)
-    m = metrics(log, steady_cfg)
+def test_steady_start_estimates_lock(steady_cfg, steady_log):
+    m = metrics(steady_log, steady_cfg)
     assert m["trailing_err_a11"] <= 1e-4
     assert m["trailing_err_a21"] <= 1e-4
     assert m["trailing_err_a23"] <= 1e-4
@@ -55,10 +59,8 @@ def test_derived_start_holds_off_the_stock_point(line):
     assert max(map(abs, log.column("e"))) < 1e-9
 
 
-def test_determinism_byte_exact(steady_cfg):
-    a = run(steady_cfg).to_csv()
-    b = run(steady_cfg).to_csv()
-    assert a == b
+def test_determinism_byte_exact(steady_cfg, steady_log):
+    assert run(steady_cfg).to_csv() == steady_log.to_csv()
 
 
 def test_csv_round_trip(steady_cfg):
@@ -134,11 +136,8 @@ def test_step_halving_agreement(steady_cfg):
     fine = with_overrides(base, h=5e-4)
 
     def final_state(cfg):
-        _, diverged, y = run_closed_loop(
-            y0(cfg), cfg.h, cfg.n_steps, cfg.stride, cfg.c1, cfg.c2, cfg.c3,
-            cfg.sigma, cfg.m1, cfg.m2, cfg.epsilon, cfg.mask1, cfg.mask2,
-            cfg.rho.coeffs, cfg.k.coeffs, cfg.k0, 0, 0.0, 0.0)
-        assert diverged < 0.0
+        _, diverged_at, y = integrate(cfg)
+        assert diverged_at is None
         return y
 
     ya = final_state(base)
@@ -165,3 +164,19 @@ def test_metrics_settling_time(steady_cfg):
     assert m["settling_time"] == 0.0
     with pytest.raises(ValueError):
         metrics(SimLog([]), steady_cfg)
+
+
+@pytest.mark.parametrize("h, k0_holds, k0_escapes, escape_t",
+                         [(1e-3, 2700.0, 2900.0, 0.12), (5e-4, 5400.0, 5700.0, 0.111)])
+def test_gain_window_upper_edge_is_rk4s(h, k0_holds, k0_escapes, escape_t):
+    # k0 * h ~ 2.785 is RK4's stability bound on the negative real axis: just
+    # below it the steady start holds for 10 s, just above it the fast mode
+    # the gain sets is integrated unstably and the run escapes
+    base = with_overrides(load_scenario(STEADY_SCN), h=h, t_end=10.0)
+    assert k0_holds * h < 2.785 < k0_escapes * h
+    cfg = with_overrides(base, k0=k0_holds)
+    log, diverged_at, _ = integrate(cfg)
+    assert diverged_at is None
+    assert metrics(log, cfg)["trailing_sup_e"] <= 1e-11
+    _, diverged_at, _ = integrate(with_overrides(base, k0=k0_escapes))
+    assert diverged_at == pytest.approx(escape_t, abs=1e-12)
