@@ -1,15 +1,34 @@
 import importlib.util
 import os
+import struct
 import sys
 from importlib.machinery import EXTENSION_SUFFIXES
 
 import pytest
 
-from outreg import backend
+from outreg import _kernel_py, backend
 from outreg.scenario import ScenarioConfig, steady_start
+from outreg.simulate import _initial_state, _kernel_args
 
 # the stock benchmark started on its steady orbit (`init = steady`)
 STEADY_SCN = os.path.join(os.path.dirname(__file__), "..", "scenarios", "steady_start.scn")
+
+_QNAN = struct.pack("<Q", 0x7FF8000000000000)
+
+
+def pack_bits(vals):
+    """vals as float64 bytes: signed zeros differ, and every nan is one
+    canonical quiet nan, since a nan's sign and payload are not part of the
+    twins' contract."""
+    return b"".join(_QNAN if v != v else struct.pack("<d", v) for v in vals)
+
+
+def run_twin(kern, cfg, y0=None):
+    """kern.run_closed_loop on cfg as simulate.integrate packs it: the state
+    at t = 0 (or y0), cfg's h, n_steps and stride, and the kernel arguments
+    of cfg's mode."""
+    return kern.run_closed_loop(y0 or _initial_state(cfg), cfg.h, cfg.n_steps, cfg.stride,
+                                *_kernel_args(cfg, cfg.mode))
 
 
 @pytest.fixture
@@ -19,6 +38,15 @@ def steady_cfg():
     the loop has nothing to learn and the error stays at integration-noise
     level, which makes a clean regression scenario (see tests that use it)."""
     return steady_start(ScenarioConfig())
+
+
+@pytest.fixture(params=["python", "compiled"])
+def kern(request):
+    """Each kernel twin in turn; the compiled one as the ckernel fixture
+    builds it."""
+    if request.param == "python":
+        return _kernel_py
+    return request.getfixturevalue("ckernel")
 
 
 @pytest.fixture(scope="session")

@@ -1,107 +1,48 @@
 import itertools
 import os
-import struct
 import subprocess
 import sys
 
 import pytest
+from conftest import run_twin
 
 from outreg import _kernel_py
 from outreg.linalg import determinant
 from outreg.mapping import MappingConfig, estimate_coeffs, hankel
-from outreg.scenario import MODES, ScenarioConfig, with_overrides
+from outreg.scenario import ScenarioConfig, with_overrides
 from outreg.simulate import _initial_state, _kernel_args
-
-
-@pytest.fixture(params=["python", "compiled"])
-def kern(request):
-    if request.param == "python":
-        return _kernel_py
-    return request.getfixturevalue("ckernel")
-
-
-def _args(cfg, y0, n_steps, stride, mode="nonadaptive"):
-    return (y0, cfg.h, n_steps, stride, *_kernel_args(cfg, mode))
-
-
-def _assert_identical(a, b):
-    ra, da, ya = a
-    rb, db, yb = b
-    assert da == db
-    assert ra.shape == rb.shape
-    assert ra.tolist() == rb.tolist()
-    assert list(ya) == list(yb)
-
-
-_QNAN = struct.pack("<Q", 0x7FF8000000000000)
-
-
-def _canonical_bytes(records):
-    # the records' float64 bytes with every nan as one canonical quiet nan
-    flat = records.cast("B").cast("d")
-    return b"".join(_QNAN if v != v else struct.pack("<d", v) for v in flat)
-
-
-def test_twins_bit_identical_steady(ckernel, steady_cfg):
-    args = _args(steady_cfg, _initial_state(steady_cfg), 2000, 10)
-    _assert_identical(_kernel_py.run_closed_loop(*args),
-                      ckernel.run_closed_loop(*args))
 
 
 def test_one_step_calls_chain_into_one_run(kern, steady_cfg):
     # with the disturbance off the field does not read the clock, so five
     # one-step calls, each with its clock starting at 0, give the rows (but
     # for their times) and the final state of one five-step call bit for bit
-    cfg = steady_cfg
+    cfg = with_overrides(steady_cfg, t_end=5 * steady_cfg.h, stride=1)
+    one = with_overrides(cfg, t_end=cfg.h)
     assert cfg.disturbance_amp == 0.0
-    records, _, y_run = kern.run_closed_loop(*_args(cfg, _initial_state(cfg), 5, 1))
+    records, _, y_run = run_twin(kern, cfg)
     rows = []
     y = _initial_state(cfg)
     for i in range(5):
-        rec, diverged_at, y = kern.run_closed_loop(*_args(cfg, y, 1, 1))
+        rec, diverged_at, y = run_twin(kern, one, y)
         assert diverged_at == -1.0
         rows += rec.tolist()[:1 if i < 4 else 2]
     assert [row[1:] for row in rows] == [row[1:] for row in records.tolist()]
     assert list(y) == list(y_run)
 
 
-def test_twins_bit_identical_divergent(ckernel):
-    cfg = ScenarioConfig()
-    y0 = [1.0, -1.0, 1.0, 1.0] + [0.0] * 13
-    args = _args(cfg, y0, 100000, 10)
-    a = _kernel_py.run_closed_loop(*args)
-    b = ckernel.run_closed_loop(*args)
-    _assert_identical(a, b)
-    assert a[1] == pytest.approx(0.117, abs=1e-12)
-
-
-def test_twins_bit_identical_all_modes(ckernel, steady_cfg):
-    for mode in MODES:
-        args = _args(steady_cfg, _initial_state(steady_cfg), 1500, 7, mode=mode)
-        _assert_identical(_kernel_py.run_closed_loop(*args),
-                          ckernel.run_closed_loop(*args))
-
-
-def test_twins_bit_identical_with_disturbance(ckernel, steady_cfg):
-    args = _args(steady_cfg, _initial_state(steady_cfg), 1500, 10)
-    args = args[:17] + (0.05, 7.0)
-    _assert_identical(_kernel_py.run_closed_loop(*args),
-                      ckernel.run_closed_loop(*args))
-
-
 def test_kernel_input_validation(kern):
-    cfg = ScenarioConfig()
+    # replace() skips the validation that would reject these configs
+    cfg = ScenarioConfig(t_end=0.01)
     with pytest.raises(ValueError):
-        kern.run_closed_loop(*_args(cfg, [0.0] * 16, 10, 1))
+        run_twin(kern, cfg, [0.0] * 16)
     with pytest.raises(ValueError):
-        kern.run_closed_loop(*_args(cfg, [0.0] * 17, 10, 0))
+        run_twin(kern, cfg.replace(stride=0))
+    with pytest.raises(ValueError):
+        run_twin(kern, cfg.replace(m1=(1.0, 2.0)))  # m1 too short
     # the clock always starts at 0: there is no 20th argument
     with pytest.raises(TypeError):
-        kern.run_closed_loop(*(_args(cfg, [0.0] * 17, 10, 1) + (0.0,)))
-    bad = _args(cfg, [0.0] * 17, 10, 1)
-    bad = bad[:8] + ((1.0, 2.0),) + bad[9:]  # m1 too short
-    with pytest.raises(ValueError):
-        kern.run_closed_loop(*bad)
+        kern.run_closed_loop([0.0] * 17, cfg.h, 10, 1, *_kernel_args(cfg, cfg.mode), 0.0)
 
 
 _BAD_STEPS = [
@@ -118,19 +59,19 @@ _BAD_STEPS = [
 
 @pytest.mark.parametrize("h, n_steps, message", _BAD_STEPS)
 def test_kernel_rejects_bad_step(kern, h, n_steps, message):
-    args = _args(ScenarioConfig(), [0.0] * 17, n_steps, 1)
+    args = _kernel_args(ScenarioConfig(), "nonadaptive")
     with pytest.raises(ValueError) as err:
-        kern.run_closed_loop(args[0], h, *args[2:])
+        kern.run_closed_loop([0.0] * 17, h, n_steps, 1, *args)
     assert str(err.value) == message
 
 
 @pytest.mark.parametrize("mode", [-1, 3, 7])
 def test_kernel_rejects_unknown_mode(kern, mode):
     # any mode but 1 or 2 would otherwise run as nonadaptive
-    args = _args(ScenarioConfig(), [0.0] * 17, 10, 1)
-    args = args[:16] + (mode,) + args[17:]
+    args = list(_kernel_args(ScenarioConfig(), "nonadaptive"))
+    args[12] = mode  # the mode code
     with pytest.raises(ValueError) as err:
-        kern.run_closed_loop(*args)
+        kern.run_closed_loop([0.0] * 17, 1e-3, 10, 1, *args)
     assert str(err.value) == "mode must be 0, 1 or 2, got %d" % mode
 
 
@@ -150,14 +91,14 @@ def test_kernel_aux_matches_module_path(kern, steady_cfg, mask1, mask2):
     # under every mask, since a twin may skip the cofactors a mask discards
     from outreg.controller import GainConfig, control_nonadaptive, zeta
 
-    cfg = with_overrides(steady_cfg, mask1=mask1, mask2=mask2)
+    cfg = with_overrides(steady_cfg, mask1=mask1, mask2=mask2, t_end=steady_cfg.h, stride=1)
     cfg1 = MappingConfig(n=2, m=cfg.m1, epsilon=cfg.epsilon, zero_mask=cfg.mask1)
     cfg2 = MappingConfig(n=4, m=cfg.m2, epsilon=cfg.epsilon, zero_mask=cfg.mask2)
     gains = GainConfig(rho=cfg.rho, k=cfg.k, k0=cfg.k0)
     state = _initial_state(cfg)
     state[5] += 0.31  # knock the filters off the invariant set
     state[10] -= 0.17
-    records, _, _ = kern.run_closed_loop(*_args(cfg, state, 1, 1))
+    records, _, _ = run_twin(kern, cfg, state)
     t, x1, x2, e, zv, u, a11, a21, a23, det1, det2, khat = records.tolist()[0]
     eta1 = state[4:8]
     eta2 = state[8:16]
@@ -234,77 +175,43 @@ def test_backend_env_override():
                 in out.stderr)
 
 
-def test_twins_identical_on_overflowing_step(ckernel):
-    # a state big enough that an RK4 stage overflows to inf and the Hankel
-    # determinant becomes nan mid-step; C division quietly produces nan/inf
-    # and the python twin must do the same instead of raising
-    cfg = ScenarioConfig()
-    y0 = [1e9, 0.0, 1.0, 1.0] + [0.0] * 12 + [0.0]
-    out_c = ckernel.run_closed_loop(*_args(cfg, y0, 5, 1))
-    out_p = _kernel_py.run_closed_loop(*_args(cfg, y0, 5, 1))
-    rc, dc, yc = out_c
-    rp, dp, yp = out_p
-    assert dc == dp == pytest.approx(cfg.h)
-    assert rc.shape == rp.shape
-    assert rc.tolist() == rp.tolist()
-    for a, b in zip(yc, yp):
-        assert a == b or (a != a and b != b)  # nan-aware exact match
-
-
 @pytest.mark.parametrize("n_steps, stride", [(1, 1), (10, 1), (10, 3), (10, 10), (10, 11),
                                              (2000, 7)])
 def test_records_contract(kern, steady_cfg, n_steps, stride):
     # a row at every stride-th step from step 0 and one after the last step,
     # as one C-contiguous (rows, 12) float64 view
-    records, diverged_at, _ = kern.run_closed_loop(
-        *_args(steady_cfg, _initial_state(steady_cfg), n_steps, stride))
+    h = steady_cfg.h
+    records, diverged_at, _ = run_twin(
+        kern, with_overrides(steady_cfg, t_end=n_steps * h, stride=stride))
     rows = (n_steps - 1) // stride + 2
     assert diverged_at == -1.0
     assert len(records) == rows
     assert records.shape == (rows, 12)
     assert records.format == "d" and records.c_contiguous
-    h = steady_cfg.h
     assert [r[0] for r in records.tolist()] == (
         [s * h for s in range(0, n_steps, stride)] + [n_steps * h])
 
 
 def test_records_single_row(kern, steady_cfg):
-    # n_steps = 0 records only the final row, at t = 0
-    records, diverged_at, _ = kern.run_closed_loop(
-        *_args(steady_cfg, _initial_state(steady_cfg), 0, 1))
+    # n_steps = 0 records only the final row, at t = 0; validation rejects
+    # such a scenario, replace() does not
+    records, diverged_at, _ = run_twin(kern, steady_cfg.replace(t_end=0.0))
     assert diverged_at == -1.0
     assert records.shape == (1, 12)
     assert records.tolist()[0][0] == 0.0
     # a run that escapes on its first step keeps only the step-0 row
-    cfg = ScenarioConfig()
-    records, diverged_at, _ = kern.run_closed_loop(
-        *_args(cfg, [1e9, 0.0, 1.0, 1.0] + [0.0] * 13, 5, 1))
+    cfg = ScenarioConfig(t_end=0.005, stride=1)
+    records, diverged_at, _ = run_twin(kern, cfg, [1e9, 0.0, 1.0, 1.0] + [0.0] * 13)
     assert diverged_at == pytest.approx(cfg.h)
     assert records.shape == (1, 12)
     assert records.tolist()[0][:3] == [0.0, 1e9, 0.0]
 
 
-@pytest.mark.parametrize("case", ["steady", "cold", "overflow"])
-def test_twins_same_record_bytes(ckernel, steady_cfg, case):
-    # bit for bit, signed zeros included; nans compare by position only
-    if case == "steady":
-        args = _args(steady_cfg, _initial_state(steady_cfg), 1500, 3, mode="adaptive")
-    elif case == "cold":
-        cfg = ScenarioConfig()
-        args = _args(cfg, _initial_state(cfg), cfg.n_steps, 1)
-    else:
-        args = _args(ScenarioConfig(), [1e9, 0.0, 1.0, 1.0] + [0.0] * 13, 5, 1)
-    rp = _kernel_py.run_closed_loop(*args)[0]
-    rc = ckernel.run_closed_loop(*args)[0]
-    assert rp.shape == rc.shape and rp.format == rc.format == "d"
-    assert _canonical_bytes(rp) == _canonical_bytes(rc)
-
-
 def test_simlog_of_kernel_records_round_trips(kern, steady_cfg):
     from outreg.simulate import SimLog
 
-    records, _, _ = kern.run_closed_loop(
-        *_args(steady_cfg, _initial_state(steady_cfg), 300, 1, mode="adaptive"))
+    records, _, _ = run_twin(
+        kern, with_overrides(steady_cfg, mode="adaptive", t_end=0.3, stride=1))
     log = SimLog(records)
     assert len(log) == len(records) == 301
     assert log == SimLog.from_csv(log.to_csv())

@@ -1,14 +1,16 @@
-"""Pin the kernel twins' output bits.
+"""Pin the kernel twins' output bits: the one statement of twin parity.
 
-Each case hashes the struct-packed records, diverged_at and y_final of one
-run.  The digests were taken from the loop-form kernel that mirrored the
-compiled twin statement by statement, so any rewrite of either twin that
-changes a single bit of any value (a reassociated sum, a dropped 0.0 seed
-that flips a signed zero) fails here.  Every nan is hashed as one
+Each case is a scenario config, run through conftest.run_twin as
+simulate.integrate packs it, and each digest hashes the struct-packed
+records, diverged_at and y_final of that run.  Both twins run every case
+against the same digest, so they agree bit for bit wherever the compiled
+twin can be built, and the pure-Python pins hold even where nothing can be
+compiled.  The digests were taken from the loop-form kernel that mirrored
+the compiled twin statement by statement, so any rewrite of either twin
+that changes a single bit of any value (a reassociated sum, a dropped 0.0
+seed that flips a signed zero) fails here.  Every nan is hashed as one
 canonical quiet nan: its position is pinned, its sign and payload are not
-part of the twins' contract.  The pure-Python cases need no compiler; the
-compiled twin runs the same cases against the same digests wherever it can
-be built.
+part of the twins' contract.
 """
 
 import hashlib
@@ -16,10 +18,11 @@ import itertools
 import struct
 
 import pytest
+from conftest import pack_bits, run_twin
 
 from outreg import _kernel_py
-from outreg.scenario import ScenarioConfig
-from outreg.simulate import _initial_state, _kernel_args
+from outreg.scenario import ScenarioConfig, steady_start, with_overrides
+from outreg.simulate import _kernel_args
 
 
 # sha256 over the packed records, diverged_at and y_final of each case
@@ -36,6 +39,8 @@ DIGESTS = {
         "69f4226d265837d5276e27b3b816da1a3c710208cab4806beb8c4fb753ac928b",
     "overflow":
         "238234f19bb1e8c1374e4e76333df5e5203827f4a8abbe2666edc5b76c0bec19",
+    "cold_adaptive":
+        "cb0e1061a816a2b60a8799b1bd9d15ba2e3d50779448e195ada0bb2e8b8f10dc",
     "signed_zero":
         "7d00a742f44d68e12854c2e22e1d5692be9b1dc99e366cdd487447fb82f034d9",
     # sha256 over the 64 per-run digests, in product((0, 1)) order
@@ -44,79 +49,87 @@ DIGESTS = {
 }
 
 
-_QNAN = struct.pack("<Q", 0x7FF8000000000000)
-
-
-def _pack(vals):
-    return b"".join(_QNAN if v != v else struct.pack("<d", v) for v in vals)
+def _cases():
+    """name -> (cfg, y0) of each run case; y0 None starts from the state
+    simulate packs from cfg."""
+    stock = ScenarioConfig()
+    # 2000 steps from the steady orbit, a row at each
+    steady = with_overrides(steady_start(stock), t_end=2.0, stride=1)
+    return {
+        "nonadaptive": (steady, None),
+        "adaptive": (with_overrides(steady, mode="adaptive"), None),
+        "open_loop": (with_overrides(steady, mode="open_loop"), None),
+        "disturbed": (with_overrides(steady, disturbance_amp=0.05, disturbance_freq=7.0), None),
+        # the stock cold start until it escapes
+        "cold": (with_overrides(stock, stride=1), None),
+        # khat grows from the cold start, so the gain rate and its use in u
+        # shape every row; on the steady orbit khat stays below 1e-20
+        "cold_adaptive": (with_overrides(stock, mode="adaptive", stride=1), None),
+        # an RK4 stage overflows on the first step
+        "overflow": (with_overrides(stock, t_end=0.005, stride=1),
+                     [1e9, 0.0, 1.0, 1.0] + [0.0] * 13),
+    }
 
 
 def _digest(out):
     records, diverged_at, y_final = out
     h = hashlib.sha256()
     # the (rows, 12) view flattened row-major: every value, in row order
-    h.update(_pack(records.cast("B").cast("d")))
-    h.update(_pack([diverged_at]))
-    h.update(_pack(y_final))
+    h.update(pack_bits(records.cast("B").cast("d")))
+    h.update(pack_bits([diverged_at]))
+    h.update(pack_bits(y_final))
     return h.hexdigest()
 
 
-def _run(kern, cfg, y0, n_steps, stride, mode="nonadaptive", dist=None):
-    args = list(_kernel_args(cfg, mode))
-    if dist is not None:
-        args[-2:] = dist
-    return kern.run_closed_loop(y0, cfg.h, n_steps, stride, *args)
+def _python_bits(name, diverged_at):
+    out = run_twin(_kernel_py, *_cases()[name])
+    assert out[1] == pytest.approx(diverged_at, abs=1e-12)
+    assert _digest(out) == DIGESTS[name]
 
 
 def _masks(kern, steady_cfg):
     # 20 steps from the steady start under each of the 64 mask pairs: nonzero
     # filter states, so every Hankel minor a kept column reads is nonzero and
     # a swapped or skipped one changes the bits
-    args = list(_kernel_args(steady_cfg, "nonadaptive"))
+    cfg = with_overrides(steady_cfg, t_end=0.02, stride=1)
     h = hashlib.sha256()
-    for mask1 in itertools.product((0, 1), repeat=2):
-        for mask2 in itertools.product((0, 1), repeat=4):
-            args[7:9] = mask1, mask2
-            out = kern.run_closed_loop(_initial_state(steady_cfg), steady_cfg.h, 20, 1, *args)
+    for mask1 in itertools.product((False, True), repeat=2):
+        for mask2 in itertools.product((False, True), repeat=4):
+            out = run_twin(kern, with_overrides(cfg, mask1=mask1, mask2=mask2))
             h.update(_digest(out).encode())
     return h.hexdigest()
 
 
-def _case(kern, name, steady_cfg):
-    if name == "overflow":
-        cfg = ScenarioConfig()
-        return _run(kern, cfg, [1e9, 0.0, 1.0, 1.0] + [0.0] * 13, 5, 1)
-    if name == "cold":
-        cfg = ScenarioConfig()
-        return _run(kern, cfg, _initial_state(cfg), cfg.n_steps, 1)
-    if name == "disturbed":
-        return _run(kern, steady_cfg, _initial_state(steady_cfg), 2000, 1, dist=(0.05, 7.0))
-    return _run(kern, steady_cfg, _initial_state(steady_cfg), 2000, 1, name)
-
-
 @pytest.mark.parametrize("mode", ["nonadaptive", "adaptive", "open_loop"])
-def test_steady_bits(steady_cfg, mode):
-    out = _case(_kernel_py, mode, steady_cfg)
-    assert out[1] == -1.0
-    assert _digest(out) == DIGESTS[mode]
+def test_steady_bits(mode):
+    _python_bits(mode, -1.0)
 
 
-def test_disturbed_bits(steady_cfg):
-    out = _case(_kernel_py, "disturbed", steady_cfg)
-    assert out[1] == -1.0
-    assert _digest(out) == DIGESTS["disturbed"]
+def test_disturbed_bits():
+    _python_bits("disturbed", -1.0)
 
 
-def test_cold_start_bits(steady_cfg):
-    out = _case(_kernel_py, "cold", steady_cfg)
-    assert out[1] == pytest.approx(0.117, abs=1e-12)
-    assert _digest(out) == DIGESTS["cold"]
+def test_cold_start_bits():
+    _python_bits("cold", 0.117)
 
 
-@pytest.mark.parametrize("case", ["nonadaptive", "adaptive", "open_loop", "disturbed", "cold",
-                                  "overflow"])
-def test_compiled_twin_bits(ckernel, steady_cfg, case):
-    assert _digest(_case(ckernel, case, steady_cfg)) == DIGESTS[case]
+def test_cold_adaptive_bits():
+    _python_bits("cold_adaptive", 0.056)
+
+
+def test_overflow_bits():
+    # the run escapes on its first step and its final state holds nans.  Where
+    # both operands of an add or multiply are nan, the result keeps one
+    # operand's sign, and which one depends on the machine code: it differs
+    # between C compilers and, within CPython 3.11, between the generic float
+    # ops and the specialized ones a warm function switches to.  The
+    # canonical nan in _digest keeps this digest independent of both.
+    _python_bits("overflow", ScenarioConfig().h)
+
+
+@pytest.mark.parametrize("case", [n for n in DIGESTS if n not in ("signed_zero", "masks")])
+def test_compiled_twin_bits(ckernel, case):
+    assert _digest(run_twin(ckernel, *_cases()[case])) == DIGESTS[case]
 
 
 def test_mask_bits(steady_cfg):
@@ -125,18 +138,6 @@ def test_mask_bits(steady_cfg):
 
 def test_compiled_twin_mask_bits(ckernel, steady_cfg):
     assert _masks(ckernel, steady_cfg) == DIGESTS["masks"]
-
-
-def test_overflow_bits(steady_cfg):
-    # the run escapes on its first step and its final state holds nans.  Where
-    # both operands of an add or multiply are nan, the result keeps one
-    # operand's sign, and which one depends on the machine code: it differs
-    # between C compilers and, within CPython 3.11, between the generic float
-    # ops and the specialized ones a warm function switches to.  The
-    # canonical nan in _digest keeps this digest independent of both.
-    out = _case(_kernel_py, "overflow", steady_cfg)
-    assert out[1] == pytest.approx(ScenarioConfig().h)
-    assert _digest(out) == DIGESTS["overflow"]
 
 
 def test_signed_zero_bits():

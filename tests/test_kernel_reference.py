@@ -8,13 +8,14 @@ forms perfbench's microbenchmark passes.  Both evaluate every value with the
 same operations in the same order, so they must agree bit for bit.
 """
 
-import struct
+from types import SimpleNamespace
 
 import pytest
+from conftest import pack_bits, run_twin
 
 from outreg import _kernel_py
 from outreg.scenario import ScenarioConfig, with_overrides
-from outreg.simulate import _initial_state, _kernel_args
+from outreg.simulate import _initial_state
 
 
 def _reference_run(y0, h, n_steps, stride, c1, c2, c3, sigma, m1, m2, eps,
@@ -61,44 +62,38 @@ def _reference_run(y0, h, n_steps, stride, c1, c2, c3, sigma, m1, m2, eps,
     return rows, diverged_at, y
 
 
-_QNAN = struct.pack("<Q", 0x7FF8000000000000)
-
-
-def _bits(vals):
-    # signed zeros differ, every nan is one canonical nan
-    return [_QNAN if v != v else struct.pack("<d", v) for v in vals]
+# the reference in the kernel's calling convention, for conftest.run_twin
+_REFERENCE = SimpleNamespace(run_closed_loop=_reference_run)
 
 
 def _same(a, b):
-    return _bits(a) == _bits(b)
+    return pack_bits(a) == pack_bits(b)
 
 
 def _case(name, steady_cfg):
-    """(y0, h, n_steps, stride, *kernel args) of one case."""
-    cfg, mode = steady_cfg, name
+    """(cfg, y0) of one case: 200 steps, a row at every third."""
+    short = dict(t_end=0.2, stride=3)
     if name == "masks":
-        cfg = with_overrides(steady_cfg, mask1=(True, False),
-                             mask2=(True, False, False, True))
-        mode = "adaptive"
+        cfg = with_overrides(steady_cfg, mask1=(True, False), mask2=(True, False, False, True),
+                             mode="adaptive", **short)
     elif name == "cold":
         # escapes at t = 0.117, inside the 200 steps
-        cfg, mode = ScenarioConfig(), "nonadaptive"
+        cfg = with_overrides(ScenarioConfig(), **short)
     elif name == "disturbed":
-        mode = "nonadaptive"
-    args = list(_kernel_args(cfg, mode))
-    if name == "disturbed":
-        args[-2:] = 0.05, 7.0
+        cfg = with_overrides(steady_cfg, disturbance_amp=0.05, disturbance_freq=7.0, **short)
+    else:
+        cfg = with_overrides(steady_cfg, mode=name, **short)
     state = _initial_state(cfg)
     state[16] = 0.5  # khat rides along in every mode, and adapts in one
-    return (state, cfg.h, 200, 3, *args)
+    return cfg, state
 
 
 @pytest.mark.parametrize("name", ["nonadaptive", "adaptive", "open_loop", "masks",
                                   "disturbed", "cold"])
 def test_run_closed_loop_equals_list_reference(steady_cfg, name):
     case = _case(name, steady_cfg)
-    records, diverged_at, y_final = _kernel_py.run_closed_loop(*case)
-    rows, ref_diverged_at, ref_y = _reference_run(*case)
+    records, diverged_at, y_final = run_twin(_kernel_py, *case)
+    rows, ref_diverged_at, ref_y = run_twin(_REFERENCE, *case)
     assert records.shape == (len(rows), 12)
     assert _same([diverged_at], [ref_diverged_at])
     if name == "cold":
