@@ -30,9 +30,35 @@ RUN_ALL_DIGESTS = {
 }
 
 
+def _counting(calls):
+    """simulate.run_closed_loop, appending the (h, n_steps, stride,
+    diverged_at, rows) of each call to calls."""
+    kernel = simulate.run_closed_loop
+
+    def counted(y0, h, n_steps, stride, *args, **kwargs):
+        out = kernel(y0, h, n_steps, stride, *args, **kwargs)
+        calls.append((h, n_steps, stride, out[1], len(out[0])))
+        return out
+
+    return counted
+
+
 @pytest.fixture(scope="session")
-def results():
-    return {r[0]: r for r in run_all(seed=0)}
+def counted_run_all():
+    """The session's one run_all(seed=0), fresh, and the kernel calls it made
+    in this process.  It stays cached, so later run_all(seed=0) calls reuse
+    it."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "run_closed_loop", _counting(calls))
+        acceptance._cache.clear()
+        rows = run_all(seed=0)
+    return rows, calls
+
+
+@pytest.fixture(scope="session")
+def results(counted_run_all):
+    return {r[0]: r for r in counted_run_all[0]}
 
 
 def _report(results, name):
@@ -134,22 +160,12 @@ def test_run_all_equals_criteria_called_alone(results):
     assert [r[:3] for r in run_all(seed=0)] == alone
 
 
-def test_run_all_integrates_every_step_here(monkeypatch):
+def test_run_all_integrates_every_step_here(counted_run_all, monkeypatch):
     # criteria 1-5 run in worker processes; every kernel call must stay in
     # this one, where an in-process step counter can see it
+    pooled = counted_run_all[1]
     calls = []
-    kernel = simulate.run_closed_loop
-
-    def counted(y0, h, n_steps, stride, *args, **kwargs):
-        out = kernel(y0, h, n_steps, stride, *args, **kwargs)
-        calls.append((h, n_steps, stride, out[1], len(out[0])))
-        return out
-
-    monkeypatch.setattr(simulate, "run_closed_loop", counted)
-    monkeypatch.setattr(acceptance, "_cache", {})
-    run_all(seed=0)
-    pooled = list(calls)
-    calls.clear()
+    monkeypatch.setattr(simulate, "run_closed_loop", _counting(calls))
     ctx = {}
     for i in range(6, 11):
         getattr(acceptance, "criterion_%d" % i)(0, ctx)

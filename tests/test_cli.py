@@ -80,6 +80,19 @@ def test_readme_lists_the_sweep_axes():
     assert listed and listed.group(1).split() == list(_AXES)
 
 
+def test_readme_layout_lists_every_module():
+    # the README's Layout block names each module of the package and the C
+    # twin's source, and nothing else
+    root = os.path.join(os.path.dirname(__file__), "..")
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        block = re.search(r"\nsrc/outreg/\n((?:  \S.*\n)+)", fh.read())
+    listed = sorted(line.split()[0] for line in block.group(1).splitlines())
+    package = os.path.join(root, "src", "outreg")
+    modules = sorted(name for name in os.listdir(package)
+                     if (name.endswith(".py") and name != "__init__.py") or name == "_kernel.c")
+    assert listed == modules
+
+
 def test_run_infinite_tend_exits_2(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["run", "--scenario", STEADY_SCN, "--tend", "inf", "--out", str(out)]) == 2

@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from conftest import run_twin
 
 from outreg.acceptance import criterion_5
 from outreg.duffing import (
@@ -16,7 +17,6 @@ from outreg.duffing import (
 from outreg.internal_model import hurwitz_pair
 from outreg.mapping import MappingConfig, chi, estimate_coeffs
 from outreg.scenario import ScenarioConfig, with_overrides
-from outreg.simulate import _initial_state, _kernel_args
 
 P = DuffingParams()  # c = (-2, 1.5, 0.5), sigma = 0.5
 M1 = (10.0, 18.0, 15.0, 6.0)
@@ -163,8 +163,9 @@ def test_duffing_coeffs_values():
         assert r == pytest.approx(want, abs=1e-9)
 
 
-def test_exo_energy_drift_rk4(ckernel):
-    # 100 s at h = 1e-3; relative norm drift must stay below 1e-8
+@pytest.fixture(scope="module")
+def exo_rk4():
+    """v after 100 s of RK4 at h = 1e-3 from v(0) = (1, 1), stage by stage"""
     v1, v2 = 1.0, 1.0
     h = 1e-3
     s = P.sigma
@@ -175,19 +176,27 @@ def test_exo_energy_drift_rk4(ckernel):
         d1, d2 = exo_derivative((v1 + h * c1, v2 + h * c2), s)
         v1 += h / 6.0 * (a1 + 2 * b1 + 2 * c1 + d1)
         v2 += h / 6.0 * (a2 + 2 * b2 + 2 * c2 + d2)
+    return v1, v2
+
+
+def test_exo_energy_drift_rk4(exo_rk4):
+    # relative norm drift over the 100 s must stay below 1e-8
+    v1, v2 = exo_rk4
     drift = abs(math.hypot(v1, v2) - math.sqrt(2.0)) / math.sqrt(2.0)
     assert drift <= 1e-8
     # and the endpoint agrees with the closed form
-    vf = exo_flow((1.0, 1.0), s, 100.0)
+    vf = exo_flow((1.0, 1.0), P.sigma, 100.0)
     assert (v1, v2) == pytest.approx(vf, abs=1e-7)
+
+
+def test_kernel_integrates_the_exosystem_bit_for_bit(ckernel, exo_rk4):
     # criterion 10(b) reads v from the kernel: the open-loop stock run
     # integrates the same exosystem from v(0) = (1, 1) bit for bit
     cfg = with_overrides(ScenarioConfig(), mode="open_loop")
-    assert (cfg.v0, cfg.sigma, cfg.h, cfg.n_steps) == ((1.0, 1.0), s, h, 100000)
-    _, diverged_at, y_final = ckernel.run_closed_loop(
-        _initial_state(cfg), cfg.h, cfg.n_steps, cfg.n_steps, *_kernel_args(cfg, cfg.mode))
+    assert (cfg.v0, cfg.sigma, cfg.h, cfg.n_steps) == ((1.0, 1.0), P.sigma, 1e-3, 100000)
+    _, diverged_at, y_final = run_twin(ckernel, with_overrides(cfg, stride=cfg.n_steps))
     assert diverged_at == -1.0
-    assert tuple(y_final[2:4]) == (v1, v2)
+    assert tuple(y_final[2:4]) == exo_rk4
 
 
 def test_theta_dimensions():

@@ -1,7 +1,11 @@
+from bisect import bisect_left
+from statistics import fmean
+
 import pytest
 from conftest import STEADY_SCN
 
 from outreg.controller import Polynomial
+from outreg.mapping import bump_psi
 from outreg.scenario import ScenarioConfig, load_scenario, loads, steady_start, with_overrides
 from outreg.simulate import DivergenceError, SimLog, integrate, metrics, run
 
@@ -180,3 +184,50 @@ def test_gain_window_upper_edge_is_rk4s(h, k0_holds, k0_escapes, escape_t):
     assert metrics(log, cfg)["trailing_sup_e"] <= 1e-11
     _, diverged_at, _ = integrate(with_overrides(base, k0=k0_escapes))
     assert diverged_at == pytest.approx(escape_t, abs=1e-12)
+
+
+def _steady_at_epsilon(eps):
+    # the steady start at k0 = 10 over 25 s, where the trailing window is
+    # already on the orbit that epsilon biases
+    cfg = with_overrides(load_scenario(STEADY_SCN), k0=10.0, t_end=25.0, epsilon=eps)
+    log, diverged_at, _ = integrate(cfg)
+    assert diverged_at is None
+    return log, cfg
+
+
+def test_epsilon_below_the_orbit_det_is_inert():
+    # on the orbit |det T1| ~ 1.2e-3, while Psi(1 + d^2 - eps^2) is ~1e-174 at
+    # eps = 0.05 and ~1e-43 at 0.1: O is the exact inverse in doubles, so the
+    # two logs are the same bytes.  At 0.3 the surrogate shrinks a11 toward 0
+    assert _steady_at_epsilon(0.05)[0].to_csv() == _steady_at_epsilon(0.1)[0].to_csv()
+    log, cfg = _steady_at_epsilon(0.3)
+    assert metrics(log, cfg)["trailing_err_a11"] > 0.2
+
+
+@pytest.mark.parametrize("eps", [0.22, 0.24, 0.26])
+def test_epsilon_bias_is_the_surrogates_shrink(eps):
+    # O = d / (d^2 + Psi) Adj scales the exact estimate by d^2 / (d^2 + Psi),
+    # so a11 sits below sigma^2 by sigma^2 times one minus that, at the mean
+    # det T1 d of the trailing window (min_detT1 misses by 7 % at 0.26)
+    log, cfg = _steady_at_epsilon(eps)
+    tail = bisect_left(log.t, 0.8 * cfg.t_end)
+    d = fmean(log.column("detT1")[tail:])
+    shrink = d * d / (d * d + bump_psi(1.0 + d * d - eps * eps))
+    bias = cfg.sigma ** 2 * (1.0 - shrink)
+    assert metrics(log, cfg)["trailing_err_a11"] == pytest.approx(bias, rel=0.05)
+
+
+def test_epsilon_decides_whether_the_cold_start_escapes():
+    # the stock cold start at k0 = 100: at eps = 0.23 it holds for 100 s
+    # within the bounds of criteria 6 and 7, at eps = 0.2 it escapes
+    cold = with_overrides(ScenarioConfig(), k0=100.0)
+    cfg = with_overrides(cold, epsilon=0.23)
+    log, diverged_at, _ = integrate(cfg)
+    assert diverged_at is None
+    m = metrics(log, cfg)
+    assert m["trailing_sup_e"] < 1e-3
+    assert m["trailing_err_a11"] <= 0.02
+    assert m["trailing_err_a21"] <= 0.05
+    assert m["trailing_err_a23"] <= 0.1
+    _, diverged_at, _ = integrate(with_overrides(cold, epsilon=0.2))
+    assert diverged_at == pytest.approx(4.98, abs=1e-12)
