@@ -7,9 +7,9 @@ the divergence instead of a trailing-window metric and fails honestly.
 See README "Behavior notes" for the analysis of the stock cold-start
 escape.
 
-run_all(seed) executes all ten, criteria 1-5 in two forked children
-beside 6-10 in the calling process, and caches per seed so `outreg check`
-and the test suite can share one execution.
+run_all(seed) executes all ten, criteria 3-5 in two forked children
+beside 6-10, 2 and 1 in the calling process, and caches per seed so
+`outreg check` and the test suite can share one execution.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from .duffing import (
     duffing_coeffs,
     exo_flow,
     regulator_solution,
+    steady_state_lead,
     steady_state_q,
     steady_state_theta,
-    steady_state_xi,
 )
 from .internal_model import (admissible_from_frequencies, hurwitz_pair, q_matrix,
                              sylvester_residual, xi_matrix)
@@ -152,8 +152,8 @@ def criterion_4(seed, ctx):
             n_exact += 1
             # the columns of Theta^-1 solve Theta x = e_c, from one factorization
             for c, col in enumerate(solve_columns(th, identity(n).to_lists())):
-                for r in range(n):
-                    worst_inv = max(worst_inv, abs(o.at(r, c) - col[r]))
+                for x, y in zip(o.data[c::n], col):
+                    worst_inv = max(worst_inv, abs(x - y))
     zero_ok = all(x == 0.0 for n in (2, 4)
                   for x in regularized_inverse(zeros(n, n), eps).data)
     passed = worst_inv <= 1e-9 and zero_ok
@@ -238,7 +238,7 @@ def criterion_5(seed, ctx):
     etas = [[0.0] * (2 * cfg.n) for _, cfg, _ in comps]
     t = 0.0
     v = exo_flow((1.0, 1.0), _P.sigma, t)
-    w_t = [steady_state_xi(v, _P, i)[0] for i, _, _ in comps]
+    w_t = [steady_state_lead(v, _P, i) for i, _, _ in comps]
     for _ in range(n_steps // chunk):
         points = []
         for _ in range(chunk):
@@ -247,7 +247,7 @@ def criterion_5(seed, ctx):
             points.append(t)
         vs = [exo_flow((1.0, 1.0), _P.sigma, s) for s in points]
         for c, (i, _, _) in enumerate(comps):
-            w = [w_t[c]] + [steady_state_xi(v, _P, i)[0] for v in vs]
+            w = [w_t[c]] + [steady_state_lead(v, _P, i) for v in vs]
             w_t[c] = w[-1]
             eta = etas[c]
             etas[c] = [sum(map(mul, a_row, eta)) + sum(map(mul, g_row, w))
@@ -387,10 +387,11 @@ def criterion_10(seed, ctx):
 _CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
              criterion_6, criterion_7, criterion_8, criterion_9, criterion_10)
 # the _CRITERIA indices each process runs: this one runs 6-10 with one
-# shared context, one forked child criterion 4 and another 5, 3, 2 and 1,
-# which touch no kernel.  On two CPUs 4 alone took 0.92 s and the other four
-# together 0.94 s
-_GROUPS = ((5, 6, 7, 8, 9), (3,), (4, 2, 1, 0))
+# shared context and then 2 and 1, one forked child criterion 4 and another
+# 5 and 3; 1-5 touch no kernel.  Each called alone, medians of seven fresh
+# processes on a 2-CPU machine: 4 took 0.74 s, 3 0.42 s, 5 0.22 s, 1 and 2
+# 0.04 s each, and 6-10 0.07 s together
+_GROUPS = ((5, 6, 7, 8, 9, 1, 0), (3,), (4, 2))
 
 _cache = {}
 
@@ -411,9 +412,10 @@ def run_all(seed: int = 0):
 
     Criteria 6-10 run here with one shared context: 6, 7 and 10 reuse one
     cached run, and every kernel step is integrated in this process.
-    cli._fan_out forks two children meanwhile, one for criterion 4 and one
-    for 5, 3, 2 and 1, so call this from a process that has started no
-    threads.  A criterion's exception is raised here.
+    Criteria 2 and 1 follow them here, while cli._fan_out's two forked
+    children run criterion 4 and criteria 5 and 3, so call this from a
+    process that has started no threads.  A criterion's exception is raised
+    here.
     """
     if seed not in _cache:
         done = {}

@@ -94,21 +94,31 @@ def steady_state_xi(v, p: DuffingParams, i: int):
         u''  = sigma^2*(-A*v1 - B*v2) + 3*c2*sigma^2*(2*v1*v2^2 - v1^3)
         u''' = sigma^3*(B*v1 - A*v2) + 3*c2*sigma^3*(2*v2^3 - 7*v1^2*v2)
     """
+    lead = steady_state_lead(v, p, i)
     v1, v2 = float(v[0]), float(v[1])
     s = p.sigma
     if i == 1:
-        return (s * v2, -s * s * v1)
+        return (lead, -s * s * v1)
+    A = p.c1 - s * s
+    B = p.c3 * s - 1.0
+    c2 = p.c2
+    s2 = s * s
+    s3 = s2 * s
+    u1 = s * (-B * v1 + A * v2) + 3.0 * c2 * s * (v1 * v1 * v2)
+    u2 = s2 * (-A * v1 - B * v2) + 3.0 * c2 * s2 * (2.0 * v1 * v2 * v2 - v1 * v1 * v1)
+    u3 = s3 * (B * v1 - A * v2) + 3.0 * c2 * s3 * (2.0 * v2 * v2 * v2 - 7.0 * v1 * v1 * v2)
+    return (lead, u1, u2, u3)
+
+
+def steady_state_lead(v, p: DuffingParams, i: int) -> float:
+    """The leading entry of steady_state_xi(v, p, i): x2_ss for component 1,
+    u = A*v1 + B*v2 + c2*v1^3 for component 2."""
+    v1, v2 = float(v[0]), float(v[1])
+    s = p.sigma
+    if i == 1:
+        return s * v2
     if i == 2:
-        A = p.c1 - s * s
-        B = p.c3 * s - 1.0
-        c2 = p.c2
-        s2 = s * s
-        s3 = s2 * s
-        u0 = A * v1 + B * v2 + c2 * (v1 * v1 * v1)
-        u1 = s * (-B * v1 + A * v2) + 3.0 * c2 * s * (v1 * v1 * v2)
-        u2 = s2 * (-A * v1 - B * v2) + 3.0 * c2 * s2 * (2.0 * v1 * v2 * v2 - v1 * v1 * v1)
-        u3 = s3 * (B * v1 - A * v2) + 3.0 * c2 * s3 * (2.0 * v2 * v2 * v2 - 7.0 * v1 * v1 * v2)
-        return (u0, u1, u2, u3)
+        return (p.c1 - s * s) * v1 + (p.c3 * s - 1.0) * v2 + p.c2 * (v1 * v1 * v1)
     raise ValueError("component index must be 1 or 2, got %r" % (i,))
 
 

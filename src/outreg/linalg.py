@@ -1,10 +1,13 @@
 """Small dense real-matrix arithmetic.
 
 Everything downstream (companion matrices, Hankel estimators, the simulator)
-works with matrices no larger than 8x8, so the kernel favours exactness and
-auditability over speed: determinants come from partial-pivot LU, adjugates
-from explicit cofactors, and there is no BLAS behind it.  All entries are
-plain Python floats.
+works with matrices no larger than 8x8: determinants come from partial-pivot
+LU, adjugates from explicit cofactors, and there is no BLAS behind it.  All
+entries are plain Python floats.  The sizes the estimators use are written
+out: determinants of 2 and 3 rows, adjugates of 2x2 to 4x4 and products of
+inner size 2 and 4.  Each does the plain loop's floating-point operations in
+the loop's order, so its results are the same bits; the loops stay as the
+path for other sizes and as the reference the tests compare against.
 
 Every Matrix holds finite entries.  The public constructor checks its
 input; results built here skip that check only where every entry is copied
@@ -146,12 +149,23 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         raise ShapeError("cannot multiply %dx%d by %dx%d" % (a.rows, a.cols, b.rows, b.cols))
     bcols = [b.data[j::b.cols] for j in range(b.cols)]
     out = []
-    for arow in _row_slices(a):
-        for bcol in bcols:
-            s = 0.0
-            for x, y in zip(arow, bcol):
-                s += x * y
-            out.append(s)
+    # inner sizes 2 and 4 written out: Python adds left to right from the
+    # 0.0 seed, which is the loop's order, so the bits are the loop's
+    if a.cols == 2:
+        for x0, x1 in _row_slices(a):
+            for y0, y1 in bcols:
+                out.append(0.0 + x0 * y0 + x1 * y1)
+    elif a.cols == 4:
+        for x0, x1, x2, x3 in _row_slices(a):
+            for y0, y1, y2, y3 in bcols:
+                out.append(0.0 + x0 * y0 + x1 * y1 + x2 * y2 + x3 * y3)
+    else:
+        for arow in _row_slices(a):
+            for bcol in bcols:
+                s = 0.0
+                for x, y in zip(arow, bcol):
+                    s += x * y
+                out.append(s)
     return _checked(a.rows, b.cols, tuple(out))
 
 
@@ -232,8 +246,13 @@ def _det_rows(m: list) -> float:
     if len(m) == 1:
         last = m[0][0]
         return 0.0 if last == 0.0 else det * last
-    # the last two columns of the same elimination, written out
     (a, b), (c, d) = m
+    return _det2(a, b, c, d, det)
+
+
+def _det2(a, b, c, d, det=1.0):
+    """The last two columns of _det_rows's elimination, over rows (a, b) and
+    (c, d), written out; with det = 1.0 it is _det_rows of those two rows."""
     if abs(c) > abs(a):
         a, b, c, d = c, d, a, b
         det = -det
@@ -246,21 +265,86 @@ def _det_rows(m: list) -> float:
     return 0.0 if d == 0.0 else det * d
 
 
+def _det3(r0, r1, r2):
+    """_det_rows of three rows, written out: the same pivot (the first row of
+    largest |entry|), the same skipped zero factors and the same products."""
+    v0 = abs(r0[0])
+    v1 = abs(r1[0])
+    # a swap puts the pivot row first and the displaced row where it was
+    if v1 > v0:
+        p, q, s, det = (r2, r1, r0, -1.0) if abs(r2[0]) > v1 else (r1, r0, r2, -1.0)
+    elif abs(r2[0]) > v0:
+        p, q, s, det = r2, r1, r0, -1.0
+    elif v0 == 0.0:
+        return 0.0
+    else:
+        p, q, s, det = r0, r1, r2, 1.0
+    pivval, p1, p2 = p
+    det *= pivval
+    q0, q1, q2 = q
+    s0, s1, s2 = s
+    f = q0 / pivval
+    if f != 0.0:
+        q1 -= f * p1
+        q2 -= f * p2
+    f = s0 / pivval
+    if f != 0.0:
+        s1 -= f * p1
+        s2 -= f * p2
+    return _det2(q1, q2, s1, s2, det)
+
+
 def determinant(a: Matrix) -> float:
     """Determinant via LU with partial pivoting."""
     if not a.is_square:
         raise ShapeError("determinant needs a square matrix, got %dx%d" % (a.rows, a.cols))
+    if a.rows == 2:
+        return _det2(*a.data)
+    if a.rows == 3:
+        return _det3(*_row_slices(a))
     return _det_rows(_row_slices(a))
 
 
 def adjugate(a: Matrix) -> Matrix:
-    """Adjugate (transposed cofactor matrix): A . adj(A) = det(A) . I."""
+    """Adjugate (transposed cofactor matrix): A . adj(A) = det(A) . I.
+
+    For n = 2, 3 and 4 the cofactors are written out; they are the same
+    bits as the plain loop, _adjugate_loop.
+    """
     if not a.is_square:
         raise ShapeError("adjugate needs a square matrix, got %dx%d" % (a.rows, a.cols))
     n = a.rows
     if n == 1:
         return Matrix._of(1, 1, (1.0,))
-    rows = _row_slices(a)
+    # out is row-major, entry (j, i) the cofactor (i, j), as in the loop
+    if n == 2:
+        # each cofactor is _det_rows of one entry x: 0.0 if x == 0.0 else x
+        p, q, r, s = a.data
+        out = (0.0 if s == 0.0 else s, -(0.0 if q == 0.0 else q),
+               -(0.0 if r == 0.0 else r), 0.0 if p == 0.0 else p)
+    elif n == 3:
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = _row_slices(a)
+        out = (_det2(b1, b2, c1, c2), -_det2(a1, a2, c1, c2), _det2(a1, a2, b1, b2),
+               -_det2(b0, b2, c0, c2), _det2(a0, a2, c0, c2), -_det2(a0, a2, b0, b2),
+               _det2(b0, b1, c0, c1), -_det2(a0, a1, c0, c1), _det2(a0, a1, b0, b1))
+    elif n == 4:
+        # row k without column j is cut once, as the j-th entry of row k's cuts
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = [
+            (r[1:], r[:1] + r[2:], r[:2] + r[3:], r[:3]) for r in _row_slices(a)]
+        out = (_det3(b0, c0, d0), -_det3(a0, c0, d0), _det3(a0, b0, d0), -_det3(a0, b0, c0),
+               -_det3(b1, c1, d1), _det3(a1, c1, d1), -_det3(a1, b1, d1), _det3(a1, b1, c1),
+               _det3(b2, c2, d2), -_det3(a2, c2, d2), _det3(a2, b2, d2), -_det3(a2, b2, c2),
+               -_det3(b3, c3, d3), _det3(a3, c3, d3), -_det3(a3, b3, d3), _det3(a3, b3, c3))
+    else:
+        out = _adjugate_loop(_row_slices(a))
+    return _checked(n, n, out)
+
+
+def _adjugate_loop(rows: list) -> tuple:
+    """The plain cofactor loop over the rows of a square matrix, n >= 2: the
+    path for n >= 5 and the reference the written-out cofactors are tested
+    against."""
+    n = len(rows)
     out = [0.0] * (n * n)
     for i in range(n):
         others = rows[:i] + rows[i + 1:]
@@ -270,7 +354,7 @@ def adjugate(a: Matrix) -> Matrix:
                 c = -c
             # transpose: cofactor (i, j) lands at (j, i)
             out[j * n + i] = c
-    return _checked(n, n, tuple(out))
+    return tuple(out)
 
 
 def solve_linear(a: Matrix, b) -> list:

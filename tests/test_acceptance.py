@@ -21,9 +21,9 @@ from outreg import acceptance
 from outreg.acceptance import run_all
 
 # sha256 of repr([(name, passed, detail), ...]) for two seeds: everything
-# `outreg check` prints except the timings.  Taken with the plain-loop linalg
-# and the stepwise criterion-5 integration, so a faster path that moves a
-# printed digit fails here.
+# `outreg check` prints except the timings.  Taken with the plain loops of
+# linalg (before its written-out n <= 4 paths) and the stepwise criterion-5
+# integration, so a faster path that moves a printed digit fails here.
 RUN_ALL_DIGESTS = {
     0: "53e4c012f6605d241a3ba8feac3f0503144e9779109b465ee21d758440dddaf7",
     1: "983d347209b0a2fcc02343d0a86afe8cdcb79139a366eafe4c3296c54d635386",

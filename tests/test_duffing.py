@@ -11,6 +11,7 @@ from outreg.duffing import (
     duffing_coeffs,
     exo_flow,
     regulator_solution,
+    steady_state_lead,
     steady_state_theta,
     steady_state_xi,
 )
@@ -110,6 +111,14 @@ def test_steady_state_xi_examples():
     assert xi2[0] == regulator_solution((1.0, 1.0), P)[2] == -1.5
     with pytest.raises(ValueError):
         steady_state_xi((1.0, 1.0), P, 3)
+
+
+def test_steady_state_lead_is_the_leading_xi_entry():
+    for p in (P, DuffingParams(1.2, -0.7, -1.9, 1.7)):
+        for k in range(100):
+            v = exo_flow((1.0, -0.3), p.sigma, k * 0.37)
+            for i in (1, 2):
+                assert repr(steady_state_lead(v, p, i)) == repr(steady_state_xi(v, p, i)[0])
 
 
 def test_xi_entries_are_successive_derivatives():

@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from outreg import linalg
 from outreg.linalg import (
     Matrix,
     ShapeError,
@@ -142,6 +143,43 @@ def test_adjugate_of_singular_matrix_is_finite():
     a = Matrix([[1.0, 2.0], [2.0, 4.0]])
     adj = adjugate(a)
     assert all(math.isfinite(x) for x in adj.data)
+
+
+def _plain_mat_mul(a, b):
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            s = 0.0
+            for k in range(a.cols):
+                s += a.at(i, k) * b.at(k, j)
+            out.append(s)
+    return tuple(out)
+
+
+def test_written_out_paths_equal_the_plain_loops_bit_for_bit():
+    # determinants of 2 and 3 rows, adjugates of n = 2, 3, 4 and products of
+    # inner size 2 and 4 are written out; n = 1 and 5 take the loops
+    rng = random.Random(23)
+    pool = (0.0, -0.0, 1.0, -1.0, 0.5, -0.5)
+    for trial in range(3000):
+        n = 1 + trial % 5
+        kind = trial // 5 % 4
+        rows = [[rng.choice(pool) if kind else rng.uniform(-3.0, 3.0) for _ in range(n)]
+                for _ in range(n)]
+        if kind == 2 and n > 1:
+            rows[rng.randrange(1, n)] = list(rows[0])
+        if kind == 3:
+            for r in rows:
+                r[0] = rng.choice((0.0, -0.0))
+        a = Matrix(rows)
+        slices = linalg._row_slices(a)
+        assert repr(determinant(a)) == repr(linalg._det_rows(list(slices))), a
+        if n > 1:
+            assert repr(adjugate(a).data) == repr(linalg._adjugate_loop(slices)), a
+        cols = rng.randint(1, 5)
+        b = Matrix([[rng.choice(pool) if kind else rng.uniform(-3.0, 3.0)
+                     for _ in range(cols)] for _ in range(n)])
+        assert repr(mat_mul(a, b).data) == repr(_plain_mat_mul(a, b)), (a, b)
 
 
 def test_solve_examples():

@@ -33,6 +33,11 @@ def test_default_adaptive_run_diverges():
     with pytest.raises(DivergenceError) as exc:
         run(cfg)
     assert exc.value.time == pytest.approx(0.056, abs=1e-12)
+    # off the orbit the gain grows (0 -> 38.67 over the records before the
+    # escape), so its monotonicity is checked where it means something
+    kh = exc.value.partial.column("khat")
+    assert all(b >= a for a, b in zip(kh, kh[1:]))
+    assert kh[-1] > 30.0
 
 
 def test_steady_start_holds_full_horizon(steady_cfg, steady_log):
