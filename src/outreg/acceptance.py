@@ -17,15 +17,17 @@ from __future__ import annotations
 import math
 import random
 import time
-from functools import partial
-from operator import mul
+from functools import partial, reduce
+from operator import add, mul
 
 from .duffing import (
     DuffingParams,
     duffing_coeffs,
     exo_flow,
+    exo_flows,
     regulator_solution,
     steady_state_lead,
+    steady_state_leads,
     steady_state_q,
     steady_state_theta,
 )
@@ -133,16 +135,18 @@ def criterion_4(seed, ctx):
     eps = 0.1
     worst_inv = 0.0
     n_exact = 0
+    eyes = {n: identity(n).to_lists() for n in (2, 3, 4)}
+    # entries are rng.uniform(-2.0, 2.0), by uniform's own formula
     for trial in range(10000):
         n = 2 + trial % 3
         if trial % 100 == 99:
             th = zeros(n, n)
         elif trial % 10 == 9:
-            rows = [[rng.uniform(-2.0, 2.0) for _ in range(n)] for _ in range(n - 1)]
+            rows = [[-2.0 + 4.0 * rng.random() for _ in range(n)] for _ in range(n - 1)]
             rows.append(list(rows[0]))  # duplicated row: exactly singular
             th = Matrix(rows)
         else:
-            th = Matrix([[rng.uniform(-2.0, 2.0) for _ in range(n)]
+            th = Matrix([[-2.0 + 4.0 * rng.random() for _ in range(n)]
                          for _ in range(n)])
         o, d = _inverse_and_det(th, eps)
         if not all(math.isfinite(x) for x in o.data):
@@ -151,7 +155,7 @@ def criterion_4(seed, ctx):
         if d * d >= eps * eps:
             n_exact += 1
             # the columns of Theta^-1 solve Theta x = e_c, from one factorization
-            for c, col in enumerate(solve_columns(th, identity(n).to_lists())):
+            for c, col in enumerate(solve_columns(th, eyes[n])):
                 for x, y in zip(o.data[c::n], col):
                     worst_inv = max(worst_inv, abs(x - y))
     zero_ok = all(x == 0.0 for n in (2, 4)
@@ -209,6 +213,12 @@ def _chunk_map(spec, h, steps):
     return mat_pow(A, steps).to_lists(), [list(r) for r in zip(*cols)]
 
 
+def _dot(row, vec):
+    """Sum of products left to right from 0.0, on every interpreter: builtin
+    sum() over floats is compensated on CPython 3.12 and later."""
+    return reduce(add, map(mul, row, vec), 0.0)
+
+
 def criterion_5(seed, ctx):
     eps = 0.1
     qualifying = 0
@@ -245,13 +255,12 @@ def criterion_5(seed, ctx):
             points.append(t + 0.5 * h)
             t += h
             points.append(t)
-        vs = [exo_flow((1.0, 1.0), _P.sigma, s) for s in points]
+        vs = exo_flows((1.0, 1.0), _P.sigma, points)
         for c, (i, _, _) in enumerate(comps):
-            w = [w_t[c]] + [steady_state_lead(v, _P, i) for v in vs]
+            w = [w_t[c]] + steady_state_leads(vs, _P, i)
             w_t[c] = w[-1]
             eta = etas[c]
-            etas[c] = [sum(map(mul, a_row, eta)) + sum(map(mul, g_row, w))
-                       for a_row, g_row in zip(*maps[c])]
+            etas[c] = [_dot(a_row, eta) + _dot(g_row, w) for a_row, g_row in zip(*maps[c])]
     v = exo_flow((1.0, 1.0), _P.sigma, t)
     worst_gap = max(math.dist(eta, steady_state_theta(v, _P, i, spec, q))
                     for eta, (i, _, spec), q in zip(etas, comps, qs))
@@ -389,8 +398,9 @@ _CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
 # the _CRITERIA indices each process runs: this one runs 6-10 with one
 # shared context and then 2 and 1, one forked child criterion 4 and another
 # 5 and 3; 1-5 touch no kernel.  Each called alone, medians of seven fresh
-# processes on a 2-CPU machine: 4 took 0.74 s, 3 0.42 s, 5 0.22 s, 1 and 2
-# 0.04 s each, and 6-10 0.07 s together
+# processes on a 2-CPU machine: 4 took 0.54 s, 3 0.37 s, 5 0.19 s, 1 and 2
+# 0.03 s each, and 6-10 0.07 s together, so the children carry 0.54 and
+# 0.56 s and this process 0.12 s of the 1.22 s
 _GROUPS = ((5, 6, 7, 8, 9, 1, 0), (3,), (4, 2))
 
 _cache = {}

@@ -61,9 +61,15 @@ class DuffingParams(Record):
 
 def exo_flow(v0, sigma: float, t: float):
     """Exact exosystem solution at time t from v0 (rotation matrix applied to v0)."""
-    c, s = cos(sigma * t), sin(sigma * t)
+    return exo_flows(v0, sigma, (t,))[0]
+
+
+def exo_flows(v0, sigma: float, ts) -> list:
+    """exo_flow from v0 at every time in ts, as a list of (v1, v2) pairs;
+    cos and sin are evaluated once per time."""
     v1, v2 = float(v0[0]), float(v0[1])
-    return (v1 * c + v2 * s, -v1 * s + v2 * c)
+    args = [sigma * t for t in ts]
+    return [(v1 * c + v2 * s, -v1 * s + v2 * c) for c, s in zip(map(cos, args), map(sin, args))]
 
 
 def regulator_solution(v, p: DuffingParams):
@@ -113,12 +119,20 @@ def steady_state_xi(v, p: DuffingParams, i: int):
 def steady_state_lead(v, p: DuffingParams, i: int) -> float:
     """The leading entry of steady_state_xi(v, p, i): x2_ss for component 1,
     u = A*v1 + B*v2 + c2*v1^3 for component 2."""
-    v1, v2 = float(v[0]), float(v[1])
+    return steady_state_leads(((float(v[0]), float(v[1])),), p, i)[0]
+
+
+def steady_state_leads(vs, p: DuffingParams, i: int) -> list:
+    """steady_state_lead at every exosystem state in vs, pairs of floats
+    such as exo_flows returns."""
     s = p.sigma
     if i == 1:
-        return s * v2
+        return [s * v2 for _, v2 in vs]
     if i == 2:
-        return (p.c1 - s * s) * v1 + (p.c3 * s - 1.0) * v2 + p.c2 * (v1 * v1 * v1)
+        A = p.c1 - s * s
+        B = p.c3 * s - 1.0
+        c2 = p.c2
+        return [A * v1 + B * v2 + c2 * (v1 * v1 * v1) for v1, v2 in vs]
     raise ValueError("component index must be 1 or 2, got %r" % (i,))
 
 

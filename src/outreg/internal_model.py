@@ -26,17 +26,22 @@ Routh first-column entry that is not positive.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Sequence
 
 from .linalg import (
     Matrix,
     ShapeError,
+    _checked,
+    _require_finite,
+    _row_slices,
     frobenius_norm,
     identity,
     mat_mul,
     mat_pow,
     solve_linear,
     sub,
+    transpose,
 )
 from .record import Record
 
@@ -158,11 +163,28 @@ def hurwitz_pair(m: Sequence[float]) -> InternalModelSpec:
     return InternalModelSpec(n=n, m=coeffs, M=M, N=N, Gamma=Gamma)
 
 
+def _times_companion(row: tuple, last: tuple) -> tuple:
+    """row Phi for the companion matrix Phi whose last row is `last`, with
+    the bits of mat_mul; the product must be finite.
+
+    Column c of Phi holds 1.0 in row c - 1 and last[c] in row n - 1.  Every
+    other term of the product's sum is a signed zero, which leaves a sum
+    seeded with 0.0 as it is (such a sum is never -0.0), so entry c is
+    0.0 + row[c-1] + row[n-1]*last[c], with 0.0 in place of row[c-1] at c = 0.
+    """
+    t = row[-1]
+    return _require_finite(tuple([0.0 + x + t * y for x, y in zip((0.0,) + row, last)]))
+
+
 def xi_matrix(a, m: Sequence[float]) -> Matrix:
     """Xi(a) = Phi(a)^(2n) + sum_j m_j Phi(a)^(j-1), an n x n matrix.
 
     The leading power is formed by repeated squaring (mat_pow); the sum
-    accumulates sequential powers since every one of them is needed.
+    accumulates sequential powers since every one of them is needed.  The
+    unit row e_r times Phi is exactly e_(r+1) for r < n - 1, so row r of
+    Phi^j is row r + 1 of Phi^(j-1): the rows of Phi^0, ..., Phi^(2n-1) are
+    the unit rows followed by 2n - 1 products of one row with Phi, each the
+    bits the row of mat_mul(Phi^(j-1), Phi) would have.
     """
     coeffs = _coeffs(a)
     n = len(coeffs)
@@ -170,17 +192,14 @@ def xi_matrix(a, m: Sequence[float]) -> Matrix:
     if len(mm) != 2 * n:
         raise ShapeError("m has %d entries, expected 2n = %d" % (len(mm), 2 * n))
     phi = companion_matrix(coeffs)
-    acc = mat_pow(phi, 2 * n).to_lists()
-    p = identity(n)
-    for j in range(1, 2 * n + 1):
-        mj = mm[j - 1]
-        for r in range(n):
-            prow = p.row(r)
-            for c in range(n):
-                acc[r][c] += mj * prow[c]
-        if j < 2 * n:
-            p = mat_mul(p, phi)
-    return Matrix(acc)
+    last = phi.data[-n:]
+    acc = mat_pow(phi, 2 * n).data
+    rows = _row_slices(identity(n))
+    for _ in range(2 * n - 1):
+        rows.append(_times_companion(rows[-1], last))
+    for j, mj in enumerate(mm):
+        acc = [s + mj * x for s, x in zip(acc, chain(*rows[j:j + n]))]
+    return _checked(n, n, tuple(acc))
 
 
 def q_matrix(a, m: Sequence[float]) -> Matrix:
@@ -193,14 +212,11 @@ def q_matrix(a, m: Sequence[float]) -> Matrix:
     n = len(coeffs)
     xi = xi_matrix(coeffs, m)
     # first row of Xi^-1 == solution of Xi^T y = e_1
-    xi_t = Matrix([[xi.at(r, c) for r in range(n)] for c in range(n)])
-    row = solve_linear(xi_t, [1.0] + [0.0] * (n - 1))
-    phi = companion_matrix(coeffs)
-    rows = []
-    for _ in range(2 * n):
-        rows.append(list(row))
-        row = [sum(row[k] * phi.at(k, c) for k in range(n)) for c in range(n)]
-    return Matrix(rows)
+    rows = [_require_finite(tuple(solve_linear(transpose(xi), [1.0] + [0.0] * (n - 1))))]
+    last = tuple(-x for x in coeffs)
+    for _ in range(2 * n - 1):
+        rows.append(_times_companion(rows[-1], last))
+    return Matrix._of(2 * n, n, tuple(chain(*rows)))
 
 
 def sylvester_residual(spec: InternalModelSpec, Q: Matrix, a) -> float:

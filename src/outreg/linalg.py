@@ -4,10 +4,12 @@ Everything downstream (companion matrices, Hankel estimators, the simulator)
 works with matrices no larger than 8x8: determinants come from partial-pivot
 LU, adjugates from explicit cofactors, and there is no BLAS behind it.  All
 entries are plain Python floats.  The sizes the estimators use are written
-out: determinants of 2 and 3 rows, adjugates of 2x2 to 4x4 and products of
-inner size 2 and 4.  Each does the plain loop's floating-point operations in
-the loop's order, so its results are the same bits; the loops stay as the
-path for other sizes and as the reference the tests compare against.
+out: determinants of 2 and 3 rows, adjugates of 2x2 to 4x4, products of
+inner size 2 and 4, and the solves of n = 2, 3 and 4 (_solve2 to _solve4).
+Each does the plain loop's floating-point operations in the loop's order,
+so its results (and a solve's errors) are the same bits; the loops
+(_det_rows, _adjugate_loop, _solve_loop) stay as the path for other sizes
+and as the reference the tests compare against.
 
 Every Matrix holds finite entries.  The public constructor checks its
 input; results built here skip that check only where every entry is copied
@@ -378,7 +380,26 @@ def solve_columns(a: Matrix, bs) -> list:
     for b in bs:
         if len(b) != n:
             raise ShapeError("rhs length %d does not match %dx%d" % (len(b), n, n))
-    m = [list(r) for r in _row_slices(a)]
+    if 2 <= n <= 4:
+        return _SOLVES[n](_row_slices(a), [tuple(map(float, b)) for b in bs])
+    return _solve_loop(_row_slices(a), bs)
+
+
+def _refuse_ill_conditioned(max_piv, min_piv):
+    cond = max_piv / min_piv
+    if cond > _COND_LIMIT:
+        raise SingularMatrixError(
+            "numerically singular: pivot ratio %.3g exceeds %.0e" % (cond, _COND_LIMIT),
+            condition=cond,
+        )
+
+
+def _solve_loop(rows: list, bs) -> list:
+    """Gaussian elimination with partial pivoting over the rows of a square
+    matrix, for right-hand sides of matching length: the path for n = 1 and
+    n >= 5 and the reference the written-out solves are tested against."""
+    n = len(rows)
+    m = [list(r) for r in rows]
     # x[r] holds row r of every right-hand side
     x = [[float(b[r]) for b in bs] for r in range(n)]
     max_piv = 0.0
@@ -409,12 +430,7 @@ def solve_columns(a: Matrix, bs) -> list:
                 row = m[r]
                 row[col + 1:] = [y - f * p for y, p in zip(row[col + 1:], ptail)]
                 x[r] = [y - f * p for y, p in zip(x[r], xcol)]
-    cond = max_piv / min_piv
-    if cond > _COND_LIMIT:
-        raise SingularMatrixError(
-            "numerically singular: pivot ratio %.3g exceeds %.0e" % (cond, _COND_LIMIT),
-            condition=cond,
-        )
+    _refuse_ill_conditioned(max_piv, min_piv)
     for i in range(n - 1, -1, -1):
         s = x[i]
         row = m[i]
@@ -425,10 +441,181 @@ def solve_columns(a: Matrix, bs) -> list:
     return [list(col) for col in zip(*x)]
 
 
+# The written-out solves below are _solve_loop for n = 2, 3 and 4.  Rows
+# sit at positions a, b, c, d; a pivot swap trades a row's entries, its
+# multipliers and its input index i with the pivot row's.  A pivot is the
+# first row of largest |entry|, a zero multiplier skips its row, and the
+# pivot ratio is max/min over |pivot| as the loop's running max and min
+# take it.  Each right-hand side x is then read in pivot order and takes the
+# loop's updates in the loop's order, so every result is the same bits.
+
+def _solve2(rows, xs):
+    (a0, a1), (b0, b1) = rows
+    i0, i1 = 0, 1
+    if abs(b0) > abs(a0):
+        a0, a1, i0, b0, b1, i1 = b0, b1, i1, a0, a1, i0
+    if a0 == 0.0:
+        raise SingularMatrixError("exactly singular at column 0")
+    fb = b0 / a0
+    if fb != 0.0:
+        b1 -= fb * a1
+    if b1 == 0.0:
+        raise SingularMatrixError("exactly singular at column 1")
+    _refuse_ill_conditioned(max(abs(a0), abs(b1)), min(abs(a0), abs(b1)))
+    out = []
+    for x in xs:
+        y0, y1 = x[i0], x[i1]
+        if fb != 0.0:
+            y1 -= fb * y0
+        y1 /= b1
+        out.append([(y0 - a1 * y1) / a0, y1])
+    return out
+
+
+def _solve3(rows, xs):
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
+    i0, i1, i2 = 0, 1, 2
+    if abs(b0) > abs(a0):
+        if abs(c0) > abs(b0):
+            a0, a1, a2, i0, c0, c1, c2, i2 = c0, c1, c2, i2, a0, a1, a2, i0
+        else:
+            a0, a1, a2, i0, b0, b1, b2, i1 = b0, b1, b2, i1, a0, a1, a2, i0
+    elif abs(c0) > abs(a0):
+        a0, a1, a2, i0, c0, c1, c2, i2 = c0, c1, c2, i2, a0, a1, a2, i0
+    if a0 == 0.0:
+        raise SingularMatrixError("exactly singular at column 0")
+    fb = b0 / a0
+    if fb != 0.0:
+        b1 -= fb * a1
+        b2 -= fb * a2
+    fc = c0 / a0
+    if fc != 0.0:
+        c1 -= fc * a1
+        c2 -= fc * a2
+    if abs(c1) > abs(b1):
+        b1, b2, fb, i1, c1, c2, fc, i2 = c1, c2, fc, i2, b1, b2, fb, i1
+    if b1 == 0.0:
+        raise SingularMatrixError("exactly singular at column 1")
+    gc = c1 / b1
+    if gc != 0.0:
+        c2 -= gc * b2
+    if c2 == 0.0:
+        raise SingularMatrixError("exactly singular at column 2")
+    piv = (abs(a0), abs(b1), abs(c2))
+    _refuse_ill_conditioned(max(piv), min(piv))
+    out = []
+    for x in xs:
+        y0, y1, y2 = x[i0], x[i1], x[i2]
+        if fb != 0.0:
+            y1 -= fb * y0
+        if fc != 0.0:
+            y2 -= fc * y0
+        if gc != 0.0:
+            y2 -= gc * y1
+        y2 /= c2
+        y1 = (y1 - b2 * y2) / b1
+        out.append([((y0 - a1 * y1) - a2 * y2) / a0, y1, y2])
+    return out
+
+
+def _solve4(rows, xs):
+    ra, rb, rc, rd = rows
+    i0, i1, i2, i3 = 0, 1, 2, 3
+    k, best = 0, abs(ra[0])
+    if abs(rb[0]) > best:
+        k, best = 1, abs(rb[0])
+    if abs(rc[0]) > best:
+        k, best = 2, abs(rc[0])
+    if abs(rd[0]) > best:
+        k = 3
+    if k == 1:
+        ra, i0, rb, i1 = rb, i1, ra, i0
+    elif k == 2:
+        ra, i0, rc, i2 = rc, i2, ra, i0
+    elif k == 3:
+        ra, i0, rd, i3 = rd, i3, ra, i0
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = ra, rb, rc, rd
+    if a0 == 0.0:
+        raise SingularMatrixError("exactly singular at column 0")
+    fb = b0 / a0
+    if fb != 0.0:
+        b1 -= fb * a1
+        b2 -= fb * a2
+        b3 -= fb * a3
+    fc = c0 / a0
+    if fc != 0.0:
+        c1 -= fc * a1
+        c2 -= fc * a2
+        c3 -= fc * a3
+    fd = d0 / a0
+    if fd != 0.0:
+        d1 -= fd * a1
+        d2 -= fd * a2
+        d3 -= fd * a3
+    k, best = 1, abs(b1)
+    if abs(c1) > best:
+        k, best = 2, abs(c1)
+    if abs(d1) > best:
+        k = 3
+    if k == 2:
+        b1, b2, b3, fb, i1, c1, c2, c3, fc, i2 = c1, c2, c3, fc, i2, b1, b2, b3, fb, i1
+    elif k == 3:
+        b1, b2, b3, fb, i1, d1, d2, d3, fd, i3 = d1, d2, d3, fd, i3, b1, b2, b3, fb, i1
+    if b1 == 0.0:
+        raise SingularMatrixError("exactly singular at column 1")
+    gc = c1 / b1
+    if gc != 0.0:
+        c2 -= gc * b2
+        c3 -= gc * b3
+    gd = d1 / b1
+    if gd != 0.0:
+        d2 -= gd * b2
+        d3 -= gd * b3
+    if abs(d2) > abs(c2):
+        c2, c3, fc, gc, i2, d2, d3, fd, gd, i3 = d2, d3, fd, gd, i3, c2, c3, fc, gc, i2
+    if c2 == 0.0:
+        raise SingularMatrixError("exactly singular at column 2")
+    hd = d2 / c2
+    if hd != 0.0:
+        d3 -= hd * c3
+    if d3 == 0.0:
+        raise SingularMatrixError("exactly singular at column 3")
+    piv = (abs(a0), abs(b1), abs(c2), abs(d3))
+    _refuse_ill_conditioned(max(piv), min(piv))
+    out = []
+    for x in xs:
+        y0, y1, y2, y3 = x[i0], x[i1], x[i2], x[i3]
+        if fb != 0.0:
+            y1 -= fb * y0
+        if fc != 0.0:
+            y2 -= fc * y0
+        if fd != 0.0:
+            y3 -= fd * y0
+        if gc != 0.0:
+            y2 -= gc * y1
+        if gd != 0.0:
+            y3 -= gd * y1
+        if hd != 0.0:
+            y3 -= hd * y2
+        y3 /= d3
+        y2 = (y2 - c3 * y3) / c2
+        y1 = ((y1 - b2 * y2) - b3 * y3) / b1
+        out.append([(((y0 - a1 * y1) - a2 * y2) - a3 * y3) / a0, y1, y2, y3])
+    return out
+
+
+_SOLVES = {2: _solve2, 3: _solve3, 4: _solve4}
+
+
 def transpose(a: Matrix) -> Matrix:
     c = a.cols
     return Matrix._of(c, a.rows, tuple(x for j in range(c) for x in a.data[j::c]))
 
 
 def frobenius_norm(a: Matrix) -> float:
-    return math.sqrt(sum(x * x for x in a.data))
+    # a plain loop from 0.0: builtin sum() over floats is compensated on
+    # CPython 3.12 and later, so its bits would depend on the interpreter
+    s = 0.0
+    for x in a.data:
+        s += x * x
+    return math.sqrt(s)

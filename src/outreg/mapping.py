@@ -70,7 +70,8 @@ def hankel(eta) -> Matrix:
     """n x n matrix with entry (r, c) = eta_{r+c-1} (1-indexed); symmetric."""
     vals = _eta_tuple(eta)
     n = len(vals) // 2
-    return Matrix([[vals[r + c] for c in range(n)] for r in range(n)])
+    # copies of entries _eta_tuple has checked finite
+    return Matrix._of(n, n, tuple([x for r in range(n) for x in vals[r:r + n]]))
 
 
 def bump_kappa(s: float) -> float:

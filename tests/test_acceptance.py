@@ -8,6 +8,7 @@ the strict marker turns these into hard errors and forces a review.
 """
 
 import hashlib
+import math
 import os
 import random
 import subprocess
@@ -19,6 +20,7 @@ import pytest
 import outreg.simulate as simulate
 from outreg import acceptance
 from outreg.acceptance import run_all
+from outreg.linalg import Matrix, frobenius_norm
 
 # sha256 of repr([(name, passed, detail), ...]) for two seeds: everything
 # `outreg check` prints except the timings.  Taken with the plain loops of
@@ -199,6 +201,28 @@ def test_random_pairs_match_convolve_bit_for_bit():
     for seed in range(200):
         assert (repr(acceptance._random_pairs(seed, 100))
                 == repr(_random_pairs_by_convolve(seed, 100))), seed
+
+
+def test_sums_run_left_to_right_from_zero():
+    # builtin sum() over floats is compensated on CPython 3.12 and later, so
+    # these sums are held to the explicit loop, whose bits every interpreter
+    # shares (q_matrix's row-times-Phi sums: test_internal_model)
+    def loop(xs, ys):
+        s = 0.0
+        for x, y in zip(xs, ys):
+            s += x * y
+        return s
+
+    rng = random.Random(24)
+    for _ in range(300):
+        a = Matrix([[rng.uniform(-3.0, 3.0) for _ in range(4)] for _ in range(4)])
+        assert repr(frobenius_norm(a)) == repr(math.sqrt(loop(a.data, a.data))), a
+    for _ in range(300):
+        # a criterion-5 chunk row: 501 input samples, wide magnitudes
+        row = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-9, 0) for _ in range(501)]
+        vec = [rng.uniform(-2.0, 2.0) for _ in range(501)]
+        assert repr(acceptance._dot(row, vec)) == repr(loop(row, vec))
+    assert acceptance._dot([1e16, 1.0, -1e16], [1.0, 1.0, 1.0]) == 0.0
 
 
 def test_check_criteria_import_no_numpy():

@@ -10,8 +10,10 @@ from outreg.duffing import (
     DuffingParams,
     duffing_coeffs,
     exo_flow,
+    exo_flows,
     regulator_solution,
     steady_state_lead,
+    steady_state_leads,
     steady_state_theta,
     steady_state_xi,
 )
@@ -119,6 +121,30 @@ def test_steady_state_lead_is_the_leading_xi_entry():
             v = exo_flow((1.0, -0.3), p.sigma, k * 0.37)
             for i in (1, 2):
                 assert repr(steady_state_lead(v, p, i)) == repr(steady_state_xi(v, p, i)[0])
+
+
+def test_batched_helpers_equal_the_scalar_formulas():
+    # criterion 5 takes its exosystem samples and leads in batches; each
+    # entry must be the bits of the formula spelled out per point
+    rng = random.Random(24)
+    for _ in range(40):
+        p = DuffingParams(*(rng.uniform(-2.0, 2.0) for _ in range(3)), rng.uniform(0.1, 2.0))
+        v0 = (rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+        ts = [rng.uniform(-60.0, 60.0) for _ in range(25)]
+        vs = exo_flows(v0, p.sigma, ts)
+        for t, v in zip(ts, vs):
+            c, s = math.cos(p.sigma * t), math.sin(p.sigma * t)
+            assert repr(v) == repr((v0[0] * c + v0[1] * s, -v0[0] * s + v0[1] * c))
+            assert repr(exo_flow(v0, p.sigma, t)) == repr(v)
+        s = p.sigma
+        want = {1: [s * v2 for _, v2 in vs],
+                2: [(p.c1 - s * s) * v1 + (p.c3 * s - 1.0) * v2 + p.c2 * (v1 * v1 * v1)
+                    for v1, v2 in vs]}
+        for i in (1, 2):
+            assert repr(steady_state_leads(vs, p, i)) == repr(want[i])
+            assert repr([steady_state_lead(v, p, i) for v in vs]) == repr(want[i])
+    with pytest.raises(ValueError, match="component index"):
+        steady_state_leads(vs, p, 0)
 
 
 def test_xi_entries_are_successive_derivatives():

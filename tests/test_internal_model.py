@@ -5,10 +5,12 @@ import re
 import numpy as np
 import pytest
 
+from outreg import linalg
 from outreg.internal_model import (
     _HURWITZ_MARGIN,
     CoeffVector,
     NotHurwitzError,
+    _times_companion,
     admissible_from_frequencies,
     companion_matrix,
     hurwitz_pair,
@@ -16,7 +18,8 @@ from outreg.internal_model import (
     sylvester_residual,
     xi_matrix,
 )
-from outreg.linalg import Matrix, ShapeError, determinant, mat_mul
+from outreg.linalg import (Matrix, ShapeError, SingularMatrixError, determinant, identity,
+                           mat_mul, mat_pow, transpose)
 
 M1 = (10.0, 18.0, 15.0, 6.0)
 M2 = (1.0, 5.0, 13.0, 22.0, 26.0, 22.0, 13.0, 5.0)
@@ -208,6 +211,65 @@ def test_q_matrix_degenerate_dimension():
     # n=1 with a=(0): Phi=[0], Xi=[m1], rows Gamma Xi^-1 Phi^(j-1) = (1/m1, 0)
     q = q_matrix((0.0,), (1.0, 2.0))
     assert q.to_lists() == [[1.0], [0.0]]
+
+
+def _plain_xi(a, m):
+    """xi_matrix with each power of Phi the mat_mul of the one before."""
+    phi = companion_matrix(a)
+    n = phi.rows
+    acc = mat_pow(phi, 2 * n).to_lists()
+    p = identity(n)
+    for j, mj in enumerate(m, 1):
+        for r in range(n):
+            for c in range(n):
+                acc[r][c] += mj * p.at(r, c)
+        if j < 2 * n:
+            p = mat_mul(p, phi)
+    return Matrix(acc)
+
+
+def _plain_q(a, m):
+    """q_matrix with each row times Phi an explicit loop from 0.0."""
+    phi = companion_matrix(a)
+    n = phi.rows
+    e1 = [1.0] + [0.0] * (n - 1)
+    rows = linalg._solve_loop(linalg._row_slices(transpose(_plain_xi(a, m))), [e1])
+    for _ in range(2 * n - 1):
+        row = []
+        for c in range(n):
+            s = 0.0
+            for k in range(n):
+                s += rows[-1][k] * phi.at(k, c)
+            row.append(s)
+        rows.append(row)
+    return Matrix(rows)
+
+
+def test_companion_products_equal_the_plain_products_bit_for_bit():
+    # xi_matrix and q_matrix multiply by Phi one row at a time; pooled draws
+    # carry zero and -0.0 coefficients and singular Xi
+    rng = random.Random(24)
+    pool = (0.0, -0.0, 1.0, -1.0, 0.5, -2.0)
+    refused = 0
+    for trial in range(1500):
+        n = 1 + trial % 5
+        pooled = trial // 5 % 2
+        a, row = ([rng.choice(pool) if pooled else rng.uniform(-3.0, 3.0) for _ in range(n)]
+                  for _ in range(2))
+        phi = companion_matrix(a)
+        assert (repr(_times_companion(tuple(row), phi.data[-n:]))
+                == repr(mat_mul(Matrix([row]), phi).data)), (a, row)
+        m = [rng.choice(pool) if pooled else rng.uniform(0.1, 3.0) for _ in range(2 * n)]
+        assert repr(xi_matrix(a, m).data) == repr(_plain_xi(a, m).data), (a, m)
+        try:
+            want = repr(_plain_q(a, m).data)
+        except SingularMatrixError as exc:
+            with pytest.raises(SingularMatrixError, match=re.escape(str(exc))):
+                q_matrix(a, m)
+            refused += 1
+            continue
+        assert repr(q_matrix(a, m).data) == want, (a, m)
+    assert 0 < refused < 300
 
 
 def test_sylvester_residual_duffing():

@@ -258,6 +258,49 @@ def test_solve_columns_equals_solve_linear_bits():
     assert solved > 200 and refused > 200
 
 
+def _outcome(solve, a, bs):
+    """repr of solve(a, bs), or its error's type, message and condition."""
+    try:
+        return repr(solve(a, bs))
+    except SingularMatrixError as exc:
+        return type(exc), str(exc), repr(exc.condition)
+
+
+def test_written_out_solves_equal_the_loop_bit_for_bit():
+    # solve_columns writes out n = 2, 3, 4; _solve_loop is the reference.
+    # Pooled entries tie pivots and carry signed zeros; a duplicated row or
+    # a zero column is exactly singular, a row scaled by 1e-13 pushes the
+    # pivot ratio past 1e12
+    rng = random.Random(24)
+    pool = (0.0, -0.0, 1.0, -1.0, 0.5, -2.5)
+    seen = set()
+    for trial in range(6000):
+        n = 2 + trial % 3
+        kind = trial // 3 % 5
+        rows = [[rng.choice(pool) if kind == 1 else rng.uniform(-3.0, 3.0) for _ in range(n)]
+                for _ in range(n)]
+        if kind == 2:
+            i, j = rng.sample(range(n), 2)
+            rows[i] = list(rows[j])
+        elif kind == 3:
+            col = rng.randrange(n)
+            for r in rows:
+                r[col] = rng.choice((0.0, -0.0))
+        elif kind == 4:
+            i = rng.randrange(n)
+            rows[i] = [x * 1e-13 for x in rows[i]]
+        bs = [[rng.choice(pool + (rng.uniform(-3.0, 3.0),)) for _ in range(n)]
+              for _ in range(trial % 6)]
+        a = Matrix(rows)
+        got = _outcome(solve_columns, a, bs)
+        assert got == _outcome(lambda a, bs: linalg._solve_loop(linalg._row_slices(a), bs),
+                               a, bs), (rows, bs)
+        seen.add(got[1].split(":")[0] if type(got) is tuple else "solved")
+    assert seen == {"solved", "numerically singular", "exactly singular at column 0",
+                    "exactly singular at column 1", "exactly singular at column 2",
+                    "exactly singular at column 3"}
+
+
 def test_solve_columns_shapes():
     assert solve_columns(identity(3), []) == []
     with pytest.raises(ShapeError):
