@@ -7,9 +7,9 @@ the divergence instead of a trailing-window metric and fails honestly.
 See README "Behavior notes" for the analysis of the stock cold-start
 escape.
 
-run_all(seed) executes all ten, criteria 3-5 in two forked children
-beside 6-10, 2 and 1 in the calling process, and caches per seed so
-`outreg check` and the test suite can share one execution.
+run_all(seed) executes all ten, split between forked children and the
+calling process as _GROUPS says, and caches per seed so `outreg check`
+and the test suite can share one execution.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from functools import partial, reduce
-from operator import add, mul
+from functools import partial
 
 from .duffing import (
     DuffingParams,
@@ -33,7 +32,7 @@ from .duffing import (
 )
 from .internal_model import (admissible_from_frequencies, hurwitz_pair, q_matrix,
                              sylvester_residual, xi_matrix)
-from .linalg import (Matrix, determinant, identity, mat_mul, mat_pow, mat_vec,
+from .linalg import (Matrix, _dot, determinant, identity, mat_mul, mat_pow, mat_vec,
                      solve_columns, transpose, zeros)
 from .mapping import (MappingConfig, _chi_of, _inverse_and_det, chi, estimate_coeffs,
                       hankel, regularized_inverse)
@@ -211,12 +210,6 @@ def _chunk_map(spec, h, steps):
     cols += [p1, p0]
     cols.reverse()
     return mat_pow(A, steps).to_lists(), [list(r) for r in zip(*cols)]
-
-
-def _dot(row, vec):
-    """Sum of products left to right from 0.0, on every interpreter: builtin
-    sum() over floats is compensated on CPython 3.12 and later."""
-    return reduce(add, map(mul, row, vec), 0.0)
 
 
 def criterion_5(seed, ctx):
@@ -421,11 +414,10 @@ def run_all(seed: int = 0):
     """Run all ten criteria; returns [(name, passed, detail, seconds)].
 
     Criteria 6-10 run here with one shared context: 6, 7 and 10 reuse one
-    cached run, and every kernel step is integrated in this process.
-    Criteria 2 and 1 follow them here, while cli._fan_out's two forked
-    children run criterion 4 and criteria 5 and 3, so call this from a
-    process that has started no threads.  A criterion's exception is raised
-    here.
+    cached run, and every kernel step is integrated in this process.  The
+    other criteria run where _GROUPS puts them, some in children that
+    cli._fan_out forks, so call this from a process that has started no
+    threads.  A criterion's exception is raised here.
     """
     if seed not in _cache:
         done = {}

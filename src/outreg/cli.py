@@ -16,8 +16,7 @@ executes the acceptance suite and prints one PASS/FAIL line per criterion.
 Exit codes: 0 success, 2 config or grid error, 3 divergence (also: any
 failed sweep point), 4 I/O error.  `check` exits 1 when criteria fail.
 Runs are deterministic; check's --seed only feeds its own random draws.
-check forks two children, one for criterion 4 and one for 5 and 3, and
-runs 6-10, 2 and 1 itself.
+check forks children for part of the criteria; acceptance._GROUPS says which.
 """
 
 from __future__ import annotations

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 from .internal_model import CoeffVector
 from .linalg import determinant
-from .mapping import _eta_tuple, bump_psi, hankel
+from .mapping import _eta_tuple, _hankel_of, bump_psi
 
 
-def _scale(eta, eps: float) -> float:
+def _scale(e: tuple, eps: float) -> float:
     # det / (det^2 + Psi(1 + det^2 - eps^2)), the scalar front factor of the
-    # surrogate inverse; zero-determinant input gives exactly 0
-    d = determinant(hankel(eta))
+    # surrogate inverse, for a filter state _eta_tuple has checked;
+    # zero-determinant input gives exactly 0
+    d = determinant(_hankel_of(e))
     if d == 0.0:
         return 0.0
     return d / (d * d + bump_psi(1.0 + d * d - eps * eps))

@@ -15,13 +15,20 @@ Every Matrix holds finite entries.  The public constructor checks its
 input; results built here skip that check only where every entry is copied
 from an already validated matrix (identity, zeros, transpose, row slices).
 Results of arithmetic (products, scalings, differences, adjugates) are
-still checked, since they can overflow.  Each sum keeps its 0.0 seed and
-its summation order, so results are the same bits as the plain loops.
+still checked, since they can overflow.
+
+The summation order lives in _dot: products added left to right from a
+0.0 seed.  mat_vec, mat_mul's general case, frobenius_norm and the
+package's other sums of products call it; the written-out products of
+inner size 2 and 4 (and internal_model._times_companion) spell out the
+same order, so results are the same bits on every interpreter.
 """
 
 from __future__ import annotations
 
 import math
+
+from .record import Record
 
 
 class ShapeError(ValueError):
@@ -45,14 +52,14 @@ _COND_LIMIT = 1e12
 _EMPTY = "matrix needs at least one row and one column"
 
 
-class Matrix:
+class Matrix(Record):
     """Immutable real matrix, row-major storage.
 
     Construct from nested rows: ``Matrix([[1, 2], [3, 4]])``.  Entries must
     be finite.
     """
 
-    __slots__ = ("rows", "cols", "data")
+    _fields = ("rows", "cols", "data")
 
     def __init__(self, rows_of_entries):
         rows = [list(map(float, r)) for r in rows_of_entries]
@@ -63,25 +70,15 @@ class Matrix:
             if len(r) != ncols:
                 raise ShapeError("ragged rows: expected %d columns, got %d" % (ncols, len(r)))
         flat = _require_finite(tuple(x for r in rows for x in r))
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", ncols)
-        object.__setattr__(self, "data", flat)
+        self.__dict__.update(rows=len(rows), cols=ncols, data=flat)
 
     @classmethod
     def _of(cls, rows, cols, flat):
         """Wrap a flat row-major tuple of floats already known to be finite."""
         m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "data", flat)
+        d = m.__dict__
+        d["rows"], d["cols"], d["data"] = rows, cols, flat
         return m
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
-
-    def __reduce__(self):
-        # unpickling would set the slots through __setattr__, which refuses
-        return (Matrix._of, (self.rows, self.cols, self.data))
 
     def at(self, i, j):
         """Entry in row i, column j (0-based)."""
@@ -98,17 +95,6 @@ class Matrix:
     @property
     def is_square(self):
         return self.rows == self.cols
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.data == other.data
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
 
     def __repr__(self):
         return "Matrix(%r)" % (self.to_lists(),)
@@ -146,13 +132,24 @@ def zeros(rows: int, cols: int) -> Matrix:
     return Matrix._of(rows, cols, (0.0,) * (rows * cols))
 
 
+def _dot(row, vec) -> float:
+    """Sum of the products x * y over row and vec, added left to right from
+    0.0: the one summation order every sum of products here follows.  A
+    plain loop, because builtin sum() over floats is compensated on CPython
+    3.12 and later, so its bits would depend on the interpreter."""
+    s = 0.0
+    for x, y in zip(row, vec):
+        s += x * y
+    return s
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
         raise ShapeError("cannot multiply %dx%d by %dx%d" % (a.rows, a.cols, b.rows, b.cols))
     bcols = [b.data[j::b.cols] for j in range(b.cols)]
     out = []
     # inner sizes 2 and 4 written out: Python adds left to right from the
-    # 0.0 seed, which is the loop's order, so the bits are the loop's
+    # 0.0 seed, which is _dot's order, so the bits are _dot's
     if a.cols == 2:
         for x0, x1 in _row_slices(a):
             for y0, y1 in bcols:
@@ -162,25 +159,14 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
             for y0, y1, y2, y3 in bcols:
                 out.append(0.0 + x0 * y0 + x1 * y1 + x2 * y2 + x3 * y3)
     else:
-        for arow in _row_slices(a):
-            for bcol in bcols:
-                s = 0.0
-                for x, y in zip(arow, bcol):
-                    s += x * y
-                out.append(s)
+        out = [_dot(arow, bcol) for arow in _row_slices(a) for bcol in bcols]
     return _checked(a.rows, b.cols, tuple(out))
 
 
 def mat_vec(a: Matrix, v) -> list:
     if a.cols != len(v):
         raise ShapeError("cannot apply %dx%d to vector of length %d" % (a.rows, a.cols, len(v)))
-    out = []
-    for arow in _row_slices(a):
-        s = 0.0
-        for x, y in zip(arow, v):
-            s += x * y
-        out.append(s)
-    return out
+    return [_dot(arow, v) for arow in _row_slices(a)]
 
 
 def scale(a: Matrix, c: float) -> Matrix:
@@ -200,15 +186,22 @@ def mat_pow(a: Matrix, k: int) -> Matrix:
         raise ShapeError("matrix power needs a square matrix, got %dx%d" % (a.rows, a.cols))
     if k < 0 or k != int(k):
         raise ValueError("exponent must be a nonnegative integer, got %r" % (k,))
-    result = identity(a.rows)
-    base = a
     k = int(k)
+    if not k:
+        return identity(a.rows)
+    base = a
+    while not k & 1:
+        base = mat_mul(base, base)
+        k >>= 1
+    # the first power needed, as mat_mul(identity, base) gives it: every
+    # other term of an entry's sum is a signed zero, so the entry is 0.0 + x
+    result = Matrix._of(a.rows, a.cols, tuple([0.0 + x for x in base.data]))
+    k >>= 1
     while k:
+        base = mat_mul(base, base)
         if k & 1:
             result = mat_mul(result, base)
         k >>= 1
-        if k:
-            base = mat_mul(base, base)
     return result
 
 
@@ -613,9 +606,4 @@ def transpose(a: Matrix) -> Matrix:
 
 
 def frobenius_norm(a: Matrix) -> float:
-    # a plain loop from 0.0: builtin sum() over floats is compensated on
-    # CPython 3.12 and later, so its bits would depend on the interpreter
-    s = 0.0
-    for x in a.data:
-        s += x * x
-    return math.sqrt(s)
+    return math.sqrt(_dot(a.data, a.data))

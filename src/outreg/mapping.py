@@ -21,7 +21,7 @@ import math
 from typing import Optional, Sequence
 
 from .internal_model import CoeffVector, xi_matrix
-from .linalg import Matrix, ShapeError, adjugate, determinant, mat_vec, scale, zeros
+from .linalg import Matrix, ShapeError, _dot, adjugate, determinant, mat_vec, scale, zeros
 from .record import Record
 
 
@@ -68,7 +68,11 @@ def _eta_tuple(eta, n=None):
 
 def hankel(eta) -> Matrix:
     """n x n matrix with entry (r, c) = eta_{r+c-1} (1-indexed); symmetric."""
-    vals = _eta_tuple(eta)
+    return _hankel_of(_eta_tuple(eta))
+
+
+def _hankel_of(vals: tuple) -> Matrix:
+    """hankel of a filter state _eta_tuple has already checked."""
     n = len(vals) // 2
     # copies of entries _eta_tuple has checked finite
     return Matrix._of(n, n, tuple([x for r in range(n) for x in vals[r:r + n]]))
@@ -120,11 +124,13 @@ def _inverse_and_det(theta: Matrix, epsilon: float):
 
 def estimate_coeffs(eta, cfg: MappingConfig) -> CoeffVector:
     """a_check = -O(Theta(eta)) . col(eta_{n+1}, ..., eta_{2n}), then mask."""
-    vals = _eta_tuple(eta, cfg.n)
-    n = cfg.n
-    o = regularized_inverse(hankel(vals), cfg.epsilon)
-    tail = vals[n:]
-    a = [-x for x in mat_vec(o, tail)]
+    return _estimate(_eta_tuple(eta, cfg.n), cfg)
+
+
+def _estimate(vals: tuple, cfg: MappingConfig) -> CoeffVector:
+    """estimate_coeffs for filter state vals, already checked."""
+    o = regularized_inverse(_hankel_of(vals), cfg.epsilon)
+    a = [-x for x in mat_vec(o, vals[cfg.n:])]
     if cfg.zero_mask is not None:
         for i, masked in enumerate(cfg.zero_mask):
             if masked:
@@ -135,14 +141,9 @@ def estimate_coeffs(eta, cfg: MappingConfig) -> CoeffVector:
 def chi(eta, cfg: MappingConfig) -> float:
     """Gamma . Xi(a_check(eta)) . col(eta_1, ..., eta_n), a scalar."""
     vals = _eta_tuple(eta, cfg.n)
-    return _chi_of(vals, estimate_coeffs(vals, cfg), cfg)
+    return _chi_of(vals, _estimate(vals, cfg), cfg)
 
 
 def _chi_of(vals: tuple, a: CoeffVector, cfg: MappingConfig) -> float:
     """chi for filter state vals (already checked) and its estimate a."""
-    xi = xi_matrix(a, cfg.m)
-    row = xi.row(0)
-    s = 0.0
-    for k in range(cfg.n):
-        s += row[k] * vals[k]
-    return s
+    return _dot(xi_matrix(a, cfg.m).row(0), vals)

@@ -1,10 +1,11 @@
-"""Immutable value records: the package's configuration and coefficient types.
+"""Immutable value records: the package's configuration, coefficient and matrix types.
 
 A record class names its fields in `_fields` and sets them in its own
 `__init__` through `__dict__`; after that, assigning or deleting an
 attribute raises AttributeError.  Equality (same class only), hashing and
-repr follow `_fields`, the way a frozen dataclass's do.  Instances keep a
-plain `__dict__`, so they pickle and copy with no extra hooks.
+repr follow `_fields`, the way a frozen dataclass's do (linalg.Matrix
+prints its rows instead).  Instances keep a plain `__dict__`, so they
+pickle and copy with no extra hooks.
 """
 
 

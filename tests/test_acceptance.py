@@ -20,7 +20,7 @@ import pytest
 import outreg.simulate as simulate
 from outreg import acceptance
 from outreg.acceptance import run_all
-from outreg.linalg import Matrix, frobenius_norm
+from outreg.linalg import Matrix, _dot, frobenius_norm, mat_vec
 
 # sha256 of repr([(name, passed, detail), ...]) for two seeds: everything
 # `outreg check` prints except the timings.  Taken with the plain loops of
@@ -205,8 +205,9 @@ def test_random_pairs_match_convolve_bit_for_bit():
 
 def test_sums_run_left_to_right_from_zero():
     # builtin sum() over floats is compensated on CPython 3.12 and later, so
-    # these sums are held to the explicit loop, whose bits every interpreter
-    # shares (q_matrix's row-times-Phi sums: test_internal_model)
+    # linalg._dot, which every sum of products goes through, is held to the
+    # explicit loop, whose bits every interpreter shares (q_matrix's
+    # row-times-Phi sums: test_internal_model)
     def loop(xs, ys):
         s = 0.0
         for x, y in zip(xs, ys):
@@ -221,8 +222,10 @@ def test_sums_run_left_to_right_from_zero():
         # a criterion-5 chunk row: 501 input samples, wide magnitudes
         row = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-9, 0) for _ in range(501)]
         vec = [rng.uniform(-2.0, 2.0) for _ in range(501)]
-        assert repr(acceptance._dot(row, vec)) == repr(loop(row, vec))
-    assert acceptance._dot([1e16, 1.0, -1e16], [1.0, 1.0, 1.0]) == 0.0
+        assert repr(_dot(row, vec)) == repr(loop(row, vec))
+        assert repr(mat_vec(Matrix([row]), vec)) == repr([loop(row, vec)])
+    assert _dot([1e16, 1.0, -1e16], [1.0, 1.0, 1.0]) == 0.0
+    assert mat_vec(Matrix([[1e16, 1.0, -1e16]]), [1.0, 1.0, 1.0]) == [0.0]
 
 
 def test_check_criteria_import_no_numpy():

@@ -43,12 +43,6 @@ def test_construction_rejects_ragged_and_nonfinite():
         Matrix([])
 
 
-def test_matrix_is_immutable():
-    a = Matrix([[1.0, 2.0], [3.0, 4.0]])
-    with pytest.raises(AttributeError):
-        a.rows = 3
-
-
 def test_matrix_survives_pickling():
     a = Matrix([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     back = pickle.loads(pickle.dumps(a))

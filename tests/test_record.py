@@ -1,4 +1,4 @@
-"""The record contract: the package's seven value types compare, hash,
+"""The record contract: the package's eight value types compare, hash,
 print, refuse assignment and pickle the way frozen dataclasses do."""
 
 import pickle
@@ -8,6 +8,7 @@ import pytest
 from outreg.controller import GainConfig, Polynomial
 from outreg.duffing import DuffingParams
 from outreg.internal_model import CoeffVector, hurwitz_pair
+from outreg.linalg import Matrix
 from outreg.mapping import MappingConfig
 from outreg.scenario import ScenarioConfig, with_overrides
 
@@ -45,6 +46,9 @@ RECORDS = {
         lambda: GainConfig(Polynomial((1.0,)), Polynomial((1.0, 0.0, 1.0)), 3.0),
         "GainConfig(rho=Polynomial(coeffs=(1.0,)), k=Polynomial(coeffs=(1.0, 0.0, 1.0)), "
         "k0=2.0)"),
+    # the same entries in another shape are another matrix
+    "Matrix": (lambda: Matrix([[1.0, 2.0], [3.0, 4.0]]), lambda: Matrix(((1, 2), (3, 4))),
+               lambda: Matrix([[1.0, 2.0, 3.0, 4.0]]), "Matrix([[1.0, 2.0], [3.0, 4.0]])"),
     "ScenarioConfig": (lambda: ScenarioConfig(), lambda: ScenarioConfig(c1=-2.0, mode="nonadaptive"),
                        lambda: ScenarioConfig(k0=2.0), _STOCK_REPR),
 }
