@@ -20,7 +20,6 @@ import time
 from functools import partial
 
 from .duffing import (
-    DuffingParams,
     duffing_coeffs,
     exo_flow,
     exo_flows,
@@ -43,14 +42,13 @@ from .closed_forms import closed_form_ahat1, closed_form_ahat2, closed_form_chi1
 
 # the stock benchmark point, as ScenarioConfig() defines it
 _STOCK = ScenarioConfig()
-_P = DuffingParams(_STOCK.c1, _STOCK.c2, _STOCK.c3, _STOCK.sigma)
 _M1, _M2 = _STOCK.m1, _STOCK.m2
 _CFG1 = MappingConfig(2, _M1, _STOCK.epsilon, _STOCK.mask1)
 _CFG2 = MappingConfig(4, _M2, _STOCK.epsilon, _STOCK.mask2)
 
 
 def _duffing_pairs():
-    a1, a2 = duffing_coeffs(_P)
+    a1, a2 = duffing_coeffs(_STOCK)
     return [(a1, _M1), (a2, _M2)]
 
 
@@ -216,14 +214,14 @@ def criterion_5(seed, ctx):
     eps = 0.1
     qualifying = 0
     worst = 0.0
-    period = 2.0 * math.pi / _P.sigma
+    period = 2.0 * math.pi / _STOCK.sigma
     comps = [(1, _CFG1, hurwitz_pair(_CFG1.m)), (2, _CFG2, hurwitz_pair(_CFG2.m))]
-    qs = [steady_state_q(_P, i, spec) for i, _, spec in comps]
+    qs = [steady_state_q(_STOCK, i, spec) for i, _, spec in comps]
     for j in range(100):
-        v = exo_flow((1.0, 1.0), _P.sigma, period * j / 100.0)
-        u_ss = regulator_solution(v, _P)[2]
-        for (i, cfg, spec), q, target in zip(comps, qs, (_P.sigma * v[1], u_ss)):
-            theta = steady_state_theta(v, _P, i, spec, q)
+        v = exo_flow((1.0, 1.0), _STOCK.sigma, period * j / 100.0)
+        u_ss = regulator_solution(v, _STOCK)[2]
+        for (i, cfg, spec), q, target in zip(comps, qs, (_STOCK.sigma * v[1], u_ss)):
+            theta = steady_state_theta(v, _STOCK, i, spec, q)
             if abs(determinant(hankel(theta))) >= eps:
                 qualifying += 1
             worst = max(worst, abs(chi(theta, cfg) - target))
@@ -240,22 +238,22 @@ def criterion_5(seed, ctx):
     maps = [_chunk_map(spec, h, chunk) for _, _, spec in comps]
     etas = [[0.0] * (2 * cfg.n) for _, cfg, _ in comps]
     t = 0.0
-    v = exo_flow((1.0, 1.0), _P.sigma, t)
-    w_t = [steady_state_lead(v, _P, i) for i, _, _ in comps]
+    v = exo_flow((1.0, 1.0), _STOCK.sigma, t)
+    w_t = [steady_state_lead(v, _STOCK, i) for i, _, _ in comps]
     for _ in range(n_steps // chunk):
         points = []
         for _ in range(chunk):
             points.append(t + 0.5 * h)
             t += h
             points.append(t)
-        vs = exo_flows((1.0, 1.0), _P.sigma, points)
+        vs = exo_flows((1.0, 1.0), _STOCK.sigma, points)
         for c, (i, _, _) in enumerate(comps):
-            w = [w_t[c]] + steady_state_leads(vs, _P, i)
+            w = [w_t[c]] + steady_state_leads(vs, _STOCK, i)
             w_t[c] = w[-1]
             eta = etas[c]
             etas[c] = [_dot(a_row, eta) + _dot(g_row, w) for a_row, g_row in zip(*maps[c])]
-    v = exo_flow((1.0, 1.0), _P.sigma, t)
-    worst_gap = max(math.dist(eta, steady_state_theta(v, _P, i, spec, q))
+    v = exo_flow((1.0, 1.0), _STOCK.sigma, t)
+    worst_gap = max(math.dist(eta, steady_state_theta(v, _STOCK, i, spec, q))
                     for eta, (i, _, spec), q in zip(etas, comps, qs))
     filt_ok = worst_gap <= 1e-6
 
@@ -391,9 +389,9 @@ _CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
 # the _CRITERIA indices each process runs: this one runs 6-10 with one
 # shared context and then 2 and 1, one forked child criterion 4 and another
 # 5 and 3; 1-5 touch no kernel.  Each called alone, medians of seven fresh
-# processes on a 2-CPU machine: 4 took 0.54 s, 3 0.37 s, 5 0.19 s, 1 and 2
-# 0.03 s each, and 6-10 0.07 s together, so the children carry 0.54 and
-# 0.56 s and this process 0.12 s of the 1.22 s
+# processes on a 2-CPU machine (C twin): 4 took 0.32 s, 3 0.19 s, 5 0.12 s,
+# 1 0.02 s, 2 0.01 s, and 6-10 0.05 s together, so the children carry 0.32
+# and 0.31 s and this process 0.08 s of the 0.71 s
 _GROUPS = ((5, 6, 7, 8, 9, 1, 0), (3,), (4, 2))
 
 _cache = {}

@@ -4,6 +4,9 @@ The stabilization variable is zeta = x2 - chi_1(eta1) + rho(e) e.  The
 static law is u = -k0 k(zeta) zeta + chi_2(eta2); the adaptive variant
 replaces k0 by an integrated gain k_hat with k_hat' = k(zeta) zeta^2 >= 0.
 The two filters run eta1' = M1 eta1 + N1 x2 and eta2' = M2 eta2 + N2 u.
+The laws read rho, k and k0 from gains, a scenario.ScenarioConfig.  The
+stability analysis behind them assumes rho(s) >= 1, k(s) >= 1 and k0 >= 1;
+scenario.validate warns (never fails) when it cannot prove them.
 
 Gain shapes rho and k are restricted polynomials parsed from text such as
 "10 + 4*s^4"; coefficients are finite decimals or rationals like 3/2 with
@@ -15,7 +18,6 @@ from __future__ import annotations
 
 import math
 import re
-import warnings
 from typing import Sequence, Tuple
 
 from .internal_model import InternalModelSpec
@@ -139,39 +141,18 @@ class Polynomial(Record):
         return True
 
 
-class GainConfig(Record):
-    """Gain shapes for the feedback laws.
-
-    The stability analysis behind the laws assumes rho(s) >= 1, k(s) >= 1
-    and k0 >= 1; construction warns (never fails) when it cannot prove
-    them, matching the warn-only posture of scenario validation.
-    """
-
-    _fields = ("rho", "k", "k0")
-
-    def __init__(self, rho: Polynomial, k: Polynomial, k0: float):
-        k0 = float(k0)
-        if not rho.provably_at_least_one():
-            warnings.warn("cannot prove rho(s) >= 1 for all s: %r" % rho.format(), stacklevel=2)
-        if not k.provably_at_least_one():
-            warnings.warn("cannot prove k(s) >= 1 for all s: %r" % k.format(), stacklevel=2)
-        if k0 < 1.0:
-            warnings.warn("k0 = %g is below the k0 >= 1 design bound" % k0, stacklevel=2)
-        self.__dict__.update(rho=rho, k=k, k0=k0)
-
-
-def zeta(x2: float, eta1, e: float, gains: GainConfig, map1: MappingConfig) -> float:
+def zeta(x2: float, eta1, e: float, gains, map1: MappingConfig) -> float:
     """zeta = x2 - chi_1(eta1) + rho(e) e."""
     return x2 - chi(eta1, map1) + gains.rho(e) * e
 
 
-def control_nonadaptive(zeta_val: float, eta2, gains: GainConfig, map2: MappingConfig) -> float:
+def control_nonadaptive(zeta_val: float, eta2, gains, map2: MappingConfig) -> float:
     """u = -k0 k(zeta) zeta + chi_2(eta2)."""
     return -gains.k0 * gains.k(zeta_val) * zeta_val + chi(eta2, map2)
 
 
 def control_adaptive(
-    zeta_val: float, eta2, k_hat: float, gains: GainConfig, map2: MappingConfig
+    zeta_val: float, eta2, k_hat: float, gains, map2: MappingConfig
 ) -> Tuple[float, float]:
     """u = -k_hat k(zeta) zeta + chi_2(eta2), with k_hat' = k(zeta) zeta^2.
 

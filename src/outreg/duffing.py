@@ -9,6 +9,12 @@ driven by a two-state harmonic exosystem v' = [[0, sigma], [-sigma, 0]] v
 that supplies both the disturbance d = v2 and the reference y_ref = v1.
 The tracking error is e = x1 - v1.
 
+Every function below takes the plant as p, a scenario.ScenarioConfig, and
+reads only its c1, c2, c3 and sigma.  scenario.validate requires them
+finite and sigma > 0; outside the benchmark box (c_i in [-2, 2], sigma in
+[0.1, 2]) it only warns, since every formula here holds for any finite
+parameters.
+
 Because the exosystem is a pure rotation, the regulator equations have a
 closed-form solution, and the steady-state feedforward input u_ss is a
 polynomial in (v1, v2).  Its time derivatives along the flow are therefore
@@ -23,40 +29,10 @@ without any numerical root finding.
 
 from __future__ import annotations
 
-import warnings
 from math import cos, sin
 
 from .internal_model import CoeffVector, InternalModelSpec, q_matrix
 from .linalg import mat_vec
-from .record import Record
-
-
-class DuffingParams(Record):
-    """Plant coefficients and exosystem frequency.
-
-    The benchmark ranges c_i in [-2, 2] and sigma in [0.1, 2] are advisory:
-    values outside them trigger a warning, not an error, since every formula
-    in this module is valid for any finite parameters.
-    """
-
-    _fields = ("c1", "c2", "c3", "sigma")
-
-    def __init__(self, c1: float = -2.0, c2: float = 1.5, c3: float = 0.5, sigma: float = 0.5):
-        self.__dict__.update(c1=float(c1), c2=float(c2), c3=float(c3), sigma=float(sigma))
-        for name in self._fields:
-            val = getattr(self, name)
-            if val != val or val in (float("inf"), float("-inf")):
-                raise ValueError("%s must be finite, got %r" % (name, val))
-        if self.sigma <= 0.0:
-            raise ValueError("sigma must be positive, got %r" % (self.sigma,))
-        for name in ("c1", "c2", "c3"):
-            if not -2.0 <= getattr(self, name) <= 2.0:
-                warnings.warn(
-                    "%s = %r is outside the benchmark box [-2, 2]" % (name, getattr(self, name)),
-                    stacklevel=2)
-        if not 0.1 <= self.sigma <= 2.0:
-            warnings.warn("sigma = %r is outside the benchmark box [0.1, 2]" % (self.sigma,),
-                          stacklevel=2)
 
 
 def exo_flow(v0, sigma: float, t: float):
@@ -72,7 +48,7 @@ def exo_flows(v0, sigma: float, ts) -> list:
     return [(v1 * c + v2 * s, -v1 * s + v2 * c) for c, s in zip(map(cos, args), map(sin, args))]
 
 
-def regulator_solution(v, p: DuffingParams):
+def regulator_solution(v, p):
     """Closed-form solution (x1_ss, x2_ss, u_ss) of the regulator equations.
 
     x1_ss = v1 tracks the reference exactly, x2_ss is its derivative along
@@ -86,7 +62,7 @@ def regulator_solution(v, p: DuffingParams):
     return (x1_ss, x2_ss, u_ss)
 
 
-def steady_state_xi(v, p: DuffingParams, i: int):
+def steady_state_xi(v, p, i: int):
     """Steady-state generator state for component i.
 
     Component 1 generates x2_ss, component 2 generates u_ss; in both cases
@@ -116,13 +92,13 @@ def steady_state_xi(v, p: DuffingParams, i: int):
     return (lead, u1, u2, u3)
 
 
-def steady_state_lead(v, p: DuffingParams, i: int) -> float:
+def steady_state_lead(v, p, i: int) -> float:
     """The leading entry of steady_state_xi(v, p, i): x2_ss for component 1,
     u = A*v1 + B*v2 + c2*v1^3 for component 2."""
     return steady_state_leads(((float(v[0]), float(v[1])),), p, i)[0]
 
 
-def steady_state_leads(vs, p: DuffingParams, i: int) -> list:
+def steady_state_leads(vs, p, i: int) -> list:
     """steady_state_lead at every exosystem state in vs, pairs of floats
     such as exo_flows returns."""
     s = p.sigma
@@ -136,7 +112,7 @@ def steady_state_leads(vs, p: DuffingParams, i: int) -> list:
     raise ValueError("component index must be 1 or 2, got %r" % (i,))
 
 
-def duffing_coeffs(p: DuffingParams):
+def duffing_coeffs(p):
     """Characteristic coefficients (a1, a2) of the two steady-state signals.
 
     x2_ss = sigma*v2 satisfies z'' + sigma^2 z = 0.  u_ss contains the
@@ -150,7 +126,7 @@ def duffing_coeffs(p: DuffingParams):
     return (a1, a2)
 
 
-def steady_state_q(p: DuffingParams, i: int, spec: InternalModelSpec):
+def steady_state_q(p, i: int, spec: InternalModelSpec):
     """The Q of component i, which maps its generator state xi to theta.
 
     Q depends on the component but not on the exosystem state, so a caller
@@ -160,7 +136,7 @@ def steady_state_q(p: DuffingParams, i: int, spec: InternalModelSpec):
     return q_matrix(a1 if i == 1 else a2, spec.m)
 
 
-def steady_state_theta(v, p: DuffingParams, i: int, spec: InternalModelSpec, q=None):
+def steady_state_theta(v, p, i: int, spec: InternalModelSpec, q=None):
     """Exact steady-state internal-model state theta = Q xi for component i.
 
     This is the state the filter eta converges to; it is the oracle against

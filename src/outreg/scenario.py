@@ -20,9 +20,10 @@ coefficients, sigma) and unprovable gain lower bounds only warn.
 from __future__ import annotations
 
 import math
+import warnings
 
-from .controller import GainConfig, Polynomial
-from .duffing import DuffingParams, regulator_solution, steady_state_theta
+from .controller import Polynomial
+from .duffing import regulator_solution, steady_state_theta
 from .internal_model import NotHurwitzError, hurwitz_pair
 from .record import Record
 
@@ -235,8 +236,8 @@ def loads(text: str) -> ScenarioConfig:
 def steady_start(cfg: ScenarioConfig) -> ScenarioConfig:
     """cfg (valid) started on its steady orbit at v0: the plant on the
     regulator-equation solution, each filter at theta = Q xi(v0).  ValueError
-    when Q cannot be formed or a derived value is not finite.  cfg stands in
-    for the DuffingParams the formulas read, whose box warnings validate gave."""
+    when Q cannot be formed or a derived value is not finite.  validate has
+    already given cfg's box warnings; this gives none."""
     out = cfg.replace(x0=regulator_solution(cfg.v0, cfg)[:2],
                       eta1_0=steady_state_theta(cfg.v0, cfg, 1, hurwitz_pair(cfg.m1)),
                       eta2_0=steady_state_theta(cfg.v0, cfg, 2, hurwitz_pair(cfg.m2)))
@@ -247,8 +248,10 @@ def steady_start(cfg: ScenarioConfig) -> ScenarioConfig:
 
 
 def validate(cfg: ScenarioConfig):
-    """Hard checks raise ScenarioError (all violations at once); box-range
-    and gain-bound checks warn via DuffingParams and GainConfig.
+    """Hard checks raise ScenarioError (all violations at once); the
+    benchmark-box and gain-bound checks only warn, naming this module.
+    The box warnings come even beside violations, but not for sigma <= 0;
+    the gain warnings only for a config without violations.
 
     Non-finite numbers (loads rejects them at parse time, but overrides
     and hand-built configs can carry them) are reported first and alone,
@@ -278,14 +281,22 @@ def validate(cfg: ScenarioConfig):
             errors.append("%s: %s not Hurwitz (%s)" % (name, label, exc))
         except ValueError as exc:
             errors.append("%s: %s" % (name, exc))
-    try:
-        DuffingParams(cfg.c1, cfg.c2, cfg.c3, cfg.sigma)  # warns on box ranges
-    except ValueError as exc:
-        errors.append("plant: %s" % exc)
+    if cfg.sigma <= 0.0:
+        errors.append("plant: sigma must be positive, got %r" % (float(cfg.sigma),))
+    else:
+        for name in ("c1", "c2", "c3", "sigma"):
+            val, low = float(getattr(cfg, name)), 0.1 if name == "sigma" else -2.0
+            if not low <= val <= 2.0:
+                warnings.warn("%s = %r is outside the benchmark box [%g, 2]" % (name, val, low))
     if errors:
         raise ScenarioError(errors)
-    # gain bound warnings piggyback on GainConfig construction
-    GainConfig(rho=cfg.rho, k=cfg.k, k0=cfg.k0)
+    # the stability analysis behind the feedback laws assumes rho(s) >= 1,
+    # k(s) >= 1 and k0 >= 1
+    for name, gain in (("rho", cfg.rho), ("k", cfg.k)):
+        if not gain.provably_at_least_one():
+            warnings.warn("cannot prove %s(s) >= 1 for all s: %r" % (name, gain.format()))
+    if cfg.k0 < 1.0:
+        warnings.warn("k0 = %g is below the k0 >= 1 design bound" % cfg.k0)
     return cfg
 
 

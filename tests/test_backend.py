@@ -89,12 +89,11 @@ def test_kernel_aux_matches_module_path(kern, steady_cfg, mask1, mask2):
     # the record's auxiliaries must agree with the module-level operations
     # (different summation orders, so relative tolerance, not bit equality)
     # under every mask, since a twin may skip the cofactors a mask discards
-    from outreg.controller import GainConfig, control_nonadaptive, zeta
+    from outreg.controller import control_nonadaptive, zeta
 
     cfg = with_overrides(steady_cfg, mask1=mask1, mask2=mask2, t_end=steady_cfg.h, stride=1)
     cfg1 = MappingConfig(n=2, m=cfg.m1, epsilon=cfg.epsilon, zero_mask=cfg.mask1)
     cfg2 = MappingConfig(n=4, m=cfg.m2, epsilon=cfg.epsilon, zero_mask=cfg.mask2)
-    gains = GainConfig(rho=cfg.rho, k=cfg.k, k0=cfg.k0)
     state = _initial_state(cfg)
     state[5] += 0.31  # knock the filters off the invariant set
     state[10] -= 0.17
@@ -110,22 +109,21 @@ def test_kernel_aux_matches_module_path(kern, steady_cfg, mask1, mask2):
     assert a23 == pytest.approx(est2.a[2], rel=1e-10)
     assert det1 == pytest.approx(determinant(hankel(eta1)), rel=1e-10)
     assert det2 == pytest.approx(determinant(hankel(eta2)), rel=1e-10)
-    zm = zeta(state[1], eta1, e, gains, cfg1)
+    zm = zeta(state[1], eta1, e, cfg, cfg1)
     assert zv == pytest.approx(zm, rel=1e-10)
-    assert u == pytest.approx(control_nonadaptive(zm, eta2, gains, cfg2), rel=1e-10)
+    assert u == pytest.approx(control_nonadaptive(zm, eta2, cfg, cfg2), rel=1e-10)
 
 
 def test_adaptive_field_matches_module_path(steady_cfg):
     # off the invariant set the adaptive vector field is the module-level
     # control law and filter dynamics: zeta, u, the gain rate and the 12
     # filter derivatives agree to a relative 1e-10
-    from outreg.controller import GainConfig, control_adaptive, eta_derivatives, zeta
+    from outreg.controller import control_adaptive, eta_derivatives, zeta
     from outreg.internal_model import hurwitz_pair
 
     cfg = steady_cfg
     cfg1 = MappingConfig(n=2, m=cfg.m1, epsilon=cfg.epsilon, zero_mask=cfg.mask1)
     cfg2 = MappingConfig(n=4, m=cfg.m2, epsilon=cfg.epsilon, zero_mask=cfg.mask2)
-    gains = GainConfig(rho=cfg.rho, k=cfg.k, k0=cfg.k0)
     state = _initial_state(cfg)
     state[5] += 0.31  # knock the filters off the invariant set
     state[10] -= 0.17
@@ -135,8 +133,8 @@ def test_adaptive_field_matches_module_path(steady_cfg):
                       [0.0] * 4)
     e, zv, u = aux[:3]
     eta1, eta2 = state[4:8], state[8:16]
-    zm = zeta(state[1], eta1, e, gains, cfg1)
-    um, kdot = control_adaptive(zm, eta2, state[16], gains, cfg2)
+    zm = zeta(state[1], eta1, e, cfg, cfg1)
+    um, kdot = control_adaptive(zm, eta2, state[16], cfg, cfg2)
     d1, d2 = eta_derivatives(eta1, eta2, state[1], um, hurwitz_pair(cfg.m1),
                              hurwitz_pair(cfg.m2))
     assert zv == pytest.approx(zm, rel=1e-10)

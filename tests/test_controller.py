@@ -3,7 +3,6 @@ import random
 import pytest
 
 from outreg.controller import (
-    GainConfig,
     GainSyntaxError,
     Polynomial,
     control_adaptive,
@@ -14,12 +13,13 @@ from outreg.controller import (
 from outreg.internal_model import hurwitz_pair
 from outreg.linalg import ShapeError
 from outreg.mapping import MappingConfig
+from outreg.scenario import ScenarioConfig
 
 M1 = (10.0, 18.0, 15.0, 6.0)
 M2 = (1.0, 5.0, 13.0, 22.0, 26.0, 22.0, 13.0, 5.0)
 CFG1 = MappingConfig(n=2, m=M1, epsilon=0.1, zero_mask=(False, True))
 CFG2 = MappingConfig(n=4, m=M2, epsilon=0.1, zero_mask=(False, True, False, True))
-GAINS = GainConfig(Polynomial.parse("10 + 4*s^4"), Polynomial.parse("1 + s^2"), 1.0)
+GAINS = ScenarioConfig(rho=Polynomial.parse("10 + 4*s^4"), k=Polynomial.parse("1 + s^2"), k0=1.0)
 
 
 def test_polynomial_parse_benchmark_gains():
@@ -80,21 +80,6 @@ def test_polynomial_horner_matches_direct_sum():
         s = rng.uniform(-4, 4)
         direct = sum(c * s ** j for j, c in enumerate(p.coeffs))
         assert p(s) == pytest.approx(direct, rel=1e-12, abs=1e-12)
-
-
-def test_gain_config_warns_on_unprovable_bounds():
-    with pytest.warns(UserWarning, match="rho"):
-        GainConfig(Polynomial.parse("s^2"), Polynomial.parse("1 + s^2"), 1.0)  # constant 0 < 1
-    with pytest.warns(UserWarning, match="k\\(s\\)"):
-        GainConfig(Polynomial.parse("10"), Polynomial.parse("1 + s"), 1.0)  # odd power
-    with pytest.warns(UserWarning, match="k0"):
-        GainConfig(Polynomial.parse("10"), Polynomial.parse("1 + s^2"), 0.5)
-    # benchmark gains are provable: no warning
-    import warnings as _w
-
-    with _w.catch_warnings():
-        _w.simplefilter("error")
-        GainConfig(Polynomial.parse("10 + 4*s^4"), Polynomial.parse("1 + s^2"), 1.0)
 
 
 def test_zeta_examples():

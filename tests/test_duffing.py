@@ -7,7 +7,6 @@ from conftest import run_twin
 
 from outreg.acceptance import criterion_5
 from outreg.duffing import (
-    DuffingParams,
     duffing_coeffs,
     exo_flow,
     exo_flows,
@@ -21,14 +20,14 @@ from outreg.internal_model import hurwitz_pair
 from outreg.mapping import MappingConfig, chi, estimate_coeffs
 from outreg.scenario import ScenarioConfig, with_overrides
 
-P = DuffingParams()  # c = (-2, 1.5, 0.5), sigma = 0.5
+P = ScenarioConfig()  # c = (-2, 1.5, 0.5), sigma = 0.5
 M1 = (10.0, 18.0, 15.0, 6.0)
 M2 = (1.0, 5.0, 13.0, 22.0, 26.0, 22.0, 13.0, 5.0)
 CFG1 = MappingConfig(n=2, m=M1, epsilon=0.1, zero_mask=(False, True))
 CFG2 = MappingConfig(n=4, m=M2, epsilon=0.1, zero_mask=(False, True, False, True))
 
 
-def duffing_derivative(x, u: float, d: float, p: DuffingParams):
+def duffing_derivative(x, u: float, d: float, p):
     """Plant vector field at state x = (x1, x2) under input u and disturbance
     d: the oracle test_regulator_residual_random checks the regulator
     equations against (the kernel twins spell the same field inline)."""
@@ -44,21 +43,10 @@ def exo_derivative(v, sigma: float):
     return (sigma * float(v[1]), -sigma * float(v[0]))
 
 
-def test_params_validation():
-    with pytest.warns(UserWarning, match="c1"):
-        DuffingParams(c1=3.0)
-    with pytest.warns(UserWarning, match="sigma"):
-        DuffingParams(sigma=2.5)
-    with pytest.raises(ValueError):
-        DuffingParams(sigma=0.0)
-    with pytest.raises(ValueError):
-        DuffingParams(c2=float("nan"))
-
-
 def test_duffing_derivative_examples():
     assert duffing_derivative((0.0, 0.0), 0.0, 0.0, P) == (0.0, 0.0)
     assert duffing_derivative((1.0, -1.0), 0.0, 0.0, P) == (-1.0, 1.0)
-    zero = DuffingParams(c1=0.0, c2=0.0, c3=0.0)
+    zero = ScenarioConfig(c1=0.0, c2=0.0, c3=0.0)
     assert duffing_derivative((1.0, 0.0), 1.0, 1.0, zero) == (0.0, 2.0)
 
 
@@ -92,7 +80,7 @@ def test_regulator_solution_examples():
 def test_regulator_residual_random():
     rng = random.Random(71)
     for _ in range(100):
-        p = DuffingParams(
+        p = ScenarioConfig(
             c1=rng.uniform(-2, 2),
             c2=rng.uniform(-2, 2),
             c3=rng.uniform(-2, 2),
@@ -116,7 +104,7 @@ def test_steady_state_xi_examples():
 
 
 def test_steady_state_lead_is_the_leading_xi_entry():
-    for p in (P, DuffingParams(1.2, -0.7, -1.9, 1.7)):
+    for p in (P, ScenarioConfig(c1=1.2, c2=-0.7, c3=-1.9, sigma=1.7)):
         for k in range(100):
             v = exo_flow((1.0, -0.3), p.sigma, k * 0.37)
             for i in (1, 2):
@@ -128,7 +116,8 @@ def test_batched_helpers_equal_the_scalar_formulas():
     # entry must be the bits of the formula spelled out per point
     rng = random.Random(24)
     for _ in range(40):
-        p = DuffingParams(*(rng.uniform(-2.0, 2.0) for _ in range(3)), rng.uniform(0.1, 2.0))
+        p = ScenarioConfig(c1=rng.uniform(-2.0, 2.0), c2=rng.uniform(-2.0, 2.0),
+                           c3=rng.uniform(-2.0, 2.0), sigma=rng.uniform(0.1, 2.0))
         v0 = (rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
         ts = [rng.uniform(-60.0, 60.0) for _ in range(25)]
         vs = exo_flows(v0, p.sigma, ts)

@@ -1,15 +1,18 @@
-"""The record contract: the package's eight value types compare, hash,
+"""The record contract: the package's six value types compare, hash,
 print, refuse assignment and pickle the way frozen dataclasses do."""
 
+import importlib
 import pickle
+import pkgutil
 
 import pytest
 
-from outreg.controller import GainConfig, Polynomial
-from outreg.duffing import DuffingParams
+import outreg
+from outreg.controller import Polynomial
 from outreg.internal_model import CoeffVector, hurwitz_pair
 from outreg.linalg import Matrix
 from outreg.mapping import MappingConfig
+from outreg.record import Record
 from outreg.scenario import ScenarioConfig, with_overrides
 
 _STOCK_REPR = (
@@ -35,17 +38,8 @@ RECORDS = {
         lambda: MappingConfig(2, [1, 2, 3, 4], 0.1),
         lambda: MappingConfig(n=2, m=(1.0, 2.0, 3.0, 4.0), epsilon=0.1, zero_mask=(0, 1)),
         "MappingConfig(n=2, m=(1.0, 2.0, 3.0, 4.0), epsilon=0.1, zero_mask=None)"),
-    "DuffingParams": (lambda: DuffingParams(), lambda: DuffingParams(-2, 1.5, 0.5, 0.5),
-                      lambda: DuffingParams(sigma=1.0),
-                      "DuffingParams(c1=-2.0, c2=1.5, c3=0.5, sigma=0.5)"),
     "Polynomial": (lambda: Polynomial((1.0, 0.0, 2.0)), lambda: Polynomial([1, 0, 2, 0]),
                    lambda: Polynomial((1.0, 0.0, 3.0)), "Polynomial(coeffs=(1.0, 0.0, 2.0))"),
-    "GainConfig": (
-        lambda: GainConfig(Polynomial((1.0,)), Polynomial((1.0, 0.0, 1.0)), 2.0),
-        lambda: GainConfig(rho=Polynomial([1]), k=Polynomial.parse("1 + s^2"), k0=2),
-        lambda: GainConfig(Polynomial((1.0,)), Polynomial((1.0, 0.0, 1.0)), 3.0),
-        "GainConfig(rho=Polynomial(coeffs=(1.0,)), k=Polynomial(coeffs=(1.0, 0.0, 1.0)), "
-        "k0=2.0)"),
     # the same entries in another shape are another matrix
     "Matrix": (lambda: Matrix([[1.0, 2.0], [3.0, 4.0]]), lambda: Matrix(((1, 2), (3, 4))),
                lambda: Matrix([[1.0, 2.0, 3.0, 4.0]]), "Matrix([[1.0, 2.0], [3.0, 4.0]])"),
@@ -53,6 +47,15 @@ RECORDS = {
                        lambda: ScenarioConfig(k0=2.0), _STOCK_REPR),
 }
 NAMES = sorted(RECORDS)
+
+
+def test_every_value_type_is_listed():
+    # a Record subclass anywhere in the package is a value type the tests
+    # below must cover
+    for mod in pkgutil.iter_modules(outreg.__path__):
+        importlib.import_module("outreg." + mod.name)
+    assert sorted(cls.__name__ for cls in Record.__subclasses__()
+                  if cls.__module__.startswith("outreg.")) == NAMES
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -352,10 +352,11 @@ def test_scenario_files_load_silently_and_round_trip(name):
     ({"k0": 0.5}, "k0 = 0.5 is below the k0 >= 1 design bound"),
     ({"k": Polynomial((1.0, 1.0))}, "cannot prove k(s) >= 1 for all s: '1 + s'"),
     ({"c1": 3.0}, "c1 = 3.0 is outside the benchmark box [-2, 2]"),
-    ({"sigma": 2.5}, "sigma = 2.5 is outside the benchmark box [0.1, 2]")])
+    ({"sigma": 2.5}, "sigma = 2.5 is outside the benchmark box [0.1, 2]"),
+    ({"rho": Polynomial((0.0, 0.0, 1.0))}, "cannot prove rho(s) >= 1 for all s: 's^2'")])
 def test_box_and_gain_warnings_name_the_validating_line(over, message):
-    # each warning points at the line in validate() that built the record,
-    # not at the record's own module or a generated __init__
+    # each warning points at its line in validate(), not at the module of
+    # whatever validate calls
     import outreg.scenario
 
     with warnings.catch_warnings(record=True) as caught:
@@ -378,11 +379,33 @@ def test_with_overrides_revalidates():
                                        ({"h": float("-inf")}, "sim.h"),
                                        ({"x0": (float("nan"), 0.0)}, "init.x"),
                                        ({"rho": Polynomial((1.0, float("inf")))}, "gains.rho"),
-                                       ({"k": Polynomial((float("nan"),))}, "gains.k")])
+                                       ({"k": Polynomial((float("nan"),))}, "gains.k"),
+                                       ({"c2": float("nan")}, "plant.c2")])
 def test_with_overrides_rejects_non_finite(over, key):
     with pytest.raises(ScenarioError, match="^%s: .*finite" % key) as info:
         with_overrides(ScenarioConfig(), **over)
     assert len(info.value.violations) == 1
+
+
+def test_nonpositive_sigma_is_a_plant_violation():
+    # and beside it no box warning fires, even for a plant outside the box
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for build, got in ((lambda: with_overrides(ScenarioConfig(), sigma=0.0), "0.0"),
+                           (lambda: with_overrides(ScenarioConfig(), sigma=-3.0, c1=3.0), "-3.0"),
+                           (lambda: loads("plant.sigma = -1\n"), "-1.0")):
+            with pytest.raises(ScenarioError) as info:
+                build()
+            assert info.value.violations == ("plant: sigma must be positive, got %s" % got,)
+
+
+def test_box_warnings_come_beside_violations_and_gain_warnings_do_not():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ScenarioError, match="^sim.h: must be > 0"):
+            with_overrides(ScenarioConfig(), h=-1.0, c3=2.5, k0=0.5, k=Polynomial((0.0,)))
+    assert [str(w.message) for w in caught] == [
+        "c3 = 2.5 is outside the benchmark box [-2, 2]"]
 
 
 def test_scenario_error_survives_pickling():

@@ -2,7 +2,7 @@ from bisect import bisect_left
 from statistics import fmean
 
 import pytest
-from conftest import STEADY_SCN
+from conftest import STEADY_SCN, run_twin
 
 from outreg.controller import Polynomial
 from outreg.mapping import bump_psi
@@ -118,11 +118,17 @@ def test_open_loop_is_negative_control():
 
 
 def test_adaptive_khat_monotone(steady_cfg):
-    cfg = with_overrides(steady_cfg, mode="adaptive")
+    # on the undisturbed steady orbit zeta stays at roundoff and khat with
+    # it (1.9e-13 after 100 s; the kernel digest case `adaptive` pins those
+    # bits), so a disturbance at omega = 7 gives the gain something to learn:
+    # khat climbs from 0 to 0.048 over 10 s and the run holds
+    cfg = with_overrides(steady_cfg, mode="adaptive", disturbance_amp=0.1,
+                         disturbance_freq=7.0, t_end=10.0)
     log = run(cfg)
     kh = log.column("khat")
     assert all(b >= a for a, b in zip(kh, kh[1:]))
     assert kh[-1] < float("inf")
+    assert kh[-1] > 1e-2
 
 
 def test_zero_state_zero_gains_stays_zero():
@@ -188,6 +194,24 @@ def test_gain_window_upper_edge_is_rk4s(h, k0_holds, k0_escapes, escape_t):
     assert diverged_at is None
     assert metrics(log, cfg)["trailing_sup_e"] <= 1e-11
     _, diverged_at, _ = integrate(with_overrides(base, k0=k0_escapes))
+    assert diverged_at == pytest.approx(escape_t, abs=1e-12)
+
+
+@pytest.mark.parametrize("h, k0_holds, sup_e, k0_escapes, escape_t",
+                         [(1e-3, 1100.0, 2.34e-3, 1200.0, 0.002),
+                          (5e-4, 2200.0, 2.40e-3, 2400.0, 0.001)])
+def test_cold_start_gain_window_closes_before_rk4s_edge(kern, h, k0_holds, sup_e,
+                                                       k0_escapes, escape_t):
+    # from the cold start (eta = 0) at epsilon = 0.25 the loop holds only up
+    # to k0 * h ~ 1.14, well inside RK4's 2.785 that bounds the steady start;
+    # the escapes come on the first steps, whatever the horizon
+    base = with_overrides(ScenarioConfig(), epsilon=0.25, h=h, t_end=10.0)
+    assert k0_holds * h < 1.14 < k0_escapes * h
+    cfg = with_overrides(base, k0=k0_holds)
+    records, diverged_at, _ = run_twin(kern, cfg)
+    assert diverged_at == -1.0
+    assert metrics(SimLog(records), cfg)["trailing_sup_e"] == pytest.approx(sup_e, rel=1e-2)
+    _, diverged_at, _ = run_twin(kern, with_overrides(base, k0=k0_escapes))
     assert diverged_at == pytest.approx(escape_t, abs=1e-12)
 
 
