@@ -1,7 +1,9 @@
 """Pin the bytes of every file `outreg run` and `outreg sweep` write.
 
 Two short runs from the steady start: an adaptive one at stride 1 (the dense
-log, four plots) and a nonadaptive one at stride 10.  Each artifact is
+log, four plots) and a nonadaptive one at stride 10.  A third run is the
+stock cold start at stride 1, which escapes at t = 0.117: it pins a partial
+log and a metrics.json with null fields, and exits 3.  Each artifact is
 hashed as written; metrics.json is hashed without its "backend" line, the
 only byte that depends on which kernel twin ran.  One short sweep over a
 scalar and a vector axis pins summary.csv.  Any change to the record path,
@@ -14,12 +16,15 @@ import hashlib
 import pytest
 from conftest import STEADY_SCN
 
-from outreg.cli import main
-from outreg.scenario import serialize, with_overrides
+from outreg.cli import EXIT_DIVERGED, EXIT_OK, main
+from outreg.scenario import ScenarioConfig, serialize, with_overrides
 
+# name: (start on the steady orbit?, overrides, exit status)
 CASES = {
-    "adaptive_stride1": {"mode": "adaptive", "stride": 1, "t_end": 0.5},
-    "nonadaptive_stride10": {"mode": "nonadaptive", "stride": 10, "t_end": 2.0},
+    "adaptive_stride1": (True, {"mode": "adaptive", "stride": 1, "t_end": 0.5}, EXIT_OK),
+    "nonadaptive_stride10": (True, {"mode": "nonadaptive", "stride": 10, "t_end": 2.0},
+                             EXIT_OK),
+    "cold_stride1": (False, {"stride": 1}, EXIT_DIVERGED),
 }
 
 DIGESTS = {
@@ -30,6 +35,13 @@ DIGESTS = {
         "plot_estimates.svg": "8fd8c770f0d8baa4f933264a92070b881ab7b126c6eb70c4a289b3836e638ca0",
         "plot_khat.svg": "2ba9c8d626af0f37f1141cade8b428ea80a349ef973ae70780e9169d9de9c238",
         "plot_trajectory.svg": "221937342831be9e69827556d3be4cc0f89ada1723e49b8e7a75442928e5ce99",
+    },
+    "cold_stride1": {
+        "log.csv": "6e1f8b5394e0505a3d8eeeb8295ef70153e0f27a9966aea52b645d39054b5f40",
+        "metrics.json": "768b214a2cc97e05eac70792b1089ea3d1ee90b1a4497a6bf698e76eb9e8dc89",
+        "plot_error.svg": "b82ae196c944735775659bfbff65e7f4c2ec3216ca0b9784c23acd5c3a9b103d",
+        "plot_estimates.svg": "13ff4e45caa3744f0c8d05d915ecdb42345659efb2d1111a698796341e6e2a9b",
+        "plot_trajectory.svg": "4f88a81de1c2f4cc2b64aa761d1201367fb4375fe18f687753bf05730308acd2",
     },
     "nonadaptive_stride10": {
         "log.csv": "7fa2d806c22217c3deb43810a626d8bd12ff25720b7ddc9770f4d6133b364a9d",
@@ -48,9 +60,11 @@ def _sha(data: bytes) -> str:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_run_artifacts_pinned(tmp_path, steady_cfg, case):
     scn = tmp_path / "case.scn"
-    scn.write_text(serialize(with_overrides(steady_cfg, **CASES[case])))
+    steady, overrides, status = CASES[case]
+    base = steady_cfg if steady else ScenarioConfig()
+    scn.write_text(serialize(with_overrides(base, **overrides)))
     out = tmp_path / "out"
-    assert main(["run", "--scenario", str(scn), "--out", str(out)]) == 0
+    assert main(["run", "--scenario", str(scn), "--out", str(out)]) == status
     got = {}
     for path in sorted(out.iterdir()):
         data = path.read_bytes()
