@@ -3,12 +3,16 @@
  * Every value here is computed with the same expression, in the same
  * operation order, as in _kernel_py.py, and the build uses -ffp-contract=off
  * so no multiply-add fusion can change the rounding.  Edit both files
- * together, expression by expression.
+ * together, expression by expression.  format_rows and format_vertices
+ * print what CPython's "%.17g" and "%.6g" print, byte for byte.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <locale.h>
 #include <math.h>
+#include <stdio.h>
+#include <string.h>
 
 #define LIMIT 1e9
 
@@ -455,10 +459,150 @@ done:
     return result;
 }
 
+/* The most characters one float takes: "%.17g" of a double is at most 24
+ * ("-1.2345678901234567e-308"), "%.6g" at most 13, each plus a separator. */
+#define ROW_FLOAT_MAX 25
+#define VERTEX_MAX 28
+
+static PyObject *format_rows(PyObject *self, PyObject *args)
+{
+    PyObject *data, *out = NULL;
+    Py_buffer view;
+    Py_ssize_t ncol, n, i;
+    locale_t c_numeric, prev;
+    char *p, *start;
+
+    (void)self;
+    if (!PyArg_ParseTuple(args, "On:format_rows", &data, &ncol))
+        return NULL;
+    if (PyObject_GetBuffer(data, &view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
+        return NULL;
+    if (view.format == NULL || strcmp(view.format, "d") != 0) {
+        PyErr_SetString(PyExc_ValueError, "data must be a C-contiguous float64 buffer");
+        goto done;
+    }
+    n = view.len / (Py_ssize_t)sizeof(double);
+    if (ncol < 1 || n % ncol != 0) {
+        PyErr_SetString(PyExc_ValueError, "data must hold whole rows of ncol >= 1 columns");
+        goto done;
+    }
+    if (n > (PY_SSIZE_T_MAX - 1) / ROW_FLOAT_MAX) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    out = PyUnicode_New(n * ROW_FLOAT_MAX, 127);
+    if (out == NULL || n == 0)
+        goto done;
+    /* glibc's printf follows LC_NUMERIC, CPython's "%" does not */
+    c_numeric = newlocale(LC_NUMERIC_MASK, "C", (locale_t)0);
+    if (c_numeric == (locale_t)0) {
+        Py_CLEAR(out);
+        PyErr_SetFromErrno(PyExc_OSError);
+        goto done;
+    }
+    prev = uselocale(c_numeric);
+    start = p = (char *)PyUnicode_1BYTE_DATA(out);
+    for (i = 0; i < n; i++) {
+        double v = ((const double *)view.buf)[i];
+        /* CPython prints every nan as "nan", glibc a negative one as "-nan" */
+        if (isnan(v)) {
+            memcpy(p, "nan", 3);
+            p += 3;
+        } else {
+            p += snprintf(p, ROW_FLOAT_MAX, "%.17g", v);
+        }
+        *p++ = (i + 1) % ncol ? ',' : '\n';
+    }
+    uselocale(prev);
+    freelocale(c_numeric);
+    if (PyUnicode_Resize(&out, p - start) < 0)
+        Py_CLEAR(out);
+
+done:
+    PyBuffer_Release(&view);
+    return out;
+}
+
+static PyObject *format_vertices(PyObject *self, PyObject *args)
+{
+    PyObject *xso, *yso, *xs = NULL, *ys = NULL, *out = NULL;
+    double sx, xlo, xhi, sy, ylo, yhi, ml, mt, pw, ph;
+    Py_ssize_t n, i;
+    char *p, *start;
+
+    (void)self;
+    if (!PyArg_ParseTuple(args, "OOdddddddddd:format_vertices", &xso, &yso, &sx, &xlo,
+                          &xhi, &sy, &ylo, &yhi, &ml, &mt, &pw, &ph))
+        return NULL;
+    xs = PySequence_Fast(xso, "xs must be a sequence");
+    if (xs == NULL)
+        goto done;
+    ys = PySequence_Fast(yso, "ys must be a sequence");
+    if (ys == NULL)
+        goto done;
+    /* zip's length */
+    n = PySequence_Fast_GET_SIZE(xs);
+    if (PySequence_Fast_GET_SIZE(ys) < n)
+        n = PySequence_Fast_GET_SIZE(ys);
+    if (n > 0 && (xhi - xlo == 0.0 || yhi - ylo == 0.0)) {
+        PyErr_SetString(PyExc_ZeroDivisionError, "float division by zero");
+        goto done;
+    }
+    if (n > PY_SSIZE_T_MAX / VERTEX_MAX) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    out = PyUnicode_New(n * VERTEX_MAX, 127);
+    if (out == NULL || n == 0)
+        goto done;
+    start = p = (char *)PyUnicode_1BYTE_DATA(out);
+    for (i = 0; i < n; i++) {
+        double x = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(xs, i));
+        double y, c[2];
+        int k;
+        if (x == -1.0 && PyErr_Occurred())
+            goto fail;
+        y = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(ys, i));
+        if (y == -1.0 && PyErr_Occurred())
+            goto fail;
+        c[0] = ml + (x * sx - xlo) / (xhi - xlo) * pw;
+        c[1] = mt + ph - (y * sy - ylo) / (yhi - ylo) * ph;
+        if (i > 0)
+            *p++ = ' ';
+        for (k = 0; k < 2; k++) {
+            /* CPython's own "%.6g", so the bytes match by construction */
+            char *s = PyOS_double_to_string(c[k], 'g', 6, 0, NULL);
+            size_t len;
+            if (s == NULL)
+                goto fail;
+            len = strlen(s);
+            memcpy(p, s, len);
+            p += len;
+            PyMem_Free(s);
+            if (k == 0)
+                *p++ = ',';
+        }
+    }
+    if (PyUnicode_Resize(&out, p - start) < 0)
+        Py_CLEAR(out);
+    goto done;
+
+fail:
+    Py_CLEAR(out);
+done:
+    Py_XDECREF(xs);
+    Py_XDECREF(ys);
+    return out;
+}
+
 static PyMethodDef methods[] = {
     {"run_closed_loop", (PyCFunction)(void (*)(void))run_closed_loop,
      METH_VARARGS | METH_KEYWORDS,
      "Same contract as _kernel_py.run_closed_loop; see there."},
+    {"format_rows", format_rows, METH_VARARGS,
+     "Same contract as _kernel_py.format_rows; see there."},
+    {"format_vertices", format_vertices, METH_VARARGS,
+     "Same contract as _kernel_py.format_vertices; see there."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -1,12 +1,14 @@
-"""Pure-Python twin of the compiled closed-loop integration kernel.
+"""Pure-Python twin of the compiled kernel: the closed-loop integrator and
+the output path's two number formatters.
 
 This file and the hand-written C twin _kernel.c compute every value with
 the same expression in the same operation order, so a run produces
 bit-identical records on either backend (the parity tests compare floats for
-exact equality).  When editing one, edit the other to match, expression by
-expression.  Both are straight-line and mask-aware: each Hankel cofactor is
-written out over named 2x2 minors, each minor computed once, and a cofactor
-that only masked coefficient estimates read is never computed.
+exact equality), and both format those records into the same bytes.  When
+editing one, edit the other to match, expression by expression.  Both are
+straight-line and mask-aware: each Hankel cofactor is written out over
+named 2x2 minors, each minor computed once, and a cofactor that only masked
+coefficient estimates read is never computed.
 
 Only the plumbing differs.  Here run_closed_loop binds every parameter once
 per run into one vector field (see _field) that takes the state as 17 scalars,
@@ -37,6 +39,12 @@ memoryview of format 'd', so len(records) is the row count.
 
 Modes: 0 nonadaptive, 1 adaptive, 2 open loop (u forced to 0; the filters
 and estimators keep running so the log stays comparable).
+
+Formatters: format_rows prints each value as "%.17g" % x does and
+format_vertices as "%.6g" % x does.  Here that is the "%" operator itself;
+the C twin prints rows with snprintf under the C numeric locale, and every
+nan as "nan" (glibc writes "-nan" for a negative one), and vertices with
+PyOS_double_to_string, the routine behind CPython's "%".
 """
 
 from array import array
@@ -360,3 +368,34 @@ def run_closed_loop(y0, h, n_steps, stride, c1, c2, c3, sigma, m1, m2, eps,
         record(_ROW(t, x1, x2, *f(t, *y)[17:], khat))
     rows = memoryview(records).cast("B").cast("d", (len(records) // 12, 12))
     return rows, diverged_at, list(y)
+
+
+_CSV_BLOCK = 1024
+
+
+def format_rows(data, ncol):
+    """The CSV body of a flat float64 buffer (an array("d")) of ncol-column
+    rows: each value as "%.17g" prints it, enough to round-trip any double,
+    joined by commas, each row ended by a newline; "" for no rows."""
+    if ncol < 1 or len(data) % ncol:
+        raise ValueError("data must hold whole rows of ncol >= 1 columns")
+    # a block of ncol-field template lines filled by one format op per
+    # _CSV_BLOCK rows, so only one block's floats exist as objects at once
+    row = ",".join(["%.17g"] * ncol)
+    n = _CSV_BLOCK * ncol
+    out = []
+    for i in range(0, len(data), n):
+        block = data[i:i + n]
+        out.append("\n".join([row] * (len(block) // ncol)) % tuple(block))
+    out.append("")  # the final newline, without copying the text once more
+    return "\n".join(out)
+
+
+def format_vertices(xs, ys, sx, xlo, xhi, sy, ylo, yhi, ml, mt, pw, ph):
+    """The points of an SVG polyline: each vertex (x, y) of zip(xs, ys) as
+    "%.6g,%.6g" of its plot coordinates, ml + (x * sx - xlo) / (xhi - xlo)
+    * pw and mt + ph - (y * sy - ylo) / (yhi - ylo) * ph, the vertices
+    joined by spaces."""
+    return " ".join(["%.6g,%.6g" % (ml + (x * sx - xlo) / (xhi - xlo) * pw,
+                                    mt + ph - (y * sy - ylo) / (yhi - ylo) * ph)
+                     for x, y in zip(xs, ys)])

@@ -1,11 +1,13 @@
 """Kernel backend selection.
 
-The closed-loop integrator exists twice: a compiled extension and a pure
-Python fallback written to perform identical floating-point work (see
-_kernel_py).  Import prefers the compiled one, and there is one way to get
-it: the first import builds _kernel.c into the package's __pycache__/,
-under a name keyed by the source bytes and FLAGS, and a build removes the
-builds of other keys.  Every later import loads that file without running
+The closed-loop integrator and the output path's two number formatters
+(format_rows for log.csv, format_vertices for the SVG polylines) exist
+twice: a compiled extension and a pure Python fallback written to perform
+identical floating-point work and print identical bytes (see _kernel_py).
+Import prefers the compiled one, and there is one way to get it: the
+first import builds _kernel.c into the package's __pycache__/, under a
+name keyed by the source bytes and FLAGS, and a build removes the builds
+of other keys.  Every later import loads that file without running
 the compiler.  A checkout, an editable install and an installed package
 (which ships _kernel.c as package data) all build the same way; a
 _kernel.*.so beside the package's modules is never loaded.  Without a C
@@ -165,3 +167,5 @@ else:
     BACKEND = "compiled"
 
 run_closed_loop = _impl.run_closed_loop
+format_rows = _impl.format_rows
+format_vertices = _impl.format_vertices

@@ -38,11 +38,12 @@ MODES = ("nonadaptive", "adaptive", "open_loop")
 # makes is 200,000 steps (acceptance criterion 10 at h/2).
 MAX_STEPS = 10_000_000
 
-# The most records a run may keep.  `outreg run` peaks at about 640 B per
-# record (float64 rows in the kernel and SimLog, then the CSV text; peak RSS
-# growth from 10,001 to 100,001 records with CPython 3.11 at stride 1), so
-# this bounds one run near 0.65 GB, and a 4-worker sweep near four times
-# that.  The stock scenario keeps 10,001.
+# The most records a run may keep.  `outreg run` peaks at about 642 B per
+# record (float64 rows in the kernel and SimLog, the CSV text, and the
+# plotted columns as float lists; the growth of the run's peak RSS, read by
+# os.wait4, from 10,001 to 100,001 records with CPython 3.11 and the C twin
+# at stride 1), so this bounds one run near 0.65 GB, and a 4-worker sweep
+# near four times that.  The stock scenario keeps 10,001.
 MAX_RECORDS = 1_000_000
 
 

@@ -3,8 +3,8 @@
 run() integrates a ScenarioConfig through the backend kernel and returns a
 SimLog.  Identical configs give byte-identical logs: the time grid is
 t = step * h (products, not accumulated sums), the kernel arithmetic is
-fixed, and CSV formatting uses 17 significant digits, enough to round-trip
-any double.
+fixed, and the backend's format_rows writes 17 significant digits, enough
+to round-trip any double.
 
 integrate() is the one run path; the CLI, the sweep and the acceptance
 criteria call it and keep the partial log of a run whose state leaves the
@@ -18,15 +18,12 @@ from bisect import bisect_left
 from itertools import islice
 from operator import lt
 
-from .backend import BACKEND, run_closed_loop
+from .backend import BACKEND, format_rows, run_closed_loop
 from .scenario import MODES, ScenarioConfig
 
 CSV_HEADER = "t,x1,x2,e,zeta,u,a11,a21,a23,detT1,detT2,khat"
 _INDEX = {name: i for i, name in enumerate(CSV_HEADER.split(","))}
 _NCOL = len(_INDEX)
-# one CSV row; 17 significant digits round-trip any double
-_CSV_ROW = ",".join(["%.17g"] * _NCOL)
-_CSV_BLOCK = 1024
 
 _MODE_CODES = {mode: code for code, mode in enumerate(MODES)}
 
@@ -35,16 +32,17 @@ class SimLog:
     """Records of one run: one row per recorded step, kept row-major in one
     flat float64 array and read a column at a time.
 
-    rows is the kernel's (rows, 12) float64 memoryview or any iterable of
-    12-value rows; either way each row must have 12 columns and the time
-    column must increase strictly.
+    rows is the kernel's C-contiguous (rows, 12) float64 memoryview or any
+    iterable of 12-value rows; either way each row must have 12 columns and
+    the time column must increase strictly.
     """
 
     def __init__(self, rows):
         data = array("d")
         if isinstance(rows, memoryview):
-            if rows.format != "d" or rows.ndim != 2 or rows.shape[1] != _NCOL:
-                raise ValueError("rows must be a (rows, %d) float64 view" % _NCOL)
+            if (rows.format != "d" or rows.ndim != 2 or rows.shape[1] != _NCOL
+                    or not rows.c_contiguous):
+                raise ValueError("rows must be a C-contiguous (rows, %d) float64 view" % _NCOL)
             data.frombytes(rows.cast("B"))
         else:
             for r in rows:
@@ -75,16 +73,7 @@ class SimLog:
         return self.column("t")
 
     def to_csv(self) -> str:
-        # a block of 12-field template lines filled by one format op per
-        # _CSV_BLOCK rows, so only one block's floats exist as objects at once
-        d = self._data
-        n = _CSV_BLOCK * _NCOL
-        out = [CSV_HEADER]
-        for i in range(0, len(d), n):
-            block = d[i:i + n]
-            out.append("\n".join([_CSV_ROW] * (len(block) // _NCOL)) % tuple(block))
-        out.append("")  # the final newline, without copying the text once more
-        return "\n".join(out)
+        return CSV_HEADER + "\n" + format_rows(self._data, _NCOL)
 
     @classmethod
     def from_csv(cls, text: str) -> "SimLog":

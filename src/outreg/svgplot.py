@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 import sys
 
+from .backend import format_vertices
+
 _MAX_POINTS = 2000
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 _W, _H = 760, 440
@@ -127,12 +129,10 @@ def line_chart(series, title: str, xlabel: str, ylabel: str) -> str:
     # frame
     out.append('<rect x="%d" y="%d" width="%d" height="%d" fill="none" '
                'stroke="#333333"/>' % (_ML, _MT, pw, ph))
-    # series; px(x) and py(y) inlined, one format op per vertex
+    # series; the backend computes px(x) and py(y) and formats each vertex
     for idx, (label, xs, ys) in enumerate(series):
         xs, ys = _thin(xs, ys)
-        pts = " ".join(["%.6g,%.6g" % (_ML + (x * sx - xlo) / (xhi - xlo) * pw,
-                                       _MT + ph - (y * sy - ylo) / (yhi - ylo) * ph)
-                        for x, y in zip(xs, ys)])
+        pts = format_vertices(xs, ys, sx, xlo, xhi, sy, ylo, yhi, _ML, _MT, pw, ph)
         out.append('<polyline points="%s" fill="none" stroke="%s" '
                    'stroke-width="1.4"/>' % (pts, _COLORS[idx % len(_COLORS)]))
     # legend

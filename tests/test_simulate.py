@@ -86,6 +86,10 @@ def test_simlog_rejects_bad_rows():
         SimLog([row, (1.0,) * 11])
     with pytest.raises(ValueError, match=r"\(rows, 12\) float64 view"):
         SimLog(memoryview(array("d", [0.0] * 22)).cast("B").cast("d", (2, 11)))
+    # every other row of a (4, 12) view: right shape, not C-contiguous
+    rows4 = memoryview(array("d", range(48))).cast("B").cast("d", (4, 12))
+    with pytest.raises(ValueError, match=r"C-contiguous \(rows, 12\) float64 view"):
+        SimLog(rows4[::2])
     with pytest.raises(ValueError, match="strictly increasing"):
         SimLog([row, row])
     with pytest.raises(ValueError, match="strictly increasing"):
