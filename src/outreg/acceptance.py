@@ -1,9 +1,12 @@
 """Acceptance suite: ten numbered criteria the package is judged against.
 
-Each criterion function returns (name, passed, detail, seconds).  The
-closed-loop criteria (6-9) evaluate the stock benchmark scenario exactly
-as configured; when a run escapes in finite time the criterion reports
-the divergence instead of a trailing-window metric and fails honestly.
+Each criterion function returns (name, passed, detail, seconds).  Every
+criterion reads the stock benchmark scenario _STOCK = ScenarioConfig():
+criteria 1-5 take its plant point and internal models (m_i, epsilon,
+mask_i) as the oracle's inputs, and the closed-loop criteria (6-9) run it
+exactly as configured.  When a run escapes in finite time the criterion
+reports the divergence instead of a trailing-window metric and fails
+honestly.
 See README "Behavior notes" for the analysis of the stock cold-start
 escape.
 
@@ -29,12 +32,11 @@ from .duffing import (
     steady_state_q,
     steady_state_theta,
 )
-from .internal_model import (admissible_from_frequencies, hurwitz_pair, q_matrix,
-                             sylvester_residual, xi_matrix)
+from .internal_model import (_component, admissible_from_frequencies, hurwitz_pair,
+                             q_matrix, sylvester_residual, xi_matrix)
 from .linalg import (Matrix, _dot, determinant, identity, mat_mul, mat_pow, mat_vec,
                      solve_columns, transpose, zeros)
-from .mapping import (MappingConfig, _chi_of, _inverse_and_det, chi, estimate_coeffs,
-                      hankel, regularized_inverse)
+from .mapping import _chi_of, _inverse_and_det, chi, estimate_coeffs, hankel, regularized_inverse
 from .cli import _fan_out, _grid_points, _sweep_worker, parse_grid
 from .scenario import ScenarioConfig, with_overrides
 from .simulate import integrate, metrics
@@ -42,14 +44,11 @@ from .closed_forms import closed_form_ahat1, closed_form_ahat2, closed_form_chi1
 
 # the stock benchmark point, as ScenarioConfig() defines it
 _STOCK = ScenarioConfig()
-_M1, _M2 = _STOCK.m1, _STOCK.m2
-_CFG1 = MappingConfig(2, _M1, _STOCK.epsilon, _STOCK.mask1)
-_CFG2 = MappingConfig(4, _M2, _STOCK.epsilon, _STOCK.mask2)
 
 
 def _duffing_pairs():
     a1, a2 = duffing_coeffs(_STOCK)
-    return [(a1, _M1), (a2, _M2)]
+    return [(a1, _STOCK.m1), (a2, _STOCK.m2)]
 
 
 def _random_pairs(seed, count):
@@ -111,15 +110,16 @@ def _rel(x, y):
 def criterion_3(seed, ctx):
     rng = random.Random(seed + 3)
     worst = 0.0
-    for i, cfg, est_t, chi_t, m in ((1, _CFG1, closed_form_ahat1, closed_form_chi1, _M1),
-                                    (2, _CFG2, closed_form_ahat2, closed_form_chi2, _M2)):
+    for i, est_t, chi_t in ((1, closed_form_ahat1, closed_form_chi1),
+                            (2, closed_form_ahat2, closed_form_chi2)):
+        m, _ = _component(_STOCK, i)
         for _ in range(1000):
-            eta = tuple(rng.uniform(-2.0, 2.0) for _ in range(2 * cfg.n))
-            a_gen = estimate_coeffs(eta, cfg)
-            a_tab = est_t(eta, cfg.epsilon)
+            eta = tuple(rng.uniform(-2.0, 2.0) for _ in range(len(m)))
+            a_gen = estimate_coeffs(eta, _STOCK, i)
+            a_tab = est_t(eta, _STOCK.epsilon)
             for x, y in zip(a_gen.a, a_tab.a):
                 worst = max(worst, _rel(x, y))
-            worst = max(worst, _rel(_chi_of(eta, a_gen, cfg), chi_t(eta, a_tab, m)))
+            worst = max(worst, _rel(_chi_of(eta, a_gen, m), chi_t(eta, a_tab, m)))
     passed = worst <= 1e-10
     return ("closed-form-parity", passed,
             "max relative deviation %.3g between generic mapping and the "
@@ -215,16 +215,16 @@ def criterion_5(seed, ctx):
     qualifying = 0
     worst = 0.0
     period = 2.0 * math.pi / _STOCK.sigma
-    comps = [(1, _CFG1, hurwitz_pair(_CFG1.m)), (2, _CFG2, hurwitz_pair(_CFG2.m))]
-    qs = [steady_state_q(_STOCK, i, spec) for i, _, spec in comps]
+    comps = (1, 2)
+    qs = [steady_state_q(_STOCK, i) for i in comps]
     for j in range(100):
         v = exo_flow((1.0, 1.0), _STOCK.sigma, period * j / 100.0)
         u_ss = regulator_solution(v, _STOCK)[2]
-        for (i, cfg, spec), q, target in zip(comps, qs, (_STOCK.sigma * v[1], u_ss)):
-            theta = steady_state_theta(v, _STOCK, i, spec, q)
+        for i, q, target in zip(comps, qs, (_STOCK.sigma * v[1], u_ss)):
+            theta = steady_state_theta(v, _STOCK, i, q)
             if abs(determinant(hankel(theta))) >= eps:
                 qualifying += 1
-            worst = max(worst, abs(chi(theta, cfg) - target))
+            worst = max(worst, abs(chi(theta, _STOCK, i) - target))
     chain_ok = worst <= 1e-6
 
     # filter half: both filters driven by the true steady-state input from
@@ -235,11 +235,12 @@ def criterion_5(seed, ctx):
     h = 1e-3
     n_steps = 50000
     chunk = 250
-    maps = [_chunk_map(spec, h, chunk) for _, _, spec in comps]
-    etas = [[0.0] * (2 * cfg.n) for _, cfg, _ in comps]
+    ms = [_component(_STOCK, i)[0] for i in comps]
+    maps = [_chunk_map(hurwitz_pair(m), h, chunk) for m in ms]
+    etas = [[0.0] * len(m) for m in ms]
     t = 0.0
     v = exo_flow((1.0, 1.0), _STOCK.sigma, t)
-    w_t = [steady_state_lead(v, _STOCK, i) for i, _, _ in comps]
+    w_t = [steady_state_lead(v, _STOCK, i) for i in comps]
     for _ in range(n_steps // chunk):
         points = []
         for _ in range(chunk):
@@ -247,14 +248,14 @@ def criterion_5(seed, ctx):
             t += h
             points.append(t)
         vs = exo_flows((1.0, 1.0), _STOCK.sigma, points)
-        for c, (i, _, _) in enumerate(comps):
+        for c, i in enumerate(comps):
             w = [w_t[c]] + steady_state_leads(vs, _STOCK, i)
             w_t[c] = w[-1]
             eta = etas[c]
             etas[c] = [_dot(a_row, eta) + _dot(g_row, w) for a_row, g_row in zip(*maps[c])]
     v = exo_flow((1.0, 1.0), _STOCK.sigma, t)
-    worst_gap = max(math.dist(eta, steady_state_theta(v, _STOCK, i, spec, q))
-                    for eta, (i, _, spec), q in zip(etas, comps, qs))
+    worst_gap = max(math.dist(eta, steady_state_theta(v, _STOCK, i, q))
+                    for eta, i, q in zip(etas, comps, qs))
     filt_ok = worst_gap <= 1e-6
 
     note = ""

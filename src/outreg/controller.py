@@ -4,9 +4,11 @@ The stabilization variable is zeta = x2 - chi_1(eta1) + rho(e) e.  The
 static law is u = -k0 k(zeta) zeta + chi_2(eta2); the adaptive variant
 replaces k0 by an integrated gain k_hat with k_hat' = k(zeta) zeta^2 >= 0.
 The two filters run eta1' = M1 eta1 + N1 x2 and eta2' = M2 eta2 + N2 u.
-The laws read rho, k and k0 from gains, a scenario.ScenarioConfig.  The
-stability analysis behind them assumes rho(s) >= 1, k(s) >= 1 and k0 >= 1;
-scenario.validate warns (never fails) when it cannot prove them.
+The laws read rho, k and k0 from cfg, a scenario.ScenarioConfig, and chi_i
+reads internal-model component i (m_i, epsilon, mask_i) from the same
+config (see mapping).  The stability analysis behind them assumes
+rho(s) >= 1, k(s) >= 1 and k0 >= 1; scenario.validate warns (never fails)
+when it cannot prove them.
 
 Gain shapes rho and k are restricted polynomials parsed from text such as
 "10 + 4*s^4"; coefficients are finite decimals or rationals like 3/2 with
@@ -22,7 +24,7 @@ from typing import Sequence, Tuple
 
 from .internal_model import InternalModelSpec
 from .linalg import ShapeError, mat_vec
-from .mapping import MappingConfig, chi
+from .mapping import chi
 from .record import Record
 
 # The highest power a gain polynomial may have.  The kernels evaluate rho
@@ -141,26 +143,24 @@ class Polynomial(Record):
         return True
 
 
-def zeta(x2: float, eta1, e: float, gains, map1: MappingConfig) -> float:
+def zeta(x2: float, eta1, e: float, cfg) -> float:
     """zeta = x2 - chi_1(eta1) + rho(e) e."""
-    return x2 - chi(eta1, map1) + gains.rho(e) * e
+    return x2 - chi(eta1, cfg, 1) + cfg.rho(e) * e
 
 
-def control_nonadaptive(zeta_val: float, eta2, gains, map2: MappingConfig) -> float:
+def control_nonadaptive(zeta_val: float, eta2, cfg) -> float:
     """u = -k0 k(zeta) zeta + chi_2(eta2)."""
-    return -gains.k0 * gains.k(zeta_val) * zeta_val + chi(eta2, map2)
+    return -cfg.k0 * cfg.k(zeta_val) * zeta_val + chi(eta2, cfg, 2)
 
 
-def control_adaptive(
-    zeta_val: float, eta2, k_hat: float, gains, map2: MappingConfig
-) -> Tuple[float, float]:
+def control_adaptive(zeta_val: float, eta2, k_hat: float, cfg) -> Tuple[float, float]:
     """u = -k_hat k(zeta) zeta + chi_2(eta2), with k_hat' = k(zeta) zeta^2.
 
     Returns (u, k_hat_dot); the caller integrates k_hat alongside the
     plant.  k_hat_dot is nonnegative by construction.
     """
-    kz = gains.k(zeta_val)
-    u = -k_hat * kz * zeta_val + chi(eta2, map2)
+    kz = cfg.k(zeta_val)
+    u = -k_hat * kz * zeta_val + chi(eta2, cfg, 2)
     return u, kz * zeta_val * zeta_val
 
 

@@ -10,10 +10,12 @@ that supplies both the disturbance d = v2 and the reference y_ref = v1.
 The tracking error is e = x1 - v1.
 
 Every function below takes the plant as p, a scenario.ScenarioConfig, and
-reads only its c1, c2, c3 and sigma.  scenario.validate requires them
-finite and sigma > 0; outside the benchmark box (c_i in [-2, 2], sigma in
-[0.1, 2]) it only warns, since every formula here holds for any finite
-parameters.
+reads only its c1, c2, c3 and sigma, except that steady_state_q and
+steady_state_theta also read the filter coefficients m_i of internal-model
+component i (1 or 2; any other i is a ValueError).  scenario.validate
+requires the plant finite and sigma > 0; outside the benchmark box (c_i in
+[-2, 2], sigma in [0.1, 2]) it only warns, since every formula here holds
+for any finite parameters.
 
 Because the exosystem is a pure rotation, the regulator equations have a
 closed-form solution, and the steady-state feedforward input u_ss is a
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from math import cos, sin
 
-from .internal_model import CoeffVector, InternalModelSpec, q_matrix
+from .internal_model import CoeffVector, _component, q_matrix
 from .linalg import mat_vec
 
 
@@ -104,12 +106,11 @@ def steady_state_leads(vs, p, i: int) -> list:
     s = p.sigma
     if i == 1:
         return [s * v2 for _, v2 in vs]
-    if i == 2:
-        A = p.c1 - s * s
-        B = p.c3 * s - 1.0
-        c2 = p.c2
-        return [A * v1 + B * v2 + c2 * (v1 * v1 * v1) for v1, v2 in vs]
-    raise ValueError("component index must be 1 or 2, got %r" % (i,))
+    _component(p, i)  # ValueError unless i == 2
+    A = p.c1 - s * s
+    B = p.c3 * s - 1.0
+    c2 = p.c2
+    return [A * v1 + B * v2 + c2 * (v1 * v1 * v1) for v1, v2 in vs]
 
 
 def duffing_coeffs(p):
@@ -126,23 +127,23 @@ def duffing_coeffs(p):
     return (a1, a2)
 
 
-def steady_state_q(p, i: int, spec: InternalModelSpec):
+def steady_state_q(p, i: int):
     """The Q of component i, which maps its generator state xi to theta.
 
     Q depends on the component but not on the exosystem state, so a caller
     that needs theta at many phases builds it once.
     """
-    a1, a2 = duffing_coeffs(p)
-    return q_matrix(a1 if i == 1 else a2, spec.m)
+    m, _ = _component(p, i)
+    return q_matrix(duffing_coeffs(p)[i - 1], m)
 
 
-def steady_state_theta(v, p, i: int, spec: InternalModelSpec, q=None):
+def steady_state_theta(v, p, i: int, q=None):
     """Exact steady-state internal-model state theta = Q xi for component i.
 
     This is the state the filter eta converges to; it is the oracle against
     which the coefficient estimator and the chi reconstruction are checked.
-    q, if given, is steady_state_q(p, i, spec).
+    q, if given, is steady_state_q(p, i).
     """
     if q is None:
-        q = steady_state_q(p, i, spec)
+        q = steady_state_q(p, i)
     return tuple(mat_vec(q, steady_state_xi(v, p, i)))

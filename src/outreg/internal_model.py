@@ -122,6 +122,16 @@ class InternalModelSpec(Record):
         self.__dict__.update(n=n, m=m, M=M, N=N, Gamma=Gamma)
 
 
+def _component(cfg, i: int) -> tuple:
+    """(m_i, mask_i) of internal-model component i of scenario config cfg:
+    1 generates x2_ss, 2 generates u_ss."""
+    if i == 1:
+        return cfg.m1, cfg.mask1
+    if i == 2:
+        return cfg.m2, cfg.mask2
+    raise ValueError("component index must be 1 or 2, got %r" % (i,))
+
+
 def _routh_failure(coeffs: tuple):
     """Routh-Hurwitz test that every root of s^k + c_k s^(k-1) + ... + c_1 has
     Re < _HURWITZ_MARGIN; a root on the margin counts as outside.

@@ -13,45 +13,19 @@ whenever det^2 >= eps^2 and degrades to the zero matrix at det = 0.
 
 chi(eta) = Gamma . Xi(a_check(eta)) . col(eta_1, ..., eta_n) evaluates the
 steady-state signal estimate used by the control laws.
+
+estimate_coeffs and chi read internal-model component i (1 or 2) of a
+scenario.ScenarioConfig: its 2n filter coefficients m_i, the shared epsilon
+and mask_i, whose True entries force the estimate's entry to exactly 0
+(structurally known zeros of the benchmark).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
 
-from .internal_model import CoeffVector, xi_matrix
+from .internal_model import CoeffVector, _component, xi_matrix
 from .linalg import Matrix, ShapeError, _dot, adjugate, determinant, mat_vec, scale, zeros
-from .record import Record
-
-
-class MappingConfig(Record):
-    """Estimator configuration for one internal-model component.
-
-    n: generator dimension (the filter state has 2n entries).
-    m: the 2n filter coefficients (same vector the Hurwitz pair uses).
-    epsilon: regularization threshold; the surrogate inverse is exact once
-        det^2(Theta) >= epsilon^2.
-    zero_mask: optional n booleans; True entries are forced to exactly 0
-        after estimation (structurally known zeros of the benchmark).
-    """
-
-    _fields = ("n", "m", "epsilon", "zero_mask")
-
-    def __init__(self, n: int, m: Sequence[float], epsilon: float,
-                 zero_mask: Optional[Sequence[bool]] = None):
-        if n < 1:
-            raise ValueError("dimension must be >= 1")
-        m = tuple(float(x) for x in m)
-        if len(m) != 2 * n:
-            raise ShapeError("m has %d entries, expected 2n = %d" % (len(m), 2 * n))
-        if not (float(epsilon) > 0.0):
-            raise ValueError("epsilon must be > 0, got %r" % (epsilon,))
-        if zero_mask is not None:
-            zero_mask = tuple(bool(b) for b in zero_mask)
-            if len(zero_mask) != n:
-                raise ShapeError("zero_mask has %d entries, expected n = %d" % (len(zero_mask), n))
-        self.__dict__.update(n=n, m=m, epsilon=float(epsilon), zero_mask=zero_mask)
 
 
 def _eta_tuple(eta, n=None):
@@ -122,28 +96,32 @@ def _inverse_and_det(theta: Matrix, epsilon: float):
     return scale(adjugate(theta), s), d
 
 
-def estimate_coeffs(eta, cfg: MappingConfig) -> CoeffVector:
-    """a_check = -O(Theta(eta)) . col(eta_{n+1}, ..., eta_{2n}), then mask."""
-    return _estimate(_eta_tuple(eta, cfg.n), cfg)
+def estimate_coeffs(eta, cfg, i: int) -> CoeffVector:
+    """a_check = -O(Theta(eta)) . col(eta_{n+1}, ..., eta_{2n}) for
+    component i of scenario config cfg, then its mask."""
+    m, mask = _component(cfg, i)
+    return _estimate(_eta_tuple(eta, len(m) // 2), cfg.epsilon, mask)
 
 
-def _estimate(vals: tuple, cfg: MappingConfig) -> CoeffVector:
+def _estimate(vals: tuple, epsilon: float, mask) -> CoeffVector:
     """estimate_coeffs for filter state vals, already checked."""
-    o = regularized_inverse(_hankel_of(vals), cfg.epsilon)
-    a = [-x for x in mat_vec(o, vals[cfg.n:])]
-    if cfg.zero_mask is not None:
-        for i, masked in enumerate(cfg.zero_mask):
-            if masked:
-                a[i] = 0.0
+    o = regularized_inverse(_hankel_of(vals), epsilon)
+    a = [-x for x in mat_vec(o, vals[len(vals) // 2:])]
+    for j, masked in enumerate(mask):
+        if masked:
+            a[j] = 0.0
     return CoeffVector(a)
 
 
-def chi(eta, cfg: MappingConfig) -> float:
-    """Gamma . Xi(a_check(eta)) . col(eta_1, ..., eta_n), a scalar."""
-    vals = _eta_tuple(eta, cfg.n)
-    return _chi_of(vals, _estimate(vals, cfg), cfg)
+def chi(eta, cfg, i: int) -> float:
+    """Gamma . Xi(a_check(eta)) . col(eta_1, ..., eta_n) for component i of
+    scenario config cfg, a scalar."""
+    m, mask = _component(cfg, i)
+    vals = _eta_tuple(eta, len(m) // 2)
+    return _chi_of(vals, _estimate(vals, cfg.epsilon, mask), m)
 
 
-def _chi_of(vals: tuple, a: CoeffVector, cfg: MappingConfig) -> float:
-    """chi for filter state vals (already checked) and its estimate a."""
-    return _dot(xi_matrix(a, cfg.m).row(0), vals)
+def _chi_of(vals: tuple, a: CoeffVector, m) -> float:
+    """chi for filter state vals (already checked), its estimate a and the
+    filter coefficients m."""
+    return _dot(xi_matrix(a, m).row(0), vals)

@@ -137,8 +137,9 @@ def _fmt_mask(mask):
 # The scenario grammar, in serialize() order: key, ScenarioConfig field,
 # parser, formatter, default.  validate() checks that the fields formatted by
 # repr (floats), _fmt_floats (float vectors) and Polynomial.format are
-# finite, since overrides and hand-built configs never pass through the
-# parsers.  The float and float-vector fields are cli.parse_grid's sweep axes.
+# finite, and that each vector and mask is as long as its default, since
+# overrides and hand-built configs never pass through the parsers.  The
+# float and float-vector fields are cli.parse_grid's sweep axes.
 _KEYS = (
     ("plant.c1", "c1", _float, repr, -2.0),
     ("plant.c2", "c2", _float, repr, 1.5),
@@ -240,9 +241,9 @@ def steady_start(cfg: ScenarioConfig) -> ScenarioConfig:
     when Q cannot be formed or a derived value is not finite.  validate has
     already given cfg's box warnings; this gives none."""
     out = cfg.replace(x0=regulator_solution(cfg.v0, cfg)[:2],
-                      eta1_0=steady_state_theta(cfg.v0, cfg, 1, hurwitz_pair(cfg.m1)),
-                      eta2_0=steady_state_theta(cfg.v0, cfg, 2, hurwitz_pair(cfg.m2)))
-    errors = _non_finite(out)
+                      eta1_0=steady_state_theta(cfg.v0, cfg, 1),
+                      eta2_0=steady_state_theta(cfg.v0, cfg, 2))
+    errors = _malformed(out)
     if errors:
         raise ValueError("derived " + "; ".join(errors))
     return out
@@ -254,11 +255,12 @@ def validate(cfg: ScenarioConfig):
     The box warnings come even beside violations, but not for sigma <= 0;
     the gain warnings only for a config without violations.
 
-    Non-finite numbers (loads rejects them at parse time, but overrides
-    and hand-built configs can carry them) are reported first and alone,
-    since every other check assumes finite values.
+    Non-finite numbers and vectors or masks whose length is not their
+    default's (loads rejects both at parse time, but overrides and
+    hand-built configs can carry them) are reported first and alone, since
+    every other check assumes them absent.
     """
-    errors = _non_finite(cfg)
+    errors = _malformed(cfg)
     if errors:
         raise ScenarioError(errors)
     if not cfg.h > 0.0:
@@ -301,11 +303,16 @@ def validate(cfg: ScenarioConfig):
     return cfg
 
 
-def _non_finite(cfg: ScenarioConfig) -> list:
+def _malformed(cfg: ScenarioConfig) -> list:
+    """Non-finite numbers, and vectors and masks not as long as their
+    defaults, in the parsers' words."""
     errors = []
-    for key, name, _, fmt, _ in _KEYS:
+    for key, name, _, fmt, default in _KEYS:
         val = getattr(cfg, name)
-        if fmt is repr and not math.isfinite(val):
+        if fmt in (_fmt_floats, _fmt_mask) and len(val) != len(default):
+            errors.append("%s: expected %d %s, got %d" % (
+                key, len(default), "values" if fmt is _fmt_floats else "entries", len(val)))
+        elif fmt is repr and not math.isfinite(val):
             errors.append("%s: must be finite, got %r" % (key, val))
         elif fmt is _fmt_floats and not all(map(math.isfinite, val)):
             errors.append("%s: values must be finite, got %r" % (key, val))

@@ -19,6 +19,7 @@ from itertools import islice
 from operator import lt
 
 from .backend import BACKEND, format_rows, run_closed_loop
+from .duffing import duffing_coeffs
 from .scenario import MODES, ScenarioConfig
 
 CSV_HEADER = "t,x1,x2,e,zeta,u,a11,a21,a23,detT1,detT2,khat"
@@ -126,9 +127,9 @@ def metrics(log: SimLog, cfg: ScenarioConfig, diverged_at: float | None = None) 
 
     Trailing-window statistics cover t >= 0.8 * t_end; they are None when
     the log ends earlier (a diverged run).  Estimation errors compare the
-    logged estimates against the exosystem targets sigma^2, 9 sigma^4 and
-    10 sigma^2.  Settling time is the first logged t after which |e| never
-    exceeds 1e-2.
+    logged estimates against their targets in duffing.duffing_coeffs(cfg):
+    sigma^2, 9 sigma^4 and 10 sigma^2.  Settling time is the first logged t
+    after which |e| never exceeds 1e-2.
     """
     if not len(log):
         raise ValueError("empty log")
@@ -136,7 +137,7 @@ def metrics(log: SimLog, cfg: ScenarioConfig, diverged_at: float | None = None) 
     e = log.column("e")
     # t increases strictly, so the trailing window is the suffix from here
     tail = bisect_left(t, 0.8 * cfg.t_end)
-    s2 = cfg.sigma * cfg.sigma
+    a1, a2 = duffing_coeffs(cfg)
     out = {
         "backend": BACKEND,
         "diverged": diverged_at is not None,
@@ -147,16 +148,11 @@ def metrics(log: SimLog, cfg: ScenarioConfig, diverged_at: float | None = None) 
         "min_detT2": min(log.column("detT2")),
         "khat_final": log.column("khat")[-1],
     }
-    if tail < len(t) and diverged_at is None:
-        out["trailing_sup_e"] = max(map(abs, e[tail:]))
-        out["trailing_err_a11"] = max(abs(a - s2) for a in log.column("a11")[tail:])
-        out["trailing_err_a21"] = max(abs(a - 9.0 * s2 * s2) for a in log.column("a21")[tail:])
-        out["trailing_err_a23"] = max(abs(a - 10.0 * s2) for a in log.column("a23")[tail:])
-    else:
-        out["trailing_sup_e"] = None
-        out["trailing_err_a11"] = None
-        out["trailing_err_a21"] = None
-        out["trailing_err_a23"] = None
+    trailing = tail < len(t) and diverged_at is None
+    out["trailing_sup_e"] = max(map(abs, e[tail:])) if trailing else None
+    for name, want in (("a11", a1.a[0]), ("a21", a2.a[0]), ("a23", a2.a[2])):
+        out["trailing_err_" + name] = (max(abs(a - want) for a in log.column(name)[tail:])
+                                       if trailing else None)
     settle = None
     for i in range(len(e) - 1, -1, -1):
         if abs(e[i]) > 1e-2:

@@ -8,7 +8,7 @@ from conftest import run_twin
 
 from outreg import _kernel_py
 from outreg.linalg import determinant
-from outreg.mapping import MappingConfig, estimate_coeffs, hankel
+from outreg.mapping import estimate_coeffs, hankel
 from outreg.scenario import ScenarioConfig, with_overrides
 from outreg.simulate import _initial_state, _kernel_args
 
@@ -92,8 +92,6 @@ def test_kernel_aux_matches_module_path(kern, steady_cfg, mask1, mask2):
     from outreg.controller import control_nonadaptive, zeta
 
     cfg = with_overrides(steady_cfg, mask1=mask1, mask2=mask2, t_end=steady_cfg.h, stride=1)
-    cfg1 = MappingConfig(n=2, m=cfg.m1, epsilon=cfg.epsilon, zero_mask=cfg.mask1)
-    cfg2 = MappingConfig(n=4, m=cfg.m2, epsilon=cfg.epsilon, zero_mask=cfg.mask2)
     state = _initial_state(cfg)
     state[5] += 0.31  # knock the filters off the invariant set
     state[10] -= 0.17
@@ -102,16 +100,16 @@ def test_kernel_aux_matches_module_path(kern, steady_cfg, mask1, mask2):
     eta1 = state[4:8]
     eta2 = state[8:16]
     assert e == state[0] - state[2]
-    est1 = estimate_coeffs(eta1, cfg1)
-    est2 = estimate_coeffs(eta2, cfg2)
+    est1 = estimate_coeffs(eta1, cfg, 1)
+    est2 = estimate_coeffs(eta2, cfg, 2)
     assert a11 == pytest.approx(est1.a[0], rel=1e-10)
     assert a21 == pytest.approx(est2.a[0], rel=1e-10)
     assert a23 == pytest.approx(est2.a[2], rel=1e-10)
     assert det1 == pytest.approx(determinant(hankel(eta1)), rel=1e-10)
     assert det2 == pytest.approx(determinant(hankel(eta2)), rel=1e-10)
-    zm = zeta(state[1], eta1, e, cfg, cfg1)
+    zm = zeta(state[1], eta1, e, cfg)
     assert zv == pytest.approx(zm, rel=1e-10)
-    assert u == pytest.approx(control_nonadaptive(zm, eta2, cfg, cfg2), rel=1e-10)
+    assert u == pytest.approx(control_nonadaptive(zm, eta2, cfg), rel=1e-10)
 
 
 def test_adaptive_field_matches_module_path(steady_cfg):
@@ -122,8 +120,6 @@ def test_adaptive_field_matches_module_path(steady_cfg):
     from outreg.internal_model import hurwitz_pair
 
     cfg = steady_cfg
-    cfg1 = MappingConfig(n=2, m=cfg.m1, epsilon=cfg.epsilon, zero_mask=cfg.mask1)
-    cfg2 = MappingConfig(n=4, m=cfg.m2, epsilon=cfg.epsilon, zero_mask=cfg.mask2)
     state = _initial_state(cfg)
     state[5] += 0.31  # knock the filters off the invariant set
     state[10] -= 0.17
@@ -133,8 +129,8 @@ def test_adaptive_field_matches_module_path(steady_cfg):
                       [0.0] * 4)
     e, zv, u = aux[:3]
     eta1, eta2 = state[4:8], state[8:16]
-    zm = zeta(state[1], eta1, e, cfg, cfg1)
-    um, kdot = control_adaptive(zm, eta2, state[16], cfg, cfg2)
+    zm = zeta(state[1], eta1, e, cfg)
+    um, kdot = control_adaptive(zm, eta2, state[16], cfg)
     d1, d2 = eta_derivatives(eta1, eta2, state[1], um, hurwitz_pair(cfg.m1),
                              hurwitz_pair(cfg.m2))
     assert zv == pytest.approx(zm, rel=1e-10)

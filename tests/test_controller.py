@@ -12,14 +12,9 @@ from outreg.controller import (
 )
 from outreg.internal_model import hurwitz_pair
 from outreg.linalg import ShapeError
-from outreg.mapping import MappingConfig
 from outreg.scenario import ScenarioConfig
 
-M1 = (10.0, 18.0, 15.0, 6.0)
-M2 = (1.0, 5.0, 13.0, 22.0, 26.0, 22.0, 13.0, 5.0)
-CFG1 = MappingConfig(n=2, m=M1, epsilon=0.1, zero_mask=(False, True))
-CFG2 = MappingConfig(n=4, m=M2, epsilon=0.1, zero_mask=(False, True, False, True))
-GAINS = ScenarioConfig(rho=Polynomial.parse("10 + 4*s^4"), k=Polynomial.parse("1 + s^2"), k0=1.0)
+CFG = ScenarioConfig()  # rho = 10 + 4 s^4, k = 1 + s^2, k0 = 1
 
 
 def test_polynomial_parse_benchmark_gains():
@@ -83,23 +78,23 @@ def test_polynomial_horner_matches_direct_sum():
 
 
 def test_zeta_examples():
-    assert zeta(0.0, (0.0,) * 4, 1.0, GAINS, CFG1) == 14.0
-    assert zeta(0.0, (0.0,) * 4, 0.0, GAINS, CFG1) == 0.0
-    assert zeta(1.0, (0.0,) * 4, 0.0, GAINS, CFG1) == 1.0
+    assert zeta(0.0, (0.0,) * 4, 1.0, CFG) == 14.0
+    assert zeta(0.0, (0.0,) * 4, 0.0, CFG) == 0.0
+    assert zeta(1.0, (0.0,) * 4, 0.0, CFG) == 1.0
 
 
 def test_control_nonadaptive_examples():
-    assert control_nonadaptive(0.0, (0.0,) * 8, GAINS, CFG2) == 0.0
-    assert control_nonadaptive(1.0, (0.0,) * 8, GAINS, CFG2) == -2.0
-    assert control_nonadaptive(-1.0, (0.0,) * 8, GAINS, CFG2) == 2.0
+    assert control_nonadaptive(0.0, (0.0,) * 8, CFG) == 0.0
+    assert control_nonadaptive(1.0, (0.0,) * 8, CFG) == -2.0
+    assert control_nonadaptive(-1.0, (0.0,) * 8, CFG) == 2.0
 
 
 def test_control_adaptive_examples():
-    u, kdot = control_adaptive(0.0, (0.0,) * 8, 5.0, GAINS, CFG2)
+    u, kdot = control_adaptive(0.0, (0.0,) * 8, 5.0, CFG)
     assert u == 0.0 and kdot == 0.0
-    u, kdot = control_adaptive(1.0, (0.0,) * 8, 0.0, GAINS, CFG2)
+    u, kdot = control_adaptive(1.0, (0.0,) * 8, 0.0, CFG)
     assert kdot == 2.0
-    u, kdot = control_adaptive(2.0, (0.0,) * 8, 1.0, GAINS, CFG2)
+    u, kdot = control_adaptive(2.0, (0.0,) * 8, 1.0, CFG)
     assert u == -10.0 and kdot == 20.0
 
 
@@ -107,13 +102,13 @@ def test_control_adaptive_rate_nonnegative():
     rng = random.Random(61)
     for _ in range(200):
         z = rng.uniform(-10, 10)
-        _, kdot = control_adaptive(z, (0.0,) * 8, rng.uniform(0, 5), GAINS, CFG2)
+        _, kdot = control_adaptive(z, (0.0,) * 8, rng.uniform(0, 5), CFG)
         assert kdot >= 0.0
 
 
 def test_eta_derivatives_structure():
-    spec1 = hurwitz_pair(M1)
-    spec2 = hurwitz_pair(M2)
+    spec1 = hurwitz_pair(CFG.m1)
+    spec2 = hurwitz_pair(CFG.m2)
     d1, d2 = eta_derivatives((0.0,) * 4, (0.0,) * 8, 1.0, 0.0, spec1, spec2)
     assert d1 == [0.0, 0.0, 0.0, 1.0]
     assert d2 == [0.0] * 8
@@ -126,8 +121,8 @@ def test_eta_derivatives_structure():
 
 
 def test_eta_derivatives_dimension_errors():
-    spec1 = hurwitz_pair(M1)
-    spec2 = hurwitz_pair(M2)
+    spec1 = hurwitz_pair(CFG.m1)
+    spec2 = hurwitz_pair(CFG.m2)
     with pytest.raises(ShapeError):
         eta_derivatives((0.0,) * 8, (0.0,) * 8, 0.0, 0.0, spec1, spec2)
     with pytest.raises(ShapeError):
@@ -138,7 +133,7 @@ def test_stabilization_only_smoke():
     # with both mapping outputs stubbed to zero and a double-integrator
     # plant, u = -k0 k(zeta) zeta must drive (e, zeta) into a small
     # neighborhood of the origin
-    rho, k = GAINS.rho, GAINS.k
+    rho, k = CFG.rho, CFG.k
     x1, x2 = 1.0, -1.0
     h = 1e-3
 

@@ -13,18 +13,15 @@ from outreg.duffing import (
     regulator_solution,
     steady_state_lead,
     steady_state_leads,
+    steady_state_q,
     steady_state_theta,
     steady_state_xi,
 )
 from outreg.internal_model import hurwitz_pair
-from outreg.mapping import MappingConfig, chi, estimate_coeffs
+from outreg.mapping import chi, estimate_coeffs
 from outreg.scenario import ScenarioConfig, with_overrides
 
-P = ScenarioConfig()  # c = (-2, 1.5, 0.5), sigma = 0.5
-M1 = (10.0, 18.0, 15.0, 6.0)
-M2 = (1.0, 5.0, 13.0, 22.0, 26.0, 22.0, 13.0, 5.0)
-CFG1 = MappingConfig(n=2, m=M1, epsilon=0.1, zero_mask=(False, True))
-CFG2 = MappingConfig(n=4, m=M2, epsilon=0.1, zero_mask=(False, True, False, True))
+P = ScenarioConfig()  # c = (-2, 1.5, 0.5), sigma = 0.5, and the stock internal models
 
 
 def duffing_derivative(x, u: float, d: float, p):
@@ -224,26 +221,35 @@ def test_kernel_integrates_the_exosystem_bit_for_bit(ckernel, exo_rk4):
 
 
 def test_theta_dimensions():
-    spec1 = hurwitz_pair(M1)
-    spec2 = hurwitz_pair(M2)
-    assert len(steady_state_theta((1.0, 1.0), P, 1, spec1)) == 4
-    assert len(steady_state_theta((1.0, 1.0), P, 2, spec2)) == 8
+    assert len(steady_state_theta((1.0, 1.0), P, 1)) == 4
+    assert len(steady_state_theta((1.0, 1.0), P, 2)) == 8
+
+
+@pytest.mark.parametrize("i", [0, 3, -1, 1.5, "1"])
+def test_component_index_must_be_1_or_2(i):
+    # the oracle and the estimator share one lookup of component i, so
+    # every index but 1 and 2 is the same error everywhere
+    calls = (lambda: steady_state_q(P, i), lambda: steady_state_theta((1.0, 1.0), P, i),
+             lambda: steady_state_xi((1.0, 1.0), P, i), lambda: steady_state_lead((1.0, 1.0), P, i),
+             lambda: estimate_coeffs((0.0,) * 4, P, i), lambda: chi((0.0,) * 4, P, i))
+    for call in calls:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == "component index must be 1 or 2, got %r" % (i,)
 
 
 def test_oracle_chain_chi_and_estimates():
     # at the exact steady-state filter state, the mapping recovers the true
     # coefficients and reconstructs the generated signal
-    spec1 = hurwitz_pair(M1)
-    spec2 = hurwitz_pair(M2)
     a1, a2 = duffing_coeffs(P)
     for t in (0.0, 0.7, 1.3, 2.9, 4.4):
         v = exo_flow((1.0, 1.0), P.sigma, t)
-        th1 = steady_state_theta(v, P, 1, spec1)
-        th2 = steady_state_theta(v, P, 2, spec2)
-        assert chi(th1, CFG1) == pytest.approx(P.sigma * v[1], abs=1e-8)
-        assert chi(th2, CFG2) == pytest.approx(regulator_solution(v, P)[2], abs=1e-6)
-        est1 = estimate_coeffs(th1, CFG1)
-        est2 = estimate_coeffs(th2, CFG2)
+        th1 = steady_state_theta(v, P, 1)
+        th2 = steady_state_theta(v, P, 2)
+        assert chi(th1, P, 1) == pytest.approx(P.sigma * v[1], abs=1e-8)
+        assert chi(th2, P, 2) == pytest.approx(regulator_solution(v, P)[2], abs=1e-6)
+        est1 = estimate_coeffs(th1, P, 1)
+        est2 = estimate_coeffs(th2, P, 2)
         assert est1.a == pytest.approx(a1.a, abs=1e-9)
         assert est2.a == pytest.approx(a2.a, abs=1e-8)
 
@@ -252,7 +258,7 @@ def test_filter_convergence():
     # driving the filter with the true steady-state input from eta(0) = 0,
     # the state locks onto theta; by t = 50 the gap is below 1e-6
     worst = 0.0
-    for i, m in ((1, M1), (2, M2)):
+    for i, m in ((1, P.m1), (2, P.m2)):
         spec = hurwitz_pair(m)
         M = np.array(spec.M.to_lists())
         N = np.array([row[0] for row in spec.N.to_lists()])
@@ -263,7 +269,7 @@ def test_filter_convergence():
             return M @ eta + N * steady_state_xi(v, P, i)[0]
 
         h = 1e-3
-        eta = np.zeros(2 * CFG1.n if i == 1 else 2 * CFG2.n)
+        eta = np.zeros(len(m))
         t = 0.0
         for _ in range(50000):
             k1 = rhs(t, eta)
@@ -273,7 +279,7 @@ def test_filter_convergence():
             eta = eta + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
             t += h
         v = exo_flow((1.0, 1.0), s, t)
-        theta = np.array(steady_state_theta(v, P, i, spec))
+        theta = np.array(steady_state_theta(v, P, i))
         gap = float(np.linalg.norm(eta - theta))
         assert gap <= 1e-6
         worst = max(worst, gap)

@@ -6,7 +6,6 @@ import pytest
 
 from outreg.linalg import Matrix, ShapeError, frobenius_norm, mat_mul, sub, identity
 from outreg.mapping import (
-    MappingConfig,
     bump_kappa,
     bump_psi,
     chi,
@@ -15,11 +14,9 @@ from outreg.mapping import (
     regularized_inverse,
 )
 from outreg.closed_forms import closed_form_ahat1, closed_form_ahat2, closed_form_chi1, closed_form_chi2
+from outreg.scenario import ScenarioConfig
 
-M1 = (10.0, 18.0, 15.0, 6.0)
-M2 = (1.0, 5.0, 13.0, 22.0, 26.0, 22.0, 13.0, 5.0)
-CFG1 = MappingConfig(n=2, m=M1, epsilon=0.1, zero_mask=(False, True))
-CFG2 = MappingConfig(n=4, m=M2, epsilon=0.1, zero_mask=(False, True, False, True))
+CFG = ScenarioConfig()  # epsilon = 0.1, mask1 = (0, 1), mask2 = (0, 1, 0, 1)
 
 
 def test_hankel_examples():
@@ -125,36 +122,36 @@ def test_regularized_inverse_epsilon_validation():
 def test_estimate_coeffs_worked_example():
     # eta=(1,2,3,4): det Theta = -1, |det| >= eps, so the surrogate is the
     # true inverse and the unmasked estimate is (1, -2)
-    cfg_nomask = MappingConfig(n=2, m=M1, epsilon=0.1)
-    a = estimate_coeffs((1.0, 2.0, 3.0, 4.0), cfg_nomask)
+    cfg_nomask = ScenarioConfig(mask1=(False, False))
+    a = estimate_coeffs((1.0, 2.0, 3.0, 4.0), cfg_nomask, 1)
     assert a.a == pytest.approx((1.0, -2.0))
-    a = estimate_coeffs((1.0, 2.0, 3.0, 4.0), CFG1)
+    a = estimate_coeffs((1.0, 2.0, 3.0, 4.0), CFG, 1)
     assert a.a[0] == pytest.approx(1.0)
     assert a.a[1] == 0.0
 
 
 def test_estimate_coeffs_zero_state():
-    assert estimate_coeffs((0.0,) * 4, CFG1).a == (0.0, 0.0)
-    assert estimate_coeffs((0.0,) * 8, CFG2).a == (0.0, 0.0, 0.0, 0.0)
+    assert estimate_coeffs((0.0,) * 4, CFG, 1).a == (0.0, 0.0)
+    assert estimate_coeffs((0.0,) * 8, CFG, 2).a == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_estimate_coeffs_mask_contract():
     rng = random.Random(41)
     for _ in range(100):
         eta = [rng.uniform(-5, 5) for _ in range(8)]
-        a = estimate_coeffs(eta, CFG2)
+        a = estimate_coeffs(eta, CFG, 2)
         assert a.a[1] == 0.0
         assert a.a[3] == 0.0
 
 
 def test_chi_zero_state():
-    assert chi((0.0,) * 4, CFG1) == 0.0
-    assert chi((0.0,) * 8, CFG2) == 0.0
+    assert chi((0.0,) * 4, CFG, 1) == 0.0
+    assert chi((0.0,) * 8, CFG, 2) == 0.0
 
 
 def test_closed_form_chi1_basis_example():
     # first basis state with zero estimate picks out m1
-    val = closed_form_chi1((1.0, 0.0, 0.0, 0.0), (0.0, 0.0), M1)
+    val = closed_form_chi1((1.0, 0.0, 0.0, 0.0), (0.0, 0.0), CFG.m1)
     assert val == 10.0
 
 
@@ -170,11 +167,11 @@ def test_closed_form_dimension_errors():
     with pytest.raises(ShapeError):
         closed_form_ahat2((1.0,) * 4, 0.1)
     with pytest.raises(ShapeError):
-        closed_form_chi1((1.0,) * 8, (0.0, 0.0), M1)
+        closed_form_chi1((1.0,) * 8, (0.0, 0.0), CFG.m1)
     with pytest.raises(ValueError):
-        closed_form_chi1((1.0,) * 4, (0.0, 0.0, 0.0), M1)
+        closed_form_chi1((1.0,) * 4, (0.0, 0.0, 0.0), CFG.m1)
     with pytest.raises(ValueError):
-        closed_form_chi2((1.0,) * 8, (0.0,) * 4, M1)
+        closed_form_chi2((1.0,) * 8, (0.0,) * 4, CFG.m1)
 
 
 def test_generic_matches_closed_forms():
@@ -185,31 +182,27 @@ def test_generic_matches_closed_forms():
         eta1 = [rng.uniform(-5, 5) for _ in range(4)]
         eta2 = [rng.uniform(-5, 5) for _ in range(8)]
 
-        g1 = estimate_coeffs(eta1, CFG1)
+        g1 = estimate_coeffs(eta1, CFG, 1)
         t1 = closed_form_ahat1(eta1, 0.1)
         ref = 1.0 + max(abs(x) for x in t1.a)
         assert max(abs(x - y) for x, y in zip(g1.a, t1.a)) <= 1e-10 * ref
 
-        g2 = estimate_coeffs(eta2, CFG2)
+        g2 = estimate_coeffs(eta2, CFG, 2)
         t2 = closed_form_ahat2(eta2, 0.1)
         ref = 1.0 + max(abs(x) for x in t2.a)
         assert max(abs(x - y) for x, y in zip(g2.a, t2.a)) <= 1e-10 * ref
 
-        c1 = chi(eta1, CFG1)
-        c1t = closed_form_chi1(eta1, t1, M1)
+        c1 = chi(eta1, CFG, 1)
+        c1t = closed_form_chi1(eta1, t1, CFG.m1)
         assert abs(c1 - c1t) <= 1e-10 * (1.0 + abs(c1t))
 
-        c2 = chi(eta2, CFG2)
-        c2t = closed_form_chi2(eta2, t2, M2)
+        c2 = chi(eta2, CFG, 2)
+        c2t = closed_form_chi2(eta2, t2, CFG.m2)
         assert abs(c2 - c2t) <= 1e-10 * (1.0 + abs(c2t))
 
 
-def test_mapping_config_validation():
-    with pytest.raises(ValueError):
-        MappingConfig(n=2, m=M1, epsilon=0.0)
-    with pytest.raises(ShapeError):
-        MappingConfig(n=2, m=(1.0, 2.0), epsilon=0.1)
-    with pytest.raises(ShapeError):
-        MappingConfig(n=2, m=M1, epsilon=0.1, zero_mask=(True,))
-    with pytest.raises(ShapeError):
-        estimate_coeffs((1.0,) * 8, CFG1)
+def test_filter_state_length_must_match_the_component():
+    with pytest.raises(ShapeError, match="filter state has 8 entries, expected 4"):
+        estimate_coeffs((1.0,) * 8, CFG, 1)
+    with pytest.raises(ShapeError, match="filter state has 4 entries, expected 8"):
+        chi((1.0,) * 4, CFG, 2)

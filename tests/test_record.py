@@ -1,4 +1,4 @@
-"""The record contract: the package's six value types compare, hash,
+"""The record contract: the package's five value types compare, hash,
 print, refuse assignment and pickle the way frozen dataclasses do."""
 
 import importlib
@@ -11,7 +11,6 @@ import outreg
 from outreg.controller import Polynomial
 from outreg.internal_model import CoeffVector, hurwitz_pair
 from outreg.linalg import Matrix
-from outreg.mapping import MappingConfig
 from outreg.record import Record
 from outreg.scenario import ScenarioConfig, with_overrides
 
@@ -33,11 +32,6 @@ RECORDS = {
         lambda: hurwitz_pair((2.0, 4.0)),
         "InternalModelSpec(n=1, m=(2.0, 3.0), M=Matrix([[0.0, 1.0], [-2.0, -3.0]]), "
         "N=Matrix([[0.0], [1.0]]), Gamma=Matrix([[1.0]]))"),
-    "MappingConfig": (
-        lambda: MappingConfig(n=2, m=(1.0, 2.0, 3.0, 4.0), epsilon=0.1),
-        lambda: MappingConfig(2, [1, 2, 3, 4], 0.1),
-        lambda: MappingConfig(n=2, m=(1.0, 2.0, 3.0, 4.0), epsilon=0.1, zero_mask=(0, 1)),
-        "MappingConfig(n=2, m=(1.0, 2.0, 3.0, 4.0), epsilon=0.1, zero_mask=None)"),
     "Polynomial": (lambda: Polynomial((1.0, 0.0, 2.0)), lambda: Polynomial([1, 0, 2, 0]),
                    lambda: Polynomial((1.0, 0.0, 3.0)), "Polynomial(coeffs=(1.0, 0.0, 2.0))"),
     # the same entries in another shape are another matrix

@@ -387,6 +387,31 @@ def test_with_overrides_rejects_non_finite(over, key):
     assert len(info.value.violations) == 1
 
 
+_WRONG_LENGTHS = [
+    ("init.x", "x0", (1.0,), "1.0", "expected 2 values, got 1"),
+    ("init.v", "v0", (1.0, 1.0, 1.0), "1, 1, 1", "expected 2 values, got 3"),
+    ("init.eta1", "eta1_0", (0.0,) * 8, ", ".join(["0"] * 8), "expected 4 values, got 8"),
+    ("init.eta2", "eta2_0", (0.0,) * 4, "0, 0, 0, 0", "expected 8 values, got 4"),
+    ("model.m1", "m1", (2.0, 3.0), "2, 3", "expected 4 values, got 2"),
+    ("model.m2", "m2", (1.0,) * 9, ", ".join(["1"] * 9), "expected 8 values, got 9"),
+    ("mapping.mask1", "mask1", (True,), "1", "expected 2 entries, got 1"),
+    ("mapping.mask2", "mask2", (False, True, False), "0, 1, 0", "expected 4 entries, got 3"),
+]
+
+
+@pytest.mark.parametrize("key, field, val, text, message", _WRONG_LENGTHS,
+                         ids=[case[0] for case in _WRONG_LENGTHS])
+def test_wrong_vector_length_is_reported_first_and_alone(key, field, val, text, message):
+    # as the parser words it, and without the checks that assume the length
+    # (here the Hurwitz test of m1 = (2, 3) and the step count of h = -1)
+    with pytest.raises(ScenarioError) as info:
+        with_overrides(ScenarioConfig(), h=-1.0, **{field: val})
+    assert info.value.violations == ("%s: %s" % (key, message),)
+    with pytest.raises(ScenarioError) as info:
+        loads("%s = %s\n" % (key, text))
+    assert info.value.violations == ("line 1: %s: %s" % (key, message),)
+
+
 def test_nonpositive_sigma_is_a_plant_violation():
     # and beside it no box warning fires, even for a plant outside the box
     with warnings.catch_warnings():
