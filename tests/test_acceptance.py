@@ -20,7 +20,11 @@ import pytest
 import outreg.simulate as simulate
 from outreg import acceptance
 from outreg.acceptance import run_all
+from outreg.closed_forms import closed_form_ahat1, closed_form_ahat2
+from outreg.internal_model import hurwitz_pair, q_matrix, sylvester_residual
 from outreg.linalg import Matrix, _dot, frobenius_norm, mat_vec
+from outreg.mapping import estimate_coeffs
+from outreg.scenario import ScenarioConfig
 
 # sha256 of repr([(name, passed, detail), ...]) for two seeds: everything
 # `outreg check` prints except the timings.  Taken with the plain loops of
@@ -201,6 +205,57 @@ def test_random_pairs_match_convolve_bit_for_bit():
     for seed in range(200):
         assert (repr(acceptance._random_pairs(seed, 100))
                 == repr(_random_pairs_by_convolve(seed, 100))), seed
+
+
+def _internal_model_values():
+    """The internal-model values the three pins below hold: the Sylvester
+    residuals over criterion 1's Duffing pairs and 30 random pairs, criterion
+    5's two chunk maps (h = 1e-3, L = 250), and the generic and closed-form
+    estimates, as tuples, on 50 seeded filter states.  Every call into the
+    internal-model API the pins read is spelled here and nowhere else."""
+    cfg = ScenarioConfig()
+    pairs = acceptance._duffing_pairs() + acceptance._random_pairs(5, 30)
+    residuals = [sylvester_residual(hurwitz_pair(m), q_matrix(a, m), a) for a, m in pairs]
+    maps = [acceptance._chunk_map(hurwitz_pair(m), 1e-3, 250) for m in (cfg.m1, cfg.m2)]
+    rng = random.Random(29)
+    estimates = []
+    for _ in range(50):
+        eta1 = tuple(rng.uniform(-2.0, 2.0) for _ in range(4))
+        eta2 = tuple(rng.uniform(-2.0, 2.0) for _ in range(8))
+        estimates.append((estimate_coeffs(eta1, cfg, 1).a, closed_form_ahat1(eta1, cfg.epsilon).a,
+                          estimate_coeffs(eta2, cfg, 2).a, closed_form_ahat2(eta2, cfg.epsilon).a))
+    return residuals, maps, estimates
+
+
+@pytest.fixture(scope="module")
+def internal_model_values():
+    return _internal_model_values()
+
+
+def test_sylvester_residuals_pinned(internal_model_values):
+    # repr tells every bit of a float, so a rewrite that moves one fails here
+    assert repr(internal_model_values[0]) == (
+        "[2.5735369674468285e-16, 1.996280100819038e-15, 1.2989279953276764e-15, "
+        "2.618455766672135e-16, 9.020562075079397e-17, 5.551115123125783e-17, "
+        "2.220446049250313e-16, 2.316229393072649e-16, 2.974706325417955e-15, "
+        "2.9885371598486613e-15, 4.887017973246584e-13, 1.9984082205773712e-15, "
+        "4.769488991666992e-15, 3.67366812276966e-15, 4.468451031880103e-15, "
+        "7.515045054343706e-15, 1.5251682486961573e-15, 1.1883724406654923e-14, "
+        "4.368606863918497e-15, 7.632783294297951e-17, 8.290689774410752e-16, "
+        "4.512015427543253e-16, 4.163336342344337e-17, 3.3445846510890863e-15, "
+        "1.1102230246251565e-16, 2.0816681711721685e-16, 3.3281600077825164e-15, "
+        "7.319398422207916e-15, 9.332751198306372e-15, 2.0718844690389253e-15, "
+        "7.170774040758271e-15, 1.0583687688565218e-14]")
+
+
+def test_criterion_5_chunk_maps_pinned(internal_model_values):
+    assert hashlib.sha256(repr(internal_model_values[1]).encode()).hexdigest() == (
+        "69068e1f9b1661e3104af21468534c536ab769c175ec8dded58354363e3967cd")
+
+
+def test_estimates_pinned(internal_model_values):
+    assert hashlib.sha256(repr(internal_model_values[2]).encode()).hexdigest() == (
+        "1b763476d2e61264855f54c7a8f63ac7242ab3a3c2dc152211c74ec31fd944c2")
 
 
 def test_sums_run_left_to_right_from_zero():
