@@ -11,7 +11,7 @@ Index convention in comments: eta_k below is eta[k-1].
 
 from __future__ import annotations
 
-from .internal_model import CoeffVector
+from .internal_model import coeff_tuple
 from .linalg import determinant
 from .mapping import _eta_tuple, _hankel_of, bump_psi
 
@@ -26,15 +26,15 @@ def _scale(e: tuple, eps: float) -> float:
     return d / (d * d + bump_psi(1.0 + d * d - eps * eps))
 
 
-def closed_form_ahat1(eta, epsilon: float) -> CoeffVector:
+def closed_form_ahat1(eta, epsilon: float) -> tuple:
     """Closed-form coefficient estimate for n = 2: (scale*(e2 e4 - e3^2), 0)."""
     e = _eta_tuple(eta, 2)
     s = _scale(e, float(epsilon))
     e2, e3, e4 = e[1], e[2], e[3]
-    return CoeffVector((s * (e2 * e4 - e3 * e3), 0.0))
+    return coeff_tuple((s * (e2 * e4 - e3 * e3), 0.0))
 
 
-def closed_form_ahat2(eta, epsilon: float) -> CoeffVector:
+def closed_form_ahat2(eta, epsilon: float) -> tuple:
     """Closed-form coefficient estimate for n = 4: (a1, 0, a3, 0)."""
     e = _eta_tuple(eta, 4)
     s = _scale(e, float(epsilon))
@@ -51,13 +51,13 @@ def closed_form_ahat2(eta, epsilon: float) -> CoeffVector:
         - n6 * (n4 * n4 * n4 - n1 * n4 * n7 + n1 * n5 * n6 + n2 * n3 * n7 - n2 * n4 * n6 - n3 * n4 * n5)
         + n7 * (n7 * n2 * n2 - 2.0 * n2 * n4 * n5 + n3 * n4 * n4 + n1 * n5 * n5 - n1 * n3 * n7)
     )
-    return CoeffVector((a1, 0.0, a3, 0.0))
+    return coeff_tuple((a1, 0.0, a3, 0.0))
 
 
 def closed_form_chi1(eta, a_hat, m) -> float:
     """chi for n = 2: e1 (a1^2 - m3 a1 + m1) + e2 (m2 - a1 m4)."""
     e = _eta_tuple(eta, 2)
-    a = a_hat.a if isinstance(a_hat, CoeffVector) else tuple(map(float, a_hat))
+    a = tuple(map(float, a_hat))
     if len(a) != 2:
         raise ValueError("coefficient estimate must have 2 entries, got %d" % len(a))
     mm = tuple(float(x) for x in m)
@@ -70,7 +70,7 @@ def closed_form_chi1(eta, a_hat, m) -> float:
 def closed_form_chi2(eta, a_hat, m) -> float:
     """chi for n = 4, polynomial in (a1, a3) and the first four filter states."""
     e = _eta_tuple(eta, 4)
-    a = a_hat.a if isinstance(a_hat, CoeffVector) else tuple(map(float, a_hat))
+    a = tuple(map(float, a_hat))
     if len(a) != 4:
         raise ValueError("coefficient estimate must have 4 entries, got %d" % len(a))
     mm = tuple(float(x) for x in m)

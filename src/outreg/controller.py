@@ -3,12 +3,13 @@
 The stabilization variable is zeta = x2 - chi_1(eta1) + rho(e) e.  The
 static law is u = -k0 k(zeta) zeta + chi_2(eta2); the adaptive variant
 replaces k0 by an integrated gain k_hat with k_hat' = k(zeta) zeta^2 >= 0.
-The two filters run eta1' = M1 eta1 + N1 x2 and eta2' = M2 eta2 + N2 u.
-The laws read rho, k and k0 from cfg, a scenario.ScenarioConfig, and chi_i
-reads internal-model component i (m_i, epsilon, mask_i) from the same
-config (see mapping).  The stability analysis behind them assumes
-rho(s) >= 1, k(s) >= 1 and k0 >= 1; scenario.validate warns (never fails)
-when it cannot prove them.
+The two filters run eta1' = M1 eta1 + N x2 and eta2' = M2 eta2 + N u,
+with M_i the companion of m_i and N the last basis column.  The laws read
+rho, k and k0 from cfg, a scenario.ScenarioConfig; chi_i reads
+internal-model component i (m_i, epsilon, mask_i) from the same config (see
+mapping), and filter_derivative its m_i.  The stability analysis behind
+them assumes rho(s) >= 1, k(s) >= 1 and k0 >= 1; scenario.validate warns
+(never fails) when it cannot prove them.
 
 Gain shapes rho and k are restricted polynomials parsed from text such as
 "10 + 4*s^4"; coefficients are finite decimals or rationals like 3/2 with
@@ -22,7 +23,7 @@ import math
 import re
 from typing import Sequence, Tuple
 
-from .internal_model import InternalModelSpec
+from .internal_model import _component, filter_matrix
 from .linalg import ShapeError, mat_vec
 from .mapping import chi
 from .record import Record
@@ -164,18 +165,14 @@ def control_adaptive(zeta_val: float, eta2, k_hat: float, cfg) -> Tuple[float, f
     return u, kz * zeta_val * zeta_val
 
 
-def eta_derivatives(
-    eta1, eta2, x2: float, u: float, spec1: InternalModelSpec, spec2: InternalModelSpec
-):
-    """Filter dynamics (M1 eta1 + N1 x2, M2 eta2 + N2 u)."""
-    e1 = [float(v) for v in eta1]
-    e2 = [float(v) for v in eta2]
-    if len(e1) != 2 * spec1.n:
-        raise ShapeError("eta1 has %d entries, expected %d" % (len(e1), 2 * spec1.n))
-    if len(e2) != 2 * spec2.n:
-        raise ShapeError("eta2 has %d entries, expected %d" % (len(e2), 2 * spec2.n))
-    d1 = mat_vec(spec1.M, e1)
-    d1[-1] += x2
-    d2 = mat_vec(spec2.M, e2)
-    d2[-1] += u
-    return d1, d2
+def filter_derivative(eta, w: float, cfg, i: int) -> list:
+    """M_i eta + N w, the filter dynamics of internal-model component i of
+    scenario config cfg; N is the last basis column, so w enters the last
+    entry alone."""
+    m, _ = _component(cfg, i)
+    x = [float(v) for v in eta]
+    if len(x) != len(m):
+        raise ShapeError("eta%d has %d entries, expected %d" % (i, len(x), len(m)))
+    d = mat_vec(filter_matrix(m), x)
+    d[-1] += w
+    return d

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from math import cos, sin
 
-from .internal_model import CoeffVector, _component, q_matrix
+from .internal_model import _component, coeff_tuple, q_matrix
 from .linalg import mat_vec
 
 
@@ -122,9 +122,7 @@ def duffing_coeffs(p):
     (9 sigma^4, 0, 10 sigma^2, 0) in the constant-term-first convention.
     """
     s2 = p.sigma * p.sigma
-    a1 = CoeffVector((s2, 0.0))
-    a2 = CoeffVector((9.0 * s2 * s2, 0.0, 10.0 * s2, 0.0))
-    return (a1, a2)
+    return coeff_tuple((s2, 0.0)), coeff_tuple((9.0 * s2 * s2, 0.0, 10.0 * s2, 0.0))
 
 
 def steady_state_q(p, i: int):

@@ -11,13 +11,15 @@ expression downstream depends on it, so it is enforced by tests rather than
 hidden behind a conversion layer.
 
 The steady-state generator matrix Phi(a) is the companion matrix carrying
-that polynomial; the internal-model filter is the Hurwitz pair (M, N) with M
-a 2n x 2n companion built the same way from m = (m_1, ..., m_2n), N the last
-basis column, and Gamma the first basis row.  Xi(a) and Q tie the two
-together; q_matrix satisfies the Sylvester identity M Q = Q Phi(a) - N Gamma,
-which sylvester_residual evaluates.
+that polynomial.  The internal-model filter is eta' = M eta + N w with output
+map Gamma: M is the 2n x 2n companion built the same way from
+m = (m_1, ..., m_2n), and N and Gamma are fixed basis vectors, the last
+column and the first row, so they are never stored.  Xi(a) and Q tie the
+two together; q_matrix satisfies the Sylvester identity
+M Q = Q Phi(a) - N Gamma, which sylvester_residual evaluates.  Coefficient
+vectors are plain tuples of floats that coeff_tuple has checked.
 
-hurwitz_pair decides with a pure-Python Routh-Hurwitz test on the filter
+filter_matrix decides with a pure-Python Routh-Hurwitz test on the filter
 polynomial Taylor-shifted by the margin: every root has Re < -1e-6 exactly
 when p(z - 1e-6) is Hurwitz.  A rejected filter is reported by the first
 Routh first-column entry that is not positive.
@@ -43,7 +45,6 @@ from .linalg import (
     sub,
     transpose,
 )
-from .record import Record
 
 # Hurwitz gate: strictly inside the left half-plane with a safety margin
 _HURWITZ_MARGIN = -1e-6
@@ -53,32 +54,19 @@ class NotHurwitzError(ValueError):
     """The candidate filter polynomial has a non-decaying mode."""
 
 
-class CoeffVector(Record):
-    """Coefficients (a_1, ..., a_n) of s^n + a_n s^(n-1) + ... + a_1."""
-
-    _fields = ("a",)
-
-    def __init__(self, a: Sequence[float]):
-        vals = tuple(float(x) for x in a)
-        if not vals:
-            raise ValueError("coefficient vector must be nonempty")
-        for x in vals:
-            if not math.isfinite(x):
-                raise ValueError("non-finite coefficient %r" % x)
-        self.__dict__["a"] = vals
-
-    @property
-    def n(self) -> int:
-        return len(self.a)
+def coeff_tuple(a) -> tuple:
+    """Coefficients (a_1, ..., a_n) of s^n + a_n s^(n-1) + ... + a_1 as a
+    tuple of floats, which must be nonempty and finite."""
+    vals = tuple(float(x) for x in a)
+    if not vals:
+        raise ValueError("coefficient vector must be nonempty")
+    for x in vals:
+        if not math.isfinite(x):
+            raise ValueError("non-finite coefficient %r" % x)
+    return vals
 
 
-def _coeffs(a) -> tuple:
-    if isinstance(a, CoeffVector):
-        return a.a
-    return CoeffVector(a).a
-
-
-def admissible_from_frequencies(freqs: Sequence[float]) -> CoeffVector:
+def admissible_from_frequencies(freqs: Sequence[float]) -> tuple:
     """Coefficients of prod_j (s^2 + w_j^2) for distinct positive frequencies.
 
     Convenience constructor for admissible vectors: the roots are +-i w_j.
@@ -90,7 +78,7 @@ def admissible_from_frequencies(freqs: Sequence[float]) -> CoeffVector:
             raise ValueError("frequencies must be positive, got %r" % w)
         w2 = w * w
         poly = [w2 * c + d for c, d in zip(poly + [0.0, 0.0], [0.0, 0.0] + poly)]
-    return CoeffVector(poly[:-1])
+    return coeff_tuple(poly[:-1])
 
 
 def companion_matrix(a) -> Matrix:
@@ -98,7 +86,7 @@ def companion_matrix(a) -> Matrix:
 
     Its characteristic polynomial is s^n + a_n s^(n-1) + ... + a_2 s + a_1.
     """
-    coeffs = _coeffs(a)
+    coeffs = coeff_tuple(a)
     n = len(coeffs)
     rows = [[0.0] * n for _ in range(n)]
     for i in range(n - 1):
@@ -106,20 +94,6 @@ def companion_matrix(a) -> Matrix:
     for j in range(n):
         rows[n - 1][j] = -coeffs[j]
     return Matrix(rows)
-
-
-class InternalModelSpec(Record):
-    """Filter data (M, N, Gamma) for one internal-model component.
-
-    n is the generator dimension; m holds the 2n filter coefficients, M is
-    the 2n x 2n companion of m (verified Hurwitz by hurwitz_pair), N is the
-    last basis column and Gamma the first basis row.
-    """
-
-    _fields = ("n", "m", "M", "N", "Gamma")
-
-    def __init__(self, n: int, m: tuple, M: Matrix, N: Matrix, Gamma: Matrix):
-        self.__dict__.update(n=n, m=m, M=M, N=N, Gamma=Gamma)
 
 
 def _component(cfg, i: int) -> tuple:
@@ -155,12 +129,12 @@ def _routh_failure(coeffs: tuple):
     return None
 
 
-def hurwitz_pair(m: Sequence[float]) -> InternalModelSpec:
-    """Build the filter pair (M, N) from 2n coefficients, rejecting non-Hurwitz m."""
+def filter_matrix(m: Sequence[float]) -> Matrix:
+    """M, the 2n x 2n companion of the filter coefficients m, rejecting an
+    odd-length or empty m and a non-Hurwitz one."""
     coeffs = tuple(float(x) for x in m)
     if len(coeffs) % 2 != 0 or not coeffs:
         raise ValueError("need an even number of coefficients (2n), got %d" % len(coeffs))
-    n = len(coeffs) // 2
     M = companion_matrix(coeffs)
     failure = _routh_failure(coeffs)
     if failure is not None:
@@ -168,9 +142,7 @@ def hurwitz_pair(m: Sequence[float]) -> InternalModelSpec:
             "filter polynomial shifted by %g fails Routh-Hurwitz: row %d of %d "
             "has first-column entry %r, not > 0"
             % (_HURWITZ_MARGIN, failure[0], len(coeffs), failure[1]))
-    N = Matrix([[0.0]] * (2 * n - 1) + [[1.0]])
-    Gamma = Matrix([[1.0] + [0.0] * (n - 1)])
-    return InternalModelSpec(n=n, m=coeffs, M=M, N=N, Gamma=Gamma)
+    return M
 
 
 def _times_companion(row: tuple, last: tuple) -> tuple:
@@ -196,7 +168,7 @@ def xi_matrix(a, m: Sequence[float]) -> Matrix:
     the unit rows followed by 2n - 1 products of one row with Phi, each the
     bits the row of mat_mul(Phi^(j-1), Phi) would have.
     """
-    coeffs = _coeffs(a)
+    coeffs = coeff_tuple(a)
     n = len(coeffs)
     mm = tuple(float(x) for x in m)
     if len(mm) != 2 * n:
@@ -218,7 +190,7 @@ def q_matrix(a, m: Sequence[float]) -> Matrix:
     Its top n x n block is exactly Xi(a)^-1.  Raises SingularMatrixError when
     Xi is numerically singular.
     """
-    coeffs = _coeffs(a)
+    coeffs = coeff_tuple(a)
     n = len(coeffs)
     xi = xi_matrix(coeffs, m)
     # first row of Xi^-1 == solution of Xi^T y = e_1
@@ -229,14 +201,17 @@ def q_matrix(a, m: Sequence[float]) -> Matrix:
     return Matrix._of(2 * n, n, tuple(chain(*rows)))
 
 
-def sylvester_residual(spec: InternalModelSpec, Q: Matrix, a) -> float:
-    """Frobenius norm of M Q - Q Phi(a) + N Gamma."""
-    coeffs = _coeffs(a)
+def sylvester_residual(m: Sequence[float], Q: Matrix, a) -> float:
+    """Frobenius norm of M Q - Q Phi(a) + N Gamma for the filter M of m."""
+    coeffs = coeff_tuple(a)
     n = len(coeffs)
-    if spec.n != n:
-        raise ShapeError("spec dimension %d does not match coefficient count %d" % (spec.n, n))
+    M = filter_matrix(m)
+    if M.rows != 2 * n:
+        raise ShapeError("m has %d entries, expected 2n = %d" % (M.rows, 2 * n))
     if Q.rows != 2 * n or Q.cols != n:
         raise ShapeError("Q is %dx%d, expected %dx%d" % (Q.rows, Q.cols, 2 * n, n))
     phi = companion_matrix(coeffs)
-    residual = sub(mat_mul(spec.M, Q), sub(mat_mul(Q, phi), mat_mul(spec.N, spec.Gamma)))
+    # N Gamma: the last basis column times the first basis row
+    n_gamma = Matrix._of(2 * n, n, (0.0,) * ((2 * n - 1) * n) + (1.0,) + (0.0,) * (n - 1))
+    residual = sub(mat_mul(M, Q), sub(mat_mul(Q, phi), n_gamma))
     return frobenius_norm(residual)

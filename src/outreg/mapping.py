@@ -17,14 +17,15 @@ steady-state signal estimate used by the control laws.
 estimate_coeffs and chi read internal-model component i (1 or 2) of a
 scenario.ScenarioConfig: its 2n filter coefficients m_i, the shared epsilon
 and mask_i, whose True entries force the estimate's entry to exactly 0
-(structurally known zeros of the benchmark).
+(structurally known zeros of the benchmark).  An estimate is a tuple of n
+floats that internal_model.coeff_tuple has checked.
 """
 
 from __future__ import annotations
 
 import math
 
-from .internal_model import CoeffVector, _component, xi_matrix
+from .internal_model import _component, coeff_tuple, xi_matrix
 from .linalg import Matrix, ShapeError, _dot, adjugate, determinant, mat_vec, scale, zeros
 
 
@@ -96,21 +97,21 @@ def _inverse_and_det(theta: Matrix, epsilon: float):
     return scale(adjugate(theta), s), d
 
 
-def estimate_coeffs(eta, cfg, i: int) -> CoeffVector:
+def estimate_coeffs(eta, cfg, i: int) -> tuple:
     """a_check = -O(Theta(eta)) . col(eta_{n+1}, ..., eta_{2n}) for
     component i of scenario config cfg, then its mask."""
     m, mask = _component(cfg, i)
     return _estimate(_eta_tuple(eta, len(m) // 2), cfg.epsilon, mask)
 
 
-def _estimate(vals: tuple, epsilon: float, mask) -> CoeffVector:
+def _estimate(vals: tuple, epsilon: float, mask) -> tuple:
     """estimate_coeffs for filter state vals, already checked."""
     o = regularized_inverse(_hankel_of(vals), epsilon)
     a = [-x for x in mat_vec(o, vals[len(vals) // 2:])]
     for j, masked in enumerate(mask):
         if masked:
             a[j] = 0.0
-    return CoeffVector(a)
+    return coeff_tuple(a)
 
 
 def chi(eta, cfg, i: int) -> float:
@@ -121,7 +122,7 @@ def chi(eta, cfg, i: int) -> float:
     return _chi_of(vals, _estimate(vals, cfg.epsilon, mask), m)
 
 
-def _chi_of(vals: tuple, a: CoeffVector, m) -> float:
+def _chi_of(vals: tuple, a: tuple, m) -> float:
     """chi for filter state vals (already checked), its estimate a and the
     filter coefficients m."""
     return _dot(xi_matrix(a, m).row(0), vals)

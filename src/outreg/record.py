@@ -1,4 +1,4 @@
-"""Immutable value records: the package's configuration, coefficient and matrix types.
+"""Immutable value records: the package's configuration, gain polynomial and matrix types.
 
 A record class names its fields in `_fields` and sets them in its own
 `__init__` through `__dict__`; after that, assigning or deleting an

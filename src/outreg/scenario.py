@@ -24,7 +24,7 @@ import warnings
 
 from .controller import Polynomial
 from .duffing import regulator_solution, steady_state_theta
-from .internal_model import NotHurwitzError, hurwitz_pair
+from .internal_model import NotHurwitzError, filter_matrix
 from .record import Record
 
 # in kernel order: simulate passes each mode's index here as its mode code
@@ -255,10 +255,10 @@ def validate(cfg: ScenarioConfig):
     The box warnings come even beside violations, but not for sigma <= 0;
     the gain warnings only for a config without violations.
 
-    Non-finite numbers and vectors or masks whose length is not their
-    default's (loads rejects both at parse time, but overrides and
-    hand-built configs can carry them) are reported first and alone, since
-    every other check assumes them absent.
+    Values of the wrong type, non-finite numbers and vectors or masks whose
+    length is not their default's (loads rejects all three at parse time,
+    but overrides and hand-built configs can carry them) are reported first
+    and alone, since every other check assumes them absent.
     """
     errors = _malformed(cfg)
     if errors:
@@ -279,11 +279,9 @@ def validate(cfg: ScenarioConfig):
         errors.append("mode: %s" % exc)
     for name, m, label in (("model.m1", cfg.m1, "M1"), ("model.m2", cfg.m2, "M2")):
         try:
-            hurwitz_pair(m)
+            filter_matrix(m)
         except NotHurwitzError as exc:
             errors.append("%s: %s not Hurwitz (%s)" % (name, label, exc))
-        except ValueError as exc:
-            errors.append("%s: %s" % (name, exc))
     if cfg.sigma <= 0.0:
         errors.append("plant: sigma must be positive, got %r" % (float(cfg.sigma),))
     else:
@@ -304,12 +302,25 @@ def validate(cfg: ScenarioConfig):
 
 
 def _malformed(cfg: ScenarioConfig) -> list:
-    """Non-finite numbers, and vectors and masks not as long as their
-    defaults, in the parsers' words."""
+    """Values of the wrong type, non-finite numbers, and vectors and masks
+    not as long as their defaults, in the parsers' words.  A number is an
+    int or a float (not a bool), a vector or mask a tuple, a mask entry a
+    bool, the stride an int and a gain a Polynomial: the types whose repr
+    and formatter loads reads back to an equal, hashable config."""
     errors = []
-    for key, name, _, fmt, default in _KEYS:
+    for key, name, parse, fmt, default in _KEYS:
         val = getattr(cfg, name)
-        if fmt in (_fmt_floats, _fmt_mask) and len(val) != len(default):
+        if fmt is repr and not _is_number(val):
+            errors.append("%s: not a number: %r" % (key, val))
+        elif fmt is _fmt_floats and not (type(val) is tuple and all(map(_is_number, val))):
+            errors.append("%s: not a number list: %r" % (key, val))
+        elif fmt is _fmt_mask and not (type(val) is tuple and all(type(x) is bool for x in val)):
+            errors.append("%s: mask entries must be 0/1, got %r" % (key, val))
+        elif fmt is Polynomial.format and type(val) is not Polynomial:
+            errors.append("%s: not a Polynomial: %r" % (key, val))
+        elif parse is _int and type(val) is not int:
+            errors.append("%s: not an integer: %r" % (key, val))
+        elif fmt in (_fmt_floats, _fmt_mask) and len(val) != len(default):
             errors.append("%s: expected %d %s, got %d" % (
                 key, len(default), "values" if fmt is _fmt_floats else "entries", len(val)))
         elif fmt is repr and not math.isfinite(val):
@@ -319,6 +330,10 @@ def _malformed(cfg: ScenarioConfig) -> list:
         elif fmt is Polynomial.format and not all(map(math.isfinite, val.coeffs)):
             errors.append("%s: coefficients must be finite, got %r" % (key, val.coeffs))
     return errors
+
+
+def _is_number(x) -> bool:
+    return type(x) in (int, float)
 
 
 def _run_length_errors(cfg: ScenarioConfig) -> list:

@@ -150,7 +150,7 @@ def metrics(log: SimLog, cfg: ScenarioConfig, diverged_at: float | None = None) 
     }
     trailing = tail < len(t) and diverged_at is None
     out["trailing_sup_e"] = max(map(abs, e[tail:])) if trailing else None
-    for name, want in (("a11", a1.a[0]), ("a21", a2.a[0]), ("a23", a2.a[2])):
+    for name, want in (("a11", a1[0]), ("a21", a2[0]), ("a23", a2[2])):
         out["trailing_err_" + name] = (max(abs(a - want) for a in log.column(name)[tail:])
                                        if trailing else None)
     settle = None

@@ -21,7 +21,7 @@ import outreg.simulate as simulate
 from outreg import acceptance
 from outreg.acceptance import run_all
 from outreg.closed_forms import closed_form_ahat1, closed_form_ahat2
-from outreg.internal_model import hurwitz_pair, q_matrix, sylvester_residual
+from outreg.internal_model import q_matrix, sylvester_residual
 from outreg.linalg import Matrix, _dot, frobenius_norm, mat_vec
 from outreg.mapping import estimate_coeffs
 from outreg.scenario import ScenarioConfig
@@ -215,15 +215,15 @@ def _internal_model_values():
     internal-model API the pins read is spelled here and nowhere else."""
     cfg = ScenarioConfig()
     pairs = acceptance._duffing_pairs() + acceptance._random_pairs(5, 30)
-    residuals = [sylvester_residual(hurwitz_pair(m), q_matrix(a, m), a) for a, m in pairs]
-    maps = [acceptance._chunk_map(hurwitz_pair(m), 1e-3, 250) for m in (cfg.m1, cfg.m2)]
+    residuals = [sylvester_residual(m, q_matrix(a, m), a) for a, m in pairs]
+    maps = [acceptance._chunk_map(cfg, i, 1e-3, 250) for i in (1, 2)]
     rng = random.Random(29)
     estimates = []
     for _ in range(50):
         eta1 = tuple(rng.uniform(-2.0, 2.0) for _ in range(4))
         eta2 = tuple(rng.uniform(-2.0, 2.0) for _ in range(8))
-        estimates.append((estimate_coeffs(eta1, cfg, 1).a, closed_form_ahat1(eta1, cfg.epsilon).a,
-                          estimate_coeffs(eta2, cfg, 2).a, closed_form_ahat2(eta2, cfg.epsilon).a))
+        estimates.append((estimate_coeffs(eta1, cfg, 1), closed_form_ahat1(eta1, cfg.epsilon),
+                          estimate_coeffs(eta2, cfg, 2), closed_form_ahat2(eta2, cfg.epsilon)))
     return residuals, maps, estimates
 
 

@@ -102,9 +102,9 @@ def test_kernel_aux_matches_module_path(kern, steady_cfg, mask1, mask2):
     assert e == state[0] - state[2]
     est1 = estimate_coeffs(eta1, cfg, 1)
     est2 = estimate_coeffs(eta2, cfg, 2)
-    assert a11 == pytest.approx(est1.a[0], rel=1e-10)
-    assert a21 == pytest.approx(est2.a[0], rel=1e-10)
-    assert a23 == pytest.approx(est2.a[2], rel=1e-10)
+    assert a11 == pytest.approx(est1[0], rel=1e-10)
+    assert a21 == pytest.approx(est2[0], rel=1e-10)
+    assert a23 == pytest.approx(est2[2], rel=1e-10)
     assert det1 == pytest.approx(determinant(hankel(eta1)), rel=1e-10)
     assert det2 == pytest.approx(determinant(hankel(eta2)), rel=1e-10)
     zm = zeta(state[1], eta1, e, cfg)
@@ -116,8 +116,7 @@ def test_adaptive_field_matches_module_path(steady_cfg):
     # off the invariant set the adaptive vector field is the module-level
     # control law and filter dynamics: zeta, u, the gain rate and the 12
     # filter derivatives agree to a relative 1e-10
-    from outreg.controller import control_adaptive, eta_derivatives, zeta
-    from outreg.internal_model import hurwitz_pair
+    from outreg.controller import control_adaptive, filter_derivative, zeta
 
     cfg = steady_cfg
     state = _initial_state(cfg)
@@ -131,8 +130,8 @@ def test_adaptive_field_matches_module_path(steady_cfg):
     eta1, eta2 = state[4:8], state[8:16]
     zm = zeta(state[1], eta1, e, cfg)
     um, kdot = control_adaptive(zm, eta2, state[16], cfg)
-    d1, d2 = eta_derivatives(eta1, eta2, state[1], um, hurwitz_pair(cfg.m1),
-                             hurwitz_pair(cfg.m2))
+    d1 = filter_derivative(eta1, state[1], cfg, 1)
+    d2 = filter_derivative(eta2, um, cfg, 2)
     assert zv == pytest.approx(zm, rel=1e-10)
     assert u == pytest.approx(um, rel=1e-10)
     assert dy[16] == pytest.approx(kdot, rel=1e-10)

@@ -7,10 +7,9 @@ from outreg.controller import (
     Polynomial,
     control_adaptive,
     control_nonadaptive,
-    eta_derivatives,
+    filter_derivative,
     zeta,
 )
-from outreg.internal_model import hurwitz_pair
 from outreg.linalg import ShapeError
 from outreg.scenario import ScenarioConfig
 
@@ -106,27 +105,28 @@ def test_control_adaptive_rate_nonnegative():
         assert kdot >= 0.0
 
 
-def test_eta_derivatives_structure():
-    spec1 = hurwitz_pair(CFG.m1)
-    spec2 = hurwitz_pair(CFG.m2)
-    d1, d2 = eta_derivatives((0.0,) * 4, (0.0,) * 8, 1.0, 0.0, spec1, spec2)
+def test_filter_derivative_structure():
+    d1 = filter_derivative((0.0,) * 4, 1.0, CFG, 1)
+    d2 = filter_derivative((0.0,) * 8, 0.0, CFG, 2)
     assert d1 == [0.0, 0.0, 0.0, 1.0]
     assert d2 == [0.0] * 8
+    # the input enters the last entry alone
+    assert filter_derivative((0.0,) * 8, 1.0, CFG, 2) == [0.0] * 7 + [1.0]
     # first basis vector exposes the first column of M1
-    d1, _ = eta_derivatives((1.0, 0.0, 0.0, 0.0), (0.0,) * 8, 0.0, 0.0, spec1, spec2)
+    d1 = filter_derivative((1.0, 0.0, 0.0, 0.0), 0.0, CFG, 1)
     assert d1 == [0.0, 0.0, 0.0, -10.0]
     # shift structure: interior states just pass along
-    d1, _ = eta_derivatives((0.0, 1.0, 0.0, 0.0), (0.0,) * 8, 0.0, 0.0, spec1, spec2)
+    d1 = filter_derivative((0.0, 1.0, 0.0, 0.0), 0.0, CFG, 1)
     assert d1 == [1.0, 0.0, 0.0, -18.0]
 
 
-def test_eta_derivatives_dimension_errors():
-    spec1 = hurwitz_pair(CFG.m1)
-    spec2 = hurwitz_pair(CFG.m2)
+def test_filter_derivative_dimension_errors():
     with pytest.raises(ShapeError):
-        eta_derivatives((0.0,) * 8, (0.0,) * 8, 0.0, 0.0, spec1, spec2)
+        filter_derivative((0.0,) * 8, 0.0, CFG, 1)
     with pytest.raises(ShapeError):
-        eta_derivatives((0.0,) * 4, (0.0,) * 4, 0.0, 0.0, spec1, spec2)
+        filter_derivative((0.0,) * 4, 0.0, CFG, 2)
+    with pytest.raises(ValueError, match="component index must be 1 or 2, got 3"):
+        filter_derivative((0.0,) * 4, 0.0, CFG, 3)
 
 
 def test_stabilization_only_smoke():

@@ -17,7 +17,7 @@ from outreg.duffing import (
     steady_state_theta,
     steady_state_xi,
 )
-from outreg.internal_model import hurwitz_pair
+from outreg.internal_model import filter_matrix
 from outreg.mapping import chi, estimate_coeffs
 from outreg.scenario import ScenarioConfig, with_overrides
 
@@ -165,22 +165,22 @@ def test_xi_ode_residual():
         v1, v2 = v
         xi1 = steady_state_xi(v, P, 1)
         ddz = -s * s * xi1[0]
-        assert abs(ddz + a1.a[0] * xi1[0] + a1.a[1] * xi1[1]) <= 1e-8
+        assert abs(ddz + a1[0] * xi1[0] + a1[1] * xi1[1]) <= 1e-8
         xi2 = steady_state_xi(v, P, 2)
         s4 = s ** 4
         d4 = s4 * (A * v1 + B * v2) + 3.0 * P.c2 * s4 * (7.0 * v1 ** 3 - 20.0 * v1 * v2 * v2)
-        res = d4 + a2.a[0] * xi2[0] + a2.a[1] * xi2[1] + a2.a[2] * xi2[2] + a2.a[3] * xi2[3]
+        res = d4 + a2[0] * xi2[0] + a2[1] * xi2[1] + a2[2] * xi2[2] + a2[3] * xi2[3]
         assert abs(res) <= 1e-8
 
 
 def test_duffing_coeffs_values():
     a1, a2 = duffing_coeffs(P)
-    assert a1.a == (0.25, 0.0)
-    assert a2.a == (0.5625, 0.0, 2.5, 0.0)
+    assert a1 == (0.25, 0.0)
+    assert a2 == (0.5625, 0.0, 2.5, 0.0)
     # distinct roots on the imaginary axis: +-i sigma, then +-i sigma and
     # +-3i sigma; np.roots wants the constant last
     for cv, want in ((a1, [-0.5j, 0.5j]), (a2, [-1.5j, -0.5j, 0.5j, 1.5j])):
-        r = sorted(np.roots([1.0, *reversed(cv.a)]), key=lambda z: z.imag)
+        r = sorted(np.roots([1.0, *reversed(cv)]), key=lambda z: z.imag)
         assert r == pytest.approx(want, abs=1e-9)
 
 
@@ -250,8 +250,8 @@ def test_oracle_chain_chi_and_estimates():
         assert chi(th2, P, 2) == pytest.approx(regulator_solution(v, P)[2], abs=1e-6)
         est1 = estimate_coeffs(th1, P, 1)
         est2 = estimate_coeffs(th2, P, 2)
-        assert est1.a == pytest.approx(a1.a, abs=1e-9)
-        assert est2.a == pytest.approx(a2.a, abs=1e-8)
+        assert est1 == pytest.approx(a1, abs=1e-9)
+        assert est2 == pytest.approx(a2, abs=1e-8)
 
 
 def test_filter_convergence():
@@ -259,9 +259,8 @@ def test_filter_convergence():
     # the state locks onto theta; by t = 50 the gap is below 1e-6
     worst = 0.0
     for i, m in ((1, P.m1), (2, P.m2)):
-        spec = hurwitz_pair(m)
-        M = np.array(spec.M.to_lists())
-        N = np.array([row[0] for row in spec.N.to_lists()])
+        M = np.array(filter_matrix(m).to_lists())
+        N = np.array([0.0] * (len(m) - 1) + [1.0])  # the last basis column
         s = P.sigma
 
         def rhs(t, eta):

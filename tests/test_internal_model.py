@@ -8,12 +8,12 @@ import pytest
 from outreg import linalg
 from outreg.internal_model import (
     _HURWITZ_MARGIN,
-    CoeffVector,
     NotHurwitzError,
     _times_companion,
     admissible_from_frequencies,
+    coeff_tuple,
     companion_matrix,
-    hurwitz_pair,
+    filter_matrix,
     q_matrix,
     sylvester_residual,
     xi_matrix,
@@ -63,9 +63,9 @@ def test_admissible_from_frequencies():
     for freqs, a, want in (([0.5], A1, [-0.5j, 0.5j]),
                            ([0.5, 1.5], A2, [-1.5j, -0.5j, 0.5j, 1.5j])):
         cv = admissible_from_frequencies(freqs)
-        assert cv.a == pytest.approx(a)
+        assert cv == pytest.approx(a)
         # distinct roots on the imaginary axis; np.roots wants the constant last
-        r = sorted(np.roots([1.0, *reversed(cv.a)]), key=lambda z: z.imag)
+        r = sorted(np.roots([1.0, *reversed(cv)]), key=lambda z: z.imag)
         assert r == pytest.approx(want, abs=1e-9)
     with pytest.raises(ValueError):
         admissible_from_frequencies([0.0])
@@ -79,37 +79,38 @@ def test_admissible_from_frequencies():
 ])
 def test_admissible_from_frequencies_bits(freqs, want):
     # exact values of the numpy convolution this product replaced
-    assert admissible_from_frequencies(freqs).a == want
+    assert admissible_from_frequencies(freqs) == want
 
 
-def test_hurwitz_pair_accepts_benchmark_filters():
-    spec1 = hurwitz_pair(M1)
-    assert spec1.n == 2
-    assert spec1.M.rows == 4
-    assert spec1.N.to_lists() == [[0.0], [0.0], [0.0], [1.0]]
-    assert spec1.Gamma.to_lists() == [[1.0, 0.0]]
+def test_filter_matrix_accepts_benchmark_filters():
+    # N and Gamma, the last basis column and the first basis row, are fixed:
+    # test_sylvester_residual_n_gamma and test_filter_derivative_structure
+    # pin where they act
+    M = filter_matrix(M1)
+    assert M == companion_matrix(M1)
+    assert (M.rows, M.cols) == (4, 4)
     # roots of (s^2+2s+2)(s^2+4s+5)
-    eigs = sorted(np.linalg.eigvals(np.array(spec1.M.to_lists())), key=lambda z: (z.real, z.imag))
+    eigs = sorted(np.linalg.eigvals(np.array(M.to_lists())), key=lambda z: (z.real, z.imag))
     want = sorted([-2 + 1j, -2 - 1j, -1 + 1j, -1 - 1j], key=lambda z: (z.real, z.imag))
     assert eigs == pytest.approx(want, abs=1e-8)
 
-    spec2 = hurwitz_pair(M2)
-    assert spec2.n == 4
-    assert spec2.M.rows == 8
-    assert max(z.real for z in np.linalg.eigvals(np.array(spec2.M.to_lists()))) < -1e-6
+    M = filter_matrix(M2)
+    assert M == companion_matrix(M2)
+    assert (M.rows, M.cols) == (8, 8)
+    assert max(z.real for z in np.linalg.eigvals(np.array(M.to_lists()))) < -1e-6
 
 
-def test_hurwitz_pair_rejects_unstable():
+def test_filter_matrix_rejects_unstable():
     # the message names the first Routh first-column entry that is not > 0
     with pytest.raises(NotHurwitzError, match=re.escape(
             "shifted by -1e-06 fails Routh-Hurwitz: row 1 of 2 has "
             "first-column entry -2e-06, not > 0")):
-        hurwitz_pair((-1.0, 0.0))  # s^2 - 1 has root +1
+        filter_matrix((-1.0, 0.0))  # s^2 - 1 has root +1
     with pytest.raises(NotHurwitzError, match=re.escape(
             "row 2 of 2 has first-column entry -9.99999e-07, not > 0")):
-        hurwitz_pair((0.0, 1.0))  # s^2 + s has a root at the origin
+        filter_matrix((0.0, 1.0))  # s^2 + s has a root at the origin
     with pytest.raises(ValueError):
-        hurwitz_pair((1.0, 2.0, 3.0))  # odd length
+        filter_matrix((1.0, 2.0, 3.0))  # odd length
 
 
 def _worst_real_part(m):
@@ -118,7 +119,7 @@ def _worst_real_part(m):
 
 def _accepts(m):
     try:
-        hurwitz_pair(m)
+        filter_matrix(m)
     except NotHurwitzError:
         return False
     return True
@@ -273,20 +274,34 @@ def test_companion_products_equal_the_plain_products_bit_for_bit():
 
 
 def test_sylvester_residual_duffing():
-    spec1 = hurwitz_pair(M1)
     q1 = q_matrix(A1, M1)
-    assert sylvester_residual(spec1, q1, A1) <= 1e-10
+    assert sylvester_residual(M1, q1, A1) <= 1e-10
 
-    spec2 = hurwitz_pair(M2)
     q2 = q_matrix(A2, M2)
-    assert sylvester_residual(spec2, q2, A2) <= 1e-9
+    assert sylvester_residual(M2, q2, A2) <= 1e-9
 
 
 def test_sylvester_residual_zero_q():
     from outreg.linalg import zeros
 
-    spec1 = hurwitz_pair(M1)
-    assert sylvester_residual(spec1, zeros(4, 2), A1) == pytest.approx(1.0)
+    assert sylvester_residual(M1, zeros(4, 2), A1) == pytest.approx(1.0)
+
+
+def test_sylvester_residual_n_gamma():
+    # N is the last basis column and Gamma the first basis row: on random Q
+    # the residual has the bits of M Q - Q Phi + N Gamma with N Gamma formed
+    # by mat_mul
+    rng = random.Random(29)
+    for a, m in ((A1, M1), (A2, M2)):
+        n = len(a)
+        n_gamma = mat_mul(Matrix([[0.0]] * (2 * n - 1) + [[1.0]]),
+                          Matrix([[1.0] + [0.0] * (n - 1)]))
+        for _ in range(20):
+            q = Matrix([[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(2 * n)])
+            want = linalg.frobenius_norm(linalg.sub(
+                mat_mul(companion_matrix(m), q),
+                linalg.sub(mat_mul(q, companion_matrix(a)), n_gamma)))
+            assert repr(sylvester_residual(m, q, a)) == repr(want)
 
 
 def test_sylvester_residual_random_admissible():
@@ -295,22 +310,20 @@ def test_sylvester_residual_random_admissible():
         n = rng.choice([2, 4])
         m = M1 if n == 2 else M2
         a = random_admissible(rng, n)
-        spec = hurwitz_pair(m)
         q = q_matrix(a, m)
-        assert sylvester_residual(spec, q, a) <= 1e-9
+        assert sylvester_residual(m, q, a) <= 1e-9
 
 
 def test_sylvester_residual_dimension_errors():
-    spec1 = hurwitz_pair(M1)
     q2 = q_matrix(A2, M2)
     with pytest.raises(ShapeError):
-        sylvester_residual(spec1, q2, A2)
+        sylvester_residual(M1, q2, A2)
     with pytest.raises(ShapeError):
-        sylvester_residual(spec1, q2, A1)
+        sylvester_residual(M1, q2, A1)
 
 
 def test_coeff_vector_rejects_bad_input():
     with pytest.raises(ValueError):
-        CoeffVector(())
+        coeff_tuple(())
     with pytest.raises(ValueError):
-        CoeffVector((math.nan, 1.0))
+        coeff_tuple((math.nan, 1.0))

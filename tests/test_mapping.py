@@ -124,15 +124,15 @@ def test_estimate_coeffs_worked_example():
     # true inverse and the unmasked estimate is (1, -2)
     cfg_nomask = ScenarioConfig(mask1=(False, False))
     a = estimate_coeffs((1.0, 2.0, 3.0, 4.0), cfg_nomask, 1)
-    assert a.a == pytest.approx((1.0, -2.0))
+    assert a == pytest.approx((1.0, -2.0))
     a = estimate_coeffs((1.0, 2.0, 3.0, 4.0), CFG, 1)
-    assert a.a[0] == pytest.approx(1.0)
-    assert a.a[1] == 0.0
+    assert a[0] == pytest.approx(1.0)
+    assert a[1] == 0.0
 
 
 def test_estimate_coeffs_zero_state():
-    assert estimate_coeffs((0.0,) * 4, CFG, 1).a == (0.0, 0.0)
-    assert estimate_coeffs((0.0,) * 8, CFG, 2).a == (0.0, 0.0, 0.0, 0.0)
+    assert estimate_coeffs((0.0,) * 4, CFG, 1) == (0.0, 0.0)
+    assert estimate_coeffs((0.0,) * 8, CFG, 2) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_estimate_coeffs_mask_contract():
@@ -140,8 +140,8 @@ def test_estimate_coeffs_mask_contract():
     for _ in range(100):
         eta = [rng.uniform(-5, 5) for _ in range(8)]
         a = estimate_coeffs(eta, CFG, 2)
-        assert a.a[1] == 0.0
-        assert a.a[3] == 0.0
+        assert a[1] == 0.0
+        assert a[3] == 0.0
 
 
 def test_chi_zero_state():
@@ -157,8 +157,8 @@ def test_closed_form_chi1_basis_example():
 
 def test_closed_form_ahat1_worked_example():
     a = closed_form_ahat1((1.0, 2.0, 3.0, 4.0), 0.1)
-    assert a.a == pytest.approx((1.0, 0.0))
-    assert a.a[1] == 0.0
+    assert a == pytest.approx((1.0, 0.0))
+    assert a[1] == 0.0
 
 
 def test_closed_form_dimension_errors():
@@ -184,13 +184,13 @@ def test_generic_matches_closed_forms():
 
         g1 = estimate_coeffs(eta1, CFG, 1)
         t1 = closed_form_ahat1(eta1, 0.1)
-        ref = 1.0 + max(abs(x) for x in t1.a)
-        assert max(abs(x - y) for x, y in zip(g1.a, t1.a)) <= 1e-10 * ref
+        ref = 1.0 + max(abs(x) for x in t1)
+        assert max(abs(x - y) for x, y in zip(g1, t1)) <= 1e-10 * ref
 
         g2 = estimate_coeffs(eta2, CFG, 2)
         t2 = closed_form_ahat2(eta2, 0.1)
-        ref = 1.0 + max(abs(x) for x in t2.a)
-        assert max(abs(x - y) for x, y in zip(g2.a, t2.a)) <= 1e-10 * ref
+        ref = 1.0 + max(abs(x) for x in t2)
+        assert max(abs(x - y) for x, y in zip(g2, t2)) <= 1e-10 * ref
 
         c1 = chi(eta1, CFG, 1)
         c1t = closed_form_chi1(eta1, t1, CFG.m1)

@@ -1,4 +1,4 @@
-"""The record contract: the package's five value types compare, hash,
+"""The record contract: the package's three value types compare, hash,
 print, refuse assignment and pickle the way frozen dataclasses do."""
 
 import importlib
@@ -9,7 +9,6 @@ import pytest
 
 import outreg
 from outreg.controller import Polynomial
-from outreg.internal_model import CoeffVector, hurwitz_pair
 from outreg.linalg import Matrix
 from outreg.record import Record
 from outreg.scenario import ScenarioConfig, with_overrides
@@ -25,13 +24,6 @@ _STOCK_REPR = (
 
 # (build, build an equal record from other inputs, build a different one, repr)
 RECORDS = {
-    "CoeffVector": (lambda: CoeffVector((1.0, 2.0)), lambda: CoeffVector([1, 2]),
-                    lambda: CoeffVector((1.0, 3.0)), "CoeffVector(a=(1.0, 2.0))"),
-    "InternalModelSpec": (
-        lambda: hurwitz_pair((2.0, 3.0)), lambda: hurwitz_pair([2, 3]),
-        lambda: hurwitz_pair((2.0, 4.0)),
-        "InternalModelSpec(n=1, m=(2.0, 3.0), M=Matrix([[0.0, 1.0], [-2.0, -3.0]]), "
-        "N=Matrix([[0.0], [1.0]]), Gamma=Matrix([[1.0]]))"),
     "Polynomial": (lambda: Polynomial((1.0, 0.0, 2.0)), lambda: Polynomial([1, 0, 2, 0]),
                    lambda: Polynomial((1.0, 0.0, 3.0)), "Polynomial(coeffs=(1.0, 0.0, 2.0))"),
     # the same entries in another shape are another matrix

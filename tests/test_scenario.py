@@ -412,6 +412,57 @@ def test_wrong_vector_length_is_reported_first_and_alone(key, field, val, text, 
     assert info.value.violations == ("line 1: %s: %s" % (key, message),)
 
 
+# (field, value, the violation, or None where validate accepts the value)
+_TYPED_VALUES = [
+    ("c1", "1", "plant.c1: not a number: '1'"),
+    ("k0", True, "gains.k0: not a number: True"),
+    ("h", None, "sim.h: not a number: None"),
+    ("sigma", 1, None),  # an int is a number
+    ("x0", [1.0, -1.0], "init.x: not a number list: [1.0, -1.0]"),
+    ("x0", [1.0], "init.x: not a number list: [1.0]"),
+    ("x0", (1, -1), None),
+    ("m1", (10.0, 18.0, "15", 6.0), "model.m1: not a number list: (10.0, 18.0, '15', 6.0)"),
+    ("eta1_0", (0.0, 0.0, None, 0.0), "init.eta1: not a number list: (0.0, 0.0, None, 0.0)"),
+    ("eta2_0", (0.0,) * 7 + (False,), "init.eta2: not a number list: %r" % ((0.0,) * 7 + (False,),)),
+    ("mask1", (2, "no"), "mapping.mask1: mask entries must be 0/1, got (2, 'no')"),
+    ("mask2", [False, True, False, True],
+     "mapping.mask2: mask entries must be 0/1, got [False, True, False, True]"),
+    ("mask1", (True, True), None),
+    ("stride", 2.5, "sim.stride: not an integer: 2.5"),
+    ("stride", True, "sim.stride: not an integer: True"),
+    ("stride", 5, None),
+    ("rho", "10", "gains.rho: not a Polynomial: '10'"),
+    ("k", (1.0, 0.0, 1.0), "gains.k: not a Polynomial: (1.0, 0.0, 1.0)"),
+]
+_WRONG_TYPES = [case for case in _TYPED_VALUES if case[2] is not None]
+
+
+@pytest.mark.parametrize("field, val, message", _WRONG_TYPES,
+                         ids=["%s=%r" % case[:2] for case in _WRONG_TYPES])
+def test_wrong_value_type_is_reported_first_and_alone(field, val, message):
+    # as the parser words it, and without the checks that assume the type
+    # (here the epsilon > 0 check of epsilon = -1)
+    with pytest.raises(ScenarioError) as info:
+        with_overrides(ScenarioConfig(), epsilon=-1.0, **{field: val})
+    assert info.value.violations == (message,)
+
+
+def test_every_accepted_value_keeps_the_record_contract():
+    # a config validate accepts hashes and round-trips through its text
+    accepted = 0
+    for field, val, message in _TYPED_VALUES:
+        try:
+            cfg = with_overrides(ScenarioConfig(), **{field: val})
+        except ScenarioError as exc:
+            assert exc.violations == (message,)
+            continue
+        assert message is None, (field, val)
+        assert hash(cfg) == hash(loads(serialize(cfg)))
+        assert loads(serialize(cfg)) == cfg
+        accepted += 1
+    assert accepted == len(_TYPED_VALUES) - len(_WRONG_TYPES)
+
+
 def test_nonpositive_sigma_is_a_plant_violation():
     # and beside it no box warning fires, even for a plant outside the box
     with warnings.catch_warnings():
