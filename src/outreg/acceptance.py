@@ -215,7 +215,7 @@ def criterion_5(seed, ctx):
     comps = (1, 2)
     qs = [steady_state_q(_STOCK, i) for i in comps]
     for j in range(100):
-        v = exo_flow((1.0, 1.0), _STOCK.sigma, period * j / 100.0)
+        v = exo_flow(_STOCK.v0, _STOCK.sigma, period * j / 100.0)
         u_ss = regulator_solution(v, _STOCK)[2]
         for i, q, target in zip(comps, qs, (_STOCK.sigma * v[1], u_ss)):
             theta = steady_state_theta(v, _STOCK, i, q)
@@ -235,7 +235,7 @@ def criterion_5(seed, ctx):
     maps = [_chunk_map(_STOCK, i, h, chunk) for i in comps]
     etas = [[0.0] * len(_component(_STOCK, i)[0]) for i in comps]
     t = 0.0
-    v = exo_flow((1.0, 1.0), _STOCK.sigma, t)
+    v = exo_flow(_STOCK.v0, _STOCK.sigma, t)
     w_t = [steady_state_lead(v, _STOCK, i) for i in comps]
     for _ in range(n_steps // chunk):
         points = []
@@ -243,13 +243,13 @@ def criterion_5(seed, ctx):
             points.append(t + 0.5 * h)
             t += h
             points.append(t)
-        vs = exo_flows((1.0, 1.0), _STOCK.sigma, points)
+        vs = exo_flows(_STOCK.v0, _STOCK.sigma, points)
         for c, i in enumerate(comps):
             w = [w_t[c]] + steady_state_leads(vs, _STOCK, i)
             w_t[c] = w[-1]
             eta = etas[c]
             etas[c] = [_dot(a_row, eta) + _dot(g_row, w) for a_row, g_row in zip(*maps[c])]
-    v = exo_flow((1.0, 1.0), _STOCK.sigma, t)
+    v = exo_flow(_STOCK.v0, _STOCK.sigma, t)
     worst_gap = max(math.dist(eta, steady_state_theta(v, _STOCK, i, q))
                     for eta, i, q in zip(etas, comps, qs))
     filt_ok = worst_gap <= 1e-6
@@ -289,19 +289,17 @@ def criterion_6(seed, ctx):
 
 def criterion_7(seed, ctx):
     cfg, log, died = _default_run(ctx, "nonadaptive")
+    a1, a2 = duffing_coeffs(_STOCK)
+    bounds = (("a11", a1[0], 0.02), ("a21", a2[0], 0.05), ("a23", a2[2], 0.1))
     if died is not None:
         return ("coefficient-estimation", False,
-                "same stock run as criterion 6: diverged at t = %.3f before "
-                "any trailing window (bounds: |a11 - 0.25| <= 0.02, "
-                "|a21 - 0.5625| <= 0.05, |a23 - 2.5| <= 0.1)" % died)
+                "same stock run as criterion 6: diverged at t = %.3f before any trailing "
+                "window (bounds: %s)" % (died, ", ".join("|%s - %g| <= %g" % b for b in bounds)))
     rep = metrics(log, cfg)
-    e11, e21, e23 = (rep["trailing_err_a11"], rep["trailing_err_a21"],
-                     rep["trailing_err_a23"])
-    passed = e11 <= 0.02 and e21 <= 0.05 and e23 <= 0.1
-    return ("coefficient-estimation", passed,
-            "trailing estimate errors: |a11 - 0.25| = %.3g (tol 0.02), "
-            "|a21 - 0.5625| = %.3g (tol 0.05), |a23 - 2.5| = %.3g (tol 0.1)"
-            % (e11, e21, e23))
+    errs = [(name, a, rep["trailing_err_" + name], tol) for name, a, tol in bounds]
+    return ("coefficient-estimation", all(e <= tol for _, _, e, tol in errs),
+            "trailing estimate errors: "
+            + ", ".join("|%s - %g| = %.3g (tol %g)" % err for err in errs))
 
 
 def criterion_8(seed, ctx):
@@ -364,10 +362,11 @@ def criterion_10(seed, ctx):
 
     # (b) exosystem norm drift over 100 s, in the kernel the runs use: one
     # open-loop run of the stock scenario, recording only its first and last
-    # steps, whose final state entries 2, 3 are v from v(0) = (1, 1)
+    # steps, whose final state entries 2, 3 are v from v(0) = _STOCK.v0
     ol = with_overrides(_STOCK, mode="open_loop", stride=_STOCK.n_steps)
     v = integrate(ol)[2][2:4]
-    drift = abs(math.hypot(*v) - math.sqrt(2.0)) / math.sqrt(2.0)
+    r0 = math.hypot(*_STOCK.v0)
+    drift = abs(math.hypot(*v) - r0) / r0
     parts.append((drift <= 1e-8, "exosystem norm drift %.3g over 100 s "
                   "(tol 1e-8)" % drift))
 

@@ -110,6 +110,11 @@ class Polynomial(Record):
                 continue
             mag = abs(c)
             coeff_txt = "%d" % mag if float(mag).is_integer() else repr(mag)
+            if "e" in coeff_txt:
+                # repr writes a non-integer below 1e-4 as d.ddde-N, and the
+                # gain grammar has no exponent: the same digits, positionally
+                digits, _, exp = coeff_txt.partition("e")
+                coeff_txt = "0." + "0" * (-int(exp) - 1) + digits.replace(".", "")
             if deg == 0:
                 body = coeff_txt
             else:

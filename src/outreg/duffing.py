@@ -54,14 +54,10 @@ def regulator_solution(v, p):
     """Closed-form solution (x1_ss, x2_ss, u_ss) of the regulator equations.
 
     x1_ss = v1 tracks the reference exactly, x2_ss is its derivative along
-    the exosystem flow, and u_ss is whatever input the plant then needs.
+    the exosystem flow, and u_ss is whatever input the plant then needs:
+    the leading entry of component 2's generator state (steady_state_lead).
     """
-    v1, v2 = float(v[0]), float(v[1])
-    s = p.sigma
-    x1_ss = v1
-    x2_ss = s * v2
-    u_ss = -s * s * v1 + p.c3 * s * v2 + p.c1 * v1 + p.c2 * (v1 * v1 * v1) - v2
-    return (x1_ss, x2_ss, u_ss)
+    return (float(v[0]), p.sigma * float(v[1]), steady_state_lead(v, p, 2))
 
 
 def steady_state_xi(v, p, i: int):

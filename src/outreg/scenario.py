@@ -10,19 +10,21 @@ to ScenarioConfig() and to the key table _KEYS below).
 `init = steady` is no field: loads sets init.x, init.eta1 and init.eta2 on
 the file's steady orbit (steady_start) once, and overrides keep that start.
 Unknown keys are hard errors, as are non-finite numbers, non-Hurwitz filter
-coefficients, nonpositive step/horizon/epsilon, a horizon that rounds to
-zero steps, more than MAX_STEPS steps or MAX_RECORDS records, wrong vector
-lengths and gains above controller.MAX_GAIN_DEGREE; parse errors carry their
-line number and are listed in line order.  Benchmark-box range checks (plant
-coefficients, sigma) and unprovable gain lower bounds only warn.
+coefficients, nonpositive step/horizon/epsilon, a stride outside
+1..MAX_STEPS, a horizon that rounds to zero steps, more than MAX_STEPS steps
+or MAX_RECORDS records, wrong vector lengths and gains above
+controller.MAX_GAIN_DEGREE, in files, overrides and hand-built configs alike;
+parse errors carry their line number and are listed in line order.
+Benchmark-box checks (plant, sigma) and unprovable gain bounds only warn.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 
-from .controller import Polynomial
+from .controller import MAX_GAIN_DEGREE, Polynomial
 from .duffing import regulator_solution, steady_state_theta
 from .internal_model import NotHurwitzError, filter_matrix
 from .record import Record
@@ -60,57 +62,39 @@ class ScenarioError(ValueError):
         return (type(self), (self.violations,))
 
 
-# A parser turns a value's text into a field value or raises ValueError
-# whose message follows "line N: key: " in the error.
+# A parser reads a value's syntax only (_violation judges the value) or
+# raises ValueError whose message follows "line N: key: " in the error.
 
 def _number(text, kind=float):
     # kind(text) for ASCII text without '_' only: float() and int() also read
     # other scripts' digits and '_' digit separators
-    if not text.isascii() or "_" in text:
-        raise ValueError(text)
-    return kind(text)
-
-
-def _float(text):
-    try:
-        val = _number(text)
-    except ValueError:
-        raise ValueError("not a number: %r" % text) from None
-    if not math.isfinite(val):
-        raise ValueError("must be finite, got %r" % text)
-    return val
-
-
-def _floats(count):
-    def parse(text):
+    if text.isascii() and "_" not in text:
         try:
-            vals = tuple(map(_number, text.split(",")))
+            return kind(text)
         except ValueError:
-            raise ValueError("not a number list: %r" % text) from None
-        if not all(map(math.isfinite, vals)):
-            raise ValueError("values must be finite, got %r" % text)
-        if len(vals) != count:
-            raise ValueError("expected %d values, got %d" % (count, len(vals)))
-        return vals
-    return parse
+            pass
+    raise ValueError("not a number: %r" % text)
+
+
+def _floats(text):
+    try:
+        return tuple(map(_number, text.split(",")))
+    except ValueError:
+        raise ValueError("not a number list: %r" % text) from None
 
 
 _MASK_WORDS = {"0": False, "false": False, "no": False,
                "1": True, "true": True, "yes": True}
 
 
-def _mask(count):
-    def parse(text):
-        vals = []
-        for p in text.split(","):
-            p = p.strip().lower()
-            if p not in _MASK_WORDS:
-                raise ValueError("mask entries must be 0/1, got %r" % p)
-            vals.append(_MASK_WORDS[p])
-        if len(vals) != count:
-            raise ValueError("expected %d entries, got %d" % (count, len(vals)))
-        return tuple(vals)
-    return parse
+def _mask(text):
+    vals = []
+    for p in text.split(","):
+        p = p.strip().lower()
+        if p not in _MASK_WORDS:
+            raise ValueError("mask entries must be 0/1, got %r" % p)
+        vals.append(_MASK_WORDS[p])
+    return tuple(vals)
 
 
 def _int(text):
@@ -118,12 +102,6 @@ def _int(text):
         return _number(text, int)
     except ValueError:
         raise ValueError("not an integer: %r" % text) from None
-
-
-def _mode(text):
-    if text not in MODES:
-        raise ValueError("must be one of %s, got %r" % ("/".join(MODES), text))
-    return text
 
 
 def _fmt_floats(vals):
@@ -135,38 +113,35 @@ def _fmt_mask(mask):
 
 
 # The scenario grammar, in serialize() order: key, ScenarioConfig field,
-# parser, formatter, default.  validate() checks that the fields formatted by
-# repr (floats), _fmt_floats (float vectors) and Polynomial.format are
-# finite, and that each vector and mask is as long as its default, since
-# overrides and hand-built configs never pass through the parsers.  The
-# float and float-vector fields are cli.parse_grid's sweep axes.
+# parser, formatter, default; _violation reads the parser and formatter as
+# the value's kind.  The float and float-vector fields are sweep axes.
 _KEYS = (
-    ("plant.c1", "c1", _float, repr, -2.0),
-    ("plant.c2", "c2", _float, repr, 1.5),
-    ("plant.c3", "c3", _float, repr, 0.5),
-    ("plant.sigma", "sigma", _float, repr, 0.5),
-    ("init.x", "x0", _floats(2), _fmt_floats, (1.0, -1.0)),
-    ("init.v", "v0", _floats(2), _fmt_floats, (1.0, 1.0)),
-    ("init.eta1", "eta1_0", _floats(4), _fmt_floats, (0.0,) * 4),
-    ("init.eta2", "eta2_0", _floats(8), _fmt_floats, (0.0,) * 8),
-    ("init.khat", "khat0", _float, repr, 0.0),
-    ("model.m1", "m1", _floats(4), _fmt_floats, (10.0, 18.0, 15.0, 6.0)),
-    ("model.m2", "m2", _floats(8), _fmt_floats, (1.0, 5.0, 13.0, 22.0, 26.0, 22.0, 13.0, 5.0)),
-    ("mapping.epsilon", "epsilon", _float, repr, 0.1),
-    ("mapping.mask1", "mask1", _mask(2), _fmt_mask, (False, True)),
-    ("mapping.mask2", "mask2", _mask(4), _fmt_mask, (False, True, False, True)),
+    ("plant.c1", "c1", _number, repr, -2.0),
+    ("plant.c2", "c2", _number, repr, 1.5),
+    ("plant.c3", "c3", _number, repr, 0.5),
+    ("plant.sigma", "sigma", _number, repr, 0.5),
+    ("init.x", "x0", _floats, _fmt_floats, (1.0, -1.0)),
+    ("init.v", "v0", _floats, _fmt_floats, (1.0, 1.0)),
+    ("init.eta1", "eta1_0", _floats, _fmt_floats, (0.0,) * 4),
+    ("init.eta2", "eta2_0", _floats, _fmt_floats, (0.0,) * 8),
+    ("init.khat", "khat0", _number, repr, 0.0),
+    ("model.m1", "m1", _floats, _fmt_floats, (10.0, 18.0, 15.0, 6.0)),
+    ("model.m2", "m2", _floats, _fmt_floats, (1.0, 5.0, 13.0, 22.0, 26.0, 22.0, 13.0, 5.0)),
+    ("mapping.epsilon", "epsilon", _number, repr, 0.1),
+    ("mapping.mask1", "mask1", _mask, _fmt_mask, (False, True)),
+    ("mapping.mask2", "mask2", _mask, _fmt_mask, (False, True, False, True)),
     ("gains.rho", "rho", Polynomial.parse, Polynomial.format,
      Polynomial((10.0, 0.0, 0.0, 0.0, 4.0))),
     ("gains.k", "k", Polynomial.parse, Polynomial.format, Polynomial((1.0, 0.0, 1.0))),
-    ("gains.k0", "k0", _float, repr, 1.0),
-    ("sim.h", "h", _float, repr, 1e-3),
-    ("sim.t_end", "t_end", _float, repr, 100.0),
+    ("gains.k0", "k0", _number, repr, 1.0),
+    ("sim.h", "h", _number, repr, 1e-3),
+    ("sim.t_end", "t_end", _number, repr, 100.0),
     ("sim.stride", "stride", _int, "%d".__mod__, 10),
-    ("sim.disturbance_amp", "disturbance_amp", _float, repr, 0.0),
-    ("sim.disturbance_freq", "disturbance_freq", _float, repr, 0.0),
-    ("mode", "mode", _mode, str, "nonadaptive"),
+    ("sim.disturbance_amp", "disturbance_amp", _number, repr, 0.0),
+    ("sim.disturbance_freq", "disturbance_freq", _number, repr, 0.0),
+    ("mode", "mode", str, str, "nonadaptive"),
 )
-_PARSERS = {key: (name, parse) for key, name, parse, _, _ in _KEYS}
+_ROWS = {row[0]: row for row in _KEYS}
 
 
 class ScenarioConfig(Record):
@@ -213,14 +188,18 @@ def loads(text: str) -> ScenarioConfig:
             if key == "init":
                 if val != "steady":
                     errors.append((lineno, "init: must be steady, got %r" % val))
-            elif key not in _PARSERS:
+            elif key not in _ROWS:
                 errors.append((lineno, "unknown key %r" % key))
             else:
-                name, parse = _PARSERS[key]
+                _, name, parse, _, _ = row = _ROWS[key]
                 try:
                     kw[name] = parse(val)
                 except ValueError as exc:
-                    errors.append((lineno, "%s: %s" % (key, exc)))
+                    err = "%s: %s" % (key, exc)
+                else:
+                    err = _violation(row, kw[name])
+                if err:
+                    errors.append((lineno, err))
     if "init" in lines:
         errors += [(lines[k], "%s: not allowed with init = steady (line %d)" % (k, lines["init"]))
                    for k in ("init.x", "init.eta1", "init.eta2") if k in lines]
@@ -255,10 +234,10 @@ def validate(cfg: ScenarioConfig):
     The box warnings come even beside violations, but not for sigma <= 0;
     the gain warnings only for a config without violations.
 
-    Values of the wrong type, non-finite numbers and vectors or masks whose
-    length is not their default's (loads rejects all three at parse time,
-    but overrides and hand-built configs can carry them) are reported first
-    and alone, since every other check assumes them absent.
+    _violation's findings (wrong types and lengths, non-finite numbers,
+    gains above controller.MAX_GAIN_DEGREE, a stride above MAX_STEPS,
+    unknown modes) are reported first and alone, since every other check
+    assumes them absent.
     """
     errors = _malformed(cfg)
     if errors:
@@ -273,10 +252,6 @@ def validate(cfg: ScenarioConfig):
         errors.extend(_run_length_errors(cfg))
     if not cfg.epsilon > 0.0:
         errors.append("mapping.epsilon: must be > 0, got %r" % (cfg.epsilon,))
-    try:
-        _mode(cfg.mode)
-    except ValueError as exc:
-        errors.append("mode: %s" % exc)
     for name, m, label in (("model.m1", cfg.m1, "M1"), ("model.m2", cfg.m2, "M2")):
         try:
             filter_matrix(m)
@@ -302,38 +277,61 @@ def validate(cfg: ScenarioConfig):
 
 
 def _malformed(cfg: ScenarioConfig) -> list:
-    """Values of the wrong type, non-finite numbers, and vectors and masks
-    not as long as their defaults, in the parsers' words.  A number is an
-    int or a float (not a bool), a vector or mask a tuple, a mask entry a
-    bool, the stride an int and a gain a Polynomial: the types whose repr
-    and formatter loads reads back to an equal, hashable config."""
-    errors = []
-    for key, name, parse, fmt, default in _KEYS:
-        val = getattr(cfg, name)
-        if fmt is repr and not _is_number(val):
-            errors.append("%s: not a number: %r" % (key, val))
-        elif fmt is _fmt_floats and not (type(val) is tuple and all(map(_is_number, val))):
-            errors.append("%s: not a number list: %r" % (key, val))
-        elif fmt is _fmt_mask and not (type(val) is tuple and all(type(x) is bool for x in val)):
-            errors.append("%s: mask entries must be 0/1, got %r" % (key, val))
-        elif fmt is Polynomial.format and type(val) is not Polynomial:
-            errors.append("%s: not a Polynomial: %r" % (key, val))
-        elif parse is _int and type(val) is not int:
-            errors.append("%s: not an integer: %r" % (key, val))
-        elif fmt in (_fmt_floats, _fmt_mask) and len(val) != len(default):
-            errors.append("%s: expected %d %s, got %d" % (
-                key, len(default), "values" if fmt is _fmt_floats else "entries", len(val)))
-        elif fmt is repr and not math.isfinite(val):
-            errors.append("%s: must be finite, got %r" % (key, val))
-        elif fmt is _fmt_floats and not all(map(math.isfinite, val)):
-            errors.append("%s: values must be finite, got %r" % (key, val))
-        elif fmt is Polynomial.format and not all(map(math.isfinite, val.coeffs)):
-            errors.append("%s: coefficients must be finite, got %r" % (key, val.coeffs))
-    return errors
+    """_violation of each field, in _KEYS order."""
+    return list(filter(None, (_violation(row, getattr(cfg, row[1])) for row in _KEYS)))
+
+
+def _violation(row, val):
+    """"key: message" if val is no legal value of _KEYS row `row`, else None:
+    the one statement of type, length, finiteness, gain degree, stride bound
+    and mode.  A number is an int or a float (not a bool), a vector or mask a
+    tuple, a mask entry a bool, the stride an int and a gain a Polynomial:
+    the types whose repr and formatter loads reads back to an equal,
+    hashable config."""
+    key, _, parse, fmt, default = row
+    if fmt is repr and not _is_number(val):
+        return "%s: not a number: %s" % (key, _repr(val))
+    if fmt is _fmt_floats and not (type(val) is tuple and all(map(_is_number, val))):
+        return "%s: not a number list: %s" % (key, _repr(val))
+    if fmt is _fmt_mask and not (type(val) is tuple and all(type(x) is bool for x in val)):
+        return "%s: mask entries must be 0/1, got %s" % (key, _repr(val))
+    if fmt is Polynomial.format and type(val) is not Polynomial:
+        return "%s: not a Polynomial: %s" % (key, _repr(val))
+    if parse is _int and type(val) is not int:
+        return "%s: not an integer: %s" % (key, _repr(val))
+    if fmt in (_fmt_floats, _fmt_mask) and len(val) != len(default):
+        return "%s: expected %d %s, got %d" % (
+            key, len(default), "values" if fmt is _fmt_floats else "entries", len(val))
+    if fmt is Polynomial.format and len(val.coeffs) > MAX_GAIN_DEGREE + 1:
+        return "%s: degree %d is above %d" % (key, len(val.coeffs) - 1, MAX_GAIN_DEGREE)
+    if fmt is repr and not _finite(val):
+        return "%s: must be finite, got %s" % (key, _repr(val))
+    if fmt is _fmt_floats and not all(map(_finite, val)):
+        return "%s: values must be finite, got %s" % (key, _repr(val))
+    if fmt is Polynomial.format and not all(map(_finite, val.coeffs)):
+        return "%s: coefficients must be finite, got %r" % (key, val.coeffs)
+    if parse is _int and val > MAX_STEPS:
+        return "%s: must be <= %d, got %s" % (key, MAX_STEPS, _repr(val))
+    if fmt is str and val not in MODES:
+        return "%s: must be one of %s, got %s" % (key, "/".join(MODES), _repr(val))
 
 
 def _is_number(x) -> bool:
     return type(x) in (int, float)
+
+
+def _finite(x) -> bool:
+    # math.isfinite raises OverflowError for an int beyond the float range
+    return abs(x) <= sys.float_info.max
+
+
+def _repr(val) -> str:
+    # repr of an int with more digits than sys.get_int_max_str_digits(), or
+    # of a value holding one, raises ValueError
+    try:
+        return repr(val)
+    except ValueError:
+        return "<%s too long to print>" % type(val).__name__
 
 
 def _run_length_errors(cfg: ScenarioConfig) -> list:

@@ -120,6 +120,42 @@ def test_run_too_many_steps_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line, err", [
+    ("gains.rho = 10 + s^65",
+     "gains.rho: term '+s^65' has degree above 64 in gain expression '10 + s^65'"),
+    ("plant.c1 = 1" + "0" * 400, "plant.c1: must be finite, got inf"),
+    ("plant.c1 = 1" + "0" * 5000, "plant.c1: must be finite, got inf"),
+], ids=["degree-65", "c1=10**400", "c1=10**5000"])
+def test_run_value_out_of_range_exits_2(tmp_path, capsys, line, err):
+    scn = tmp_path / "bad.scn"
+    scn.write_text(line + "\n")
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(scn), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error:\nline 1: %s\n" % err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("backend", ["", "python"], ids=["default", "python"])
+def test_run_stride_above_max_steps_exits_2_on_either_backend(tmp_path, backend):
+    # 10**20 fits no C long, so the compiled twin would die on it with an
+    # OverflowError where the Python twin runs: validation must refuse it
+    import outreg
+
+    scn = tmp_path / "wide.scn"
+    scn.write_text("sim.stride = 100000000000000000000\nsim.t_end = 0.01\n")
+    out = tmp_path / "o"
+    code = "import sys; from outreg.cli import main; sys.exit(main(%r))" % (
+        ["run", "--scenario", str(scn), "--out", str(out)],)
+    src = os.path.dirname(os.path.dirname(outreg.__file__))
+    env = dict(os.environ, OUTREG_BACKEND=backend, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 2, run.stderr
+    assert run.stderr == ("config error:\nline 1: sim.stride: must be <= 10000000, "
+                          "got 100000000000000000000\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", (["run"], ["sweep", "--grid", "sigma=1"]))
 def test_seed_is_check_only(argv, tmp_path, capsys):
     with pytest.raises(SystemExit) as info:

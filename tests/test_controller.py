@@ -66,6 +66,16 @@ def test_polynomial_format_round_trip():
         assert Polynomial.parse(p.format()) == p
 
 
+@pytest.mark.parametrize("c, text", [(1e-5, "0.00001"), (1.5e-300, "0." + "0" * 299 + "15"),
+                                     (5e-324, "0." + "0" * 323 + "5")])
+def test_polynomial_format_writes_no_exponent(c, text):
+    # repr writes these as 1e-05, 1.5e-300 and 5e-324, which the gain
+    # grammar cannot read; format writes the same shortest digits positionally
+    p = Polynomial((10.0, -c, 0.0, c))
+    assert p.format() == "10 - %s*s + %s*s^3" % (text, text)
+    assert Polynomial.parse(p.format()) == p
+
+
 def test_polynomial_horner_matches_direct_sum():
     rng = random.Random(59)
     for _ in range(100):

@@ -1,3 +1,4 @@
+import math
 import os
 import pickle
 import warnings
@@ -211,7 +212,7 @@ def test_step_count_capped():
     # a stride that keeps few records no longer hides an endless run
     with pytest.raises(ScenarioError, match=r"^sim: sim.t_end = 1000000000.0 at sim.h = 0.001 "
                        r"is 1000000000000 steps, more than %d$" % MAX_STEPS):
-        with_overrides(ScenarioConfig(), t_end=1e9, stride=10 ** 9)
+        with_overrides(ScenarioConfig(), t_end=1e9, stride=MAX_STEPS)
     at_cap = "sim.h = 1\nsim.stride = %d\nsim.t_end = %d\n" % (MAX_STEPS, MAX_STEPS)
     assert loads(at_cap).n_steps == MAX_STEPS
     with pytest.raises(ScenarioError, match="is %d steps, more than" % (MAX_STEPS + 1)):
@@ -433,15 +434,32 @@ _TYPED_VALUES = [
     ("stride", 5, None),
     ("rho", "10", "gains.rho: not a Polynomial: '10'"),
     ("k", (1.0, 0.0, 1.0), "gains.k: not a Polynomial: (1.0, 0.0, 1.0)"),
+    # each rule below is written once, so an override meets it as a file does
+    ("rho", Polynomial((10.0,) + (0.0,) * MAX_GAIN_DEGREE + (1.0,)),
+     "gains.rho: degree %d is above %d" % (MAX_GAIN_DEGREE + 1, MAX_GAIN_DEGREE)),
+    ("c1", 10 ** 400, "plant.c1: must be finite, got 1" + "0" * 400),
+    # repr of an int this long raises ValueError
+    ("c1", 10 ** 5000, "plant.c1: must be finite, got <int too long to print>"),
+    ("stride", 10 ** 20, "sim.stride: must be <= %d, got 1%s" % (MAX_STEPS, "0" * 20)),
+    ("rho", Polynomial((10.0, 0.0, 1e-7)), None),  # written 10 + 0.0000001*s^2
 ]
 _WRONG_TYPES = [case for case in _TYPED_VALUES if case[2] is not None]
 
 
+def _case_id(field, val, message):
+    # repr names neither 10**5000 (it raises) nor the degree-65 gain briefly
+    if type(val) is int and val > 10 ** 18:
+        return "%s=10**%d" % (field, round(math.log10(val)))
+    if type(val) is Polynomial and len(val.coeffs) > MAX_GAIN_DEGREE:
+        return "%s=degree %d" % (field, len(val.coeffs) - 1)
+    return "%s=%r" % (field, val)
+
+
 @pytest.mark.parametrize("field, val, message", _WRONG_TYPES,
-                         ids=["%s=%r" % case[:2] for case in _WRONG_TYPES])
+                         ids=[_case_id(*case) for case in _WRONG_TYPES])
 def test_wrong_value_type_is_reported_first_and_alone(field, val, message):
-    # as the parser words it, and without the checks that assume the type
-    # (here the epsilon > 0 check of epsilon = -1)
+    # as a file's value would be worded, and without the checks that assume
+    # a legal value (here the epsilon > 0 check of epsilon = -1)
     with pytest.raises(ScenarioError) as info:
         with_overrides(ScenarioConfig(), epsilon=-1.0, **{field: val})
     assert info.value.violations == (message,)
@@ -461,6 +479,28 @@ def test_every_accepted_value_keeps_the_record_contract():
         assert loads(serialize(cfg)) == cfg
         accepted += 1
     assert accepted == len(_TYPED_VALUES) - len(_WRONG_TYPES)
+
+
+_BOTH_PATHS = [
+    ("plant.c2", "c2", "nan", math.nan),
+    ("init.v", "v0", "1, inf", (1.0, math.inf)),
+    ("model.m1", "m1", "10, 18, 15", (10.0, 18.0, 15.0)),
+    ("mapping.mask2", "mask2", "0, 1", (False, True)),
+    ("mode", "mode", "turbo", "turbo"),
+]
+
+
+@pytest.mark.parametrize("key, field, text, val", _BOTH_PATHS, ids=[c[0] for c in _BOTH_PATHS])
+def test_a_file_and_an_override_meet_the_same_rule(key, field, text, val):
+    # the same bad value read from a file and passed as an override gives
+    # the same violation, the file's with its line number
+    with pytest.raises(ScenarioError) as from_file:
+        loads("plant.c1 = -1\n%s = %s\n" % (key, text))
+    with pytest.raises(ScenarioError) as from_override:
+        with_overrides(ScenarioConfig(), **{field: val})
+    assert len(from_override.value.violations) == 1
+    assert from_file.value.violations == tuple(
+        "line 2: " + v for v in from_override.value.violations)
 
 
 def test_nonpositive_sigma_is_a_plant_violation():
