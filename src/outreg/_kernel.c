@@ -4,14 +4,15 @@
  * operation order, as in _kernel_py.py, and the build uses -ffp-contract=off
  * so no multiply-add fusion can change the rounding.  Edit both files
  * together, expression by expression.  format_rows and format_vertices
- * print what CPython's "%.17g" and "%.6g" print, byte for byte.
+ * print what CPython's "%.17g" and "%.6g" print, byte for byte: write_g
+ * finds the digits of a log's values by exact integer arithmetic, and
+ * hands every other value to CPython's own PyOS_double_to_string.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
-#include <locale.h>
 #include <math.h>
-#include <stdio.h>
+#include <stdint.h>
 #include <string.h>
 
 #define LIMIT 1e9
@@ -464,12 +465,160 @@ done:
 #define ROW_FLOAT_MAX 25
 #define VERTEX_MAX 28
 
+#ifdef __SIZEOF_INT128__
+typedef unsigned __int128 u128;
+
+/* 5**j for j = 0..55, filled by PyInit__kernel; 5**56 > 2**128. */
+static u128 pow5[56];
+
+/* "%.<prec>g" of x (1 <= prec <= 17) at p, for +-0 and for the normal
+ * doubles whose scale s = prec - 1 - floor(log10|x|) lies in [0, 55];
+ * returns the end of the text, or NULL for every other x.
+ *
+ * x = m * 2**e with m < 2**53, so |x| * 10**s is m * 5**s (at most 181
+ * bits) times 2**(e + s).  Its integer part q has prec digits exactly when
+ * s is the right scale, and the bits shifted out of q round it half to
+ * even, as CPython's dtoa rounds.  Then the digits are laid out as "%g"
+ * lays them out: fixed from 1e-4 up to 10**prec, else with an exponent,
+ * trailing zeros dropped. */
+static char *exact_g(char *p, double x, int prec)
+{
+    const uint64_t lo_q = (uint64_t)pow5[prec - 1] << (prec - 1); /* 10**(prec-1) */
+    const uint64_t hi_q = (uint64_t)pow5[prec] << prec;           /* 10**prec */
+    const uint64_t half = (uint64_t)1 << 63;
+    uint64_t bits, m, lo, q, frac;
+    u128 hi, r;
+    int biased, e2, s, k, sticky, exp10, nd, i;
+    char d[17];
+
+    memcpy(&bits, &x, sizeof bits);
+    if (bits >> 63)
+        *p++ = '-';
+    biased = (int)(bits >> 52 & 0x7ff);
+    m = bits & (((uint64_t)1 << 52) - 1);
+    if (biased == 0 && m == 0) {
+        *p++ = '0';
+        return p;
+    }
+    if (biased == 0 || biased == 0x7ff) /* subnormal, inf or nan */
+        return NULL;
+    m |= (uint64_t)1 << 52;
+    /* floor(log10(2**e2)) by (e2 * 78913) >> 18, exact for |e2| <= 1650; it
+     * is floor(log10|x|) or one less, which the loop below corrects */
+    e2 = biased - 1023;
+    s = prec - 1 - (e2 >= 0 ? e2 * 78913 >> 18 : -((-e2 * 78913 + 262143) >> 18));
+    /* s is the scale or one more; from 56, only the scale 55 can be in range */
+    if (s > 56)
+        return NULL;
+    if (s == 56)
+        s = 55;
+    for (;;) {
+        if (s < 0)
+            return NULL;
+        /* m * 5**s = hi * 2**64 + lo, of which q keeps all but the low
+         * k = -(e + s) bits */
+        r = (u128)m * (uint64_t)pow5[s];
+        hi = (u128)m * (uint64_t)(pow5[s] >> 64) + (r >> 64);
+        lo = (uint64_t)r;
+        k = 1075 - biased - s; /* e = biased - 1075 */
+        sticky = 0;
+        if (k <= 0) { /* |x| * 10**s is an integer below 2**60: hi is 0 */
+            q = lo << -k;
+            frac = 0;
+        } else if (k < 64) {
+            q = (uint64_t)(hi << (64 - k)) | lo >> k;
+            frac = lo << (64 - k);
+        } else if (k == 64) {
+            q = (uint64_t)hi;
+            frac = lo;
+        } else {
+            r = hi << (192 - k);
+            q = (uint64_t)(hi >> (k - 64));
+            frac = (uint64_t)(r >> 64);
+            sticky = (uint64_t)r != 0 || lo != 0;
+        }
+        if (q < hi_q)
+            break;
+        s--;
+    }
+    if (q < lo_q) /* floor(log10|x|) is prec - 57: outside the range */
+        return NULL;
+    /* frac holds the cut bits' top 64, sticky whether any lower one is set */
+    if (frac > half || (frac == half && (sticky || (q & 1))))
+        q++;
+    exp10 = prec - 1 - s;
+    if (q == hi_q) { /* rounded up to 10**prec: one digit more in front */
+        q = lo_q;
+        exp10++;
+    }
+    for (i = prec - 1; i >= 0; i--) {
+        d[i] = (char)('0' + q % 10);
+        q /= 10;
+    }
+    for (nd = prec; nd > 1 && d[nd - 1] == '0'; nd--)
+        ;
+    if (exp10 < -4 || exp10 >= prec) {
+        *p++ = d[0];
+        if (nd > 1) {
+            *p++ = '.';
+            memcpy(p, d + 1, (size_t)(nd - 1));
+            p += nd - 1;
+        }
+        *p++ = 'e';
+        *p++ = exp10 < 0 ? '-' : '+';
+        if (exp10 < 0)
+            exp10 = -exp10;
+        /* |exp10| <= 55 here: two digits, as "%g" writes at least two */
+        *p++ = (char)('0' + exp10 / 10);
+        *p++ = (char)('0' + exp10 % 10);
+    } else if (exp10 < 0) {
+        *p++ = '0';
+        *p++ = '.';
+        for (i = exp10; i < -1; i++)
+            *p++ = '0';
+        memcpy(p, d, (size_t)nd);
+        p += nd;
+    } else if (nd <= exp10 + 1) {
+        memcpy(p, d, (size_t)nd);
+        p += nd;
+        for (i = nd; i <= exp10; i++)
+            *p++ = '0';
+    } else {
+        memcpy(p, d, (size_t)(exp10 + 1));
+        p += exp10 + 1;
+        *p++ = '.';
+        memcpy(p, d + exp10 + 1, (size_t)(nd - exp10 - 1));
+        p += nd - exp10 - 1;
+    }
+    return p;
+}
+#endif
+
+/* "%.<prec>g" of x at p, as CPython's "%" prints it; returns the end of the
+ * text, or NULL with an exception set.  Needs 24 bytes at p. */
+static char *write_g(char *p, double x, int prec)
+{
+    char *s;
+    size_t len;
+#ifdef __SIZEOF_INT128__
+    char *end = exact_g(p, x, prec);
+    if (end != NULL)
+        return end;
+#endif
+    s = PyOS_double_to_string(x, 'g', prec, 0, NULL);
+    if (s == NULL)
+        return NULL;
+    len = strlen(s);
+    memcpy(p, s, len);
+    PyMem_Free(s);
+    return p + len;
+}
+
 static PyObject *format_rows(PyObject *self, PyObject *args)
 {
     PyObject *data, *out = NULL;
     Py_buffer view;
     Py_ssize_t ncol, n, i;
-    locale_t c_numeric, prev;
     char *p, *start;
 
     (void)self;
@@ -493,28 +642,15 @@ static PyObject *format_rows(PyObject *self, PyObject *args)
     out = PyUnicode_New(n * ROW_FLOAT_MAX, 127);
     if (out == NULL || n == 0)
         goto done;
-    /* glibc's printf follows LC_NUMERIC, CPython's "%" does not */
-    c_numeric = newlocale(LC_NUMERIC_MASK, "C", (locale_t)0);
-    if (c_numeric == (locale_t)0) {
-        Py_CLEAR(out);
-        PyErr_SetFromErrno(PyExc_OSError);
-        goto done;
-    }
-    prev = uselocale(c_numeric);
     start = p = (char *)PyUnicode_1BYTE_DATA(out);
     for (i = 0; i < n; i++) {
-        double v = ((const double *)view.buf)[i];
-        /* CPython prints every nan as "nan", glibc a negative one as "-nan" */
-        if (isnan(v)) {
-            memcpy(p, "nan", 3);
-            p += 3;
-        } else {
-            p += snprintf(p, ROW_FLOAT_MAX, "%.17g", v);
+        p = write_g(p, ((const double *)view.buf)[i], 17);
+        if (p == NULL) {
+            Py_CLEAR(out);
+            goto done;
         }
         *p++ = (i + 1) % ncol ? ',' : '\n';
     }
-    uselocale(prev);
-    freelocale(c_numeric);
     if (PyUnicode_Resize(&out, p - start) < 0)
         Py_CLEAR(out);
 
@@ -570,15 +706,9 @@ static PyObject *format_vertices(PyObject *self, PyObject *args)
         if (i > 0)
             *p++ = ' ';
         for (k = 0; k < 2; k++) {
-            /* CPython's own "%.6g", so the bytes match by construction */
-            char *s = PyOS_double_to_string(c[k], 'g', 6, 0, NULL);
-            size_t len;
-            if (s == NULL)
+            p = write_g(p, c[k], 6);
+            if (p == NULL)
                 goto fail;
-            len = strlen(s);
-            memcpy(p, s, len);
-            p += len;
-            PyMem_Free(s);
             if (k == 0)
                 *p++ = ',';
         }
@@ -616,5 +746,11 @@ static struct PyModuleDef module = {
 
 PyMODINIT_FUNC PyInit__kernel(void)
 {
+#ifdef __SIZEOF_INT128__
+    int j;
+    pow5[0] = 1;
+    for (j = 1; j < 56; j++)
+        pow5[j] = pow5[j - 1] * 5;
+#endif
     return PyModule_Create(&module);
 }

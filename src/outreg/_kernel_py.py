@@ -42,9 +42,10 @@ and estimators keep running so the log stays comparable).
 
 Formatters: format_rows prints each value as "%.17g" % x does and
 format_vertices as "%.6g" % x does.  Here that is the "%" operator itself;
-the C twin prints rows with snprintf under the C numeric locale, and every
-nan as "nan" (glibc writes "-nan" for a negative one), and vertices with
-PyOS_double_to_string, the routine behind CPython's "%".
+the C twin finds the digits of +-0 and of normal doubles from 1e-39 up to
+1e17 (rows) or from 1e-50 up to 1e6 (vertices) by exact integer arithmetic,
+and prints every other value with PyOS_double_to_string, the routine behind
+CPython's "%".
 """
 
 from array import array

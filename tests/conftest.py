@@ -49,18 +49,13 @@ def kern(request):
     return request.getfixturevalue("ckernel")
 
 
-@pytest.fixture(scope="session")
-def ckernel(tmp_path_factory):
-    """The compiled twin, built from the tracked _kernel.c by the package's
-    own recipe (outreg.backend.build) with warnings as errors, to keep the
-    hand-written source clean.  It is loaded privately (not into
-    sys.modules), so the rest of the suite keeps the backend that
-    outreg.backend chose at import, and a run under OUTREG_BACKEND=python
-    still checks twin parity.  A warning fails it; without a compiler or
-    Python.h it skips, with the build's reason."""
+def _build_private(tmp_path_factory, extra_flags=()):
+    """_kernel.c built by outreg.backend.build with warnings as errors and
+    extra_flags, then loaded privately (not into sys.modules); skips the
+    test without a compiler or Python.h, with the build's reason."""
     so = tmp_path_factory.mktemp("kernel") / ("_kernel" + EXTENSION_SUFFIXES[0])
     try:
-        backend.build(so, extra_flags=("-Wall", "-Wextra", "-Werror"))
+        backend.build(so, extra_flags=("-Wall", "-Wextra", "-Werror", *extra_flags))
     except backend.CompileError:
         raise
     except backend.BuildError as exc:
@@ -77,3 +72,23 @@ def ckernel(tmp_path_factory):
     else:
         sys.modules[name] = prev
     return mod
+
+
+@pytest.fixture(scope="session")
+def ckernel(tmp_path_factory):
+    """The compiled twin, built from the tracked _kernel.c by the package's
+    own recipe (outreg.backend.build) with warnings as errors, to keep the
+    hand-written source clean.  It is loaded privately (not into
+    sys.modules), so the rest of the suite keeps the backend that
+    outreg.backend chose at import, and a run under OUTREG_BACKEND=python
+    still checks twin parity.  A warning fails it; without a compiler or
+    Python.h it skips, with the build's reason."""
+    return _build_private(tmp_path_factory)
+
+
+@pytest.fixture(scope="session")
+def ckernel_no_int128(tmp_path_factory):
+    """The compiled twin built as ckernel is, but with __SIZEOF_INT128__
+    undefined, as on a compiler without 128-bit integers: its formatters
+    print every value through CPython's PyOS_double_to_string."""
+    return _build_private(tmp_path_factory, ("-U__SIZEOF_INT128__",))

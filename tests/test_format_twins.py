@@ -5,7 +5,9 @@ prints it, whatever its sign, payload or exponent, so a row formatted in C
 reads back to the same bits.  format_vertices writes an SVG polyline's
 points, and must equal the list comprehension svgplot.line_chart used before
 the twins held it (kept here as the reference), coordinate expressions and
-"%.6g" alike.  Each test runs on both twins through the kern fixture.
+"%.6g" alike.  Each test runs through the kern fixture on both twins and on
+the C twin built without __int128, whose formatters skip the exact-digit
+path and print every value through CPython's own routine.
 """
 
 import decimal
@@ -14,12 +16,23 @@ import random
 import struct
 import sys
 from array import array
+from fractions import Fraction
 
 import pytest
 
-from outreg import svgplot
+from outreg import _kernel_py, svgplot
 from outreg.scenario import with_overrides
 from outreg.simulate import CSV_HEADER, integrate
+
+
+@pytest.fixture(params=["python", "compiled", "compiled-no-int128"])
+def kern(request):
+    """Each twin in turn, then the C twin without __int128."""
+    if request.param == "python":
+        return _kernel_py
+    if request.param == "compiled":
+        return request.getfixturevalue("ckernel")
+    return request.getfixturevalue("ckernel_no_int128")
 
 
 def _from_bits(bits):
@@ -82,6 +95,34 @@ def test_rows_print_random_bit_patterns(kern):
     rng = random.Random(20261019)
     vals = list(struct.unpack("<100000d", rng.randbytes(800000)))
     assert kern.format_rows(array("d", vals), 10) == _csv_body(vals, 10)
+
+
+def _powers_of_ten():
+    """Every power of ten from 1e-323 to 1e308 and one ulp on each side,
+    both signs.  The C twin finds "%.Pg"'s digits by integer arithmetic where
+    P - 1 - floor(log10|x|) is in [0, 55], 1e-39 <= |x| < 1e17 for rows and
+    1e-50 <= |x| < 1e6 for vertices, and prints every other value with
+    CPython's routine, so this holds each range edge one ulp inside and one
+    ulp outside.  It also holds the largest double below each power of ten,
+    which may round up to one digit more."""
+    vals = [v for k in range(-323, 309) for x in [float("1e%d" % k)]
+            for v in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))]
+    return vals + [-v for v in vals]
+
+
+def test_rows_print_log_uniform_values(kern):
+    # |x| from 1e-45 to 1e20: the exact path's range and beyond both ends
+    rng = random.Random(4817)
+    vals = [math.copysign(10.0 ** rng.uniform(-45.0, 20.0), rng.random() - 0.5)
+            for _ in range(400_000)]
+    assert kern.format_rows(array("d", vals), 8) == _csv_body(vals, 8)
+
+
+def test_rows_print_powers_of_ten_and_their_neighbours(kern):
+    vals = _powers_of_ten()
+    # the double nearest 1e-14 lies below it, and its 17 digits round up
+    assert Fraction(1e-14) < Fraction(1, 10 ** 14) and "%.17g" % 1e-14 == "1e-14"
+    assert kern.format_rows(array("d", vals), 3) == _csv_body(vals, 3)
 
 
 @pytest.mark.parametrize("rows", [0, 1, 1024, 1025])
@@ -151,3 +192,40 @@ def test_vertices_divide_by_zero_as_python_does(kern):
     with pytest.raises(ZeroDivisionError):
         kern.format_vertices([1.0], [1.0], 1.0, 0.0, 1.0, 1.0, 3.0, 3.0, 64, 34, PW, PH)
     assert kern.format_vertices([], [], 1.0, 2.0, 2.0, 1.0, 3.0, 3.0, 64, 34, PW, PH) == ""
+
+
+# ml = mt = 0, xlo = ylo = 0, xhi = yhi = 1, pw = ph = 1 and sx = sy = 1:
+# the x coordinate is x itself, so "%.6g" sees exactly the values given
+IDENTITY = (1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0)
+
+
+def _vertex_ties(count, seed):
+    """Doubles whose exact decimal expansion has 7 significant digits, the
+    last a 5: each an exact tie at "%.6g"'s 6th digit.  m / 2**e for odd m
+    has the digits of m * 5**e, which ends in 5, so m is drawn where that
+    product has 7 digits."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        e = rng.randrange(1, 10)
+        x = math.ldexp(rng.randrange(-(-10 ** 6 // 5 ** e), 10 ** 7 // 5 ** e) | 1, -e)
+        digits = decimal.Decimal(x).as_tuple().digits
+        if len(digits) == 7 and digits[-1] == 5:
+            out.append(x if rng.getrandbits(1) else -x)
+    return out
+
+
+def test_vertices_round_exact_ties_half_to_even(kern):
+    # 999999.5 rounds up to 10**6 and prints with an exponent
+    assert ("%.6g %.6g %.6g" % (100.0625, 999998.5, 999999.5)) == "100.062 999998 1e+06"
+    ties = [100.0625, 999998.5, 999999.5] + _vertex_ties(3000, seed=6)
+    args = (ties, ties, *IDENTITY)
+    assert kern.format_vertices(*args) == _comprehension(*args)
+
+
+def test_vertices_print_log_uniform_values_and_powers_of_ten(kern):
+    rng = random.Random(6109)
+    vals = [math.copysign(10.0 ** rng.uniform(-60.0, 10.0), rng.random() - 0.5)
+            for _ in range(50_000)] + _powers_of_ten()
+    args = (vals, vals, *IDENTITY)
+    assert kern.format_vertices(*args) == _comprehension(*args)
