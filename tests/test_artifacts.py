@@ -6,18 +6,22 @@ stock cold start at stride 1, which escapes at t = 0.117: it pins a partial
 log and a metrics.json with null fields, and exits 3.  Each artifact is
 hashed as written; metrics.json is hashed without its "backend" line, the
 only byte that depends on which kernel twin ran.  One short sweep over a
-scalar and a vector axis pins summary.csv.  Any change to the record path,
-the CSV or SVG formatting, the metrics or the grid parser that moves one
-byte fails here.
+scalar and a vector axis pins summary.csv, and the four charts of two more
+logs pin what those runs never reach: thinning, and non-finite values.
+Any change to the record path, the CSV or SVG formatting, the metrics or the
+grid parser that moves one byte fails here.
 """
 
 import hashlib
+import math
 
 import pytest
 from conftest import STEADY_SCN
 
+from outreg import svgplot
 from outreg.cli import EXIT_DIVERGED, EXIT_OK, main
 from outreg.scenario import ScenarioConfig, serialize, with_overrides
+from outreg.simulate import SimLog, run
 
 # name: (start on the steady orbit?, overrides, exit status)
 CASES = {
@@ -84,3 +88,44 @@ def test_sweep_summary_pinned(tmp_path):
     assert main(["sweep", "--scenario", STEADY_SCN, "--tend", "1", "--jobs", "1",
                  "--grid", "sigma=0.5,1;c2=0,2;x0=1:0.5,1:0", "--out", str(out)]) == 3
     assert _sha((out / "summary.csv").read_bytes()) == SWEEP_SUMMARY_DIGEST
+
+
+# The four charts of two logs `outreg run` never writes in the cases above:
+# a dense log past svgplot._MAX_POINTS rows, so every series is thinned, and
+# a hand-built log whose estimate columns hold nan and +-inf after row 0
+# (x2 holds a nan too), so the y range, the ticks and the vertices meet
+# non-finite values.
+def _nonfinite_log():
+    nan, inf = math.nan, math.inf
+    a21 = (0.5, nan, inf, 0.75, -inf, 1.0)
+    a23 = (-1.0, -inf, 2.0, nan, inf, 0.0)
+    x2 = (0.0, 0.25, nan, -0.5, 0.125, 1.0)
+    return SimLog((0.25 * i, 1.0 - 0.1 * i, x2[i], 0.01 * i, 0.0, -0.5 * i, 1.0 + i,
+                   a21[i], a23[i], 1.0, 2.0, 0.001 * i) for i in range(6))
+
+
+SVG_DIGESTS = {
+    "dense": {
+        "trajectory_svg": "76f538654fc7cfdffa4aa761f049f676ae7fe46c0bba850e2ae51bb6eb5d5486",
+        "error_svg": "3b6d93e5c1cae776f588ada0d000c5ad5f8fcce6d76fbca822e81019bbd1d933",
+        "estimates_svg": "840f1e9e293c8d09875b32d58f21af59d9041924f6cbbfec7abef91b6b967faf",
+        "khat_svg": "fc2b33dcaed8aee5164c5d5bd1452df9010554d6233eb231d2599564ad44b620",
+    },
+    "nonfinite": {
+        "trajectory_svg": "e1d29a81efdaedc17b2afec1d87142ca73b40989686af0e2d345de23eae069a0",
+        "error_svg": "2d3ec2b5fc408357ceb19243432726dccfe0e1af8b7701a9d4b308cd3fa32887",
+        "estimates_svg": "0f18ebb9fe59cba10d65b0c8e57249ffb2fe262cdcc2ff1eb780afdd753795b5",
+        "khat_svg": "0376c2fe8ef4ad8e0505c0fd261b1676bca170154f5bc55d3b091aa965749d3b",
+    },
+}
+
+
+def test_svg_charts_pinned(steady_cfg):
+    logs = {"dense": run(with_overrides(steady_cfg, mode="adaptive", stride=1, t_end=2.5)),
+            "nonfinite": _nonfinite_log()}
+    assert len(logs["dense"]) == 2501 > svgplot._MAX_POINTS
+    got = {name: {fn.__name__: _sha(fn(log).encode())
+                  for fn in (svgplot.trajectory_svg, svgplot.error_svg,
+                             svgplot.estimates_svg, svgplot.khat_svg)}
+           for name, log in logs.items()}
+    assert got == SVG_DIGESTS
