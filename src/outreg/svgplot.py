@@ -1,16 +1,19 @@
 """Self-contained SVG line charts for run logs.
 
-No plotting dependency: the chart is assembled as text.  Output is a pure
-function of the input series (no timestamps, no randomness, fixed float
-formatting), so regenerating a plot from the same log.csv gives the same
-bytes.  Series longer than _MAX_POINTS are thinned by even index striding
-before drawing; that only drops drawn vertices, never rescales axes.
+No plotting dependency: the chart is assembled as text.  A chart draws some
+columns of one SimLog against its time column.  Output is a pure function
+of the log (no timestamps, no randomness, fixed float formatting), so
+regenerating a plot from the same log.csv gives the same bytes.  A log
+longer than _MAX_POINTS rows is thinned once per chart, by even index
+striding, before drawing; that only drops drawn vertices, never rescales
+axes.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from itertools import chain
 
 from .backend import format_vertices
 
@@ -24,14 +27,14 @@ def _fmt(x: float) -> str:
     return "%.6g" % x
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6):
-    """Round tick positions covering [lo, hi]; deterministic."""
+def _nice_ticks(lo: float, hi: float):
+    """About six round tick positions covering [lo, hi]; deterministic."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         return [0.0, 1.0]
     if lo == hi:
         pad = abs(lo) * 0.1 or 1.0
         lo, hi = lo - pad, hi + pad
-    raw = (hi - lo) / max(target - 1, 1)
+    raw = (hi - lo) / 5
     # a span that overflows, or a raw step below the normal range (where
     # 10 ** floor(log10(raw)) can underflow to 0), has no round ticks
     if not sys.float_info.min <= raw < math.inf:
@@ -54,45 +57,37 @@ def _nice_ticks(lo: float, hi: float, target: int = 6):
     return ticks or [lo, hi]
 
 
-def _bounds(vals):
-    """(lo, hi, scale): the range of vals times scale, padded by 5% of the
+def _bounds(lo, hi):
+    """(lo, hi, scale): the range [lo, hi] times scale, padded by 5% of the
     span (10% of the value, or 1, for a constant).  scale is 1, or 1/4 when
     the padded span would overflow a double, so every coordinate computed
     from scaled values stays finite."""
     for scale in (1.0, 0.25):
-        lo = min(vals) * scale
-        hi = max(vals) * scale
-        pad = (hi - lo) * 0.05 if lo != hi else abs(lo) * 0.1 or 1.0
-        if not math.isinf((hi + pad) - (lo - pad)):
+        slo, shi = lo * scale, hi * scale
+        pad = (shi - slo) * 0.05 if slo != shi else abs(slo) * 0.1 or 1.0
+        if not math.isinf((shi + pad) - (slo - pad)):
             break
-    return lo - pad, hi + pad, scale
+    return slo - pad, shi + pad, scale
 
 
-def _thin(xs, ys):
-    n = len(xs)
-    if n <= _MAX_POINTS:
-        return xs, ys
-    stride = (n + _MAX_POINTS - 1) // _MAX_POINTS
-    idx = list(range(0, n, stride))
-    if idx[-1] != n - 1:
-        idx.append(n - 1)
-    return [xs[i] for i in idx], [ys[i] for i in idx]
-
-
-def line_chart(series, title: str, xlabel: str, ylabel: str) -> str:
-    """series: list of (label, xs, ys) with equal-length xs/ys.
-
-    Returns a complete standalone SVG document as a string.
-    """
-    if not series:
-        raise ValueError("need at least one series")
-    for label, xs, ys in series:
-        if len(xs) != len(ys):
-            raise ValueError("series %r: x/y length mismatch" % label)
-        if not xs:
-            raise ValueError("series %r is empty" % label)
-    xlo, xhi, sx = _bounds([x for _, xs, _ in series for x in xs])
-    ylo, yhi, sy = _bounds([y for _, _, ys in series for y in ys])
+def line_chart(log, names, title: str, ylabel: str) -> str:
+    """The columns names of log against its time column, as a complete
+    standalone SVG document."""
+    if not names or not len(log):
+        raise ValueError("need at least one column and one row")
+    t = log.t
+    cols = [log.column(name) for name in names]
+    # t increases strictly, so its ends are its extremes; a nan in the
+    # columns counts only as the first value min and max meet
+    xlo, xhi, sx = _bounds(t[0], t[-1])
+    ylo, yhi, sy = _bounds(min(chain(*cols)), max(chain(*cols)))
+    n = len(t)
+    if n > _MAX_POINTS:  # one set of rows for every column; the last row stays
+        idx = list(range(0, n, (n + _MAX_POINTS - 1) // _MAX_POINTS))
+        if idx[-1] != n - 1:
+            idx.append(n - 1)
+        t = [t[i] for i in idx]
+        cols = [[col[i] for i in idx] for col in cols]
     pw = _W - _ML - _MR
     ph = _H - _MT - _MB
 
@@ -130,23 +125,22 @@ def line_chart(series, title: str, xlabel: str, ylabel: str) -> str:
     out.append('<rect x="%d" y="%d" width="%d" height="%d" fill="none" '
                'stroke="#333333"/>' % (_ML, _MT, pw, ph))
     # series; the backend computes px(x) and py(y) and formats each vertex
-    for idx, (label, xs, ys) in enumerate(series):
-        xs, ys = _thin(xs, ys)
-        pts = format_vertices(xs, ys, sx, xlo, xhi, sy, ylo, yhi, _ML, _MT, pw, ph)
+    for idx, col in enumerate(cols):
+        pts = format_vertices(t, col, sx, xlo, xhi, sy, ylo, yhi, _ML, _MT, pw, ph)
         out.append('<polyline points="%s" fill="none" stroke="%s" '
                    'stroke-width="1.4"/>' % (pts, _COLORS[idx % len(_COLORS)]))
     # legend
     lx = _ML + 10
-    for idx, (label, _, _) in enumerate(series):
+    for idx, name in enumerate(names):
         ly = _MT + 14 + 16 * idx
         out.append('<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="%s" '
                    'stroke-width="2"/>' % (lx, ly, lx + 18, ly,
                                            _COLORS[idx % len(_COLORS)]))
         out.append('<text x="%d" y="%d" font-size="12" fill="#222" '
-                   'dominant-baseline="middle">%s</text>' % (lx + 24, ly + 1, label))
+                   'dominant-baseline="middle">%s</text>' % (lx + 24, ly + 1, name))
     # axis labels
     out.append('<text x="%d" y="%d" font-size="12" fill="#222" '
-               'text-anchor="middle">%s</text>' % (_ML + pw // 2, _H - 10, xlabel))
+               'text-anchor="middle">t [s]</text>' % (_ML + pw // 2, _H - 10))
     out.append('<text x="14" y="%d" font-size="12" fill="#222" text-anchor="middle" '
                'transform="rotate(-90 14 %d)">%s</text>'
                % (_MT + ph // 2, _MT + ph // 2, ylabel))
@@ -155,24 +149,16 @@ def line_chart(series, title: str, xlabel: str, ylabel: str) -> str:
 
 
 def trajectory_svg(log) -> str:
-    t = log.t
-    return line_chart([("x1", t, log.column("x1")), ("x2", t, log.column("x2"))],
-                      "State trajectory", "t [s]", "state")
+    return line_chart(log, ("x1", "x2"), "State trajectory", "state")
 
 
 def error_svg(log) -> str:
-    return line_chart([("e", log.t, log.column("e"))],
-                      "Tracking error", "t [s]", "e = x1 - v1")
+    return line_chart(log, ("e",), "Tracking error", "e = x1 - v1")
 
 
 def estimates_svg(log) -> str:
-    t = log.t
-    return line_chart([("a11", t, log.column("a11")),
-                       ("a21", t, log.column("a21")),
-                       ("a23", t, log.column("a23"))],
-                      "Coefficient estimates", "t [s]", "estimate")
+    return line_chart(log, ("a11", "a21", "a23"), "Coefficient estimates", "estimate")
 
 
 def khat_svg(log) -> str:
-    return line_chart([("khat", log.t, log.column("khat"))],
-                      "Adaptive gain", "t [s]", "khat")
+    return line_chart(log, ("khat",), "Adaptive gain", "khat")

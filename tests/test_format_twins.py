@@ -154,8 +154,8 @@ PH = svgplot._H - svgplot._MT - svgplot._MB
 
 def _chart_args(xs, ys):
     """format_vertices' arguments as line_chart passes them for one series."""
-    xlo, xhi, sx = svgplot._bounds(xs)
-    ylo, yhi, sy = svgplot._bounds(ys)
+    xlo, xhi, sx = svgplot._bounds(min(xs), max(xs))
+    ylo, yhi, sy = svgplot._bounds(min(ys), max(ys))
     return (xs, ys, sx, xlo, xhi, sy, ylo, yhi, svgplot._ML, svgplot._MT, PW, PH)
 
 

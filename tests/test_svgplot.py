@@ -9,7 +9,7 @@ import pytest
 
 import outreg
 from outreg import svgplot
-from outreg.simulate import SimLog, run
+from outreg.simulate import CSV_HEADER, SimLog, run
 from outreg.scenario import serialize, with_overrides
 
 
@@ -21,6 +21,13 @@ def short_log(steady_cfg):
 def _parse(svg):
     # raises if not well-formed XML
     return ET.fromstring(svg)
+
+
+def _log(t, **cols):
+    """A SimLog with time column t, the given columns, and 0 elsewhere."""
+    names = CSV_HEADER.split(",")[1:]
+    return SimLog([t[i], *(cols[n][i] if n in cols else 0.0 for n in names)]
+                  for i in range(len(t)))
 
 
 def test_plots_deterministic_and_well_formed(short_log):
@@ -47,7 +54,7 @@ def test_line_chart_thins_long_series():
     n = 120000
     xs = tuple(float(i) for i in range(n))
     ys = tuple(float(i % 11) for i in range(n))
-    svg = svgplot.line_chart([("long", xs, ys)], "big", "t", "y")
+    svg = svgplot.line_chart(_log(xs, e=ys), ("e",), "big", "y")
     _parse(svg)
     # every plotted point contributes one "x,y" token to the polyline
     body = svg.split("polyline")[1]
@@ -57,8 +64,7 @@ def test_line_chart_thins_long_series():
 
 
 def test_constant_series_padded_axes():
-    svg = svgplot.line_chart([("c", (0.0, 1.0, 2.0), (5.0, 5.0, 5.0))],
-                             "flat", "t", "y")
+    svg = svgplot.line_chart(_log((0.0, 1.0, 2.0), e=(5.0, 5.0, 5.0)), ("e",), "flat", "y")
     _parse(svg)
     assert "NaN" not in svg and "inf" not in svg
 
@@ -74,14 +80,14 @@ def test_degenerate_span_ticks_are_finite(lo, hi):
 
 def test_one_subnormal_span_chart():
     # _bounds leaves a column that spans one subnormal unpadded
-    svg = svgplot.line_chart([("s", (0.0, 1.0), (0.0, 5e-324))], "tiny", "t", "y")
+    svg = svgplot.line_chart(_log((0.0, 1.0), e=(0.0, 5e-324)), ("e",), "tiny", "y")
     _parse(svg)
     assert "NaN" not in svg and "inf" not in svg
 
 
 def test_overflowing_span_chart():
     # hi - lo overflows a double, so _bounds scales the column down
-    svg = svgplot.line_chart([("s", (0.0, 1.0), (-1e308, 1e308))], "huge", "t", "y")
+    svg = svgplot.line_chart(_log((0.0, 1.0), e=(-1e308, 1e308)), ("e",), "huge", "y")
     line = _parse(svg).find("{http://www.w3.org/2000/svg}polyline")
     assert not re.search(r"\b(nan|inf)\b", svg, re.IGNORECASE)
     # both vertices land inside the plot frame
@@ -92,14 +98,9 @@ def test_overflowing_span_chart():
 
 def test_empty_series_rejected():
     with pytest.raises(ValueError):
-        svgplot.line_chart([("e", (), ())], "t", "x", "y")
+        svgplot.line_chart(SimLog([]), ("e",), "t", "y")
     with pytest.raises(ValueError):
-        svgplot.line_chart([], "t", "x", "y")
-
-
-def test_mismatched_lengths_rejected():
-    with pytest.raises(ValueError):
-        svgplot.line_chart([("m", (0.0, 1.0), (1.0,))], "t", "x", "y")
+        svgplot.line_chart(_log((0.0, 1.0), e=(1.0, 2.0)), (), "t", "y")
 
 
 def test_one_ulp_axis_terminates(tmp_path, steady_cfg):
