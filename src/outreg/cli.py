@@ -52,9 +52,19 @@ class GridError(ValueError):
 
 
 def _load_cfg(args) -> ScenarioConfig:
+    over = {"mode": args.mode} if args.mode is not None else {}
+    errors = []
+    # a flag's number follows the scenario grammar, as a file line's does
+    for flag, key, name, text in (("--step", "sim.h", "h", args.step),
+                                  ("--tend", "sim.t_end", "t_end", args.tend)):
+        if text is not None:
+            try:
+                over[name] = _number(text)
+            except ValueError as exc:
+                errors.append("%s: %s: %s" % (flag, key, exc))
+    if errors:
+        raise ScenarioError(errors)
     cfg = load_scenario(args.scenario) if args.scenario else ScenarioConfig()
-    over = {name: val for name, val in (("mode", args.mode), ("h", args.step),
-                                        ("t_end", args.tend)) if val is not None}
     return with_overrides(cfg, **over) if over else cfg
 
 
@@ -278,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory (default: out)")
         p.add_argument("--mode", choices=MODES,
                        help="override the scenario's mode")
-        p.add_argument("--step", type=float, help="override integration step h")
-        p.add_argument("--tend", type=float, help="override simulation horizon")
+        p.add_argument("--step", help="override integration step h")
+        p.add_argument("--tend", help="override simulation horizon")
 
     pr = sub.add_parser("run", help="integrate one scenario, write log/metrics/plots")
     common(pr)

@@ -100,6 +100,20 @@ def test_run_infinite_tend_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--grid", "sigma=1"]],
+                         ids=["run", "sweep"])
+@pytest.mark.parametrize("text", ["1_0", "\u0661"], ids=["underscore", "arabic-indic"])
+@pytest.mark.parametrize("flag, key", [("--step", "sim.h"), ("--tend", "sim.t_end")])
+def test_flag_number_follows_the_grammar(tmp_path, capsys, command, text, flag, key):
+    # float() reads '1_0' as 10 and an Arabic-Indic one as 1; a scenario
+    # line or a grid cell refuses both, and so does a flag
+    out = tmp_path / "o"
+    assert main(command + [flag, text, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error:\n%s: %s: not a number: %r\n" % (
+        flag, key, text)
+    assert not out.exists()
+
+
 def test_run_zero_steps_exits_2(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["run", "--step", "10", "--tend", "1", "--out", str(out)]) == 2
