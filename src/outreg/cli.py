@@ -25,6 +25,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from itertools import product
 
 from . import svgplot
@@ -37,10 +38,9 @@ EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_IO = 4
 
-# sweep axes in file order: each field whose _KEYS row holds one float (None)
-# or a vector of floats (its length)
-_AXES = {name: None if fmt is repr else len(default)
-         for _, name, _, fmt, default in _KEYS if fmt in (repr, _fmt_floats)}
+# sweep axes in file order: each field whose _KEYS row holds a float or a
+# vector of floats
+_AXES = tuple(name for _, name, _, fmt, _ in _KEYS if fmt in (repr, _fmt_floats))
 
 _SUMMARY_METRICS = ("diverged", "diverged_at", "trailing_sup_e",
                     "trailing_err_a11", "trailing_err_a21",
@@ -98,7 +98,9 @@ def cmd_run(args) -> int:
 
 
 def parse_grid(spec: str):
-    """'sigma=0.1,0.5;x0=1:-1,0:0' -> ordered [(name, [values])]."""
+    """'sigma=0.1,0.5;x0=1:-1,0:0' -> ordered [(name, [values])]: a cell of
+    one number is a float, of several a tuple.  Syntax only: with_overrides
+    judges each point's values, as loads judges a file line's."""
     axes = []
     for part in (spec or "").split(";"):
         part = part.strip()
@@ -112,18 +114,13 @@ def parse_grid(spec: str):
             raise GridError("unknown grid key %r (allowed: %s)" % (name, ", ".join(_AXES)))
         if name in dict(axes):
             raise GridError("duplicate grid key %r" % name)
-        length = _AXES[name]
         items = []
         for tok in vals.split(","):
             try:
-                # no finiteness check: validate names the scenario key
-                point = tuple(map(_number, tok.strip().split(":")))
+                cell = tuple(map(_number, tok.strip().split(":")))
             except ValueError:
-                point = ()
-            if len(point) != (length or 1):
-                hint = "" if length is None else " (%d numbers joined by ':')" % length
-                raise GridError("%s: bad value %r%s" % (name, tok.strip(), hint))
-            items.append(point if length else point[0])
+                raise GridError("%s: bad value %r" % (name, tok.strip())) from None
+            items.append(cell[0] if len(cell) == 1 else cell)
         axes.append((name, items))
     if not axes:
         raise GridError("no grid points")
@@ -137,7 +134,10 @@ def _grid_points(axes):
 
 
 def _sweep_worker(base: ScenarioConfig, overrides: dict) -> dict:
-    cfg = with_overrides(base, **overrides)
+    """metrics of base.replace(**overrides), unvalidated: every caller passes
+    a valid point (cmd_sweep's pre-checked stripes, acceptance criterion 9's
+    and perfbench's trace probe's stock grids)."""
+    cfg = base.replace(**overrides)
     log, diverged_at, _ = integrate(cfg)
     return metrics(log, cfg, diverged_at=diverged_at)
 
@@ -232,12 +232,9 @@ def cmd_sweep(args) -> int:
         except ScenarioError as exc:
             where = ", ".join("%s=%s" % (n, _summary_cell(v)) for n, v in point.items())
             raise ScenarioError("grid point %s: %s" % (where, v) for v in exc.violations) from None
-    if args.jobs is None:
-        jobs = min(4, os.cpu_count() or 1)
-    elif args.jobs < 1:
+    if args.jobs is not None and args.jobs < 1:
         raise GridError("--jobs: must be >= 1, got %d" % args.jobs)
-    else:
-        jobs = args.jobs
+    jobs = args.jobs or min(4, os.cpu_count() or 1)
     # process k runs the fixed stripe points[k::n]; the stripes interleave
     # back into grid order
     n = min(jobs, len(points))
@@ -248,15 +245,13 @@ def cmd_sweep(args) -> int:
         results[k::n] = stripe
     names = [n for n, _ in axes]
     lines = [",".join(names + list(_SUMMARY_METRICS))]
-    any_diverged = False
     for point, rep in zip(points, results):
-        any_diverged = any_diverged or rep["diverged"]
         cells = [_summary_cell(point[n]) for n in names]
         cells += [_summary_cell(rep[k]) for k in _SUMMARY_METRICS]
         lines.append(",".join(cells))
     os.makedirs(args.out, exist_ok=True)
     _write(os.path.join(args.out, "summary.csv"), "\n".join(lines) + "\n")
-    if any_diverged:
+    if any(rep["diverged"] for rep in results):
         print("one or more sweep points diverged; see %s"
               % os.path.join(args.out, "summary.csv"), file=sys.stderr)
         return EXIT_DIVERGED
@@ -267,15 +262,12 @@ def cmd_check(args) -> int:
     from .acceptance import run_all
 
     results = run_all(seed=args.seed)
-    failed = 0
     for i, (name, passed, detail, seconds) in enumerate(results, 1):
-        status = "PASS" if passed else "FAIL"
-        if not passed:
-            failed += 1
         print("[%2d/%d] %s  %-28s (%5.2f s)  %s"
-              % (i, len(results), status, name, seconds, detail))
-    print("%d/%d criteria passed" % (len(results) - failed, len(results)))
-    return 0 if failed == 0 else 1
+              % (i, len(results), "PASS" if passed else "FAIL", name, seconds, detail))
+    n_passed = sum(bool(r[1]) for r in results)
+    print("%d/%d criteria passed" % (n_passed, len(results)))
+    return 0 if n_passed == len(results) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,18 +301,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        return cmd_check(args)
-    except (ScenarioError, GridError) as exc:
-        print("config error:\n%s" % exc, file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print("i/o error: %s" % exc, file=sys.stderr)
-        return EXIT_IO
+    with warnings.catch_warnings():
+        # a scenario warning prints in its own words, without a source line
+        warnings.showwarning = lambda message, *_: print("warning: %s" % message,
+                                                         file=sys.stderr)
+        try:
+            if args.command == "run":
+                return cmd_run(args)
+            if args.command == "sweep":
+                return cmd_sweep(args)
+            return cmd_check(args)
+        except (ScenarioError, GridError) as exc:
+            print("config error:\n%s" % exc, file=sys.stderr)
+            return EXIT_CONFIG
+        except OSError as exc:
+            print("i/o error: %s" % exc, file=sys.stderr)
+            return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -59,7 +59,7 @@ class ScenarioError(ValueError):
 
     def __reduce__(self):
         # rebuild from the violations, not from args (the joined message),
-        # so the error crosses a pickle (a sweep child's pipe) intact
+        # so the error crosses a pickle (a forked child's result) intact
         return (type(self), (self.violations,))
 
 

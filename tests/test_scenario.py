@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+from outreg.cli import main
 from outreg.controller import MAX_GAIN_DEGREE, GainSyntaxError, Polynomial
 from outreg.scenario import (
     MAX_RECORDS,
@@ -501,6 +502,28 @@ def test_a_file_and_an_override_meet_the_same_rule(key, field, text, val):
     assert len(from_override.value.violations) == 1
     assert from_file.value.violations == tuple(
         "line 2: " + v for v in from_override.value.violations)
+
+
+_GRID_CELLS = [
+    ("x0=1:2:3", "x0", (1.0, 2.0, 3.0)),
+    ("m1=10:18:15", "m1", (10.0, 18.0, 15.0)),
+    ("eta2_0=0:0", "eta2_0", (0.0, 0.0)),
+    ("x0=1", "x0", 1.0),
+    ("sigma=1:2", "sigma", (1.0, 2.0)),
+]
+
+
+@pytest.mark.parametrize("cell, field, val", _GRID_CELLS, ids=[c[0] for c in _GRID_CELLS])
+def test_a_grid_cell_meets_the_same_rule(tmp_path, capsys, cell, field, val):
+    # a sweep grid cell of the wrong length or kind is the override's
+    # violation, named by its grid point, and nothing is written
+    with pytest.raises(ScenarioError) as from_override:
+        with_overrides(ScenarioConfig(), **{field: val})
+    (violation,) = from_override.value.violations
+    out = tmp_path / "sw"
+    assert main(["sweep", "--grid", cell, "--jobs", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error:\ngrid point %s: %s\n" % (cell, violation)
+    assert not out.exists()
 
 
 def test_nonpositive_sigma_is_a_plant_violation():
