@@ -6,7 +6,8 @@ of the log (no timestamps, no randomness, fixed float formatting), so
 regenerating a plot from the same log.csv gives the same bytes.  A log
 longer than _MAX_POINTS rows is thinned once per chart, by even index
 striding, before drawing; that only drops drawn vertices, never rescales
-axes.
+axes.  A value that is not finite draws no vertex and leaves the y axis to
+the finite values ([0, 1] when a chart has none).
 """
 
 from __future__ import annotations
@@ -28,9 +29,7 @@ def _fmt(x: float) -> str:
 
 
 def _nice_ticks(lo: float, hi: float):
-    """About six round tick positions covering [lo, hi]; deterministic."""
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        return [0.0, 1.0]
+    """About six round tick positions covering finite [lo, hi]."""
     if lo == hi:
         pad = abs(lo) * 0.1 or 1.0
         lo, hi = lo - pad, hi + pad
@@ -40,13 +39,8 @@ def _nice_ticks(lo: float, hi: float):
     if not sys.float_info.min <= raw < math.inf:
         return [lo, hi]
     mag = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 5.0, 10.0):
-        if raw <= mult * mag:
-            step = mult * mag
-            break
-    first = math.ceil(lo / step) * step
-    ticks = []
-    v = first
+    step = next(mult * mag for mult in (1.0, 2.0, 5.0, 10.0) if raw <= mult * mag)
+    ticks, v = [], math.ceil(lo / step) * step
     while v <= hi + step * 1e-9:
         ticks.append(0.0 if abs(v) < step * 1e-9 else v)
         # on a span of a few ulps the step can be below half an ulp of v,
@@ -77,10 +71,14 @@ def line_chart(log, names, title: str, ylabel: str) -> str:
         raise ValueError("need at least one column and one row")
     t = log.t
     cols = [log.column(name) for name in names]
-    # t increases strictly, so its ends are its extremes; a nan in the
-    # columns counts only as the first value min and max meet
+    # t increases strictly, so its ends are its extremes; y spans the finite
+    # values, and min and max skip every nan but one they meet first
     xlo, xhi, sx = _bounds(t[0], t[-1])
-    ylo, yhi, sy = _bounds(min(chain(*cols)), max(chain(*cols)))
+    lo, hi = min(chain(*cols)), max(chain(*cols))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        finite = [v for v in chain(*cols) if math.isfinite(v)] or [0.0, 1.0]
+        lo, hi = min(finite), max(finite)
+    ylo, yhi, sy = _bounds(lo, hi)
     n = len(t)
     if n > _MAX_POINTS:  # one set of rows for every column; the last row stays
         idx = list(range(0, n, (n + _MAX_POINTS - 1) // _MAX_POINTS))
@@ -97,10 +95,9 @@ def line_chart(log, names, title: str, ylabel: str) -> str:
     def py(y):
         return _MT + ph - (y * sy - ylo) / (yhi - ylo) * ph
 
-    out = []
-    out.append('<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
-               'viewBox="0 0 %d %d" font-family="Helvetica, Arial, sans-serif">'
-               % (_W, _H, _W, _H))
+    out = ['<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
+           'viewBox="0 0 %d %d" font-family="Helvetica, Arial, sans-serif">'
+           % (_W, _H, _W, _H)]
     out.append('<rect width="%d" height="%d" fill="#ffffff"/>' % (_W, _H))
     out.append('<text x="%d" y="20" font-size="15" fill="#222">%s</text>' % (_ML, title))
     # gridlines and ticks
@@ -124,9 +121,15 @@ def line_chart(log, names, title: str, ylabel: str) -> str:
     # frame
     out.append('<rect x="%d" y="%d" width="%d" height="%d" fill="none" '
                'stroke="#333333"/>' % (_ML, _MT, pw, ph))
-    # series; the backend computes px(x) and py(y) and formats each vertex
+    # series; the backend computes px(x) and py(y) and formats each vertex.
+    # With finite bounds only a non-finite value prints a letter n (nan,
+    # inf), and one memchr finds it
     for idx, col in enumerate(cols):
         pts = format_vertices(t, col, sx, xlo, xhi, sy, ylo, yhi, _ML, _MT, pw, ph)
+        if "n" in pts:
+            rows = [i for i, y in enumerate(col) if math.isfinite(y)]
+            pts = format_vertices([t[i] for i in rows], [col[i] for i in rows],
+                                  sx, xlo, xhi, sy, ylo, yhi, _ML, _MT, pw, ph)
         out.append('<polyline points="%s" fill="none" stroke="%s" '
                    'stroke-width="1.4"/>' % (pts, _COLORS[idx % len(_COLORS)]))
     # legend

@@ -14,6 +14,7 @@ grid parser that moves one byte fails here.
 
 import hashlib
 import math
+import re
 
 import pytest
 from conftest import STEADY_SCN
@@ -93,8 +94,8 @@ def test_sweep_summary_pinned(tmp_path):
 # The four charts of two logs `outreg run` never writes in the cases above:
 # a dense log past svgplot._MAX_POINTS rows, so every series is thinned, and
 # a hand-built log whose estimate columns hold nan and +-inf after row 0
-# (x2 holds a nan too), so the y range, the ticks and the vertices meet
-# non-finite values.
+# (x2 holds a nan too), so the y range and the vertices meet non-finite
+# values.
 def _nonfinite_log():
     nan, inf = math.nan, math.inf
     a21 = (0.5, nan, inf, 0.75, -inf, 1.0)
@@ -129,3 +130,16 @@ def test_svg_charts_pinned(steady_cfg):
                              svgplot.estimates_svg, svgplot.khat_svg)}
            for name, log in logs.items()}
     assert got == SVG_DIGESTS
+
+
+def test_nonfinite_values_draw_no_vertex():
+    # the y range comes from the finite values, and a row whose value is not
+    # finite drops out of that column's polyline only
+    log = _nonfinite_log()
+    for fn in (svgplot.trajectory_svg, svgplot.error_svg,
+               svgplot.estimates_svg, svgplot.khat_svg):
+        assert not re.search(r"\b(nan|inf)\b", fn(log), re.IGNORECASE), fn.__name__
+    polylines = re.findall(r'<polyline points="([^"]*)"', svgplot.estimates_svg(log))
+    assert [len(p.split()) for p in polylines] == [6, 3, 3]
+    trajectory = re.findall(r'<polyline points="([^"]*)"', svgplot.trajectory_svg(log))
+    assert [len(p.split()) for p in trajectory] == [6, 5]

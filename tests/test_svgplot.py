@@ -96,6 +96,15 @@ def test_overflowing_span_chart():
         assert 64 <= x <= 744 and 34 <= y <= 394
 
 
+def test_chart_without_a_finite_value():
+    # the y axis falls back to [0, 1] and the polyline has no vertex
+    svg = svgplot.line_chart(_log((0.0, 1.0), e=(math.nan, -math.inf)), ("e",), "none", "y")
+    line = _parse(svg).find("{http://www.w3.org/2000/svg}polyline")
+    assert not re.search(r"\b(nan|inf)\b", svg, re.IGNORECASE)
+    assert line.get("points") == ""
+    assert ">0.5</text>" in svg
+
+
 def test_empty_series_rejected():
     with pytest.raises(ValueError):
         svgplot.line_chart(SimLog([]), ("e",), "t", "y")
