@@ -113,9 +113,9 @@ SVG_DIGESTS = {
         "khat_svg": "fc2b33dcaed8aee5164c5d5bd1452df9010554d6233eb231d2599564ad44b620",
     },
     "nonfinite": {
-        "trajectory_svg": "e1d29a81efdaedc17b2afec1d87142ca73b40989686af0e2d345de23eae069a0",
+        "trajectory_svg": "3eeb33d079705906bfa8afde81e6b80a262d04aeb43d5a8040204ecbb103fa20",
         "error_svg": "2d3ec2b5fc408357ceb19243432726dccfe0e1af8b7701a9d4b308cd3fa32887",
-        "estimates_svg": "0f18ebb9fe59cba10d65b0c8e57249ffb2fe262cdcc2ff1eb780afdd753795b5",
+        "estimates_svg": "31a66cc84d4368e918db0fd41611d952af0cc7b7e815ce2da77696a7656b3a7a",
         "khat_svg": "0376c2fe8ef4ad8e0505c0fd261b1676bca170154f5bc55d3b091aa965749d3b",
     },
 }
