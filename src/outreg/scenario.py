@@ -34,9 +34,9 @@ MODES = ("nonadaptive", "adaptive", "open_loop")
 
 # The most RK4 steps a run may take.  The pure-python twin integrates about
 # 23k steps/s at the stock gains and 15k at degree-64 gains on a 2-CPU Linux
-# machine with CPython 3.11 (the C twin about 2.6M; steady orbit,
+# machine with CPython 3.11 (the C twin about 1.5M; steady orbit,
 # nonadaptive), so this keeps one run under about seven minutes there
-# (eleven at degree 64, four seconds compiled) instead of the days an
+# (eleven at degree 64, seven seconds compiled) instead of the days an
 # unchecked horizon such as t_end = 1e9 would take.  The largest run
 # anything here makes is 200,000 steps (acceptance criterion 10 at h/2).
 MAX_STEPS = 10_000_000

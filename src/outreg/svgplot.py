@@ -122,8 +122,8 @@ def line_chart(log, names, title: str, ylabel: str) -> str:
     out.append('<rect x="%d" y="%d" width="%d" height="%d" fill="none" '
                'stroke="#333333"/>' % (_ML, _MT, pw, ph))
     # series; the backend computes px(x) and py(y) and formats each vertex.
-    # With finite bounds only a non-finite value prints a letter n (nan,
-    # inf), and one memchr finds it
+    # Within finite bounds only a nan or inf value prints an 'n' (one fast
+    # character search): such a column is drawn again without those rows
     for idx, col in enumerate(cols):
         pts = format_vertices(t, col, sx, xlo, xhi, sy, ylo, yhi, _ML, _MT, pw, ph)
         if "n" in pts:
