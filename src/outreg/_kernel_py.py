@@ -23,7 +23,7 @@ Conventions shared by both twins:
   - no ** operator anywhere; powers are explicit products, so both
     backends emit the same multiply sequence
   - polynomial evaluation is Horner from the highest coefficient, seeded
-    with 0.0 (matching controller.Polynomial.__call__)
+    with 0.0 (matching scenario.Polynomial.__call__)
   - determinants and adjugates of the Hankel blocks use division-free
     cofactor expansion, never pivoted elimination
   - the state vector is y = (x1, x2, v1, v2, eta1[0..3], eta2[0..7], khat),

@@ -2,8 +2,9 @@
 
 One assignment per line, dotted keys group related settings, `#` starts a
 comment, blank lines are ignored.  Numbers are ASCII without '_'; vector
-values are comma-separated numbers; gain expressions are polynomial text
-(see controller.Polynomial).
+values are comma-separated numbers; a gain is a Polynomial in s written
+like "10 + 4*s^4", with finite decimal or rational (3/2) coefficients and no
+exponent.
 Every key is optional: an empty file is the stock benchmark scenario, and
 scenarios/default.scn spells out every key at its default (a test pins it
 to ScenarioConfig() and to the key table _KEYS below).
@@ -13,7 +14,7 @@ Unknown keys are hard errors, as are non-finite numbers, non-Hurwitz filter
 coefficients, nonpositive step/horizon/epsilon, a stride outside
 1..MAX_STEPS, a horizon that rounds to zero steps, more than MAX_STEPS steps
 or MAX_RECORDS records, wrong vector lengths and gains above
-controller.MAX_GAIN_DEGREE, in files, overrides and hand-built configs alike;
+MAX_GAIN_DEGREE, in files, overrides and hand-built configs alike;
 parse errors carry their line number and are listed in line order.
 Benchmark-box checks (plant, sigma) and unprovable gain bounds only warn.
 """
@@ -21,10 +22,11 @@ Benchmark-box checks (plant, sigma) and unprovable gain bounds only warn.
 from __future__ import annotations
 
 import math
+import re
 import sys
 import warnings
+from typing import Sequence
 
-from .controller import MAX_GAIN_DEGREE, Polynomial
 from .duffing import regulator_solution, steady_state_theta
 from .internal_model import NotHurwitzError, filter_matrix
 from .record import Record
@@ -48,6 +50,14 @@ MAX_STEPS = 10_000_000
 # at stride 1), so this bounds one run near 0.65 GB, and a 4-worker sweep
 # near four times that.  The stock scenario keeps 10,001.
 MAX_RECORDS = 1_000_000
+
+# The highest power a gain polynomial may have.  The kernels evaluate rho
+# and k by Horner four times per RK4 step, so a step costs time linear in
+# the degree: raising both gains from degree 4 to 64 made a pure-python step
+# 1.6-1.8 times as long (steady orbit, 5,000 steps, CPython 3.11 on a 2-CPU
+# Linux machine), so MAX_STEPS still bounds a run's time.
+# The stock gains have degree 4.
+MAX_GAIN_DEGREE = 64
 
 
 class ScenarioError(ValueError):
@@ -111,6 +121,119 @@ def _fmt_floats(vals):
 
 def _fmt_mask(mask):
     return ", ".join("1" if v else "0" for v in mask)
+
+
+_TERM_RE = re.compile(r"^([0-9]+(?:\.[0-9]*)?|\.[0-9]+)?(?:/([0-9]+(?:\.[0-9]*)?))?(\*?s(?:\^([0-9]+))?)?$")
+
+
+class GainSyntaxError(ValueError):
+    """Gain expression text outside the restricted polynomial grammar."""
+
+
+class Polynomial(Record):
+    """Real polynomial, coefficients ascending: coeffs[j] multiplies s^j."""
+
+    _fields = ("coeffs",)
+
+    def __init__(self, coeffs: Sequence[float]):
+        vals = [float(c) for c in coeffs]
+        while len(vals) > 1 and vals[-1] == 0.0:
+            vals.pop()
+        if not vals:
+            vals = [0.0]
+        self.__dict__["coeffs"] = tuple(vals)
+
+    @classmethod
+    def parse(cls, text: str) -> "Polynomial":
+        """Parse "c0 + c1*s + c2*s^2" style expressions."""
+        compact = text.replace(" ", "").replace("\t", "")
+        if not compact:
+            raise GainSyntaxError("empty gain expression")
+        if compact[0] not in "+-":
+            compact = "+" + compact
+        # split into sign/body chunks; '-' only appears as a term sign in
+        # this grammar (no scientific notation)
+        pieces = re.findall(r"[+-][^+-]+", compact)
+        if "".join(pieces) != compact:
+            raise GainSyntaxError("cannot tokenize gain expression %r" % text)
+        degree_to_coeff = {}
+        for piece in pieces:
+            sign = -1.0 if piece[0] == "-" else 1.0
+            m = _TERM_RE.match(piece[1:])
+            if not m or (m.group(1) is None and m.group(3) is None):
+                raise GainSyntaxError("bad term %r in gain expression %r" % (piece, text))
+            num, den, svar, power = m.groups()
+            if den is not None and num is None:
+                raise GainSyntaxError("bad term %r in gain expression %r" % (piece, text))
+            if svar is not None and svar.startswith("*") and num is None:
+                raise GainSyntaxError("bad term %r in gain expression %r" % (piece, text))
+            coeff = float(num) if num is not None else 1.0
+            if den is not None:
+                # a denominator of 0, or one such as 0.000...1 that rounds to
+                # 0.0, gives nan, which the finiteness check below rejects
+                coeff = coeff / float(den) if float(den) else math.nan
+            if svar is None:
+                deg = 0
+            elif power is None:
+                deg = 1
+            else:
+                # int() refuses very long digit strings: count the digits first
+                deg = int(power) if len(power.lstrip("0")) < 10 else MAX_GAIN_DEGREE + 1
+            if deg > MAX_GAIN_DEGREE:
+                raise GainSyntaxError("term %r has degree above %d in gain expression %r"
+                                      % (piece, MAX_GAIN_DEGREE, text))
+            degree_to_coeff[deg] = degree_to_coeff.get(deg, 0.0) + sign * coeff
+        if not all(map(math.isfinite, degree_to_coeff.values())):
+            raise GainSyntaxError("gain expression %r has a zero denominator or a "
+                                  "coefficient that is not finite" % text)
+        top = max(degree_to_coeff)
+        return cls([degree_to_coeff.get(d, 0.0) for d in range(top + 1)])
+
+    def format(self) -> str:
+        """Canonical text form; parse(format()) round-trips."""
+        parts = []
+        for deg, c in enumerate(self.coeffs):
+            if c == 0.0 and not (deg == 0 and len(self.coeffs) == 1):
+                continue
+            mag = abs(c)
+            coeff_txt = "%d" % mag if float(mag).is_integer() else repr(mag)
+            if "e" in coeff_txt:
+                # repr writes a non-integer below 1e-4 as d.ddde-N, and the
+                # gain grammar has no exponent: the same digits, positionally
+                digits, _, exp = coeff_txt.partition("e")
+                coeff_txt = "0." + "0" * (-int(exp) - 1) + digits.replace(".", "")
+            if deg == 0:
+                body = coeff_txt
+            else:
+                svar = "s" if deg == 1 else "s^%d" % deg
+                body = svar if mag == 1.0 else "%s*%s" % (coeff_txt, svar)
+            if not parts:
+                parts.append(body if c >= 0 else "-" + body)
+            else:
+                parts.append(("+ " if c >= 0 else "- ") + body)
+        return " ".join(parts) if parts else "0"
+
+    def __call__(self, s: float) -> float:
+        # Horner, highest degree first; evaluation order matches the
+        # simulation kernels bit for bit
+        acc = 0.0
+        for c in reversed(self.coeffs):
+            acc = acc * s + c
+        return acc
+
+    def provably_at_least_one(self) -> bool:
+        """Conservative check that p(s) >= 1 for ALL real s.
+
+        Sufficient condition: constant term >= 1, every other coefficient
+        nonnegative, and no odd-degree terms.  The benchmark gains satisfy
+        it; anything fancier is the caller's risk.
+        """
+        if self.coeffs[0] < 1.0:
+            return False
+        for deg, c in enumerate(self.coeffs[1:], start=1):
+            if c < 0.0 or (deg % 2 == 1 and c != 0.0):
+                return False
+        return True
 
 
 # The scenario grammar, in serialize() order: key, ScenarioConfig field,
@@ -236,9 +359,8 @@ def validate(cfg: ScenarioConfig):
     the gain warnings only for a config without violations.
 
     _violation's findings (wrong types and lengths, non-finite numbers,
-    gains above controller.MAX_GAIN_DEGREE, a stride above MAX_STEPS,
-    unknown modes) are reported first and alone, since every other check
-    assumes them absent.
+    gains above MAX_GAIN_DEGREE, a stride above MAX_STEPS, unknown modes)
+    are reported first and alone, since every other check assumes them absent.
     """
     errors = _malformed(cfg)
     if errors:

@@ -2,16 +2,9 @@ import random
 
 import pytest
 
-from outreg.controller import (
-    GainSyntaxError,
-    Polynomial,
-    control_adaptive,
-    control_nonadaptive,
-    filter_derivative,
-    zeta,
-)
+from outreg.controller import control_adaptive, control_nonadaptive, filter_derivative, zeta
 from outreg.linalg import ShapeError
-from outreg.scenario import ScenarioConfig
+from outreg.scenario import GainSyntaxError, Polynomial, ScenarioConfig
 
 CFG = ScenarioConfig()  # rho = 10 + 4 s^4, k = 1 + s^2, k0 = 1
 

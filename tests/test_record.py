@@ -8,10 +8,9 @@ import pkgutil
 import pytest
 
 import outreg
-from outreg.controller import Polynomial
 from outreg.linalg import Matrix
 from outreg.record import Record
-from outreg.scenario import ScenarioConfig, with_overrides
+from outreg.scenario import Polynomial, ScenarioConfig, with_overrides
 
 _STOCK_REPR = (
     "ScenarioConfig(c1=-2.0, c2=1.5, c3=0.5, sigma=0.5, x0=(1.0, -1.0), v0=(1.0, 1.0), "

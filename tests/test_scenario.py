@@ -6,10 +6,12 @@ import warnings
 import pytest
 
 from outreg.cli import main
-from outreg.controller import MAX_GAIN_DEGREE, GainSyntaxError, Polynomial
 from outreg.scenario import (
+    MAX_GAIN_DEGREE,
     MAX_RECORDS,
     MAX_STEPS,
+    GainSyntaxError,
+    Polynomial,
     ScenarioConfig,
     ScenarioError,
     load_scenario,

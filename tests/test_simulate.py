@@ -4,9 +4,9 @@ from statistics import fmean
 import pytest
 from conftest import STEADY_SCN, run_twin
 
-from outreg.controller import Polynomial
 from outreg.mapping import bump_psi
-from outreg.scenario import ScenarioConfig, load_scenario, loads, steady_start, with_overrides
+from outreg.scenario import (Polynomial, ScenarioConfig, load_scenario, loads, steady_start,
+                             with_overrides)
 from outreg.simulate import DivergenceError, SimLog, integrate, metrics, run
 
 
