@@ -30,7 +30,7 @@ from itertools import product
 
 from . import svgplot
 from .scenario import (_KEYS, MODES, ScenarioConfig, ScenarioError, _fmt_floats, _number,
-                       load_scenario, with_overrides)
+                       _read, load_scenario, with_overrides)
 from .simulate import SimLog, integrate, metrics
 
 EXIT_OK = 0
@@ -54,14 +54,13 @@ class GridError(ValueError):
 def _load_cfg(args) -> ScenarioConfig:
     over = {"mode": args.mode} if args.mode is not None else {}
     errors = []
-    # a flag's number follows the scenario grammar, as a file line's does
+    # a flag's value is read and judged as a file line's is
     for flag, key, name, text in (("--step", "sim.h", "h", args.step),
                                   ("--tend", "sim.t_end", "t_end", args.tend)):
         if text is not None:
-            try:
-                over[name] = _number(text)
-            except ValueError as exc:
-                errors.append("%s: %s: %s" % (flag, key, exc))
+            over[name], err = _read(key, text)
+            if err:
+                errors.append("%s: %s" % (flag, err))
     if errors:
         raise ScenarioError(errors)
     cfg = load_scenario(args.scenario) if args.scenario else ScenarioConfig()

@@ -10,13 +10,14 @@ scenarios/default.scn spells out every key at its default (a test pins it
 to ScenarioConfig() and to the key table _KEYS below).
 `init = steady` is no field: loads sets init.x, init.eta1 and init.eta2 on
 the file's steady orbit (steady_start) once, and overrides keep that start.
-Unknown keys are hard errors, as are non-finite numbers, non-Hurwitz filter
-coefficients, nonpositive step/horizon/epsilon, a stride outside
-1..MAX_STEPS, a horizon that rounds to zero steps, more than MAX_STEPS steps
-or MAX_RECORDS records, wrong vector lengths and gains above
-MAX_GAIN_DEGREE, in files, overrides and hand-built configs alike;
-parse errors carry their line number and are listed in line order.
-Benchmark-box checks (plant, sigma) and unprovable gain bounds only warn.
+Unknown keys and bad syntax are hard errors, as is a value that breaks a
+rule of its key, which _violation states once (type, length, finiteness,
+gain degree, range, Hurwitz m1 and m2, mode) for files, overrides, flags
+and hand-built configs alike; all such violations are listed at once, a
+file's with its line, a flag's with its name.  Only without one is the run length
+checked (1..MAX_STEPS steps, at most MAX_RECORDS records), a file's on the
+last line of sim.h, sim.t_end and sim.stride.  Benchmark-box checks (plant,
+sigma) and unprovable gain bounds only warn, for a config with no violation.
 """
 
 from __future__ import annotations
@@ -237,8 +238,9 @@ class Polynomial(Record):
 
 
 # The scenario grammar, in serialize() order: key, ScenarioConfig field,
-# parser, formatter, default; _violation reads the parser and formatter as
-# the value's kind.  The float and float-vector fields are sweep axes.
+# parser, formatter, default.  Each rule for a key's value is a clause of
+# _violation, which reads the parser and formatter as the value's kind.
+# The float and float-vector fields are sweep axes.
 _KEYS = (
     ("plant.c1", "c1", _number, repr, -2.0),
     ("plant.c2", "c2", _number, repr, 1.5),
@@ -266,6 +268,7 @@ _KEYS = (
     ("mode", "mode", str, str, "nonadaptive"),
 )
 _ROWS = {row[0]: row for row in _KEYS}
+_STEADY_KEYS = ("init.x", "init.eta1", "init.eta2")
 
 
 class ScenarioConfig(Record):
@@ -293,7 +296,8 @@ class ScenarioConfig(Record):
 
 def loads(text: str) -> ScenarioConfig:
     """Parse scenario text; ScenarioError lists every problem at once, in
-    line order."""
+    line order, or else the run-length violation, on the last line of
+    sim.h, sim.t_end and sim.stride."""
     errors = []  # (line, message)
     lines = {}  # key -> its line
     kw = {}
@@ -315,21 +319,19 @@ def loads(text: str) -> ScenarioConfig:
             elif key not in _ROWS:
                 errors.append((lineno, "unknown key %r" % key))
             else:
-                _, name, parse, _, _ = row = _ROWS[key]
-                try:
-                    kw[name] = parse(val)
-                except ValueError as exc:
-                    err = "%s: %s" % (key, exc)
-                else:
-                    err = _violation(row, kw[name])
+                kw[_ROWS[key][1]], err = _read(key, val)
                 if err:
                     errors.append((lineno, err))
     if "init" in lines:
         errors += [(lines[k], "%s: not allowed with init = steady (line %d)" % (k, lines["init"]))
-                   for k in ("init.x", "init.eta1", "init.eta2") if k in lines]
+                   for k in _STEADY_KEYS if k in lines]
+    cfg = ScenarioConfig(**kw)
+    if not errors:
+        last = max(lines.get(k, 0) for k in ("sim.h", "sim.t_end", "sim.stride"))
+        errors = [(last, err) for err in _run_length_errors(cfg)]
     if errors:
         raise ScenarioError("line %d: %s" % err for err in sorted(errors))
-    cfg = validate(ScenarioConfig(**kw))
+    cfg = validate(cfg)
     if "init" in lines:
         try:
             cfg = steady_start(cfg)
@@ -346,49 +348,24 @@ def steady_start(cfg: ScenarioConfig) -> ScenarioConfig:
     out = cfg.replace(x0=regulator_solution(cfg.v0, cfg)[:2],
                       eta1_0=steady_state_theta(cfg.v0, cfg, 1),
                       eta2_0=steady_state_theta(cfg.v0, cfg, 2))
-    errors = _malformed(out)
+    errors = _malformed(out, _STEADY_KEYS)
     if errors:
         raise ValueError("derived " + "; ".join(errors))
     return out
 
 
 def validate(cfg: ScenarioConfig):
-    """Hard checks raise ScenarioError (all violations at once); the
-    benchmark-box and gain-bound checks only warn, naming this module.
-    The box warnings come even beside violations, but not for sigma <= 0;
-    the gain warnings only for a config without violations.
-
-    _violation's findings (wrong types and lengths, non-finite numbers,
-    gains above MAX_GAIN_DEGREE, a stride above MAX_STEPS, unknown modes)
-    are reported first and alone, since every other check assumes them absent.
-    """
-    errors = _malformed(cfg)
+    """cfg, or ScenarioError listing every _violation of its fields, in
+    _KEYS order, or else its run-length violation.  Only a config with no
+    violation gets the warnings, naming this module: the benchmark-box
+    checks, then the gain bounds."""
+    errors = _malformed(cfg) or _run_length_errors(cfg)
     if errors:
         raise ScenarioError(errors)
-    if not cfg.h > 0.0:
-        errors.append("sim.h: must be > 0, got %r" % (cfg.h,))
-    if not cfg.t_end > 0.0:
-        errors.append("sim.t_end: must be > 0, got %r" % (cfg.t_end,))
-    if cfg.stride < 1:
-        errors.append("sim.stride: must be >= 1, got %r" % (cfg.stride,))
-    if not errors:
-        errors.extend(_run_length_errors(cfg))
-    if not cfg.epsilon > 0.0:
-        errors.append("mapping.epsilon: must be > 0, got %r" % (cfg.epsilon,))
-    for name, m, label in (("model.m1", cfg.m1, "M1"), ("model.m2", cfg.m2, "M2")):
-        try:
-            filter_matrix(m)
-        except NotHurwitzError as exc:
-            errors.append("%s: %s not Hurwitz (%s)" % (name, label, exc))
-    if cfg.sigma <= 0.0:
-        errors.append("plant: sigma must be positive, got %r" % (float(cfg.sigma),))
-    else:
-        for name in ("c1", "c2", "c3", "sigma"):
-            val, low = float(getattr(cfg, name)), 0.1 if name == "sigma" else -2.0
-            if not low <= val <= 2.0:
-                warnings.warn("%s = %r is outside the benchmark box [%g, 2]" % (name, val, low))
-    if errors:
-        raise ScenarioError(errors)
+    for name in ("c1", "c2", "c3", "sigma"):
+        val, low = float(getattr(cfg, name)), 0.1 if name == "sigma" else -2.0
+        if not low <= val <= 2.0:
+            warnings.warn("%s = %r is outside the benchmark box [%g, 2]" % (name, val, low))
     # the stability analysis behind the feedback laws assumes rho(s) >= 1,
     # k(s) >= 1 and k0 >= 1
     for name, gain in (("rho", cfg.rho), ("k", cfg.k)):
@@ -399,18 +376,29 @@ def validate(cfg: ScenarioConfig):
     return cfg
 
 
-def _malformed(cfg: ScenarioConfig) -> list:
-    """_violation of each field, in _KEYS order."""
-    return list(filter(None, (_violation(row, getattr(cfg, row[1])) for row in _KEYS)))
+def _malformed(cfg: ScenarioConfig, keys=_ROWS) -> list:
+    """_violation of each field of the given keys, in _KEYS order."""
+    return list(filter(None, (_violation(_ROWS[k], getattr(cfg, _ROWS[k][1])) for k in keys)))
+
+
+def _read(key, text):
+    """(value or None, "key: message" or None) of key's value text."""
+    row = _ROWS[key]
+    try:
+        val = row[2](text)
+    except ValueError as exc:
+        return None, "%s: %s" % (key, exc)
+    return val, _violation(row, val)
 
 
 def _violation(row, val):
     """"key: message" if val is no legal value of _KEYS row `row`, else None:
-    the one statement of type, length, finiteness, gain degree, stride bound
-    and mode.  A number is an int or a float (not a bool), a vector or mask a
-    tuple, a mask entry a bool, the stride an int and a gain a Polynomial:
-    the types whose repr and formatter loads reads back to an equal,
-    hashable config."""
+    the one statement of each key's rules: type, length, finiteness, gain
+    degree, range, Hurwitz gate and mode, each checked only on a value that
+    passed the ones before.  A number is an int or a float (not a bool), a
+    vector or mask a tuple, a mask entry a bool, the stride an int and a
+    gain a Polynomial: the types whose repr and formatter loads reads back
+    to an equal, hashable config."""
     key, _, parse, fmt, default = row
     if fmt is repr and not _is_number(val):
         return "%s: not a number: %s" % (key, _repr(val))
@@ -433,8 +421,16 @@ def _violation(row, val):
         return "%s: values must be finite, got %s" % (key, _repr(val))
     if fmt is Polynomial.format and not all(map(_finite, val.coeffs)):
         return "%s: coefficients must be finite, got %r" % (key, val.coeffs)
-    if parse is _int and val > MAX_STEPS:
-        return "%s: must be <= %d, got %s" % (key, MAX_STEPS, _repr(val))
+    if parse is _int and not 1 <= val <= MAX_STEPS:
+        return "%s: must be %s, got %s" % (
+            key, ">= 1" if val < 1 else "<= %d" % MAX_STEPS, _repr(val))
+    if key in ("plant.sigma", "mapping.epsilon", "sim.h", "sim.t_end") and not val > 0:
+        return "%s: must be > 0, got %s" % (key, _repr(val))
+    if key in ("model.m1", "model.m2"):
+        try:
+            filter_matrix(val)
+        except NotHurwitzError as exc:
+            return "%s: M%s not Hurwitz (%s)" % (key, key[-1], exc)
     if fmt is str and val not in MODES:
         return "%s: must be one of %s, got %s" % (key, "/".join(MODES), _repr(val))
 

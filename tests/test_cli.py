@@ -97,7 +97,7 @@ def test_readme_layout_lists_every_module():
 def test_run_infinite_tend_exits_2(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["run", "--scenario", STEADY_SCN, "--tend", "inf", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "config error:\nsim.t_end: must be finite, got inf\n"
+    assert capsys.readouterr().err == "config error:\n--tend: sim.t_end: must be finite, got inf\n"
     assert not out.exists()
 
 
@@ -112,6 +112,20 @@ def test_flag_number_follows_the_grammar(tmp_path, capsys, command, text, flag, 
     assert main(command + [flag, text, "--out", str(out)]) == 2
     assert capsys.readouterr().err == "config error:\n%s: %s: not a number: %r\n" % (
         flag, key, text)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--grid", "sigma=1"]],
+                         ids=["run", "sweep"])
+@pytest.mark.parametrize("flag, text, violation", [
+    ("--step", "-1", "sim.h: must be > 0, got -1.0"),
+    ("--tend", "0", "sim.t_end: must be > 0, got 0.0")], ids=["step", "tend"])
+def test_flag_value_follows_the_scenario_rules(tmp_path, capsys, command, flag, text, violation):
+    # a flag's value meets the rules of its key, as a file line's does, and
+    # its violation names the flag
+    out = tmp_path / "o"
+    assert main(command + [flag, text, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error:\n%s: %s\n" % (flag, violation)
     assert not out.exists()
 
 

@@ -173,13 +173,10 @@ def test_non_hurwitz_filter_rejected():
 
 
 def test_all_violations_reported_together():
-    try:
+    with pytest.raises(ScenarioError) as info:
         loads("sim.h = -1\nmapping.epsilon = 0\n")
-    except ScenarioError as exc:
-        text = str(exc)
-        assert "sim.h" in text and "mapping.epsilon" in text
-    else:
-        pytest.fail("expected ScenarioError")
+    assert info.value.violations == ("line 1: sim.h: must be > 0, got -1.0",
+                                     "line 2: mapping.epsilon: must be > 0, got 0.0")
 
 
 def test_hard_limits():
@@ -191,7 +188,9 @@ def test_hard_limits():
 
 
 def test_zero_step_horizon_rejected():
-    with pytest.raises(ScenarioError, match=r"^sim.t_end: 1.0 rounds to 0 steps of sim.h = 10.0$"):
+    # a file's run length is violated on the last line of its keys
+    with pytest.raises(ScenarioError,
+                       match=r"^line 2: sim.t_end: 1.0 rounds to 0 steps of sim.h = 10.0$"):
         loads("sim.h = 10\nsim.t_end = 1\n")
     with pytest.raises(ScenarioError, match="rounds to 0 steps"):
         with_overrides(ScenarioConfig(), t_end=0.0004)
@@ -202,7 +201,7 @@ def test_record_count_capped():
     # stride 1 keeps n_steps + 1 records
     at_cap = "sim.h = 1\nsim.stride = 1\nsim.t_end = %d\n" % (MAX_RECORDS - 1)
     assert loads(at_cap).n_steps == MAX_RECORDS - 1
-    with pytest.raises(ScenarioError, match=r"^sim: %d steps at sim.stride = 1 keep %d "
+    with pytest.raises(ScenarioError, match=r"^line 3: sim: %d steps at sim.stride = 1 keep %d "
                        r"records, more than %d$" % (MAX_RECORDS, MAX_RECORDS + 1, MAX_RECORDS)):
         loads("sim.h = 1\nsim.stride = 1\nsim.t_end = %d\n" % MAX_RECORDS)
     with pytest.raises(ScenarioError, match="overflows"):
@@ -406,11 +405,12 @@ _WRONG_LENGTHS = [
 @pytest.mark.parametrize("key, field, val, text, message", _WRONG_LENGTHS,
                          ids=[case[0] for case in _WRONG_LENGTHS])
 def test_wrong_vector_length_is_reported_first_and_alone(key, field, val, text, message):
-    # as the parser words it, and without the checks that assume the length
-    # (here the Hurwitz test of m1 = (2, 3) and the step count of h = -1)
+    # as the parser words it, beside the other field's violation (h = -1),
+    # and without the checks that assume the length (here the Hurwitz test
+    # of m1 = (2, 3) and the step count)
     with pytest.raises(ScenarioError) as info:
         with_overrides(ScenarioConfig(), h=-1.0, **{field: val})
-    assert info.value.violations == ("%s: %s" % (key, message),)
+    assert info.value.violations == ("%s: %s" % (key, message), "sim.h: must be > 0, got -1.0")
     with pytest.raises(ScenarioError) as info:
         loads("%s = %s\n" % (key, text))
     assert info.value.violations == ("line 1: %s: %s" % (key, message),)
@@ -461,11 +461,15 @@ def _case_id(field, val, message):
 @pytest.mark.parametrize("field, val, message", _WRONG_TYPES,
                          ids=[_case_id(*case) for case in _WRONG_TYPES])
 def test_wrong_value_type_is_reported_first_and_alone(field, val, message):
-    # as a file's value would be worded, and without the checks that assume
-    # a legal value (here the epsilon > 0 check of epsilon = -1)
+    # as a file's value would be worded, beside the other field's violation
+    # (epsilon = -1) in key order, and without the checks that assume a
+    # legal value (here the field's own range and the step count of
+    # t_end = 1e-5, which rounds to 0 steps)
     with pytest.raises(ScenarioError) as info:
-        with_overrides(ScenarioConfig(), epsilon=-1.0, **{field: val})
-    assert info.value.violations == (message,)
+        with_overrides(ScenarioConfig(), epsilon=-1.0, t_end=1e-5, **{field: val})
+    other = "mapping.epsilon: must be > 0, got -1.0"
+    first = ScenarioConfig._fields.index(field) < ScenarioConfig._fields.index("epsilon")
+    assert info.value.violations == ((message, other) if first else (other, message))
 
 
 def test_every_accepted_value_keeps_the_record_contract():
@@ -490,6 +494,12 @@ _BOTH_PATHS = [
     ("model.m1", "m1", "10, 18, 15", (10.0, 18.0, 15.0)),
     ("mapping.mask2", "mask2", "0, 1", (False, True)),
     ("mode", "mode", "turbo", "turbo"),
+    ("sim.h", "h", "-1", -1.0),
+    ("sim.t_end", "t_end", "0", 0.0),
+    ("sim.stride", "stride", "0", 0),
+    ("mapping.epsilon", "epsilon", "0", 0.0),
+    ("plant.sigma", "sigma", "-1", -1.0),
+    ("model.m2", "m2", "-1, 0, 0, 0, 0, 0, 0, 0", (-1.0,) + (0.0,) * 7),
 ]
 
 
@@ -532,21 +542,30 @@ def test_nonpositive_sigma_is_a_plant_violation():
     # and beside it no box warning fires, even for a plant outside the box
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for build, got in ((lambda: with_overrides(ScenarioConfig(), sigma=0.0), "0.0"),
-                           (lambda: with_overrides(ScenarioConfig(), sigma=-3.0, c1=3.0), "-3.0"),
-                           (lambda: loads("plant.sigma = -1\n"), "-1.0")):
+        for build, where, got in (
+                (lambda: with_overrides(ScenarioConfig(), sigma=0.0), "", "0.0"),
+                (lambda: with_overrides(ScenarioConfig(), sigma=-3.0, c1=3.0), "", "-3.0"),
+                (lambda: loads("plant.c1 = 3\nplant.sigma = -1\n"), "line 2: ", "-1.0")):
             with pytest.raises(ScenarioError) as info:
                 build()
-            assert info.value.violations == ("plant: sigma must be positive, got %s" % got,)
+            assert info.value.violations == ("%splant.sigma: must be > 0, got %s" % (where, got),)
 
 
-def test_box_warnings_come_beside_violations_and_gain_warnings_do_not():
+def test_warnings_come_only_without_violations():
+    # neither a field's violation nor the run length's lets a warning through
+    outside = {"c3": 2.5, "k0": 0.5, "k": Polynomial((0.0,))}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(ScenarioError, match="^sim.h: must be > 0"):
-            with_overrides(ScenarioConfig(), h=-1.0, c3=2.5, k0=0.5, k=Polynomial((0.0,)))
+        with pytest.raises(ScenarioError, match="^sim.h: must be > 0, got -1.0$"):
+            with_overrides(ScenarioConfig(), h=-1.0, **outside)
+        with pytest.raises(ScenarioError, match="^sim.t_end: 1e-05 rounds to 0 steps"):
+            with_overrides(ScenarioConfig(), t_end=1e-5, **outside)
+        assert caught == []
+        with_overrides(ScenarioConfig(), **outside)
     assert [str(w.message) for w in caught] == [
-        "c3 = 2.5 is outside the benchmark box [-2, 2]"]
+        "c3 = 2.5 is outside the benchmark box [-2, 2]",
+        "cannot prove k(s) >= 1 for all s: '0'",
+        "k0 = 0.5 is below the k0 >= 1 design bound"]
 
 
 def test_scenario_error_survives_pickling():
