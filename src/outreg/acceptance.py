@@ -144,10 +144,7 @@ def criterion_4(seed, ctx):
         else:
             th = Matrix([[-2.0 + 4.0 * rng.random() for _ in range(n)]
                          for _ in range(n)])
-        o, d = _inverse_and_det(th, eps)
-        if not all(math.isfinite(x) for x in o.data):
-            return ("regularized-inverse", False,
-                    "non-finite output entry at trial %d" % trial)
+        o, d = _inverse_and_det(th, eps)  # finite, or linalg.scale raised ValueError
         if d * d >= eps * eps:
             n_exact += 1
             # the columns of Theta^-1 solve Theta x = e_c, from one factorization

@@ -19,10 +19,10 @@ two together; q_matrix satisfies the Sylvester identity
 M Q = Q Phi(a) - N Gamma, which sylvester_residual evaluates.  Coefficient
 vectors are plain tuples of floats that coeff_tuple has checked.
 
-filter_matrix decides with a pure-Python Routh-Hurwitz test on the filter
-polynomial Taylor-shifted by the margin: every root has Re < -1e-6 exactly
-when p(z - 1e-6) is Hurwitz.  A rejected filter is reported by the first
-Routh first-column entry that is not positive.
+_routh_failure, the Hurwitz gate of filter_matrix and of scenario files, is
+a pure-Python Routh-Hurwitz test on the filter polynomial Taylor-shifted by
+the margin: every root has Re < -1e-6 exactly when p(z - 1e-6) is Hurwitz.
+It reports the first Routh first-column entry that is not positive.
 """
 
 from __future__ import annotations
@@ -110,9 +110,9 @@ def _routh_failure(coeffs: tuple):
     """Routh-Hurwitz test that every root of s^k + c_k s^(k-1) + ... + c_1 has
     Re < _HURWITZ_MARGIN; a root on the margin counts as outside.
 
-    Returns None when the test passes, else (row, entry): the first Routh
-    array row, 1..k below the leading one, whose first-column entry is not
-    > 0, and that entry."""
+    Returns None when the test passes, else the message that names the first
+    Routh array row, 1..k below the leading one, whose first-column entry is
+    not > 0, and that entry."""
     p = [1.0] + list(reversed(coeffs))  # descending
     k = len(coeffs)
     # Taylor shift: p(z + margin), by repeated synthetic division
@@ -123,7 +123,8 @@ def _routh_failure(coeffs: tuple):
     prev, cur = p[0::2], p[1::2]
     for row in range(1, k + 1):
         if not cur[0] > 0.0:
-            return row, cur[0]
+            return ("filter polynomial shifted by %g fails Routh-Hurwitz: row %d of %d "
+                    "has first-column entry %r, not > 0" % (_HURWITZ_MARGIN, row, k, cur[0]))
         r = prev[0] / cur[0]
         prev, cur = cur, [a - r * b for a, b in zip(prev[1:], cur[1:] + [0.0])]
     return None
@@ -138,10 +139,7 @@ def filter_matrix(m: Sequence[float]) -> Matrix:
     M = companion_matrix(coeffs)
     failure = _routh_failure(coeffs)
     if failure is not None:
-        raise NotHurwitzError(
-            "filter polynomial shifted by %g fails Routh-Hurwitz: row %d of %d "
-            "has first-column entry %r, not > 0"
-            % (_HURWITZ_MARGIN, failure[0], len(coeffs), failure[1]))
+        raise NotHurwitzError(failure)
     return M
 
 

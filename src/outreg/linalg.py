@@ -1,6 +1,6 @@
 """Small dense real-matrix arithmetic.
 
-Everything downstream (companion matrices, Hankel estimators, the simulator)
+Everything downstream (companion matrices, Hankel estimators, reference math)
 works with matrices no larger than 8x8: determinants come from partial-pivot
 LU, adjugates from explicit cofactors, and there is no BLAS behind it.  All
 entries are plain Python floats.  The sizes the estimators use are written

@@ -14,10 +14,11 @@ Unknown keys and bad syntax are hard errors, as is a value that breaks a
 rule of its key, which _violation states once (type, length, finiteness,
 gain degree, range, Hurwitz m1 and m2, mode) for files, overrides, flags
 and hand-built configs alike; all such violations are listed at once, a
-file's with its line, a flag's with its name.  Only without one is the run length
-checked (1..MAX_STEPS steps, at most MAX_RECORDS records), a file's on the
-last line of sim.h, sim.t_end and sim.stride.  Benchmark-box checks (plant,
-sigma) and unprovable gain bounds only warn, for a config with no violation.
+file's with its line, a flag's with its name.  Only without one is the run
+length checked (1..MAX_STEPS steps, at most MAX_RECORDS records), a file's
+on the last line of sim.h, sim.t_end and sim.stride.  Benchmark-box checks
+(plant, sigma) and unprovable gain bounds only warn, for a config with no
+violation.  loads judges a file once, as it reads it, not through validate.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import warnings
 from typing import Sequence
 
 from .duffing import regulator_solution, steady_state_theta
-from .internal_model import NotHurwitzError, filter_matrix
+from .internal_model import _routh_failure
 from .record import Record
 
 # in kernel order: simulate passes each mode's index here as its mode code
@@ -331,7 +332,7 @@ def loads(text: str) -> ScenarioConfig:
         errors = [(last, err) for err in _run_length_errors(cfg)]
     if errors:
         raise ScenarioError("line %d: %s" % err for err in sorted(errors))
-    cfg = validate(cfg)
+    cfg = _warn(cfg)
     if "init" in lines:
         try:
             cfg = steady_start(cfg)
@@ -343,7 +344,7 @@ def loads(text: str) -> ScenarioConfig:
 def steady_start(cfg: ScenarioConfig) -> ScenarioConfig:
     """cfg (valid) started on its steady orbit at v0: the plant on the
     regulator-equation solution, each filter at theta = Q xi(v0).  ValueError
-    when Q cannot be formed or a derived value is not finite.  validate has
+    when Q cannot be formed or a derived value is not finite.  loads has
     already given cfg's box warnings; this gives none."""
     out = cfg.replace(x0=regulator_solution(cfg.v0, cfg)[:2],
                       eta1_0=steady_state_theta(cfg.v0, cfg, 1),
@@ -355,13 +356,18 @@ def steady_start(cfg: ScenarioConfig) -> ScenarioConfig:
 
 
 def validate(cfg: ScenarioConfig):
-    """cfg, or ScenarioError listing every _violation of its fields, in
-    _KEYS order, or else its run-length violation.  Only a config with no
-    violation gets the warnings, naming this module: the benchmark-box
-    checks, then the gain bounds."""
+    """cfg, after _warn, or ScenarioError listing every _violation of its
+    fields, in _KEYS order, or else its run-length violation.  loads does
+    not call it: a file's lines are judged as they are read."""
     errors = _malformed(cfg) or _run_length_errors(cfg)
     if errors:
         raise ScenarioError(errors)
+    return _warn(cfg)
+
+
+def _warn(cfg: ScenarioConfig):
+    """cfg, which has no violation, after its warnings, each naming this
+    module: the benchmark-box checks, then the gain bounds."""
     for name in ("c1", "c2", "c3", "sigma"):
         val, low = float(getattr(cfg, name)), 0.1 if name == "sigma" else -2.0
         if not low <= val <= 2.0:
@@ -426,11 +432,9 @@ def _violation(row, val):
             key, ">= 1" if val < 1 else "<= %d" % MAX_STEPS, _repr(val))
     if key in ("plant.sigma", "mapping.epsilon", "sim.h", "sim.t_end") and not val > 0:
         return "%s: must be > 0, got %s" % (key, _repr(val))
-    if key in ("model.m1", "model.m2"):
-        try:
-            filter_matrix(val)
-        except NotHurwitzError as exc:
-            return "%s: M%s not Hurwitz (%s)" % (key, key[-1], exc)
+    failure = key in ("model.m1", "model.m2") and _routh_failure(val)
+    if failure:
+        return "%s: M%s not Hurwitz (%s)" % (key, key[-1], failure)
     if fmt is str and val not in MODES:
         return "%s: must be one of %s, got %s" % (key, "/".join(MODES), _repr(val))
 

@@ -331,8 +331,8 @@ def test_sweep_rejects_a_bad_point_before_running_any(tmp_path, capsys, monkeypa
 
 
 def test_sweep_validates_each_point_once(tmp_path, steady_cfg, monkeypatch):
-    # the scenario load, then one with_overrides per point before any runs;
-    # the workers run the points as checked
+    # one with_overrides per point before any runs (the scenario load judges
+    # its file without validate); the workers run the points as checked
     import outreg.scenario
 
     scn = _steady_scn(tmp_path, steady_cfg, t_end=0.05)
@@ -342,7 +342,7 @@ def test_sweep_validates_each_point_once(tmp_path, steady_cfg, monkeypatch):
                         lambda cfg: calls.append(cfg) or validate(cfg))
     assert main(["sweep", "--scenario", scn, "--grid", "k0=1,2,3", "--jobs", "1",
                  "--out", str(tmp_path / "sw")]) == 0
-    assert [cfg.k0 for cfg in calls] == [1.0, 1.0, 2.0, 3.0]
+    assert [cfg.k0 for cfg in calls] == [1.0, 2.0, 3.0]
 
 
 @pytest.mark.parametrize("command", [["run", "--scenario"], ["sweep", "--grid", "c1=-3",

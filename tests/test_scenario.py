@@ -110,6 +110,22 @@ def test_default_file_is_every_key_at_its_default():
     assert keys == [ln.split(" = ")[0] for ln in serialize(ScenarioConfig()).splitlines()]
 
 
+@pytest.mark.parametrize("name, judged, routh", [("default.scn", 23, 2),
+                                                  ("steady_start.scn", 3, 0)])
+def test_a_file_is_judged_once(monkeypatch, name, judged, routh):
+    # each line as it is read, then only the keys init = steady derives;
+    # an unset key keeps its default, which needs no judging
+    import outreg.scenario
+
+    calls = []
+    for fn in ("_violation", "_routh_failure"):
+        real = getattr(outreg.scenario, fn)
+        monkeypatch.setattr(outreg.scenario, fn,
+                            lambda *a, fn=fn, real=real: calls.append(fn) or real(*a))
+    load_scenario(os.path.join(SCENARIOS, name))
+    assert (calls.count("_violation"), calls.count("_routh_failure")) == (judged, routh)
+
+
 def test_errors_listed_in_line_order():
     with pytest.raises(ScenarioError) as info:
         loads("plant.c9 = 1\nsim.h = fast\nsim.h = 1\njunk\nmode = turbo\n")
@@ -388,6 +404,12 @@ def test_with_overrides_rejects_non_finite(over, key):
     with pytest.raises(ScenarioError, match="^%s: .*finite" % key) as info:
         with_overrides(ScenarioConfig(), **over)
     assert len(info.value.violations) == 1
+
+
+def test_with_overrides_judges_the_fields_it_leaves_alone():
+    with pytest.raises(ScenarioError) as info:
+        with_overrides(ScenarioConfig(c1=float("nan")), t_end=1.0)
+    assert info.value.violations == ("plant.c1: must be finite, got nan",)
 
 
 _WRONG_LENGTHS = [
