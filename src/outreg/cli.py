@@ -47,10 +47,6 @@ _SUMMARY_METRICS = ("diverged", "diverged_at", "trailing_sup_e",
                     "trailing_err_a23", "max_abs_u", "settling_time")
 
 
-class GridError(ValueError):
-    pass
-
-
 def _load_cfg(args) -> ScenarioConfig:
     over = {"mode": args.mode} if args.mode is not None else {}
     errors = []
@@ -108,21 +104,21 @@ def parse_grid(spec: str):
         name, eq, vals = part.partition("=")
         name = name.strip()
         if not eq:
-            raise GridError("grid axis %r has no values" % part)
+            raise ScenarioError(["grid axis %r has no values" % part])
         if name not in _AXES:
-            raise GridError("unknown grid key %r (allowed: %s)" % (name, ", ".join(_AXES)))
+            raise ScenarioError(["unknown grid key %r (allowed: %s)" % (name, ", ".join(_AXES))])
         if name in dict(axes):
-            raise GridError("duplicate grid key %r" % name)
+            raise ScenarioError(["duplicate grid key %r" % name])
         items = []
         for tok in vals.split(","):
             try:
                 cell = tuple(map(_number, tok.strip().split(":")))
             except ValueError:
-                raise GridError("%s: bad value %r" % (name, tok.strip())) from None
+                raise ScenarioError(["%s: bad value %r" % (name, tok.strip())]) from None
             items.append(cell[0] if len(cell) == 1 else cell)
         axes.append((name, items))
     if not axes:
-        raise GridError("no grid points")
+        raise ScenarioError(["no grid points"])
     return axes
 
 
@@ -232,7 +228,7 @@ def cmd_sweep(args) -> int:
             where = ", ".join("%s=%s" % (n, _summary_cell(v)) for n, v in point.items())
             raise ScenarioError("grid point %s: %s" % (where, v) for v in exc.violations) from None
     if args.jobs is not None and args.jobs < 1:
-        raise GridError("--jobs: must be >= 1, got %d" % args.jobs)
+        raise ScenarioError(["--jobs: must be >= 1, got %d" % args.jobs])
     jobs = args.jobs or min(4, os.cpu_count() or 1)
     # process k runs the fixed stripe points[k::n]; the stripes interleave
     # back into grid order
@@ -310,7 +306,7 @@ def main(argv=None) -> int:
             if args.command == "sweep":
                 return cmd_sweep(args)
             return cmd_check(args)
-        except (ScenarioError, GridError) as exc:
+        except ScenarioError as exc:
             print("config error:\n%s" % exc, file=sys.stderr)
             return EXIT_CONFIG
         except OSError as exc:

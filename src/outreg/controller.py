@@ -8,7 +8,7 @@ with M_i the companion of m_i and N the last basis column.  The laws read
 rho, k and k0 from cfg, a scenario.ScenarioConfig; chi_i reads
 internal-model component i (m_i, epsilon, mask_i) from the same config (see
 mapping), and filter_derivative its m_i.  The stability analysis behind
-them assumes rho(s) >= 1, k(s) >= 1 and k0 >= 1; scenario.validate warns
+them assumes rho(s) >= 1, k(s) >= 1 and k0 >= 1; scenario._warn warns
 (never fails) when it cannot prove them.  The gain shapes rho and k are
 scenario.Polynomial values.  No saturation or rate limiting is applied to u.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from .internal_model import _component, filter_matrix
+from .internal_model import _component, companion_matrix
 from .linalg import ShapeError, mat_vec
 from .mapping import chi
 
@@ -51,6 +51,6 @@ def filter_derivative(eta, w: float, cfg, i: int) -> list:
     x = [float(v) for v in eta]
     if len(x) != len(m):
         raise ShapeError("eta%d has %d entries, expected %d" % (i, len(x), len(m)))
-    d = mat_vec(filter_matrix(m), x)
+    d = mat_vec(companion_matrix(m), x)
     d[-1] += w
     return d

@@ -12,10 +12,10 @@ The tracking error is e = x1 - v1.
 Every function below takes the plant as p, a scenario.ScenarioConfig, and
 reads only its c1, c2, c3 and sigma, except that steady_state_q and
 steady_state_theta also read the filter coefficients m_i of internal-model
-component i (1 or 2; any other i is a ValueError).  scenario.validate
+component i (1 or 2; any other i is a ValueError).  scenario._violation
 requires the plant finite and sigma > 0; outside the benchmark box (c_i in
-[-2, 2], sigma in [0.1, 2]) it only warns, since every formula here holds
-for any finite parameters.
+[-2, 2], sigma in [0.1, 2]) scenario._warn only warns, since every formula
+here holds for any finite parameters.
 
 Because the exosystem is a pure rotation, the regulator equations have a
 closed-form solution, and the steady-state feedforward input u_ss is a

@@ -19,10 +19,8 @@ two together; q_matrix satisfies the Sylvester identity
 M Q = Q Phi(a) - N Gamma, which sylvester_residual evaluates.  Coefficient
 vectors are plain tuples of floats that coeff_tuple has checked.
 
-_routh_failure, the Hurwitz gate of filter_matrix and of scenario files, is
-a pure-Python Routh-Hurwitz test on the filter polynomial Taylor-shifted by
-the margin: every root has Re < -1e-6 exactly when p(z - 1e-6) is Hurwitz.
-It reports the first Routh first-column entry that is not positive.
+None of this math needs M to be Hurwitz, so nothing here gates m: the
+Hurwitz rule on a scenario's model.m1 and model.m2 lives in scenario.
 """
 
 from __future__ import annotations
@@ -45,14 +43,6 @@ from .linalg import (
     sub,
     transpose,
 )
-
-# Hurwitz gate: strictly inside the left half-plane with a safety margin
-_HURWITZ_MARGIN = -1e-6
-
-
-class NotHurwitzError(ValueError):
-    """The candidate filter polynomial has a non-decaying mode."""
-
 
 def coeff_tuple(a) -> tuple:
     """Coefficients (a_1, ..., a_n) of s^n + a_n s^(n-1) + ... + a_1 as a
@@ -104,43 +94,6 @@ def _component(cfg, i: int) -> tuple:
     if i == 2:
         return cfg.m2, cfg.mask2
     raise ValueError("component index must be 1 or 2, got %r" % (i,))
-
-
-def _routh_failure(coeffs: tuple):
-    """Routh-Hurwitz test that every root of s^k + c_k s^(k-1) + ... + c_1 has
-    Re < _HURWITZ_MARGIN; a root on the margin counts as outside.
-
-    Returns None when the test passes, else the message that names the first
-    Routh array row, 1..k below the leading one, whose first-column entry is
-    not > 0, and that entry."""
-    p = [1.0] + list(reversed(coeffs))  # descending
-    k = len(coeffs)
-    # Taylor shift: p(z + margin), by repeated synthetic division
-    for i in range(k):
-        for j in range(1, k + 1 - i):
-            p[j] += _HURWITZ_MARGIN * p[j - 1]
-    # Routh array, two rows at a time; Hurwitz iff its first column is > 0
-    prev, cur = p[0::2], p[1::2]
-    for row in range(1, k + 1):
-        if not cur[0] > 0.0:
-            return ("filter polynomial shifted by %g fails Routh-Hurwitz: row %d of %d "
-                    "has first-column entry %r, not > 0" % (_HURWITZ_MARGIN, row, k, cur[0]))
-        r = prev[0] / cur[0]
-        prev, cur = cur, [a - r * b for a, b in zip(prev[1:], cur[1:] + [0.0])]
-    return None
-
-
-def filter_matrix(m: Sequence[float]) -> Matrix:
-    """M, the 2n x 2n companion of the filter coefficients m, rejecting an
-    odd-length or empty m and a non-Hurwitz one."""
-    coeffs = tuple(float(x) for x in m)
-    if len(coeffs) % 2 != 0 or not coeffs:
-        raise ValueError("need an even number of coefficients (2n), got %d" % len(coeffs))
-    M = companion_matrix(coeffs)
-    failure = _routh_failure(coeffs)
-    if failure is not None:
-        raise NotHurwitzError(failure)
-    return M
 
 
 def _times_companion(row: tuple, last: tuple) -> tuple:
@@ -203,7 +156,7 @@ def sylvester_residual(m: Sequence[float], Q: Matrix, a) -> float:
     """Frobenius norm of M Q - Q Phi(a) + N Gamma for the filter M of m."""
     coeffs = coeff_tuple(a)
     n = len(coeffs)
-    M = filter_matrix(m)
+    M = companion_matrix(m)
     if M.rows != 2 * n:
         raise ShapeError("m has %d entries, expected 2n = %d" % (M.rows, 2 * n))
     if Q.rows != 2 * n or Q.cols != n:

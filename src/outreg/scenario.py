@@ -14,11 +14,13 @@ Unknown keys and bad syntax are hard errors, as is a value that breaks a
 rule of its key, which _violation states once (type, length, finiteness,
 gain degree, range, Hurwitz m1 and m2, mode) for files, overrides, flags
 and hand-built configs alike; all such violations are listed at once, a
-file's with its line, a flag's with its name.  Only without one is the run
-length checked (1..MAX_STEPS steps, at most MAX_RECORDS records), a file's
-on the last line of sim.h, sim.t_end and sim.stride.  Benchmark-box checks
-(plant, sigma) and unprovable gain bounds only warn, for a config with no
-violation.  loads judges a file once, as it reads it, not through validate.
+file's with its line, a flag's with its name.  _routh_failure is the
+package's only Hurwitz check: the filter math holds for any m.  Only
+without one is the run length checked (1..MAX_STEPS steps, at most
+MAX_RECORDS records), a file's on the last line of sim.h, sim.t_end and
+sim.stride.  Benchmark-box checks (plant, sigma) and unprovable gain
+bounds only warn, for a config with no violation.  loads judges a file
+once, as it reads it, not through validate.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import warnings
 from typing import Sequence
 
 from .duffing import regulator_solution, steady_state_theta
-from .internal_model import _routh_failure
 from .record import Record
 
 # in kernel order: simulate passes each mode's index here as its mode code
@@ -75,8 +76,9 @@ class ScenarioError(ValueError):
         return (type(self), (self.violations,))
 
 
-# A parser reads a value's syntax only (_violation judges the value) or
-# raises ValueError whose message follows "line N: key: " in the error.
+# A parser, Polynomial.parse among them, reads a value's syntax only
+# (_violation judges the value) or raises ValueError whose message follows
+# "line N: key: " in the error.
 
 def _number(text, kind=float):
     # kind(text) for ASCII text without '_' only: float() and int() also read
@@ -128,10 +130,6 @@ def _fmt_mask(mask):
 _TERM_RE = re.compile(r"^([0-9]+(?:\.[0-9]*)?|\.[0-9]+)?(?:/([0-9]+(?:\.[0-9]*)?))?(\*?s(?:\^([0-9]+))?)?$")
 
 
-class GainSyntaxError(ValueError):
-    """Gain expression text outside the restricted polynomial grammar."""
-
-
 class Polynomial(Record):
     """Real polynomial, coefficients ascending: coeffs[j] multiplies s^j."""
 
@@ -150,25 +148,22 @@ class Polynomial(Record):
         """Parse "c0 + c1*s + c2*s^2" style expressions."""
         compact = text.replace(" ", "").replace("\t", "")
         if not compact:
-            raise GainSyntaxError("empty gain expression")
+            raise ValueError("empty gain expression")
         if compact[0] not in "+-":
             compact = "+" + compact
         # split into sign/body chunks; '-' only appears as a term sign in
         # this grammar (no scientific notation)
         pieces = re.findall(r"[+-][^+-]+", compact)
         if "".join(pieces) != compact:
-            raise GainSyntaxError("cannot tokenize gain expression %r" % text)
+            raise ValueError("cannot tokenize gain expression %r" % text)
         degree_to_coeff = {}
         for piece in pieces:
             sign = -1.0 if piece[0] == "-" else 1.0
             m = _TERM_RE.match(piece[1:])
-            if not m or (m.group(1) is None and m.group(3) is None):
-                raise GainSyntaxError("bad term %r in gain expression %r" % (piece, text))
-            num, den, svar, power = m.groups()
-            if den is not None and num is None:
-                raise GainSyntaxError("bad term %r in gain expression %r" % (piece, text))
-            if svar is not None and svar.startswith("*") and num is None:
-                raise GainSyntaxError("bad term %r in gain expression %r" % (piece, text))
+            num, den, svar, power = m.groups() if m else (None,) * 4
+            # a term needs a number or s, and "/d" and "*s" need a number
+            if not m or (num is None and (svar is None or den is not None or svar.startswith("*"))):
+                raise ValueError("bad term %r in gain expression %r" % (piece, text))
             coeff = float(num) if num is not None else 1.0
             if den is not None:
                 # a denominator of 0, or one such as 0.000...1 that rounds to
@@ -182,12 +177,12 @@ class Polynomial(Record):
                 # int() refuses very long digit strings: count the digits first
                 deg = int(power) if len(power.lstrip("0")) < 10 else MAX_GAIN_DEGREE + 1
             if deg > MAX_GAIN_DEGREE:
-                raise GainSyntaxError("term %r has degree above %d in gain expression %r"
-                                      % (piece, MAX_GAIN_DEGREE, text))
+                raise ValueError("term %r has degree above %d in gain expression %r"
+                                 % (piece, MAX_GAIN_DEGREE, text))
             degree_to_coeff[deg] = degree_to_coeff.get(deg, 0.0) + sign * coeff
         if not all(map(math.isfinite, degree_to_coeff.values())):
-            raise GainSyntaxError("gain expression %r has a zero denominator or a "
-                                  "coefficient that is not finite" % text)
+            raise ValueError("gain expression %r has a zero denominator or a "
+                             "coefficient that is not finite" % text)
         top = max(degree_to_coeff)
         return cls([degree_to_coeff.get(d, 0.0) for d in range(top + 1)])
 
@@ -437,6 +432,35 @@ def _violation(row, val):
         return "%s: M%s not Hurwitz (%s)" % (key, key[-1], failure)
     if fmt is str and val not in MODES:
         return "%s: must be one of %s, got %s" % (key, "/".join(MODES), _repr(val))
+
+
+# Hurwitz gate: strictly inside the left half-plane with a safety margin
+_HURWITZ_MARGIN = -1e-6
+
+
+def _routh_failure(coeffs: tuple):
+    """Routh-Hurwitz test that every root of s^k + c_k s^(k-1) + ... + c_1 has
+    Re < _HURWITZ_MARGIN; a root on the margin counts as outside.
+
+    Returns None when the test passes, else the message that names the first
+    Routh array row, 1..k below the leading one, whose first-column entry is
+    not > 0, and that entry."""
+    p = [1.0] + list(reversed(coeffs))  # descending
+    k = len(coeffs)
+    # Taylor shift: p(z + margin), by repeated synthetic division; every root
+    # of p has Re < margin exactly when the shifted polynomial is Hurwitz
+    for i in range(k):
+        for j in range(1, k + 1 - i):
+            p[j] += _HURWITZ_MARGIN * p[j - 1]
+    # Routh array, two rows at a time; Hurwitz iff its first column is > 0
+    prev, cur = p[0::2], p[1::2]
+    for row in range(1, k + 1):
+        if not cur[0] > 0.0:
+            return ("filter polynomial shifted by %g fails Routh-Hurwitz: row %d of %d "
+                    "has first-column entry %r, not > 0" % (_HURWITZ_MARGIN, row, k, cur[0]))
+        r = prev[0] / cur[0]
+        prev, cur = cur, [a - r * b for a, b in zip(prev[1:], cur[1:] + [0.0])]
+    return None
 
 
 def _is_number(x) -> bool:

@@ -8,7 +8,7 @@ import warnings
 import pytest
 from conftest import STEADY_SCN
 
-from outreg.cli import _AXES, GridError, _fan_out, _grid_points, main, parse_grid
+from outreg.cli import _AXES, _fan_out, _grid_points, main, parse_grid
 from outreg.scenario import ScenarioError, serialize, with_overrides
 
 RUN_FILES = ("log.csv", "metrics.json", "plot_trajectory.svg",
@@ -216,8 +216,17 @@ def test_parse_grid():
     assert parse_grid("sigma=1:2") == [("sigma", [(1.0, 2.0)])]
     for bad in ("", ";;", "bogus=1", "sigma=", "sigma=a",
                 "sigma=0.5;sigma=1", "sigma"):
-        with pytest.raises(GridError):
+        with pytest.raises(ScenarioError):
             parse_grid(bad)
+
+
+def test_a_grid_error_is_one_config_violation(tmp_path, capsys):
+    message = "unknown grid key 'bogus' (allowed: %s)" % ", ".join(_AXES)
+    with pytest.raises(ScenarioError) as info:
+        parse_grid("bogus=1")
+    assert info.value.violations == (message,)
+    assert main(["sweep", "--grid", "bogus=1", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error:\n%s\n" % message
 
 
 def test_parse_grid_axes_are_the_numeric_scenario_fields():
@@ -226,7 +235,7 @@ def test_parse_grid_axes_are_the_numeric_scenario_fields():
         ("m2", [(1.0, 5.0, 13.0, 22.0, 26.0, 22.0, 13.0, 5.0)])]
     # masks, gains, the stride and the mode are no axes
     for key in ("mask1", "rho", "k", "stride", "mode"):
-        with pytest.raises(GridError, match="unknown grid key %r" % key):
+        with pytest.raises(ScenarioError, match="unknown grid key %r" % key):
             parse_grid("%s=1" % key)
 
 
@@ -234,7 +243,7 @@ def test_parse_grid_axes_are_the_numeric_scenario_fields():
                                   "k0=0.\u0665"])
 def test_parse_grid_numbers_are_ascii_decimals(spec):
     # float() would read these as 10, 1, 3 and 0.5
-    with pytest.raises(GridError, match="bad value"):
+    with pytest.raises(ScenarioError, match="bad value"):
         parse_grid(spec)
 
 

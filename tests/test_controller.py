@@ -4,7 +4,7 @@ import pytest
 
 from outreg.controller import control_adaptive, control_nonadaptive, filter_derivative, zeta
 from outreg.linalg import ShapeError
-from outreg.scenario import GainSyntaxError, Polynomial, ScenarioConfig
+from outreg.scenario import Polynomial, ScenarioConfig
 
 CFG = ScenarioConfig()  # rho = 10 + 4 s^4, k = 1 + s^2, k0 = 1
 
@@ -29,15 +29,16 @@ def test_polynomial_parse_variants():
 
 
 def test_polynomial_parse_rejects_bad_syntax():
-    for bad in ("", "1e-3", "x^2", "s**2", "1 + ", "2*", "s^", "*s", "1//2", "sin(s)"):
-        with pytest.raises(GainSyntaxError):
+    for bad in ("", "1e-3", "x^2", "s**2", "1 + ", "2*", "s^", "*s", "1//2", "sin(s)",
+                "/2s", "/2*s"):
+        with pytest.raises(ValueError, match="gain expression"):
             Polynomial.parse(bad)
 
 
 def test_polynomial_parse_rejects_zero_denominator_and_non_finite():
     for bad in ("1/0", "s + 3/0.0*s^2", "1/0." + "0" * 400 + "1", "9" * 400,
                 "9" * 308 + " - " + "9" * 309):
-        with pytest.raises(GainSyntaxError, match="zero denominator or a coefficient"):
+        with pytest.raises(ValueError, match="zero denominator or a coefficient"):
             Polynomial.parse(bad)
 
 

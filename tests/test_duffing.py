@@ -17,7 +17,7 @@ from outreg.duffing import (
     steady_state_theta,
     steady_state_xi,
 )
-from outreg.internal_model import filter_matrix
+from outreg.internal_model import companion_matrix
 from outreg.mapping import chi, estimate_coeffs
 from outreg.scenario import ScenarioConfig, with_overrides
 
@@ -259,7 +259,7 @@ def test_filter_convergence():
     # the state locks onto theta; by t = 50 the gap is below 1e-6
     worst = 0.0
     for i, m in ((1, P.m1), (2, P.m2)):
-        M = np.array(filter_matrix(m).to_lists())
+        M = np.array(companion_matrix(m).to_lists())
         N = np.array([0.0] * (len(m) - 1) + [1.0])  # the last basis column
         s = P.sigma
 

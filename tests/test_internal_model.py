@@ -6,20 +6,19 @@ import numpy as np
 import pytest
 
 from outreg import linalg
+from outreg.controller import filter_derivative
 from outreg.internal_model import (
-    _HURWITZ_MARGIN,
-    NotHurwitzError,
     _times_companion,
     admissible_from_frequencies,
     coeff_tuple,
     companion_matrix,
-    filter_matrix,
     q_matrix,
     sylvester_residual,
     xi_matrix,
 )
 from outreg.linalg import (Matrix, ShapeError, SingularMatrixError, determinant, identity,
                            mat_mul, mat_pow, transpose)
+from outreg.scenario import _HURWITZ_MARGIN, ScenarioConfig, _routh_failure
 
 M1 = (10.0, 18.0, 15.0, 6.0)
 M2 = (1.0, 5.0, 13.0, 22.0, 26.0, 22.0, 13.0, 5.0)
@@ -86,31 +85,28 @@ def test_filter_matrix_accepts_benchmark_filters():
     # N and Gamma, the last basis column and the first basis row, are fixed:
     # test_sylvester_residual_n_gamma and test_filter_derivative_structure
     # pin where they act
-    M = filter_matrix(M1)
-    assert M == companion_matrix(M1)
+    assert _routh_failure(M1) is None
+    M = companion_matrix(M1)
     assert (M.rows, M.cols) == (4, 4)
     # roots of (s^2+2s+2)(s^2+4s+5)
     eigs = sorted(np.linalg.eigvals(np.array(M.to_lists())), key=lambda z: (z.real, z.imag))
     want = sorted([-2 + 1j, -2 - 1j, -1 + 1j, -1 - 1j], key=lambda z: (z.real, z.imag))
     assert eigs == pytest.approx(want, abs=1e-8)
 
-    M = filter_matrix(M2)
-    assert M == companion_matrix(M2)
+    assert _routh_failure(M2) is None
+    M = companion_matrix(M2)
     assert (M.rows, M.cols) == (8, 8)
     assert max(z.real for z in np.linalg.eigvals(np.array(M.to_lists()))) < -1e-6
 
 
 def test_filter_matrix_rejects_unstable():
     # the message names the first Routh first-column entry that is not > 0
-    with pytest.raises(NotHurwitzError, match=re.escape(
-            "shifted by -1e-06 fails Routh-Hurwitz: row 1 of 2 has "
-            "first-column entry -2e-06, not > 0")):
-        filter_matrix((-1.0, 0.0))  # s^2 - 1 has root +1
-    with pytest.raises(NotHurwitzError, match=re.escape(
-            "row 2 of 2 has first-column entry -9.99999e-07, not > 0")):
-        filter_matrix((0.0, 1.0))  # s^2 + s has a root at the origin
-    with pytest.raises(ValueError):
-        filter_matrix((1.0, 2.0, 3.0))  # odd length
+    # (s^2 - 1 has root +1, s^2 + s a root at the origin)
+    assert _routh_failure((-1.0, 0.0)) == (
+        "filter polynomial shifted by -1e-06 fails Routh-Hurwitz: row 1 of 2 has "
+        "first-column entry -2e-06, not > 0")
+    assert _routh_failure((0.0, 1.0)).endswith(
+        "row 2 of 2 has first-column entry -9.99999e-07, not > 0")
 
 
 def _worst_real_part(m):
@@ -118,11 +114,7 @@ def _worst_real_part(m):
 
 
 def _accepts(m):
-    try:
-        filter_matrix(m)
-    except NotHurwitzError:
-        return False
-    return True
+    return _routh_failure(m) is None
 
 
 @pytest.mark.parametrize("name, m, accepted", [
@@ -320,6 +312,14 @@ def test_sylvester_residual_dimension_errors():
         sylvester_residual(M1, q2, A2)
     with pytest.raises(ShapeError):
         sylvester_residual(M1, q2, A1)
+
+
+def test_the_filter_math_needs_no_hurwitz_filter():
+    # s^2 - 1 and s^4 - 1 have the root +1: the Sylvester identity and the
+    # filter ODE hold for any m; only a scenario's m1 and m2 are gated
+    assert sylvester_residual((-1.0, 0.0), q_matrix((0.25,), (-1.0, 0.0)), (0.25,)) == 0.0
+    cfg = ScenarioConfig(m1=(-1.0, 0.0, 0.0, 0.0))
+    assert filter_derivative((1.0, 0.0, 0.0, 0.0), 0.5, cfg, 1) == [0.0, 0.0, 0.0, 1.5]
 
 
 def test_coeff_vector_rejects_bad_input():
