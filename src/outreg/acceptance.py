@@ -11,8 +11,7 @@ See README "Behavior notes" for the analysis of the stock cold-start
 escape.
 
 run_all(seed) executes all ten, split between forked children and the
-calling process as _GROUPS says, and caches per seed so `outreg check`
-and the test suite can share one execution.
+calling process as _GROUPS says.
 """
 
 from __future__ import annotations
@@ -262,17 +261,17 @@ def criterion_5(seed, ctx):
             "t = 50 (tol 1e-6)%s" % (worst, qualifying, worst_gap, note))
 
 
-def _default_run(ctx, mode):
-    key = "run-" + mode
-    if key not in ctx:
-        cfg = with_overrides(_STOCK, mode=mode)
-        log, died, _ = integrate(cfg)
-        ctx[key] = (cfg, log, died)
-    return ctx[key]
+def _run(ctx, **changes):
+    """with_overrides(_STOCK, **changes) as cfg, integrated once per ctx and
+    keyed by cfg itself: (cfg, log, diverged_at, y_final)."""
+    cfg = with_overrides(_STOCK, **changes)
+    if cfg not in ctx:
+        ctx[cfg] = (cfg, *integrate(cfg))
+    return ctx[cfg]
 
 
 def criterion_6(seed, ctx):
-    cfg, log, died = _default_run(ctx, "nonadaptive")
+    cfg, log, died, _ = _run(ctx, mode="nonadaptive")
     if died is not None:
         return ("tracking-convergence", False,
                 "stock scenario escapes in finite time: |state| > 1e9 at "
@@ -285,8 +284,8 @@ def criterion_6(seed, ctx):
 
 
 def criterion_7(seed, ctx):
-    cfg, log, died = _default_run(ctx, "nonadaptive")
-    a1, a2 = duffing_coeffs(_STOCK)
+    cfg, log, died, _ = _run(ctx, mode="nonadaptive")
+    a1, a2 = duffing_coeffs(cfg)
     bounds = (("a11", a1[0], 0.02), ("a21", a2[0], 0.05), ("a23", a2[2], 0.1))
     if died is not None:
         return ("coefficient-estimation", False,
@@ -300,7 +299,7 @@ def criterion_7(seed, ctx):
 
 
 def criterion_8(seed, ctx):
-    cfg, log, died = _default_run(ctx, "adaptive")
+    cfg, log, died, _ = _run(ctx, mode="adaptive")
     kh = log.column("khat")
     monotone = all(b >= a - 1e-15 for a, b in zip(kh, kh[1:]))
     if died is not None:
@@ -341,9 +340,8 @@ def criterion_10(seed, ctx):
     parts = []
 
     # (a) step halving moves criterion 6's metric by < 10%
-    cfg, log, died = _default_run(ctx, "nonadaptive")
-    half = with_overrides(cfg, h=cfg.h / 2.0)
-    log_h, died_h, _ = integrate(half)
+    cfg, log, died, _ = _run(ctx, mode="nonadaptive")
+    half, log_h, died_h, _ = _run(ctx, mode="nonadaptive", h=cfg.h / 2.0)
     if died is not None or died_h is not None:
         parts.append((False,
                       "step-halving: metric undefined, runs diverge at "
@@ -358,18 +356,17 @@ def criterion_10(seed, ctx):
                       "step-halving shift %.3g (tol < 0.10)" % shift))
 
     # (b) exosystem norm drift over 100 s, in the kernel the runs use: one
-    # open-loop run of the stock scenario, recording only its first and last
-    # steps, whose final state entries 2, 3 are v from v(0) = _STOCK.v0
-    ol = with_overrides(_STOCK, mode="open_loop", stride=_STOCK.n_steps)
-    v = integrate(ol)[2][2:4]
-    r0 = math.hypot(*_STOCK.v0)
+    # open-loop run of the same scenario, recording only its first and last
+    # steps, whose final state entries 2, 3 are v from v(0) = cfg.v0
+    v = _run(ctx, mode="open_loop", stride=cfg.n_steps)[3][2:4]
+    r0 = math.hypot(*cfg.v0)
     drift = abs(math.hypot(*v) - r0) / r0
     parts.append((drift <= 1e-8, "exosystem norm drift %.3g over 100 s "
                   "(tol 1e-8)" % drift))
 
-    # (c) byte-exact determinism on the stock scenario
-    ctx.pop("run-nonadaptive", None)
-    _, log2, died2 = _default_run(ctx, "nonadaptive")
+    # (c) byte-exact determinism on the same scenario
+    del ctx[cfg]
+    _, log2, died2, _ = _run(ctx, mode="nonadaptive")
     same = log2.to_csv() == log.to_csv() and died2 == died
     parts.append((same, "repeated run byte-exact: %s" % same))
 
@@ -379,40 +376,35 @@ def criterion_10(seed, ctx):
 
 _CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
              criterion_6, criterion_7, criterion_8, criterion_9, criterion_10)
-# the _CRITERIA indices each process runs: this one runs 6-10 with one
-# shared context and then 2 and 1, one forked child criterion 4 and another
-# 5 and 3; 1-5 touch no kernel.  Each called alone, medians of seven fresh
-# processes on a 2-CPU machine (C twin): 4 took 0.32 s, 3 0.19 s, 5 0.12 s,
-# 1 0.02 s, 2 0.01 s, and 6-10 0.05 s together, so the children carry 0.32
-# and 0.31 s and this process 0.08 s of the 0.71 s
-_GROUPS = ((5, 6, 7, 8, 9, 1, 0), (3,), (4, 2))
-
-_cache = {}
-
-
-def _timed(fn, seed, ctx):
-    t0 = time.perf_counter()
-    name, passed, detail = fn(seed, ctx)
-    return name, passed, detail, time.perf_counter() - t0
+# the criteria, by number, that each process runs: this one runs 6-10 with
+# one shared context and then 2 and 1, one forked child criterion 4 and
+# another 5 and 3; 1-5 touch no kernel.  Each called alone, medians of seven
+# fresh processes on a 2-CPU machine (C twin): 4 took 0.32 s, 3 0.19 s, 5
+# 0.12 s, 1 0.02 s, 2 0.01 s, and 6-10 0.05 s together, so the children
+# carry 0.32 and 0.31 s and this process 0.08 s of the 0.71 s
+_GROUPS = ((6, 7, 8, 9, 10, 2, 1), (4,), (5, 3))
 
 
 def _run_group(seed, group):
-    ctx = {}
-    return {i: _timed(_CRITERIA[i], seed, ctx) for i in group}
+    """{number: (name, passed, detail, seconds)} of group's criteria, on one context."""
+    ctx, done = {}, {}
+    for i in group:
+        t0 = time.perf_counter()
+        name, passed, detail = _CRITERIA[i - 1](seed, ctx)
+        done[i] = name, passed, detail, time.perf_counter() - t0
+    return done
 
 
 def run_all(seed: int = 0):
     """Run all ten criteria; returns [(name, passed, detail, seconds)].
 
-    Criteria 6-10 run here with one shared context: 6, 7 and 10 reuse one
-    cached run, and every kernel step is integrated in this process.  The
-    other criteria run where _GROUPS puts them, some in children that
+    Criteria 6-10 run here with one shared context: 6, 7 and 10 share one
+    run, and every kernel step is integrated in this process.  The other
+    criteria run where _GROUPS puts them, some in children that
     cli._fan_out forks, so call this from a process that has started no
     threads.  A criterion's exception is raised here.
     """
-    if seed not in _cache:
-        done = {}
-        for got in _fan_out([partial(_run_group, seed, group) for group in _GROUPS]):
-            done.update(got)
-        _cache[seed] = [done[i] for i in range(len(_CRITERIA))]
-    return _cache[seed]
+    done = {}
+    for got in _fan_out([partial(_run_group, seed, group) for group in _GROUPS]):
+        done.update(got)
+    return [done[i] for i in range(1, len(_CRITERIA) + 1)]

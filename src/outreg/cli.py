@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import warnings
@@ -69,10 +70,13 @@ def _write(path: str, text: str):
 
 
 def _write_run_outputs(outdir: str, log: SimLog, report: dict, adaptive: bool):
-    os.makedirs(outdir, exist_ok=True)
+    # a non-finite float is written as summary.csv prints it ("nan", "inf",
+    # "-inf"), so metrics.json stays strict JSON
+    report = {k: _summary_cell(v) if isinstance(v, float) and not math.isfinite(v) else v
+              for k, v in report.items()}
     _write(os.path.join(outdir, "log.csv"), log.to_csv())
     _write(os.path.join(outdir, "metrics.json"),
-           json.dumps(report, indent=2, sort_keys=True) + "\n")
+           json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
     _write(os.path.join(outdir, "plot_trajectory.svg"), svgplot.trajectory_svg(log))
     _write(os.path.join(outdir, "plot_error.svg"), svgplot.error_svg(log))
     _write(os.path.join(outdir, "plot_estimates.svg"), svgplot.estimates_svg(log))
@@ -82,6 +86,7 @@ def _write_run_outputs(outdir: str, log: SimLog, report: dict, adaptive: bool):
 
 def cmd_run(args) -> int:
     cfg = _load_cfg(args)
+    os.makedirs(args.out, exist_ok=True)
     log, diverged_at, _ = integrate(cfg)
     report = metrics(log, cfg, diverged_at=diverged_at)
     _write_run_outputs(args.out, log, report, cfg.mode == "adaptive")
@@ -230,6 +235,7 @@ def cmd_sweep(args) -> int:
     if args.jobs is not None and args.jobs < 1:
         raise ScenarioError(["--jobs: must be >= 1, got %d" % args.jobs])
     jobs = args.jobs or min(4, os.cpu_count() or 1)
+    os.makedirs(args.out, exist_ok=True)
     # process k runs the fixed stripe points[k::n]; the stripes interleave
     # back into grid order
     n = min(jobs, len(points))
@@ -244,7 +250,6 @@ def cmd_sweep(args) -> int:
         cells = [_summary_cell(point[n]) for n in names]
         cells += [_summary_cell(rep[k]) for k in _SUMMARY_METRICS]
         lines.append(",".join(cells))
-    os.makedirs(args.out, exist_ok=True)
     _write(os.path.join(args.out, "summary.csv"), "\n".join(lines) + "\n")
     if any(rep["diverged"] for rep in results):
         print("one or more sweep points diverged; see %s"

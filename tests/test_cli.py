@@ -42,6 +42,36 @@ def test_run_adaptive_adds_gain_plot(tmp_path, steady_cfg):
     assert sorted(os.listdir(out)) == sorted(RUN_FILES + ("plot_khat.svg",))
 
 
+def _kernel_calls(monkeypatch):
+    """A list that gains one entry per simulate.run_closed_loop call."""
+    import outreg.simulate
+
+    calls = []
+    kernel = outreg.simulate.run_closed_loop
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(outreg.simulate, "run_closed_loop", counted)
+    return calls
+
+
+def test_run_nonfinite_metric_stays_strict_json(tmp_path):
+    # the state overflows on the first step, so max |u| is nan: metrics.json
+    # writes it as summary.csv would, and parses without NaN or Infinity
+    def reject(token):
+        raise ValueError("non-standard JSON constant %s" % token)
+
+    scn = tmp_path / "big.scn"
+    scn.write_text("init.x = 1e300, 0\n")
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(scn), "--tend", "0.01", "--out", str(out)]) == 3
+    rep = json.loads((out / "metrics.json").read_text(), parse_constant=reject)
+    assert rep["diverged"] is True
+    assert rep["max_abs_u"] == "nan"
+
+
 def test_run_divergence_keeps_partial_artifacts(tmp_path, capsys):
     out = str(tmp_path / "out")
     assert main(["run", "--out", out]) == 3
@@ -199,10 +229,23 @@ def test_run_missing_scenario_exits_4(tmp_path):
                  "--out", str(tmp_path / "o")]) == 4
 
 
-def test_run_unwritable_out_exits_4(tmp_path, steady_cfg):
+def test_run_unwritable_out_exits_4(tmp_path, steady_cfg, monkeypatch):
+    # --out is made before the run, so a bad one costs no kernel call
     scn = _steady_scn(tmp_path, steady_cfg)
+    calls = _kernel_calls(monkeypatch)
     assert main(["run", "--scenario", scn, "--tend", "1",
                  "--out", os.devnull + "/sub"]) == 4
+    assert calls == []
+
+
+def test_sweep_onto_a_file_exits_4_before_running_any(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "taken"
+    out.write_text("")
+    calls = _kernel_calls(monkeypatch)
+    assert main(["sweep", "--scenario", STEADY_SCN, "--grid", "k0=1,10", "--tend", "1",
+                 "--jobs", "1", "--out", str(out)]) == 4
+    assert "File exists" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_parse_grid():
@@ -511,11 +554,9 @@ def test_run_all_child_error_reaches_the_caller(monkeypatch, forks):
     def quick(seed, ctx):
         return ("quick", True, "")
 
-    monkeypatch.setattr(acceptance, "_cache", {})
     monkeypatch.setattr(acceptance, "_CRITERIA", (quick,) * 3 + (criterion_4,) + (quick,) * 6)
     with pytest.raises(ZeroDivisionError, match="^criterion 4 in a child$"):
         acceptance.run_all(seed=0)
-    assert acceptance._cache == {}
     assert len(forks) == 2
     for pid in forks:
         with pytest.raises(ChildProcessError):

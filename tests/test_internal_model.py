@@ -81,7 +81,7 @@ def test_admissible_from_frequencies_bits(freqs, want):
     assert admissible_from_frequencies(freqs) == want
 
 
-def test_filter_matrix_accepts_benchmark_filters():
+def test_hurwitz_gate_accepts_benchmark_filters():
     # N and Gamma, the last basis column and the first basis row, are fixed:
     # test_sylvester_residual_n_gamma and test_filter_derivative_structure
     # pin where they act
@@ -99,7 +99,7 @@ def test_filter_matrix_accepts_benchmark_filters():
     assert max(z.real for z in np.linalg.eigvals(np.array(M.to_lists()))) < -1e-6
 
 
-def test_filter_matrix_rejects_unstable():
+def test_hurwitz_gate_rejects_unstable():
     # the message names the first Routh first-column entry that is not > 0
     # (s^2 - 1 has root +1, s^2 + s a root at the origin)
     assert _routh_failure((-1.0, 0.0)) == (
@@ -322,7 +322,7 @@ def test_the_filter_math_needs_no_hurwitz_filter():
     assert filter_derivative((1.0, 0.0, 0.0, 0.0), 0.5, cfg, 1) == [0.0, 0.0, 0.0, 1.5]
 
 
-def test_coeff_vector_rejects_bad_input():
+def test_coeff_tuple_rejects_bad_input():
     with pytest.raises(ValueError):
         coeff_tuple(())
     with pytest.raises(ValueError):
