@@ -24,7 +24,7 @@ from outreg.closed_forms import closed_form_ahat1, closed_form_ahat2
 from outreg.internal_model import q_matrix, sylvester_residual
 from outreg.linalg import Matrix, _dot, frobenius_norm, mat_vec
 from outreg.mapping import estimate_coeffs
-from outreg.scenario import ScenarioConfig
+from outreg.scenario import ScenarioConfig, steady_start
 
 # sha256 of repr([(name, passed, detail), ...]) for two seeds: everything
 # `outreg check` prints except the timings.  Taken with the plain loops of
@@ -175,6 +175,53 @@ def test_run_all_integrates_every_step_here(counted_run_all, monkeypatch):
     for i in range(6, 11):
         getattr(acceptance, "criterion_%d" % i)(0, ctx)
     assert pooled and pooled == calls
+
+
+# criteria 6-10 on the steady start, where their runs complete: every
+# criterion's (name, passed, detail) at two horizons.  At 0.3 s all twelve
+# grid points complete; at 1 s seven escape.  Step halving fails at both,
+# because both runs regulate to rounding noise and the shift compares noise.
+COMPLETED_RUNS = {
+    0.3: [
+        ("tracking-convergence", True, "trailing-20% sup|e| = 2.49e-14 (tol 1e-2)"),
+        ("coefficient-estimation", True,
+         "trailing estimate errors: |a11 - 0.25| = 2.19e-14 (tol 0.02), "
+         "|a21 - 0.5625| = 1.04e-14 (tol 0.05), |a23 - 2.5| = 2e-14 (tol 0.1)"),
+        ("adaptive-variant", True,
+         "trailing-20% sup|e| = 1.02e-14 (tol 1e-2); gain nondecreasing: True; "
+         "final gain 4.89542e-21"),
+        ("robustness-sweep", False,
+         "all 12 runs complete; worst trailing sup|e| = 0.19 at sigma=0.1, c2=-2 "
+         "(tol 5e-2)"),
+        ("numerical-hygiene", False,
+         "step-halving shift 0.893 (tol < 0.10); exosystem norm drift 0 over 0.3 s "
+         "(tol 1e-8); repeated run byte-exact: True"),
+    ],
+    1.0: [
+        ("tracking-convergence", True, "trailing-20% sup|e| = 4.93e-14 (tol 1e-2)"),
+        ("coefficient-estimation", True,
+         "trailing estimate errors: |a11 - 0.25| = 1.65e-13 (tol 0.02), "
+         "|a21 - 0.5625| = 1.81e-13 (tol 0.05), |a23 - 2.5| = 3.61e-13 (tol 0.1)"),
+        ("adaptive-variant", True,
+         "trailing-20% sup|e| = 2.2e-14 (tol 1e-2); gain nondecreasing: True; "
+         "final gain 8.78945e-21"),
+        ("robustness-sweep", False,
+         "7/12 grid runs escape in finite time (bound requires 0 divergences and "
+         "trailing sup|e| <= 5e-2)"),
+        ("numerical-hygiene", False,
+         "step-halving shift 0.932 (tol < 0.10); exosystem norm drift 3.14e-16 "
+         "over 1 s (tol 1e-8); repeated run byte-exact: True"),
+    ],
+}
+
+
+@pytest.mark.parametrize("t_end", sorted(COMPLETED_RUNS))
+def test_completed_runs_pinned(t_end, monkeypatch):
+    monkeypatch.setattr(acceptance, "_STOCK",
+                        steady_start(ScenarioConfig()).replace(t_end=t_end))
+    ctx = {}
+    got = [getattr(acceptance, "criterion_%d" % i)(0, ctx) for i in range(6, 11)]
+    assert got == COMPLETED_RUNS[t_end]
 
 
 def _random_pairs_by_convolve(seed, count):
