@@ -3,8 +3,9 @@
 Each criterion function returns (name, passed, detail, seconds).  Every
 criterion reads the stock benchmark scenario _STOCK = ScenarioConfig():
 criteria 1-5 take its plant point and internal models (m_i, epsilon,
-mask_i) as the oracle's inputs, and the closed-loop criteria (6-9) run it
-exactly as configured.  When a run escapes in finite time the criterion
+mask_i) as the oracle's inputs, and every run of criteria 6-10, with its
+report, comes from _run, which integrates _STOCK with the criterion's
+changes once per context.  When a run escapes in finite time the criterion
 reports the divergence instead of a trailing-window metric and fails
 honestly.
 See README "Behavior notes" for the analysis of the stock cold-start
@@ -37,7 +38,7 @@ from .internal_model import (_component, admissible_from_frequencies, q_matrix,
 from .linalg import (Matrix, _dot, determinant, identity, mat_mul, mat_pow, mat_vec,
                      solve_columns, transpose, zeros)
 from .mapping import _chi_of, _inverse_and_det, chi, estimate_coeffs, hankel, regularized_inverse
-from .cli import _fan_out, _grid_points, _sweep_worker, parse_grid
+from .cli import _fan_out
 from .scenario import ScenarioConfig, with_overrides
 from .simulate import integrate, metrics
 from .closed_forms import closed_form_ahat1, closed_form_ahat2, closed_form_chi1, closed_form_chi2
@@ -263,35 +264,35 @@ def criterion_5(seed, ctx):
 
 def _run(ctx, **changes):
     """with_overrides(_STOCK, **changes) as cfg, integrated once per ctx and
-    keyed by cfg itself: (cfg, log, diverged_at, y_final)."""
+    keyed by cfg itself: (cfg, log, diverged_at, y_final, report), where
+    report is the run's metrics, the dict `outreg sweep` writes for a point."""
     cfg = with_overrides(_STOCK, **changes)
     if cfg not in ctx:
-        ctx[cfg] = (cfg, *integrate(cfg))
+        log, died, y_final = integrate(cfg)
+        ctx[cfg] = cfg, log, died, y_final, metrics(log, cfg, diverged_at=died)
     return ctx[cfg]
 
 
 def criterion_6(seed, ctx):
-    cfg, log, died, _ = _run(ctx, mode="nonadaptive")
+    _, _, died, _, rep = _run(ctx, mode="nonadaptive")
     if died is not None:
         return ("tracking-convergence", False,
                 "stock scenario escapes in finite time: |state| > 1e9 at "
                 "t = %.3f, so no trailing window exists (bound: trailing"
                 "-20%% sup|e| <= 1e-2)" % died)
-    rep = metrics(log, cfg)
     sup_e = rep["trailing_sup_e"]
     return ("tracking-convergence", sup_e <= 1e-2,
             "trailing-20%% sup|e| = %.3g (tol 1e-2)" % sup_e)
 
 
 def criterion_7(seed, ctx):
-    cfg, log, died, _ = _run(ctx, mode="nonadaptive")
+    cfg, _, died, _, rep = _run(ctx, mode="nonadaptive")
     a1, a2 = duffing_coeffs(cfg)
     bounds = (("a11", a1[0], 0.02), ("a21", a2[0], 0.05), ("a23", a2[2], 0.1))
     if died is not None:
         return ("coefficient-estimation", False,
                 "same stock run as criterion 6: diverged at t = %.3f before any trailing "
                 "window (bounds: %s)" % (died, ", ".join("|%s - %g| <= %g" % b for b in bounds)))
-    rep = metrics(log, cfg)
     errs = [(name, a, rep["trailing_err_" + name], tol) for name, a, tol in bounds]
     return ("coefficient-estimation", all(e <= tol for _, _, e, tol in errs),
             "trailing estimate errors: "
@@ -299,7 +300,7 @@ def criterion_7(seed, ctx):
 
 
 def criterion_8(seed, ctx):
-    cfg, log, died, _ = _run(ctx, mode="adaptive")
+    _, log, died, _, rep = _run(ctx, mode="adaptive")
     kh = log.column("khat")
     monotone = all(b >= a - 1e-15 for a, b in zip(kh, kh[1:]))
     if died is not None:
@@ -307,7 +308,6 @@ def criterion_8(seed, ctx):
                 "adaptive stock run escapes at t = %.3f (gain was "
                 "nondecreasing up to the escape: %s, last value %.3g)"
                 % (died, monotone, kh[-1]))
-    rep = metrics(log, cfg)
     sup_e = rep["trailing_sup_e"]
     finite = math.isfinite(kh[-1])
     passed = sup_e <= 1e-2 and monotone and finite
@@ -317,22 +317,21 @@ def criterion_8(seed, ctx):
 
 
 def criterion_9(seed, ctx):
-    # the grid `outreg sweep` runs, point by point as a sweep runs it
-    points = list(_grid_points(parse_grid("sigma=0.1,0.5,1,2;c2=-2,0,2")))
-    reports = [_sweep_worker(_STOCK, point) for point in points]
-    diverged = sum(rep["diverged"] for rep in reports)
+    # the runs of `outreg sweep --grid "sigma=0.1,0.5,1,2;c2=-2,0,2"`, in its order
+    runs = [_run(ctx, sigma=s, c2=c2) for s in (0.1, 0.5, 1.0, 2.0) for c2 in (-2.0, 0.0, 2.0)]
+    diverged = sum(rep["diverged"] for *_, rep in runs)
     worst = 0.0
     worst_at = None
-    for point, rep in zip(points, reports):
+    for cfg, *_, rep in runs:
         if not rep["diverged"] and rep["trailing_sup_e"] > worst:
-            worst, worst_at = rep["trailing_sup_e"], (point["sigma"], point["c2"])
+            worst, worst_at = rep["trailing_sup_e"], (cfg.sigma, cfg.c2)
     passed = diverged == 0 and worst <= 5e-2
     if diverged:
         detail = ("%d/%d grid runs escape in finite time (bound requires 0 "
-                  "divergences and trailing sup|e| <= 5e-2)" % (diverged, len(points)))
+                  "divergences and trailing sup|e| <= 5e-2)" % (diverged, len(runs)))
     else:
         detail = ("all %d runs complete; worst trailing sup|e| = %.3g at "
-                  "sigma=%g, c2=%g (tol 5e-2)" % (len(points), worst, *worst_at))
+                  "sigma=%g, c2=%g (tol 5e-2)" % (len(runs), worst, *worst_at))
     return ("robustness-sweep", passed, detail)
 
 
@@ -340,8 +339,8 @@ def criterion_10(seed, ctx):
     parts = []
 
     # (a) step halving moves criterion 6's metric by < 10%
-    cfg, log, died, _ = _run(ctx, mode="nonadaptive")
-    half, log_h, died_h, _ = _run(ctx, mode="nonadaptive", h=cfg.h / 2.0)
+    cfg, log, died, _, rep = _run(ctx, mode="nonadaptive")
+    _, _, died_h, _, rep_h = _run(ctx, mode="nonadaptive", h=cfg.h / 2.0)
     if died is not None or died_h is not None:
         parts.append((False,
                       "step-halving: metric undefined, runs diverge at "
@@ -349,16 +348,14 @@ def criterion_10(seed, ctx):
                       % ("%.3f" % died if died is not None else "none",
                          "%.4f" % died_h if died_h is not None else "none")))
     else:
-        m_full = metrics(log, cfg)["trailing_sup_e"]
-        m_half = metrics(log_h, half)["trailing_sup_e"]
+        m_full, m_half = rep["trailing_sup_e"], rep_h["trailing_sup_e"]
         shift = abs(m_full - m_half) / max(abs(m_full), 1e-300)
         parts.append((shift < 0.10,
                       "step-halving shift %.3g (tol < 0.10)" % shift))
 
-    # (b) exosystem norm drift over the run's horizon, in the kernel the
-    # runs use: one open-loop run of the same scenario, recording only its
-    # first and last steps, whose final state entries 2, 3 are v from
-    # v(0) = cfg.v0
+    # (b) exosystem norm drift over cfg.t_end, in the kernel the runs use: one
+    # open-loop run of the same scenario, recording only its first and last
+    # steps, whose final state entries 2, 3 are v from v(0) = cfg.v0
     v = _run(ctx, mode="open_loop", stride=cfg.n_steps)[3][2:4]
     r0 = math.hypot(*cfg.v0)
     drift = abs(math.hypot(*v) - r0) / r0
@@ -367,7 +364,7 @@ def criterion_10(seed, ctx):
 
     # (c) byte-exact determinism on the same scenario
     del ctx[cfg]
-    _, log2, died2, _ = _run(ctx, mode="nonadaptive")
+    _, log2, died2, _, _ = _run(ctx, mode="nonadaptive")
     same = log2.to_csv() == log.to_csv() and died2 == died
     parts.append((same, "repeated run byte-exact: %s" % same))
 

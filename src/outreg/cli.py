@@ -135,8 +135,8 @@ def _grid_points(axes):
 
 def _sweep_worker(base: ScenarioConfig, overrides: dict) -> dict:
     """metrics of base.replace(**overrides), unvalidated: every caller passes
-    a valid point (cmd_sweep's pre-checked stripes, acceptance criterion 9's
-    and perfbench's trace probe's stock grids)."""
+    a valid point (cmd_sweep's pre-checked stripes and perfbench's trace
+    probe's stock grid)."""
     cfg = base.replace(**overrides)
     log, diverged_at, _ = integrate(cfg)
     return metrics(log, cfg, diverged_at=diverged_at)

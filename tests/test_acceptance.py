@@ -17,6 +17,7 @@ import sys
 import numpy as np
 import pytest
 
+import outreg.cli as cli
 import outreg.simulate as simulate
 from outreg import acceptance
 from outreg.acceptance import run_all
@@ -175,6 +176,18 @@ def test_run_all_integrates_every_step_here(counted_run_all, monkeypatch):
     for i in range(6, 11):
         getattr(acceptance, "criterion_%d" % i)(0, ctx)
     assert pooled and pooled == calls
+
+
+def test_criterion_9_judges_the_sweep_grid():
+    # criterion 9's twelve runs are the points `outreg sweep` runs for its
+    # grid, in the sweep's order, and each run's report is the sweep's
+    points = list(cli._grid_points(cli.parse_grid("sigma=0.1,0.5,1,2;c2=-2,0,2")))
+    ctx = {}
+    acceptance.criterion_9(0, ctx)
+    assert list(ctx) == [acceptance._STOCK.replace(**p) for p in points]
+    for p in points:
+        assert acceptance._run(ctx, **p)[4] == cli._sweep_worker(acceptance._STOCK, p)
+    assert len(ctx) == len(points)
 
 
 # criteria 6-10 on the steady start, where their runs complete: every
