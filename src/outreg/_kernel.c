@@ -222,62 +222,18 @@ static PyObject *float_list(const double *v, Py_ssize_t n)
     return out;
 }
 
-/* Row-major record rows of 12 doubles in one PyMem buffer, grown by
- * doubling as rows arrive (never sized up front from n_steps). */
-typedef struct {
-    double *data;
-    Py_ssize_t rows, cap;
-} recbuf;
-
-/* Append the 12-column row (t, x1, x2, aux[0..7], khat); -1 with an
- * exception set if the buffer cannot grow. */
-static int append_record(recbuf *r, double t, const double *y, const double *aux)
+/* Append the 12-column row (t, x1, x2, aux[0..7], khat) to the bytearray
+ * rows as float64 bytes; -1 with an exception set if it cannot grow.
+ * PyByteArray_Resize over-allocates, so nothing is sized from n_steps. */
+static int append_record(PyObject *rows, double t, const double *y, const double *aux)
 {
-    double *row;
-    int i;
-    if (r->rows == r->cap) {
-        Py_ssize_t cap = r->cap > 0 ? 2 * r->cap : 64;
-        double *grown;
-        if (cap > PY_SSIZE_T_MAX / (Py_ssize_t)(12 * sizeof(double))) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        grown = PyMem_Realloc(r->data, (size_t)cap * 12 * sizeof(double));
-        if (grown == NULL) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        r->data = grown;
-        r->cap = cap;
-    }
-    row = r->data + 12 * r->rows;
-    row[0] = t;
-    row[1] = y[0];
-    row[2] = y[1];
-    for (i = 0; i < 8; i++)
-        row[3 + i] = aux[i];
-    row[11] = y[16];
-    r->rows++;
+    Py_ssize_t end = PyByteArray_GET_SIZE(rows);
+    double row[12] = {t, y[0], y[1], aux[0], aux[1], aux[2], aux[3],
+                      aux[4], aux[5], aux[6], aux[7], y[16]};
+    if (PyByteArray_Resize(rows, end + (Py_ssize_t)sizeof row) < 0)
+        return -1;
+    memcpy(PyByteArray_AS_STRING(rows) + end, row, sizeof row);
     return 0;
-}
-
-/* The rows as a C-contiguous (rows, 12) memoryview of format 'd' over a
- * bytearray copy of the buffer, or NULL with an exception set.  Needs at
- * least one row: memoryview shapes cannot hold a zero. */
-static PyObject *records_view(const recbuf *r)
-{
-    PyObject *bytes, *flat, *view;
-    bytes = PyByteArray_FromStringAndSize((const char *)r->data,
-                                          r->rows * 12 * (Py_ssize_t)sizeof(double));
-    if (bytes == NULL)
-        return NULL;
-    flat = PyMemoryView_FromObject(bytes);
-    Py_DECREF(bytes);
-    if (flat == NULL)
-        return NULL;
-    view = PyObject_CallMethod(flat, "cast", "s(nn)", "d", r->rows, (Py_ssize_t)12);
-    Py_DECREF(flat);
-    return view;
 }
 
 /* [float(v) for v in obj] as a PyMem buffer of *n doubles, or NULL with an
@@ -338,8 +294,7 @@ static PyObject *run_closed_loop(PyObject *self, PyObject *args, PyObject *kwarg
                              "sigma", "m1", "m2", "eps", "mask1", "mask2", "rho",
                              "kc", "k0", "mode", "dist_amp", "dist_freq", NULL};
     PyObject *y0, *m1o, *m2o, *mask1o, *mask2o, *rhoo, *kco;
-    PyObject *records = NULL, *yfinal = NULL, *result = NULL;
-    recbuf rec = {NULL, 0, 0};
+    PyObject *rows = NULL, *flat = NULL, *records = NULL, *yfinal = NULL, *result = NULL;
     double *y = NULL;
     double yw[17], k1[17], k2[17], k3[17], k4[17];
     double aux[8], auxw[8], a1b[4], a2b[4];
@@ -405,6 +360,9 @@ static PyObject *run_closed_loop(PyObject *self, PyObject *args, PyObject *kwarg
     p.kc = as_doubles(kco, &p.n_kc);
     if (p.kc == NULL)
         goto done;
+    rows = PyByteArray_FromStringAndSize(NULL, 0);
+    if (rows == NULL)
+        goto done;
 
     half = 0.5 * h;
     h6 = h / 6.0;
@@ -412,7 +370,7 @@ static PyObject *run_closed_loop(PyObject *self, PyObject *args, PyObject *kwarg
     for (step = 0; step < n_steps; step++) {
         t = step * h;
         deriv(t, y, k1, aux, &p, a1b, a2b);
-        if (step % stride == 0 && append_record(&rec, t, y, aux) < 0)
+        if (step % stride == 0 && append_record(rows, t, y, aux) < 0)
             goto done;
         for (i = 0; i < 17; i++)
             yw[i] = y[i] + half * k1[i];
@@ -438,10 +396,17 @@ static PyObject *run_closed_loop(PyObject *self, PyObject *args, PyObject *kwarg
     if (diverged_at < 0.0) {
         t = n_steps * h;
         deriv(t, y, k1, aux, &p, a1b, a2b);
-        if (append_record(&rec, t, y, aux) < 0)
+        if (append_record(rows, t, y, aux) < 0)
             goto done;
     }
-    records = records_view(&rec);
+    /* a (rows, 12) 'd' view of rows itself; step 0 and a completed run
+     * record, so the shape, which cannot hold a zero, has a row */
+    flat = PyMemoryView_FromObject(rows);
+    if (flat == NULL)
+        goto done;
+    records = PyObject_CallMethod(
+        flat, "cast", "s(nn)", "d",
+        PyByteArray_GET_SIZE(rows) / (Py_ssize_t)(12 * sizeof(double)), (Py_ssize_t)12);
     if (records == NULL)
         goto done;
     yfinal = float_list(y, 17);
@@ -449,9 +414,10 @@ static PyObject *run_closed_loop(PyObject *self, PyObject *args, PyObject *kwarg
         result = Py_BuildValue("(OdO)", records, diverged_at, yfinal);
 
 done:
+    Py_XDECREF(rows);
+    Py_XDECREF(flat);
     Py_XDECREF(records);
     Py_XDECREF(yfinal);
-    PyMem_Free(rec.data);
     PyMem_Free(y);
     PyMem_Free(p.m1);
     PyMem_Free(p.m2);

@@ -33,9 +33,10 @@ Record layout (12 columns per row):
   t, x1, x2, e, zeta, u, a11, a21, a23, detT1, detT2, khat
 where a11 is the first entry of the component-1 coefficient estimate and
 a21/a23 the first/third of component 2, all taken from the vector-field
-evaluation at the recorded state.  Both twins append each row to one
-row-major float64 buffer and return it as a C-contiguous (rows, 12)
-memoryview of format 'd', so len(records) is the row count.
+evaluation at the recorded state.  Each twin appends each row to the buffer
+it returns (an array("d") here, a bytearray in C), never sized from n_steps,
+and returns a C-contiguous (rows, 12) memoryview of format 'd' over it, so
+len(records) is the row count; simulate.SimLog keeps that view, uncopied.
 
 Modes: 0 nonadaptive, 1 adaptive, 2 open loop (u forced to 0; the filters
 and estimators keep running so the log stays comparable).

@@ -31,7 +31,7 @@ from itertools import product
 
 from . import svgplot
 from .scenario import (_KEYS, MODES, ScenarioConfig, ScenarioError, _fmt_floats, _number,
-                       _read, load_scenario, with_overrides)
+                       _read, _run_length_errors, load_scenario, with_overrides)
 from .simulate import SimLog, integrate, metrics
 
 EXIT_OK = 0
@@ -61,7 +61,14 @@ def _load_cfg(args) -> ScenarioConfig:
     if errors:
         raise ScenarioError(errors)
     cfg = load_scenario(args.scenario) if args.scenario else ScenarioConfig()
-    return with_overrides(cfg, **over) if over else cfg
+    if over:
+        # loads has judged the file, _read each flag and argparse's choices
+        # the mode: only the run length is left
+        cfg = cfg.replace(**over)
+        errors = _run_length_errors(cfg)
+        if errors:
+            raise ScenarioError(errors)
+    return cfg
 
 
 def _write(path: str, text: str):

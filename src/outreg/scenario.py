@@ -46,11 +46,11 @@ MODES = ("nonadaptive", "adaptive", "open_loop")
 # anything here makes is 200,000 steps (acceptance criterion 10 at h/2).
 MAX_STEPS = 10_000_000
 
-# The most records a run may keep.  `outreg run` peaks at about 642 B per
-# record (float64 rows in the kernel and SimLog, the CSV text, and the
-# plotted columns as float lists; the growth of the run's peak RSS, read by
-# os.wait4, from 10,001 to 100,001 records with CPython 3.11 and the C twin
-# at stride 1), so this bounds one run near 0.65 GB, and a 4-worker sweep
+# The most records a run may keep.  `outreg run` peaks at about 617 B per
+# record (the kernel's float64 rows, which SimLog keeps, the CSV text, and
+# the plotted columns as float lists; the growth of the run's peak RSS, read
+# by wait4, from 10,001 to 100,001 records with CPython 3.11 and the C twin
+# at stride 1), so this bounds one run near 0.62 GB, and a 4-worker sweep
 # near four times that.  The stock scenario keeps 10,001.
 MAX_RECORDS = 1_000_000
 
@@ -521,6 +521,6 @@ def serialize(cfg: ScenarioConfig) -> str:
 
 
 def with_overrides(cfg: ScenarioConfig, **kw) -> ScenarioConfig:
-    """cfg.replace() plus re-validation; used by sweeps and CLI flags."""
+    """cfg.replace() plus re-validation; used by sweep points and acceptance runs."""
     return validate(cfg.replace(**kw))
 

@@ -31,21 +31,22 @@ _MODE_CODES = {mode: code for code, mode in enumerate(MODES)}
 
 class SimLog:
     """Records of one run: one row per recorded step, kept row-major in one
-    flat float64 array and read a column at a time.
+    flat float64 buffer and read a column at a time.
 
     rows is the kernel's C-contiguous (rows, 12) float64 memoryview or any
     iterable of 12-value rows; either way each row must have 12 columns and
-    the time column must increase strictly.
+    the time column must increase strictly.  A view is kept, cast to one
+    dimension, so a log from integrate holds the kernel's own buffer.
     """
 
     def __init__(self, rows):
-        data = array("d")
         if isinstance(rows, memoryview):
             if (rows.format != "d" or rows.ndim != 2 or rows.shape[1] != _NCOL
                     or not rows.c_contiguous):
                 raise ValueError("rows must be a C-contiguous (rows, %d) float64 view" % _NCOL)
-            data.frombytes(rows.cast("B"))
+            data = rows.cast("B").cast("d")
         else:
+            data = array("d")
             for r in rows:
                 if len(r) != _NCOL:
                     raise ValueError("rows must have %d columns" % _NCOL)
@@ -61,6 +62,13 @@ class SimLog:
 
     def __eq__(self, other):
         return isinstance(other, SimLog) and self._data == other._data
+
+    def __reduce__(self):
+        # a memoryview does not pickle; its bytes do, bit for bit
+        return SimLog, ((),), self._data.tobytes()
+
+    def __setstate__(self, state):
+        self._data = memoryview(state).cast("d")
 
     def column(self, name: str) -> list:
         try:
@@ -91,6 +99,10 @@ class DivergenceError(RuntimeError):
         self.time = time
         self.partial = partial
         super().__init__("state diverged at t = %g" % time)
+
+    def __reduce__(self):
+        # an exception pickles as its class and args; these are not __init__'s
+        return DivergenceError, (self.time, self.partial)
 
 
 def _kernel_args(cfg: ScenarioConfig, mode: str):

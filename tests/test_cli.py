@@ -179,6 +179,36 @@ def test_run_too_many_steps_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--grid", "sigma=1"]],
+                         ids=["run", "sweep"])
+def test_flag_breaks_the_record_limit(tmp_path, capsys, command):
+    # the file keeps 10,001 records; --tend takes it past MAX_RECORDS
+    scn = tmp_path / "dense.scn"
+    scn.write_text("sim.stride = 1\nsim.t_end = 10\n")
+    out = tmp_path / "o"
+    assert main(command + ["--scenario", str(scn), "--tend", "1001", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("config error:\nsim: 1001000 steps at sim.stride = 1 "
+                                       "keep 1001001 records, more than 1000000\n")
+    assert not out.exists()
+
+
+def test_flags_leave_the_file_judged_once(monkeypatch):
+    # loads judges the file and _read each flag; the config they make is
+    # not judged field by field again, only its run length
+    from outreg import cli, scenario
+
+    judged = []
+    violation = scenario._violation
+    monkeypatch.setattr(scenario, "_violation",
+                        lambda row, val: judged.append(row[0]) or violation(row, val))
+    args = cli.build_parser().parse_args(["run", "--scenario", STEADY_SCN, "--tend", "5",
+                                          "--step", "0.002", "--mode", "adaptive"])
+    cfg = cli._load_cfg(args)
+    assert (cfg.t_end, cfg.h, cfg.mode) == (5.0, 0.002, "adaptive")
+    # the flags, then init = steady's derived start
+    assert judged == ["sim.h", "sim.t_end", "init.x", "init.eta1", "init.eta2"]
+
+
 @pytest.mark.parametrize("line, err", [
     ("gains.rho = 10 + s^65",
      "gains.rho: term '+s^65' has degree above 64 in gain expression '10 + s^65'"),

@@ -1,9 +1,11 @@
+import pickle
 from bisect import bisect_left
 from statistics import fmean
 
 import pytest
 from conftest import STEADY_SCN, run_twin
 
+from outreg import simulate
 from outreg.mapping import bump_psi
 from outreg.scenario import (Polynomial, ScenarioConfig, load_scenario, loads, steady_start,
                              with_overrides)
@@ -108,6 +110,46 @@ def test_simlog_rejects_bad_rows():
 def test_csv_rejects_bad_header():
     with pytest.raises(ValueError, match="header"):
         SimLog.from_csv("a,b,c\n1,2,3\n")
+
+
+def _route_to(kern, monkeypatch):
+    """Send simulate's kernel calls to kern; returns the list that gets the
+    records view of each call."""
+    got = []
+
+    def kernel(*args):
+        out = kern.run_closed_loop(*args)
+        got.append(out[0])
+        return out
+
+    monkeypatch.setattr(simulate, "run_closed_loop", kernel)
+    return got
+
+
+def test_simlog_holds_the_kernels_rows(kern, monkeypatch, steady_cfg):
+    # the log from integrate keeps the buffer the kernel wrote, not a copy
+    got = _route_to(kern, monkeypatch)
+    log, _, _ = integrate(steady_cfg.replace(t_end=0.3, stride=1))
+    assert len(got) == 1
+    assert log._data.obj is got[0].obj
+    assert len(log) == len(got[0]) == 301
+
+
+def test_simlog_pickles_bit_for_bit(kern, monkeypatch, steady_cfg):
+    _route_to(kern, monkeypatch)
+    log, _, _ = integrate(steady_cfg.replace(t_end=0.3, stride=1))
+    with pytest.raises(DivergenceError) as exc:
+        run(ScenarioConfig())
+    assert exc.value.time == pytest.approx(0.117, abs=1e-12)
+    for proto in (0, pickle.HIGHEST_PROTOCOL):
+        for one in (log, SimLog.from_csv(log.to_csv()), SimLog([])):
+            back = pickle.loads(pickle.dumps(one, proto))
+            assert back == one
+            assert back._data.tobytes() == one._data.tobytes()
+        back = pickle.loads(pickle.dumps(exc.value, proto))
+        assert (back.time, str(back)) == (exc.value.time, str(exc.value))
+        assert back.partial == exc.value.partial
+        assert back.partial._data.tobytes() == exc.value.partial._data.tobytes()
 
 
 def test_open_loop_is_negative_control():
