@@ -10,14 +10,16 @@ straight-line and mask-aware: each Hankel cofactor is written out over
 named 2x2 minors, each minor computed once, and a cofactor that only masked
 coefficient estimates read is never computed.
 
-Only the plumbing differs.  Here run_closed_loop binds every parameter once
-per run into one vector field (see _field) that takes the state as 17 scalars,
-hands them to the two estimators (closures bound the same way, _hankel2 and
-_hankel4) and returns one flat tuple; the state lives in 17 locals for the
-whole run, and each RK4 stage unpacks its result by name, with no list per
-step.  In C a parameter struct, indexed loops and ahat out-parameters do the
-same work.  _chi_est and _deriv are thin entry points over those closures,
-for timing or testing one part on its own.
+The RK4 loop has one shape in both: the state is one 17-entry list (an
+array in C), and each stage is one pass over it, y[i] + half * k1[i] through
+y[i] + sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]).  Only the
+plumbing differs.  Here run_closed_loop binds every parameter once per run
+into one vector field (see _field) that unpacks the state list once, hands
+the filter states to the two estimators (closures bound the same way,
+_hankel2 and _hankel4) and returns one flat tuple, the derivatives and then
+the record's auxiliaries.  In C a parameter struct, indexed loops and ahat
+out-parameters do the same work.  _chi_est and _deriv are thin entry points
+over those closures, for timing or testing one part on its own.
 
 Conventions shared by both twins:
   - no ** operator anywhere; powers are explicit products, so both
@@ -205,8 +207,9 @@ def _hankel4(m, mask, eps2):
 def _field(c1, c2, c3, sigma, m1, m2, eps, mask1, mask2, rho, kc, k0, mode,
            dist_amp, dist_freq):
     """The closed-loop vector field with every parameter bound, built once
-    per run: f(t, *y) takes the 17 state entries and returns one flat tuple,
-    the 17 derivatives, then aux = (e, zeta, u, a11, a21, a23, det1, det2)."""
+    per run: f(t, y) takes the 17-entry state, unpacks it once, and returns
+    one flat tuple, the 17 derivatives, then aux = (e, zeta, u, a11, a21,
+    a23, det1, det2)."""
     chi_est1 = _hankel2(m1, mask1, eps * eps)
     chi_est2 = _hankel4(m2, mask2, eps * eps)
     m10, m11, m12, m13 = m1
@@ -216,7 +219,8 @@ def _field(c1, c2, c3, sigma, m1, m2, eps, mask1, mask2, rho, kc, k0, mode,
     kc_r = tuple(reversed(kc))
 
     # g: the eta1 filter state, h: the eta2 filter state
-    def f(t, x1, x2, v1, v2, g0, g1, g2, g3, h0, h1, h2, h3, h4, h5, h6, h7, khat):
+    def f(t, y):
+        x1, x2, v1, v2, g0, g1, g2, g3, h0, h1, h2, h3, h4, h5, h6, h7, khat = y
         e = x1 - v1
         chi1, det1, a10, _ = chi_est1(g0, g1, g2, g3)
         chi2, det2, a20, _, a22, _ = chi_est2(h0, h1, h2, h3, h4, h5, h6, h7)
@@ -267,7 +271,7 @@ def _deriv(t, y, dy, aux, c1, c2, c3, sigma, m1, m2, eps, mask1, mask2,
     a per-run field, writes dy[0:17], aux[0:8] and both estimates."""
     f = _field(c1, c2, c3, sigma, m1, m2, eps, mask1, mask2, rho, kc, k0, mode,
                dist_amp, dist_freq)
-    out = f(t, *y)
+    out = f(t, y)
     dy[:], aux[:] = out[:17], out[17:]
     _chi_est(y, 4, 2, m1, eps, mask1, ahat1)
     _chi_est(y, 8, 4, m2, eps, mask2, ahat2)
@@ -310,7 +314,6 @@ def run_closed_loop(y0, h, n_steps, stride, c1, c2, c3, sigma, m1, m2, eps,
     f = _field(c1, c2, c3, sigma, m1, m2, eps, mask1, mask2,
                [float(v) for v in rho], [float(v) for v in kc], k0, mode,
                dist_amp, dist_freq)
-    x1, x2, v1, v2, g0, g1, g2, g3, h0, h1, h2, h3, h4, h5, h6, h7, khat = y
     half = 0.5 * h
     sixth = h / 6.0
     records = array("d")
@@ -318,58 +321,23 @@ def run_closed_loop(y0, h, n_steps, stride, c1, c2, c3, sigma, m1, m2, eps,
     diverged_at = -1.0
     for step in range(n_steps):
         t = step * h
-        (k1_0, k1_1, k1_2, k1_3, k1_4, k1_5, k1_6, k1_7, k1_8, k1_9, k1_10, k1_11, k1_12,
-         k1_13, k1_14, k1_15, k1_16, e, zeta, u, a11, a21, a23, det1, det2) = f(
-            t, x1, x2, v1, v2, g0, g1, g2, g3, h0, h1, h2, h3, h4, h5, h6, h7, khat)
+        k1 = f(t, y)
         if step % stride == 0:
-            record(_ROW(t, x1, x2, e, zeta, u, a11, a21, a23, det1, det2, khat))
-        (k2_0, k2_1, k2_2, k2_3, k2_4, k2_5, k2_6, k2_7, k2_8, k2_9, k2_10, k2_11, k2_12,
-         k2_13, k2_14, k2_15, k2_16, _, _, _, _, _, _, _, _) = f(
-            t + half, x1 + half * k1_0, x2 + half * k1_1, v1 + half * k1_2,
-            v2 + half * k1_3, g0 + half * k1_4, g1 + half * k1_5, g2 + half * k1_6,
-            g3 + half * k1_7, h0 + half * k1_8, h1 + half * k1_9, h2 + half * k1_10,
-            h3 + half * k1_11, h4 + half * k1_12, h5 + half * k1_13, h6 + half * k1_14,
-            h7 + half * k1_15, khat + half * k1_16)
-        (k3_0, k3_1, k3_2, k3_3, k3_4, k3_5, k3_6, k3_7, k3_8, k3_9, k3_10, k3_11, k3_12,
-         k3_13, k3_14, k3_15, k3_16, _, _, _, _, _, _, _, _) = f(
-            t + half, x1 + half * k2_0, x2 + half * k2_1, v1 + half * k2_2,
-            v2 + half * k2_3, g0 + half * k2_4, g1 + half * k2_5, g2 + half * k2_6,
-            g3 + half * k2_7, h0 + half * k2_8, h1 + half * k2_9, h2 + half * k2_10,
-            h3 + half * k2_11, h4 + half * k2_12, h5 + half * k2_13, h6 + half * k2_14,
-            h7 + half * k2_15, khat + half * k2_16)
-        (k4_0, k4_1, k4_2, k4_3, k4_4, k4_5, k4_6, k4_7, k4_8, k4_9, k4_10, k4_11, k4_12,
-         k4_13, k4_14, k4_15, k4_16, _, _, _, _, _, _, _, _) = f(
-            t + h, x1 + h * k3_0, x2 + h * k3_1, v1 + h * k3_2, v2 + h * k3_3,
-            g0 + h * k3_4, g1 + h * k3_5, g2 + h * k3_6, g3 + h * k3_7, h0 + h * k3_8,
-            h1 + h * k3_9, h2 + h * k3_10, h3 + h * k3_11, h4 + h * k3_12, h5 + h * k3_13,
-            h6 + h * k3_14, h7 + h * k3_15, khat + h * k3_16)
-        x1 = x1 + sixth * (k1_0 + 2.0 * k2_0 + 2.0 * k3_0 + k4_0)
-        x2 = x2 + sixth * (k1_1 + 2.0 * k2_1 + 2.0 * k3_1 + k4_1)
-        v1 = v1 + sixth * (k1_2 + 2.0 * k2_2 + 2.0 * k3_2 + k4_2)
-        v2 = v2 + sixth * (k1_3 + 2.0 * k2_3 + 2.0 * k3_3 + k4_3)
-        g0 = g0 + sixth * (k1_4 + 2.0 * k2_4 + 2.0 * k3_4 + k4_4)
-        g1 = g1 + sixth * (k1_5 + 2.0 * k2_5 + 2.0 * k3_5 + k4_5)
-        g2 = g2 + sixth * (k1_6 + 2.0 * k2_6 + 2.0 * k3_6 + k4_6)
-        g3 = g3 + sixth * (k1_7 + 2.0 * k2_7 + 2.0 * k3_7 + k4_7)
-        h0 = h0 + sixth * (k1_8 + 2.0 * k2_8 + 2.0 * k3_8 + k4_8)
-        h1 = h1 + sixth * (k1_9 + 2.0 * k2_9 + 2.0 * k3_9 + k4_9)
-        h2 = h2 + sixth * (k1_10 + 2.0 * k2_10 + 2.0 * k3_10 + k4_10)
-        h3 = h3 + sixth * (k1_11 + 2.0 * k2_11 + 2.0 * k3_11 + k4_11)
-        h4 = h4 + sixth * (k1_12 + 2.0 * k2_12 + 2.0 * k3_12 + k4_12)
-        h5 = h5 + sixth * (k1_13 + 2.0 * k2_13 + 2.0 * k3_13 + k4_13)
-        h6 = h6 + sixth * (k1_14 + 2.0 * k2_14 + 2.0 * k3_14 + k4_14)
-        h7 = h7 + sixth * (k1_15 + 2.0 * k2_15 + 2.0 * k3_15 + k4_15)
-        khat = khat + sixth * (k1_16 + 2.0 * k2_16 + 2.0 * k3_16 + k4_16)
-        y = (x1, x2, v1, v2, g0, g1, g2, g3, h0, h1, h2, h3, h4, h5, h6, h7, khat)
+            record(_ROW(t, y[0], y[1], *k1[17:], y[16]))
+        k2 = f(t + half, [yi + half * ki for yi, ki in zip(y, k1)])
+        k3 = f(t + half, [yi + half * ki for yi, ki in zip(y, k2)])
+        k4 = f(t + h, [yi + h * ki for yi, ki in zip(y, k3)])
+        y = [yi + sixth * (a + 2.0 * b + 2.0 * c + d)
+             for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
         # min and max may pass over a nan, but it makes the sum nan
         if not (-_LIMIT <= min(y) and max(y) <= _LIMIT) or isnan(sum(y)):
             diverged_at = (step + 1) * h
             break
     if diverged_at < 0.0:
         t = n_steps * h
-        record(_ROW(t, x1, x2, *f(t, *y)[17:], khat))
+        record(_ROW(t, y[0], y[1], *f(t, y)[17:], y[16]))
     rows = memoryview(records).cast("B").cast("d", (len(records) // 12, 12))
-    return rows, diverged_at, list(y)
+    return rows, diverged_at, y
 
 
 _CSV_BLOCK = 1024

@@ -1,11 +1,12 @@
-"""The pure-Python twin's RK4 loop against a list-based reference.
+"""The pure-Python twin's entry points against its RK4 loop.
 
-run_closed_loop keeps the state in 17 locals and unrolls every RK4 stage by
-hand.  The reference below is the same integrator written the short way: a
-list state, stages as comprehensions over zip, and each vector-field
-evaluation through the _deriv and _chi_est entry points with the argument
-forms perfbench's microbenchmark passes.  Both evaluate every value with the
-same operations in the same order, so they must agree bit for bit.
+run_closed_loop binds one vector field per run and calls it on a list state.
+The reference below is the same loop with every vector-field evaluation made
+through the _deriv and _chi_est entry points instead, with the argument forms
+perfbench's microbenchmark passes, and each estimator alone checked against
+the field.  Both evaluate every value with the same operations in the same
+order, so they must agree bit for bit: what those entry points time is what
+a run computes.
 """
 
 from types import SimpleNamespace

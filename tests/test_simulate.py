@@ -219,6 +219,27 @@ def test_metrics_on_diverged_partial():
     assert m["settling_time"] is None
 
 
+@pytest.mark.parametrize("mode, steps", [("nonadaptive", [117, 229, 452, 898, 1795]),
+                                         ("adaptive", [56, 167, 327, 653, 1308])])
+def test_cold_start_escape_under_step_refinement(mode, steps):
+    # the stock cold start at h = 1e-3 / 2^k, k = 0..4, escapes after these
+    # many steps.  Nonadaptive, the escape time settles (0.117 -> 0.1121875 s,
+    # the last two levels within 1e-3 s), so the ODE leaves the box; adaptive,
+    # it moves from 0.056 to 0.0835 s between the first two levels, so the
+    # printed 0.056 s is RK4's
+    hs = [1e-3 / 2 ** k for k in range(5)]
+    got = []
+    for h in hs:
+        _, diverged_at, _ = integrate(with_overrides(ScenarioConfig(), t_end=0.2, h=h, mode=mode))
+        got.append(round(diverged_at / h))
+    assert got == steps
+    times = [n * h for n, h in zip(steps, hs)]
+    if mode == "nonadaptive":
+        assert abs(times[-1] - times[-2]) < 1e-3
+    else:
+        assert times[1] - times[0] > 0.02
+
+
 def test_metrics_settling_time(steady_cfg):
     log = run(with_overrides(steady_cfg, t_end=1.0))
     m = metrics(log, with_overrides(steady_cfg, t_end=1.0))
