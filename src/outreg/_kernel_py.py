@@ -12,14 +12,15 @@ coefficient estimates read is never computed.
 
 The RK4 loop has one shape in both: the state is one 17-entry list (an
 array in C), and each stage is one pass over it, y[i] + half * k1[i] through
-y[i] + sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]).  Only the
-plumbing differs.  Here run_closed_loop binds every parameter once per run
-into one vector field (see _field) that unpacks the state list once, hands
-the filter states to the two estimators (closures bound the same way,
-_hankel2 and _hankel4) and returns one flat tuple, the derivatives and then
-the record's auxiliaries.  In C a parameter struct, indexed loops and ahat
-out-parameters do the same work.  _chi_est and _deriv are thin entry points
-over those closures, for timing or testing one part on its own.
+y[i] + sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]), then one _deriv
+call (deriv in C) that writes the stage's derivatives into k1..k4, the
+record's auxiliaries into aux (C gives the three later stages their own
+auxw) and both estimates into ahat buffers, all allocated once per run.
+_deriv calls _chi_est (chi_est) once per estimator.
+Only the plumbing differs: C hands the parameters over in a struct, and here
+run_closed_loop packs them into one tuple per run and passes it by position.
+perfbench's microbenchmark times _chi_est and _deriv by position too, so
+their signatures are fixed.
 
 Conventions shared by both twins:
   - no ** operator anywhere; powers are explicit products, so both
@@ -53,11 +54,8 @@ CPython's "%".
 
 from array import array
 from math import exp, isfinite, isnan, sin
-from struct import Struct
 
 _LIMIT = 1e9
-# one record row as native float64 bytes, the layout of array("d")
-_ROW = Struct("12d").pack
 
 
 def _psi(s):
@@ -78,27 +76,28 @@ def _psi(s):
     return up / dn
 
 
-def _hankel2(m, mask, eps2):
-    """The n = 2 estimator with m, mask and eps * eps bound: a function of
-    the filter state (h0, h1, h2, h3) returning (chi, det, a0, a1)."""
-    m = tuple(m)
-    skip0, skip1 = mask
-
-    def est(h0, h1, h2, h3):
+def _chi_est(y, base, n, m, eps, mask, ahat):
+    """Coefficient estimate, reconstruction, and Hankel determinant.  Reads
+    the filter state y[base : base + 2n] and the 2n filter coefficients m,
+    writes the masked estimate into ahat[0:n], and returns (chi, det)."""
+    if n == 2:
+        h0, h1, h2, h3 = y[base:base + 4]
         det = h0 * h2 - h1 * h1
         if det == 0.0:
             sc = 0.0
         else:
-            sc = det / (det * det + _psi(1.0 + det * det - eps2))
+            sc = det / (det * det + _psi(1.0 + det * det - eps * eps))
         # adjugate rows (h2, -h1) and (-h1, h0) against b = (h2, h3)
-        if skip0:
+        if mask[0]:
             a0 = 0.0
         else:
             a0 = -(sc * h2 * h2 + sc * -h1 * h3)
-        if skip1:
+        if mask[1]:
             a1 = 0.0
         else:
             a1 = -(sc * -h1 * h2 + sc * h0 * h3)
+        ahat[0] = a0
+        ahat[1] = a1
         # first row of Xi(ahat) by the row recurrence row_{j+1} = row_j . Phi
         r0 = 1.0
         r1 = 0.0
@@ -110,171 +109,129 @@ def _hankel2(m, mask, eps2):
             last = r1
             r1 = r0 - a1 * last
             r0 = -a0 * last
-        return 0.0 + (p0 + r0) * h0 + (p1 + r1) * h1, det, a0, a1
-
-    return est
-
-
-def _hankel4(m, mask, eps2):
-    """The n = 4 estimator with m, mask and eps * eps bound: a function of
-    the filter state (h0, ..., h7) returning (chi, det, a0, a1, a2, a3)."""
-    m = tuple(m)
-    skip0, skip1, skip2, skip3 = mask
-
-    def est(h0, h1, h2, h3, h4, h5, h6, h7):
-        # Hankel rows (h0..h3), (h1..h4), (h2..h5), (h3..h6) with b = (h4..h7).
-        # c<r><c> is the (r, c) cofactor: the det3 of its minor (entries
-        # row-major, expanded along the minor's first row), negated when
-        # r + c is odd.  d<ab>_<cd> is the 2x2 minor ha * hb - hc * hd; each
-        # is computed once and shared by every cofactor that expands into it
-        # (the products commute bit for bit, so the sharing changes no value).
-        # Row 0 always feeds det; a column's other three cofactors are
-        # computed only if the mask keeps its estimate.  The (3, 0) and
-        # (0, 3) minors are the same Hankel block of h1..h5, so c30 is c03.
-        d46_55 = h4 * h6 - h5 * h5
-        d36_45 = h3 * h6 - h4 * h5
-        d35_44 = h3 * h5 - h4 * h4
-        d26_35 = h2 * h6 - h3 * h5
-        d25_34 = h2 * h5 - h3 * h4
-        d24_33 = h2 * h4 - h3 * h3
-        d26_44 = h2 * h6 - h4 * h4
-        d16_34 = h1 * h6 - h3 * h4
-        d15_24 = h1 * h5 - h2 * h4
-        d15_33 = h1 * h5 - h3 * h3
-        d14_23 = h1 * h4 - h2 * h3
-        d13_22 = h1 * h3 - h2 * h2
-        c00 = h2 * d46_55 - h3 * d36_45 + h4 * d35_44
-        c01 = -(h1 * d46_55 - h3 * d26_35 + h4 * d25_34)
-        c02 = h1 * d36_45 - h2 * d26_35 + h4 * d24_33
-        c03 = -(h1 * d35_44 - h2 * d25_34 + h3 * d24_33)
-        det = h0 * c00 + h1 * c01 + h2 * c02 + h3 * c03
-        if det == 0.0:
-            sc = 0.0
-        else:
-            sc = det / (det * det + _psi(1.0 + det * det - eps2))
-        # ahat[j] = -(adjugate row j . b); adjugate[j][r] is the (r, j) cofactor
-        if skip0:
-            a0 = 0.0
-        else:
-            c10 = -(h1 * d46_55 - h2 * d36_45 + h3 * d35_44)
-            c20 = h1 * d36_45 - h2 * d26_44 + h3 * d25_34
-            a0 = -(0.0 + sc * c00 * h4 + sc * c10 * h5 + sc * c20 * h6 + sc * c03 * h7)
-        if skip1:
-            a1 = 0.0
-        else:
-            c11 = h0 * d46_55 - h2 * d26_35 + h3 * d25_34
-            c21 = -(h0 * d36_45 - h2 * d16_34 + h3 * d15_33)
-            c31 = h0 * d35_44 - h2 * d15_24 + h3 * d14_23
-            a1 = -(0.0 + sc * c01 * h4 + sc * c11 * h5 + sc * c21 * h6 + sc * c31 * h7)
-        if skip2:
-            a2 = 0.0
-        else:
-            c12 = -(h0 * d36_45 - h1 * d26_35 + h3 * d24_33)
-            c22 = h0 * d26_44 - h1 * d16_34 + h3 * d14_23
-            c32 = -(h0 * d25_34 - h1 * d15_24 + h3 * d13_22)
-            a2 = -(0.0 + sc * c02 * h4 + sc * c12 * h5 + sc * c22 * h6 + sc * c32 * h7)
-        if skip3:
-            a3 = 0.0
-        else:
-            c13 = h0 * d35_44 - h1 * d25_34 + h2 * d24_33
-            c23 = -(h0 * d25_34 - h1 * d15_33 + h2 * d14_23)
-            c33 = h0 * d24_33 - h1 * d14_23 + h2 * d13_22
-            a3 = -(0.0 + sc * c03 * h4 + sc * c13 * h5 + sc * c23 * h6 + sc * c33 * h7)
-        r0 = 1.0
-        r1 = 0.0
-        r2 = 0.0
-        r3 = 0.0
-        p0 = 0.0
-        p1 = 0.0
-        p2 = 0.0
-        p3 = 0.0
-        for mj in m:
-            p0 = p0 + mj * r0
-            p1 = p1 + mj * r1
-            p2 = p2 + mj * r2
-            p3 = p3 + mj * r3
-            last = r3
-            r3 = r2 - a3 * last
-            r2 = r1 - a2 * last
-            r1 = r0 - a1 * last
-            r0 = -a0 * last
-        chi = 0.0 + (p0 + r0) * h0 + (p1 + r1) * h1 + (p2 + r2) * h2 + (p3 + r3) * h3
-        return chi, det, a0, a1, a2, a3
-
-    return est
-
-
-def _field(c1, c2, c3, sigma, m1, m2, eps, mask1, mask2, rho, kc, k0, mode,
-           dist_amp, dist_freq):
-    """The closed-loop vector field with every parameter bound, built once
-    per run: f(t, y) takes the 17-entry state, unpacks it once, and returns
-    one flat tuple, the 17 derivatives, then aux = (e, zeta, u, a11, a21,
-    a23, det1, det2)."""
-    chi_est1 = _hankel2(m1, mask1, eps * eps)
-    chi_est2 = _hankel4(m2, mask2, eps * eps)
-    m10, m11, m12, m13 = m1
-    m20, m21, m22, m23, m24, m25, m26, m27 = m2
-    # Horner from the highest coefficient
-    rho_r = tuple(reversed(rho))
-    kc_r = tuple(reversed(kc))
-
-    # g: the eta1 filter state, h: the eta2 filter state
-    def f(t, y):
-        x1, x2, v1, v2, g0, g1, g2, g3, h0, h1, h2, h3, h4, h5, h6, h7, khat = y
-        e = x1 - v1
-        chi1, det1, a10, _ = chi_est1(g0, g1, g2, g3)
-        chi2, det2, a20, _, a22, _ = chi_est2(h0, h1, h2, h3, h4, h5, h6, h7)
-        rho_e = 0.0
-        for c in rho_r:
-            rho_e = rho_e * e + c
-        zeta = x2 - chi1 + rho_e * e
-        kz = 0.0
-        for c in kc_r:
-            kz = kz * zeta + c
-        if mode == 1:
-            u = -(khat * kz * zeta) + chi2
-            dk = kz * zeta * zeta
-        elif mode == 2:
-            u = 0.0
-            dk = 0.0
-        else:
-            u = -(k0 * kz * zeta) + chi2
-            dk = 0.0
-        d = v2 + dist_amp * sin(dist_freq * t)
-        return (x2, -c3 * x2 - c1 * x1 - c2 * (x1 * x1 * x1) + u + d,
-                sigma * v2, -sigma * v1,
-                g1, g2, g3, 0.0 - m10 * g0 - m11 * g1 - m12 * g2 - m13 * g3 + x2,
-                h1, h2, h3, h4, h5, h6, h7,
-                (0.0 - m20 * h0 - m21 * h1 - m22 * h2 - m23 * h3
-                 - m24 * h4 - m25 * h5 - m26 * h6 - m27 * h7 + u),
-                dk, e, zeta, u, a10, a20, a22, det1, det2)
-
-    return f
-
-
-def _chi_est(y, base, n, m, eps, mask, ahat):
-    """Coefficient estimate, reconstruction, and Hankel determinant.
-
-    Entry point for timing and testing one estimator on its own: binds a
-    per-run estimator, reads the filter state from y[base : base + 2n],
-    writes the masked estimate into ahat[0:n], and returns (chi, det).
-    """
-    est = (_hankel2 if n == 2 else _hankel4)(m, mask, eps * eps)
-    chi, det, *a = est(*y[base:base + 2 * n])
-    ahat[:n] = a
-    return chi, det
+        return 0.0 + (p0 + r0) * h0 + (p1 + r1) * h1, det
+    # n == 4: Hankel rows (h0..h3), (h1..h4), (h2..h5), (h3..h6) with
+    # b = (h4..h7).  c<r><c> is the (r, c) cofactor: the det3 of its minor
+    # (entries row-major, expanded along the minor's first row), negated
+    # when r + c is odd.  d<ab>_<cd> is the 2x2 minor ha * hb - hc * hd;
+    # each is computed once and shared by every cofactor that expands into
+    # it (the products commute bit for bit, so the sharing changes no
+    # value).  Row 0 always feeds det; a column's other three cofactors are
+    # computed only if the mask keeps its estimate.  The (3, 0) and (0, 3)
+    # minors are the same Hankel block of h1..h5, so c30 is c03.
+    h0, h1, h2, h3, h4, h5, h6, h7 = y[base:base + 8]
+    d46_55 = h4 * h6 - h5 * h5
+    d36_45 = h3 * h6 - h4 * h5
+    d35_44 = h3 * h5 - h4 * h4
+    d26_35 = h2 * h6 - h3 * h5
+    d25_34 = h2 * h5 - h3 * h4
+    d24_33 = h2 * h4 - h3 * h3
+    d26_44 = h2 * h6 - h4 * h4
+    d16_34 = h1 * h6 - h3 * h4
+    d15_24 = h1 * h5 - h2 * h4
+    d15_33 = h1 * h5 - h3 * h3
+    d14_23 = h1 * h4 - h2 * h3
+    d13_22 = h1 * h3 - h2 * h2
+    c00 = h2 * d46_55 - h3 * d36_45 + h4 * d35_44
+    c01 = -(h1 * d46_55 - h3 * d26_35 + h4 * d25_34)
+    c02 = h1 * d36_45 - h2 * d26_35 + h4 * d24_33
+    c03 = -(h1 * d35_44 - h2 * d25_34 + h3 * d24_33)
+    det = h0 * c00 + h1 * c01 + h2 * c02 + h3 * c03
+    if det == 0.0:
+        sc = 0.0
+    else:
+        sc = det / (det * det + _psi(1.0 + det * det - eps * eps))
+    # ahat[j] = -(adjugate row j . b); adjugate[j][r] is the (r, j) cofactor
+    if mask[0]:
+        a0 = 0.0
+    else:
+        c10 = -(h1 * d46_55 - h2 * d36_45 + h3 * d35_44)
+        c20 = h1 * d36_45 - h2 * d26_44 + h3 * d25_34
+        a0 = -(0.0 + sc * c00 * h4 + sc * c10 * h5 + sc * c20 * h6 + sc * c03 * h7)
+    if mask[1]:
+        a1 = 0.0
+    else:
+        c11 = h0 * d46_55 - h2 * d26_35 + h3 * d25_34
+        c21 = -(h0 * d36_45 - h2 * d16_34 + h3 * d15_33)
+        c31 = h0 * d35_44 - h2 * d15_24 + h3 * d14_23
+        a1 = -(0.0 + sc * c01 * h4 + sc * c11 * h5 + sc * c21 * h6 + sc * c31 * h7)
+    if mask[2]:
+        a2 = 0.0
+    else:
+        c12 = -(h0 * d36_45 - h1 * d26_35 + h3 * d24_33)
+        c22 = h0 * d26_44 - h1 * d16_34 + h3 * d14_23
+        c32 = -(h0 * d25_34 - h1 * d15_24 + h3 * d13_22)
+        a2 = -(0.0 + sc * c02 * h4 + sc * c12 * h5 + sc * c22 * h6 + sc * c32 * h7)
+    if mask[3]:
+        a3 = 0.0
+    else:
+        c13 = h0 * d35_44 - h1 * d25_34 + h2 * d24_33
+        c23 = -(h0 * d25_34 - h1 * d15_33 + h2 * d14_23)
+        c33 = h0 * d24_33 - h1 * d14_23 + h2 * d13_22
+        a3 = -(0.0 + sc * c03 * h4 + sc * c13 * h5 + sc * c23 * h6 + sc * c33 * h7)
+    ahat[0] = a0
+    ahat[1] = a1
+    ahat[2] = a2
+    ahat[3] = a3
+    r0 = 1.0
+    r1 = 0.0
+    r2 = 0.0
+    r3 = 0.0
+    p0 = 0.0
+    p1 = 0.0
+    p2 = 0.0
+    p3 = 0.0
+    for mj in m:
+        p0 = p0 + mj * r0
+        p1 = p1 + mj * r1
+        p2 = p2 + mj * r2
+        p3 = p3 + mj * r3
+        last = r3
+        r3 = r2 - a3 * last
+        r2 = r1 - a2 * last
+        r1 = r0 - a1 * last
+        r0 = -a0 * last
+    return 0.0 + (p0 + r0) * h0 + (p1 + r1) * h1 + (p2 + r2) * h2 + (p3 + r3) * h3, det
 
 
 def _deriv(t, y, dy, aux, c1, c2, c3, sigma, m1, m2, eps, mask1, mask2,
            rho, kc, k0, mode, dist_amp, dist_freq, ahat1, ahat2):
-    """Entry point for timing and testing one vector-field evaluation: binds
-    a per-run field, writes dy[0:17], aux[0:8] and both estimates."""
-    f = _field(c1, c2, c3, sigma, m1, m2, eps, mask1, mask2, rho, kc, k0, mode,
-               dist_amp, dist_freq)
-    out = f(t, y)
-    dy[:], aux[:] = out[:17], out[17:]
-    _chi_est(y, 4, 2, m1, eps, mask1, ahat1)
-    _chi_est(y, 8, 4, m2, eps, mask2, ahat2)
+    """The closed-loop vector field at (t, y): writes the 17 derivatives
+    into dy, the record's auxiliaries (e, zeta, u, a11, a21, a23, det1,
+    det2) into aux, and both masked estimates into ahat1 and ahat2."""
+    x1, x2, v1, v2 = y[:4]
+    e = x1 - v1
+    chi1, det1 = _chi_est(y, 4, 2, m1, eps, mask1, ahat1)
+    chi2, det2 = _chi_est(y, 8, 4, m2, eps, mask2, ahat2)
+    # Horner from the highest coefficient
+    rho_e = 0.0
+    for c in reversed(rho):
+        rho_e = rho_e * e + c
+    zeta = x2 - chi1 + rho_e * e
+    kz = 0.0
+    for c in reversed(kc):
+        kz = kz * zeta + c
+    if mode == 1:
+        u = -(y[16] * kz * zeta) + chi2
+        dk = kz * zeta * zeta
+    elif mode == 2:
+        u = 0.0
+        dk = 0.0
+    else:
+        u = -(k0 * kz * zeta) + chi2
+        dk = 0.0
+    d = v2 + dist_amp * sin(dist_freq * t)
+    dy[0] = x2
+    dy[1] = -c3 * x2 - c1 * x1 - c2 * (x1 * x1 * x1) + u + d
+    dy[2] = sigma * v2
+    dy[3] = -sigma * v1
+    dy[4:7] = y[5:8]
+    dy[7] = 0.0 - m1[0] * y[4] - m1[1] * y[5] - m1[2] * y[6] - m1[3] * y[7] + x2
+    dy[8:15] = y[9:16]
+    dy[15] = (0.0 - m2[0] * y[8] - m2[1] * y[9] - m2[2] * y[10] - m2[3] * y[11]
+              - m2[4] * y[12] - m2[5] * y[13] - m2[6] * y[14] - m2[7] * y[15] + u)
+    dy[16] = dk
+    aux[:] = e, zeta, u, ahat1[0], ahat2[0], ahat2[2], det1, det2
 
 
 def run_closed_loop(y0, h, n_steps, stride, c1, c2, c3, sigma, m1, m2, eps,
@@ -311,22 +268,22 @@ def run_closed_loop(y0, h, n_steps, stride, c1, c2, c3, sigma, m1, m2, eps,
     mask2 = [1 if v else 0 for v in mask2]
     if len(m1) != 4 or len(m2) != 8 or len(mask1) != 2 or len(mask2) != 4:
         raise ValueError("need m1[4], m2[8], mask1[2], mask2[4]")
-    f = _field(c1, c2, c3, sigma, m1, m2, eps, mask1, mask2,
-               [float(v) for v in rho], [float(v) for v in kc], k0, mode,
-               dist_amp, dist_freq)
+    p = (c1, c2, c3, sigma, m1, m2, eps, mask1, mask2, [float(v) for v in rho],
+         [float(v) for v in kc], k0, mode, dist_amp, dist_freq)
+    k1, k2, k3, k4, aux = [0.0] * 17, [0.0] * 17, [0.0] * 17, [0.0] * 17, [0.0] * 8
+    a1b, a2b = [0.0] * 4, [0.0] * 4
     half = 0.5 * h
     sixth = h / 6.0
     records = array("d")
-    record = records.frombytes
     diverged_at = -1.0
     for step in range(n_steps):
         t = step * h
-        k1 = f(t, y)
+        _deriv(t, y, k1, aux, *p, a1b, a2b)
         if step % stride == 0:
-            record(_ROW(t, y[0], y[1], *k1[17:], y[16]))
-        k2 = f(t + half, [yi + half * ki for yi, ki in zip(y, k1)])
-        k3 = f(t + half, [yi + half * ki for yi, ki in zip(y, k2)])
-        k4 = f(t + h, [yi + h * ki for yi, ki in zip(y, k3)])
+            records.extend((t, y[0], y[1], *aux, y[16]))
+        _deriv(t + half, [yi + half * ki for yi, ki in zip(y, k1)], k2, aux, *p, a1b, a2b)
+        _deriv(t + half, [yi + half * ki for yi, ki in zip(y, k2)], k3, aux, *p, a1b, a2b)
+        _deriv(t + h, [yi + h * ki for yi, ki in zip(y, k3)], k4, aux, *p, a1b, a2b)
         y = [yi + sixth * (a + 2.0 * b + 2.0 * c + d)
              for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
         # min and max may pass over a nan, but it makes the sum nan
@@ -335,12 +292,10 @@ def run_closed_loop(y0, h, n_steps, stride, c1, c2, c3, sigma, m1, m2, eps,
             break
     if diverged_at < 0.0:
         t = n_steps * h
-        record(_ROW(t, y[0], y[1], *f(t, y)[17:], y[16]))
+        _deriv(t, y, k1, aux, *p, a1b, a2b)
+        records.extend((t, y[0], y[1], *aux, y[16]))
     rows = memoryview(records).cast("B").cast("d", (len(records) // 12, 12))
     return rows, diverged_at, y
-
-
-_CSV_BLOCK = 1024
 
 
 def format_rows(data, ncol):
@@ -349,16 +304,8 @@ def format_rows(data, ncol):
     joined by commas, each row ended by a newline; "" for no rows."""
     if ncol < 1 or len(data) % ncol:
         raise ValueError("data must hold whole rows of ncol >= 1 columns")
-    # a block of ncol-field template lines filled by one format op per
-    # _CSV_BLOCK rows, so only one block's floats exist as objects at once
-    row = ",".join(["%.17g"] * ncol)
-    n = _CSV_BLOCK * ncol
-    out = []
-    for i in range(0, len(data), n):
-        block = data[i:i + n]
-        out.append("\n".join([row] * (len(block) // ncol)) % tuple(block))
-    out.append("")  # the final newline, without copying the text once more
-    return "\n".join(out)
+    row = ",".join(["%.17g"] * ncol) + "\n"
+    return "".join([row % tuple(data[i:i + ncol]) for i in range(0, len(data), ncol)])
 
 
 def format_vertices(xs, ys, sx, xlo, xhi, sy, ylo, yhi, ml, mt, pw, ph):

@@ -38,9 +38,9 @@ from .record import Record
 MODES = ("nonadaptive", "adaptive", "open_loop")
 
 # The most RK4 steps a run may take.  The pure-python twin integrates about
-# 32k steps/s at the stock gains and 23k at degree-64 gains on a 2-CPU Linux
+# 30k steps/s at the stock gains and 21k at degree-64 gains on a 2-CPU Linux
 # machine with CPython 3.11 (the C twin about 1.5M; steady orbit,
-# nonadaptive), so this keeps one run to about five minutes there (seven
+# nonadaptive), so this keeps one run to about six minutes there (eight
 # at degree 64, seven seconds compiled) instead of the days an
 # unchecked horizon such as t_end = 1e9 would take.  The largest run
 # anything here makes is 200,000 steps (acceptance criterion 10 at h/2).
@@ -56,9 +56,10 @@ MAX_RECORDS = 1_000_000
 
 # The highest power a gain polynomial may have.  The kernels evaluate rho
 # and k by Horner four times per RK4 step, so a step costs time linear in
-# the degree: raising both gains from degree 4 to 64 made a pure-python step
-# about 1.4 times as long (steady orbit, 5,000 steps, CPython 3.11 on a 2-CPU
-# Linux machine), so MAX_STEPS still bounds a run's time.
+# the degree: raising both gains from degree 4 to 64 makes a pure-python step
+# about 1.4 times as long (30k against 21k steps/s; steady orbit, 5,000
+# steps, CPython 3.11 on a 2-CPU Linux machine), so MAX_STEPS still bounds
+# a run's time.
 # The stock gains have degree 4.
 MAX_GAIN_DEGREE = 64
 

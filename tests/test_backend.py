@@ -172,12 +172,13 @@ def test_backend_env_override():
                                              (2000, 7)])
 def test_records_contract(kern, steady_cfg, n_steps, stride):
     # a row at every stride-th step from step 0 and one after the last step,
-    # as one C-contiguous (rows, 12) float64 view
+    # as one C-contiguous (rows, 12) float64 view, and the final state as a list
     h = steady_cfg.h
-    records, diverged_at, _ = run_twin(
+    records, diverged_at, y_final = run_twin(
         kern, with_overrides(steady_cfg, t_end=n_steps * h, stride=stride))
     rows = (n_steps - 1) // stride + 2
     assert diverged_at == -1.0
+    assert isinstance(y_final, list)
     assert len(records) == rows
     assert records.shape == (rows, 12)
     assert records.format == "d" and records.c_contiguous

@@ -623,6 +623,13 @@ _NO_DATACLASSES = ["dataclasses", "inspect"]
 _NO_REFERENCE_MATH = ["outreg.controller", "outreg.mapping"]
 
 
+def _no_fallback():
+    """The pure-Python twin, if the compiled one runs: no command falls back."""
+    import outreg
+
+    return ["outreg._kernel_py"] if outreg.BACKEND == "compiled" else []
+
+
 def test_run_imports_neither_numpy_nor_process_pool(tmp_path):
     # the package imports no numpy and no process pool: `sweep` and `check`
     # fork their own children; a stray module-level import shows here.  A compiled twin already
@@ -630,7 +637,8 @@ def test_run_imports_neither_numpy_nor_process_pool(tmp_path):
     # hashlib and none of the build's subprocess or sysconfig
     import outreg
 
-    watched = ["numpy", "concurrent.futures.process"] + _NO_DATACLASSES + _NO_REFERENCE_MATH
+    watched = (["numpy", "concurrent.futures.process"] + _NO_DATACLASSES + _NO_REFERENCE_MATH
+               + _no_fallback())
     if outreg.BACKEND == "compiled":
         watched += ["hashlib", "subprocess", "sysconfig"]
     assert _new_imports(["run", "--scenario", STEADY_SCN, "--tend", "0.05",
@@ -644,14 +652,14 @@ def test_parallel_sweep_imports_no_process_pool(tmp_path):
                          "--grid", "sigma=0.5,1", "--jobs", "2",
                          "--out", str(tmp_path / "sw")], 0,
                         ["numpy", "concurrent.futures", "multiprocessing"]
-                        + _NO_DATACLASSES + _NO_REFERENCE_MATH) == "[]"
+                        + _NO_DATACLASSES + _NO_REFERENCE_MATH + _no_fallback()) == "[]"
 
 
 def test_check_imports_no_process_pool():
     # check forks its own two children, and its criteria import no numpy
     assert _new_imports(["check", "--seed", "0"], 1,
                         ["numpy", "concurrent.futures", "multiprocessing"]
-                        + _NO_DATACLASSES) == "[]"
+                        + _NO_DATACLASSES + _no_fallback()) == "[]"
 
 
 def test_runs_with_numpy_blocked(tmp_path):

@@ -1,3 +1,4 @@
+import os
 import pickle
 from bisect import bisect_left
 from statistics import fmean
@@ -238,6 +239,24 @@ def test_cold_start_escape_under_step_refinement(mode, steps):
         assert abs(times[-1] - times[-2]) < 1e-3
     else:
         assert times[1] - times[0] > 0.02
+
+
+P14_SCN = os.path.join(os.path.dirname(STEADY_SCN), "p14_plant.scn")
+
+
+@pytest.mark.parametrize("k0, c1, escape_step", [(10.0, -1.9, None), (10.0, -1.5, 5978),
+                                                 (20.0, -1.5, None)])
+def test_wrong_plant_window_widens_with_k0(k0, c1, escape_step):
+    # from the steady start derived at c1 = -2, over 100 s, k0 = 10 regulates
+    # c1 = -1.9 (4.2e-8) but not -1.5, which k0 = 20 regulates (2.2e-12):
+    # the law reads no plant coefficient, and its tolerance grows with k0
+    cfg = with_overrides(load_scenario(P14_SCN), k0=k0, c1=c1)
+    log, diverged_at, _ = integrate(cfg)
+    if escape_step is None:
+        assert diverged_at is None
+        assert metrics(log, cfg)["trailing_sup_e"] < 1e-6
+    else:
+        assert round(diverged_at / cfg.h) == escape_step
 
 
 def test_metrics_settling_time(steady_cfg):
