@@ -3,10 +3,12 @@
  * Every value here is computed with the same expression, in the same
  * operation order, as in _kernel_py.py, and the build uses -ffp-contract=off
  * so no multiply-add fusion can change the rounding.  Edit both files
- * together, expression by expression.  format_rows and format_vertices
- * print what CPython's "%.17g" and "%.6g" print, byte for byte: write_g
- * finds the digits of a log's values by exact integer arithmetic, and
- * hands every other value to CPython's own PyOS_double_to_string.
+ * together, expression by expression; the RK4 loops match line for line,
+ * and every entry point is METH_VARARGS, positional only, as in the python
+ * twin.  format_rows and format_vertices print what CPython's "%.17g" and
+ * "%.6g" print, byte for byte: write_g finds the digits of a log's values
+ * by exact integer arithmetic, and hands every other value to CPython's own
+ * PyOS_double_to_string.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -288,16 +290,13 @@ static Py_ssize_t as_mask(PyObject *obj, int *out)
     return n;
 }
 
-static PyObject *run_closed_loop(PyObject *self, PyObject *args, PyObject *kwargs)
+static PyObject *run_closed_loop(PyObject *self, PyObject *args)
 {
-    static char *kwlist[] = {"y0", "h", "n_steps", "stride", "c1", "c2", "c3",
-                             "sigma", "m1", "m2", "eps", "mask1", "mask2", "rho",
-                             "kc", "k0", "mode", "dist_amp", "dist_freq", NULL};
     PyObject *y0, *m1o, *m2o, *mask1o, *mask2o, *rhoo, *kco;
     PyObject *rows = NULL, *flat = NULL, *records = NULL, *yfinal = NULL, *result = NULL;
     double *y = NULL;
     double yw[17], k1[17], k2[17], k3[17], k4[17];
-    double aux[8], auxw[8], a1b[4], a2b[4];
+    double aux[8], a1b[4], a2b[4];
     double h, t, half, h6, diverged_at;
     long n_steps, stride, step;
     Py_ssize_t ny, nm1, nm2, nk1, nk2;
@@ -305,11 +304,10 @@ static PyObject *run_closed_loop(PyObject *self, PyObject *args, PyObject *kwarg
     int i, bad;
 
     (void)self;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OdllddddOOdOOOOdidd:run_closed_loop",
-                                     kwlist, &y0, &h, &n_steps, &stride, &p.c1,
-                                     &p.c2, &p.c3, &p.sigma, &m1o, &m2o, &p.eps,
-                                     &mask1o, &mask2o, &rhoo, &kco, &p.k0, &p.mode,
-                                     &p.dist_amp, &p.dist_freq))
+    if (!PyArg_ParseTuple(args, "OdllddddOOdOOOOdidd:run_closed_loop", &y0, &h, &n_steps,
+                          &stride, &p.c1, &p.c2, &p.c3, &p.sigma, &m1o, &m2o, &p.eps,
+                          &mask1o, &mask2o, &rhoo, &kco, &p.k0, &p.mode, &p.dist_amp,
+                          &p.dist_freq))
         return NULL;
     y = as_doubles(y0, &ny);
     if (y == NULL)
@@ -374,13 +372,13 @@ static PyObject *run_closed_loop(PyObject *self, PyObject *args, PyObject *kwarg
             goto done;
         for (i = 0; i < 17; i++)
             yw[i] = y[i] + half * k1[i];
-        deriv(t + half, yw, k2, auxw, &p, a1b, a2b);
+        deriv(t + half, yw, k2, aux, &p, a1b, a2b);
         for (i = 0; i < 17; i++)
             yw[i] = y[i] + half * k2[i];
-        deriv(t + half, yw, k3, auxw, &p, a1b, a2b);
+        deriv(t + half, yw, k3, aux, &p, a1b, a2b);
         for (i = 0; i < 17; i++)
             yw[i] = y[i] + h * k3[i];
-        deriv(t + h, yw, k4, auxw, &p, a1b, a2b);
+        deriv(t + h, yw, k4, aux, &p, a1b, a2b);
         bad = 0;
         for (i = 0; i < 17; i++) {
             y[i] = y[i] + h6 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
@@ -692,8 +690,7 @@ done:
 }
 
 static PyMethodDef methods[] = {
-    {"run_closed_loop", (PyCFunction)(void (*)(void))run_closed_loop,
-     METH_VARARGS | METH_KEYWORDS,
+    {"run_closed_loop", run_closed_loop, METH_VARARGS,
      "Same contract as _kernel_py.run_closed_loop; see there."},
     {"format_rows", format_rows, METH_VARARGS,
      "Same contract as _kernel_py.format_rows; see there."},

@@ -14,13 +14,14 @@ The RK4 loop has one shape in both: the state is one 17-entry list (an
 array in C), and each stage is one pass over it, y[i] + half * k1[i] through
 y[i] + sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]), then one _deriv
 call (deriv in C) that writes the stage's derivatives into k1..k4, the
-record's auxiliaries into aux (C gives the three later stages their own
-auxw) and both estimates into ahat buffers, all allocated once per run.
-_deriv calls _chi_est (chi_est) once per estimator.
+record's auxiliaries into aux and both estimates into ahat buffers, all
+allocated once per run.  _deriv calls _chi_est (chi_est) once per estimator.
 Only the plumbing differs: C hands the parameters over in a struct, and here
 run_closed_loop packs them into one tuple per run and passes it by position.
 perfbench's microbenchmark times _chi_est and _deriv by position too, so
-their signatures are fixed.
+their signatures are fixed.  run_closed_loop, format_rows and
+format_vertices take positional arguments only ("/" here, METH_VARARGS in
+C), so a keyword call raises TypeError on either backend.
 
 Conventions shared by both twins:
   - no ** operator anywhere; powers are explicit products, so both
@@ -235,7 +236,7 @@ def _deriv(t, y, dy, aux, c1, c2, c3, sigma, m1, m2, eps, mask1, mask2,
 
 
 def run_closed_loop(y0, h, n_steps, stride, c1, c2, c3, sigma, m1, m2, eps,
-                    mask1, mask2, rho, kc, k0, mode, dist_amp, dist_freq):
+                    mask1, mask2, rho, kc, k0, mode, dist_amp, dist_freq, /):
     """Integrate the closed loop with classical RK4 at fixed step h.
 
     Records a 12-column row at every stride-th step (state before the
@@ -298,7 +299,7 @@ def run_closed_loop(y0, h, n_steps, stride, c1, c2, c3, sigma, m1, m2, eps,
     return rows, diverged_at, y
 
 
-def format_rows(data, ncol):
+def format_rows(data, ncol, /):
     """The CSV body of a flat float64 buffer (an array("d")) of ncol-column
     rows: each value as "%.17g" prints it, enough to round-trip any double,
     joined by commas, each row ended by a newline; "" for no rows."""
@@ -308,7 +309,7 @@ def format_rows(data, ncol):
     return "".join([row % tuple(data[i:i + ncol]) for i in range(0, len(data), ncol)])
 
 
-def format_vertices(xs, ys, sx, xlo, xhi, sy, ylo, yhi, ml, mt, pw, ph):
+def format_vertices(xs, ys, sx, xlo, xhi, sy, ylo, yhi, ml, mt, pw, ph, /):
     """The points of an SVG polyline: each vertex (x, y) of zip(xs, ys) as
     "%.6g,%.6g" of its plot coordinates, ml + (x * sx - xlo) / (xhi - xlo)
     * pw and mt + ph - (y * sy - ylo) / (yhi - ylo) * ph, the vertices

@@ -43,6 +43,10 @@ def test_kernel_input_validation(kern):
     # the clock always starts at 0: there is no 20th argument
     with pytest.raises(TypeError):
         kern.run_closed_loop([0.0] * 17, cfg.h, 10, 1, *_kernel_args(cfg, cfg.mode), 0.0)
+    # both twins take arguments by position only: naming even the last fails
+    *args, dist_freq = _kernel_args(cfg, cfg.mode)
+    with pytest.raises(TypeError):
+        kern.run_closed_loop([0.0] * 17, cfg.h, 10, 1, *args, dist_freq=dist_freq)
 
 
 _BAD_STEPS = [

@@ -194,6 +194,14 @@ def test_vertices_divide_by_zero_as_python_does(kern):
     assert kern.format_vertices([], [], 1.0, 2.0, 2.0, 1.0, 3.0, 3.0, 64, 34, PW, PH) == ""
 
 
+def test_formatters_take_no_keywords(kern):
+    # positional only on every twin, so a call behaves the same on each
+    with pytest.raises(TypeError):
+        kern.format_rows(array("d", [1.0] * 12), ncol=12)
+    with pytest.raises(TypeError):
+        kern.format_vertices([1.0], [1.0], 1.0, 0.0, 2.0, 1.0, 0.0, 2.0, 64, 34, PW, ph=PH)
+
+
 # ml = mt = 0, xlo = ylo = 0, xhi = yhi = 1, pw = ph = 1 and sx = sy = 1:
 # the x coordinate is x itself, so "%.6g" sees exactly the values given
 IDENTITY = (1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0)
