@@ -4,10 +4,12 @@
  * operation order, as in _kernel_py.py, and the build uses -ffp-contract=off
  * so no multiply-add fusion can change the rounding.  Edit both files
  * together, expression by expression; the RK4 loops match line for line,
+ * each appends rows in one place, its final pass recording the last state,
  * and every entry point is METH_VARARGS, positional only, as in the python
- * twin.  format_rows and format_vertices print what CPython's "%.17g" and
- * "%.6g" print, byte for byte: write_g finds the digits of a log's values
- * by exact integer arithmetic, and hands every other value to CPython's own
+ * twin.  format_rows(data) prints rows of NCOL = 12 columns and
+ * format_vertices SVG points, what CPython's "%.17g" and "%.6g" print,
+ * byte for byte: write_g finds the digits of a log's values by exact
+ * integer arithmetic, and hands every other value to CPython's own
  * PyOS_double_to_string.
  */
 
@@ -18,6 +20,7 @@
 #include <string.h>
 
 #define LIMIT 1e9
+#define NCOL 12 /* columns per record row */
 
 typedef struct {
     double c1, c2, c3, sigma, eps, k0, dist_amp, dist_freq;
@@ -224,14 +227,14 @@ static PyObject *float_list(const double *v, Py_ssize_t n)
     return out;
 }
 
-/* Append the 12-column row (t, x1, x2, aux[0..7], khat) to the bytearray
+/* Append the NCOL-column row (t, x1, x2, aux[0..7], khat) to the bytearray
  * rows as float64 bytes; -1 with an exception set if it cannot grow.
  * PyByteArray_Resize over-allocates, so nothing is sized from n_steps. */
 static int append_record(PyObject *rows, double t, const double *y, const double *aux)
 {
     Py_ssize_t end = PyByteArray_GET_SIZE(rows);
-    double row[12] = {t, y[0], y[1], aux[0], aux[1], aux[2], aux[3],
-                      aux[4], aux[5], aux[6], aux[7], y[16]};
+    double row[NCOL] = {t, y[0], y[1], aux[0], aux[1], aux[2], aux[3],
+                        aux[4], aux[5], aux[6], aux[7], y[16]};
     if (PyByteArray_Resize(rows, end + (Py_ssize_t)sizeof row) < 0)
         return -1;
     memcpy(PyByteArray_AS_STRING(rows) + end, row, sizeof row);
@@ -365,11 +368,13 @@ static PyObject *run_closed_loop(PyObject *self, PyObject *args)
     half = 0.5 * h;
     h6 = h / 6.0;
     diverged_at = -1.0;
-    for (step = 0; step < n_steps; step++) {
+    for (step = 0; step <= n_steps; step++) {
         t = step * h;
         deriv(t, y, k1, aux, &p, a1b, a2b);
-        if (step % stride == 0 && append_record(rows, t, y, aux) < 0)
+        if ((step % stride == 0 || step == n_steps) && append_record(rows, t, y, aux) < 0)
             goto done;
+        if (step == n_steps)
+            break;
         for (i = 0; i < 17; i++)
             yw[i] = y[i] + half * k1[i];
         deriv(t + half, yw, k2, aux, &p, a1b, a2b);
@@ -391,20 +396,14 @@ static PyObject *run_closed_loop(PyObject *self, PyObject *args)
             break;
         }
     }
-    if (diverged_at < 0.0) {
-        t = n_steps * h;
-        deriv(t, y, k1, aux, &p, a1b, a2b);
-        if (append_record(rows, t, y, aux) < 0)
-            goto done;
-    }
-    /* a (rows, 12) 'd' view of rows itself; step 0 and a completed run
+    /* a (rows, NCOL) 'd' view of rows itself; step 0 and a completed run
      * record, so the shape, which cannot hold a zero, has a row */
     flat = PyMemoryView_FromObject(rows);
     if (flat == NULL)
         goto done;
     records = PyObject_CallMethod(
         flat, "cast", "s(nn)", "d",
-        PyByteArray_GET_SIZE(rows) / (Py_ssize_t)(12 * sizeof(double)), (Py_ssize_t)12);
+        PyByteArray_GET_SIZE(rows) / (Py_ssize_t)(NCOL * sizeof(double)), (Py_ssize_t)NCOL);
     if (records == NULL)
         goto done;
     yfinal = float_list(y, 17);
@@ -582,11 +581,11 @@ static PyObject *format_rows(PyObject *self, PyObject *args)
 {
     PyObject *data, *out = NULL;
     Py_buffer view;
-    Py_ssize_t ncol, n, i;
+    Py_ssize_t n, i;
     char *p, *start;
 
     (void)self;
-    if (!PyArg_ParseTuple(args, "On:format_rows", &data, &ncol))
+    if (!PyArg_ParseTuple(args, "O:format_rows", &data))
         return NULL;
     if (PyObject_GetBuffer(data, &view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
         return NULL;
@@ -595,8 +594,8 @@ static PyObject *format_rows(PyObject *self, PyObject *args)
         goto done;
     }
     n = view.len / (Py_ssize_t)sizeof(double);
-    if (ncol < 1 || n % ncol != 0) {
-        PyErr_SetString(PyExc_ValueError, "data must hold whole rows of ncol >= 1 columns");
+    if (n % NCOL != 0) {
+        PyErr_Format(PyExc_ValueError, "data must hold whole rows of %d columns", NCOL);
         goto done;
     }
     if (n > (PY_SSIZE_T_MAX - 1) / ROW_FLOAT_MAX) {
@@ -613,7 +612,7 @@ static PyObject *format_rows(PyObject *self, PyObject *args)
             Py_CLEAR(out);
             goto done;
         }
-        *p++ = (i + 1) % ncol ? ',' : '\n';
+        *p++ = (i + 1) % NCOL ? ',' : '\n';
     }
     if (PyUnicode_Resize(&out, p - start) < 0)
         Py_CLEAR(out);

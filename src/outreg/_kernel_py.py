@@ -37,10 +37,12 @@ Record layout (12 columns per row):
   t, x1, x2, e, zeta, u, a11, a21, a23, detT1, detT2, khat
 where a11 is the first entry of the component-1 coefficient estimate and
 a21/a23 the first/third of component 2, all taken from the vector-field
-evaluation at the recorded state.  Each twin appends each row to the buffer
-it returns (an array("d") here, a bytearray in C), never sized from n_steps,
-and returns a C-contiguous (rows, 12) memoryview of format 'd' over it, so
-len(records) is the row count; simulate.SimLog keeps that view, uncopied.
+evaluation at the recorded state.  Each twin appends rows in one place: its
+loop's last pass, at step == n_steps, records the final state and integrates
+nothing.  The rows go into the buffer it returns (an array("d") here, a
+bytearray in C), never sized from n_steps, seen as a C-contiguous (rows, 12)
+'d' memoryview, so len(records) is the row count; simulate.SimLog keeps that
+view, uncopied.  format_rows(data) prints rows of that width (_NCOL, NCOL).
 
 Modes: 0 nonadaptive, 1 adaptive, 2 open loop (u forced to 0; the filters
 and estimators keep running so the log stays comparable).
@@ -57,19 +59,15 @@ from array import array
 from math import exp, isfinite, isnan, sin
 
 _LIMIT = 1e9
+_NCOL = 12  # columns per record row
+_ROW = ",".join(["%.17g"] * _NCOL) + "\n"
 
 
 def _psi(s):
     # kappa(1-s) / (kappa(s) + kappa(1-s)); kappa(t) = exp(-1/t) for t > 0
     t = 1.0 - s
-    if t > 0.0:
-        up = exp(-1.0 / t)
-    else:
-        up = 0.0
-    if s > 0.0:
-        dn = exp(-1.0 / s) + up
-    else:
-        dn = up
+    up = exp(-1.0 / t) if t > 0.0 else 0.0
+    dn = exp(-1.0 / s) + up if s > 0.0 else up
     if dn == 0.0:
         # reachable only through nan arguments (overflowed states mid-stage);
         # mirror C division so the twins agree: 0/0 -> nan, x/0 -> +inf
@@ -84,19 +82,10 @@ def _chi_est(y, base, n, m, eps, mask, ahat):
     if n == 2:
         h0, h1, h2, h3 = y[base:base + 4]
         det = h0 * h2 - h1 * h1
-        if det == 0.0:
-            sc = 0.0
-        else:
-            sc = det / (det * det + _psi(1.0 + det * det - eps * eps))
+        sc = 0.0 if det == 0.0 else det / (det * det + _psi(1.0 + det * det - eps * eps))
         # adjugate rows (h2, -h1) and (-h1, h0) against b = (h2, h3)
-        if mask[0]:
-            a0 = 0.0
-        else:
-            a0 = -(sc * h2 * h2 + sc * -h1 * h3)
-        if mask[1]:
-            a1 = 0.0
-        else:
-            a1 = -(sc * -h1 * h2 + sc * h0 * h3)
+        a0 = 0.0 if mask[0] else -(sc * h2 * h2 + sc * -h1 * h3)
+        a1 = 0.0 if mask[1] else -(sc * -h1 * h2 + sc * h0 * h3)
         ahat[0] = a0
         ahat[1] = a1
         # first row of Xi(ahat) by the row recurrence row_{j+1} = row_j . Phi
@@ -138,10 +127,7 @@ def _chi_est(y, base, n, m, eps, mask, ahat):
     c02 = h1 * d36_45 - h2 * d26_35 + h4 * d24_33
     c03 = -(h1 * d35_44 - h2 * d25_34 + h3 * d24_33)
     det = h0 * c00 + h1 * c01 + h2 * c02 + h3 * c03
-    if det == 0.0:
-        sc = 0.0
-    else:
-        sc = det / (det * det + _psi(1.0 + det * det - eps * eps))
+    sc = 0.0 if det == 0.0 else det / (det * det + _psi(1.0 + det * det - eps * eps))
     # ahat[j] = -(adjugate row j . b); adjugate[j][r] is the (r, j) cofactor
     if mask[0]:
         a0 = 0.0
@@ -277,11 +263,13 @@ def run_closed_loop(y0, h, n_steps, stride, c1, c2, c3, sigma, m1, m2, eps,
     sixth = h / 6.0
     records = array("d")
     diverged_at = -1.0
-    for step in range(n_steps):
+    for step in range(n_steps + 1):
         t = step * h
         _deriv(t, y, k1, aux, *p, a1b, a2b)
-        if step % stride == 0:
+        if step % stride == 0 or step == n_steps:
             records.extend((t, y[0], y[1], *aux, y[16]))
+        if step == n_steps:
+            break
         _deriv(t + half, [yi + half * ki for yi, ki in zip(y, k1)], k2, aux, *p, a1b, a2b)
         _deriv(t + half, [yi + half * ki for yi, ki in zip(y, k2)], k3, aux, *p, a1b, a2b)
         _deriv(t + h, [yi + h * ki for yi, ki in zip(y, k3)], k4, aux, *p, a1b, a2b)
@@ -291,22 +279,17 @@ def run_closed_loop(y0, h, n_steps, stride, c1, c2, c3, sigma, m1, m2, eps,
         if not (-_LIMIT <= min(y) and max(y) <= _LIMIT) or isnan(sum(y)):
             diverged_at = (step + 1) * h
             break
-    if diverged_at < 0.0:
-        t = n_steps * h
-        _deriv(t, y, k1, aux, *p, a1b, a2b)
-        records.extend((t, y[0], y[1], *aux, y[16]))
-    rows = memoryview(records).cast("B").cast("d", (len(records) // 12, 12))
+    rows = memoryview(records).cast("B").cast("d", (len(records) // _NCOL, _NCOL))
     return rows, diverged_at, y
 
 
-def format_rows(data, ncol, /):
-    """The CSV body of a flat float64 buffer (an array("d")) of ncol-column
+def format_rows(data, /):
+    """The CSV body of a flat float64 buffer (an array("d")) of 12-column
     rows: each value as "%.17g" prints it, enough to round-trip any double,
     joined by commas, each row ended by a newline; "" for no rows."""
-    if ncol < 1 or len(data) % ncol:
-        raise ValueError("data must hold whole rows of ncol >= 1 columns")
-    row = ",".join(["%.17g"] * ncol) + "\n"
-    return "".join([row % tuple(data[i:i + ncol]) for i in range(0, len(data), ncol)])
+    if len(data) % _NCOL:
+        raise ValueError("data must hold whole rows of %d columns" % _NCOL)
+    return "".join([_ROW % tuple(data[i:i + _NCOL]) for i in range(0, len(data), _NCOL)])
 
 
 def format_vertices(xs, ys, sx, xlo, xhi, sy, ylo, yhi, ml, mt, pw, ph, /):

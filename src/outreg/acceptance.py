@@ -378,10 +378,10 @@ _CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
              criterion_6, criterion_7, criterion_8, criterion_9, criterion_10)
 # the criteria, by number, that each process runs: this one runs 6-10 with
 # one shared context and then 2 and 1, one forked child criterion 4 and
-# another 5 and 3; 1-5 touch no kernel.  Each called alone, medians of seven
-# fresh processes on a 2-CPU machine (C twin): 4 took 0.32 s, 3 0.19 s, 5
-# 0.12 s, 1 0.02 s, 2 0.01 s, and 6-10 0.05 s together, so the children
-# carry 0.32 and 0.31 s and this process 0.08 s of the 0.71 s
+# another 5 and 3; 1-5 touch no kernel.  Each called alone, medians of
+# seven to nine fresh processes on a 2-CPU machine (C twin): 4 took 0.28 s,
+# 3 0.20 s, 5 0.11 s, 1 0.02 s, 2 0.01 s, and 6-10 0.05 s together, so the
+# children carry 0.28 and 0.31 s and this process 0.08 s of the 0.67 s
 _GROUPS = ((6, 7, 8, 9, 10, 2, 1), (4,), (5, 3))
 
 

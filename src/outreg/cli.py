@@ -104,10 +104,19 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+# The most points a grid may have.  cmd_sweep keeps about 1.6 KB per point
+# (15.8 MB over 10,000 one-step points and 61.8 MB over 40,000, at --jobs 1
+# with CPython 3.11 and the C twin; the 40,000-point sweep took 5.3 s), so
+# this bounds a sweep's points near 160 MB, where 5 axes of 25 values would
+# make 9.8M points and about 15 GB.
+MAX_POINTS = 100_000
+
+
 def parse_grid(spec: str):
     """'sigma=0.1,0.5;x0=1:-1,0:0' -> ordered [(name, [values])]: a cell of
-    one number is a float, of several a tuple.  Syntax only: with_overrides
-    judges each point's values, as loads judges a file line's."""
+    one number is a float, of several a tuple.  Syntax only, and at most
+    MAX_POINTS points, counted before any is made: with_overrides judges
+    each point's values, as loads judges a file line's."""
     axes = []
     for part in (spec or "").split(";"):
         part = part.strip()
@@ -131,6 +140,10 @@ def parse_grid(spec: str):
         axes.append((name, items))
     if not axes:
         raise ScenarioError(["no grid points"])
+    count = math.prod(len(vals) for _, vals in axes)
+    if count > MAX_POINTS:
+        raise ScenarioError(["grid has %d points, more than the %d allowed"
+                             % (count, MAX_POINTS)])
     return axes
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from itertools import islice
+from math import nan
 from operator import lt
 
 from .backend import BACKEND, format_rows, run_closed_loop
@@ -61,7 +62,13 @@ class SimLog:
         return len(self._data) // _NCOL
 
     def __eq__(self, other):
-        return isinstance(other, SimLog) and self._data == other._data
+        # the same bits, every nan counted as one value: float == would make
+        # a log that holds a nan unequal to itself, its pickle and its CSV
+        return isinstance(other, SimLog) and (self._data.tobytes() == other._data.tobytes()
+                                              or self._bits() == other._bits())
+
+    def _bits(self):
+        return array("d", [nan if v != v else v for v in self._data]).tobytes()
 
     def __reduce__(self):
         # a memoryview does not pickle; its bytes do, bit for bit
@@ -82,7 +89,7 @@ class SimLog:
         return self.column("t")
 
     def to_csv(self) -> str:
-        return CSV_HEADER + "\n" + format_rows(self._data, _NCOL)
+        return CSV_HEADER + "\n" + format_rows(self._data)
 
     @classmethod
     def from_csv(cls, text: str) -> "SimLog":

@@ -703,6 +703,21 @@ def test_sweep_empty_grid_exits_2(tmp_path, capsys):
     assert "no grid points" in capsys.readouterr().err
 
 
+def test_a_grid_over_max_points_is_refused_before_it_expands(tmp_path, capsys):
+    def grid(n_k0, n_c1):
+        return "k0=%s;c1=%s" % (",".join(["1"] * n_k0), ",".join(["2"] * n_c1))
+
+    # counted from the axes' lengths: a 1000 x 1000 grid is never listed
+    with pytest.raises(ScenarioError, match="grid has 1000000 points, more than the 100000"):
+        parse_grid(grid(1000, 1000))
+    out = tmp_path / "o"
+    assert main(["sweep", "--grid", grid(1000, 1000), "--out", str(out)]) == 2
+    assert "grid has 1000000 points" in capsys.readouterr().err
+    assert not out.exists()
+    # MAX_POINTS itself is a legal grid
+    assert [len(v) for _, v in parse_grid(grid(1000, 100))] == [1000, 100]
+
+
 def test_plots_are_pure_functions_of_the_log(tmp_path, steady_cfg):
     scn = _steady_scn(tmp_path, steady_cfg)
     blobs = []

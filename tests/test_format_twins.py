@@ -54,10 +54,16 @@ SPECIAL = [
 ]
 
 
-def _csv_body(vals, ncol):
-    """The CSV body "%.17g" gives: ncol comma-joined values per line."""
-    return "".join(",".join("%.17g" % v for v in vals[i:i + ncol]) + "\n"
-                   for i in range(0, len(vals), ncol))
+def _whole_rows(vals):
+    """vals, padded with its own first values to whole 12-column rows, the
+    only width format_rows prints."""
+    return vals + vals[:-len(vals) % 12]
+
+
+def _csv_body(vals):
+    """The CSV body "%.17g" gives: 12 comma-joined values per line."""
+    return "".join(",".join("%.17g" % v for v in vals[i:i + 12]) + "\n"
+                   for i in range(0, len(vals), 12))
 
 
 def _ties(count, seed):
@@ -79,22 +85,22 @@ def _ties(count, seed):
 
 
 def test_rows_print_special_values(kern):
-    assert kern.format_rows(array("d", SPECIAL), 1) == _csv_body(SPECIAL, 1)
-    assert kern.format_rows(array("d", SPECIAL), 4) == _csv_body(SPECIAL, 4)
+    vals = _whole_rows(SPECIAL)
+    assert kern.format_rows(array("d", vals)) == _csv_body(vals)
     # every nan prints as "nan", however its sign and payload are set
-    nans = [v for v in SPECIAL if v != v]
-    assert kern.format_rows(array("d", nans), len(nans)) == ",".join(["nan"] * len(nans)) + "\n"
+    nans = [v for v in SPECIAL if v != v] * 3
+    assert kern.format_rows(array("d", nans)) == ",".join(["nan"] * 12) + "\n"
 
 
 def test_rows_round_exact_ties_half_to_even(kern):
     ties = _ties(3000, seed=11)
-    assert kern.format_rows(array("d", ties), 6) == _csv_body(ties, 6)
+    assert kern.format_rows(array("d", ties)) == _csv_body(ties)
 
 
 def test_rows_print_random_bit_patterns(kern):
     rng = random.Random(20261019)
-    vals = list(struct.unpack("<100000d", rng.randbytes(800000)))
-    assert kern.format_rows(array("d", vals), 10) == _csv_body(vals, 10)
+    vals = _whole_rows(list(struct.unpack("<100000d", rng.randbytes(800000))))
+    assert kern.format_rows(array("d", vals)) == _csv_body(vals)
 
 
 def _powers_of_ten():
@@ -113,32 +119,34 @@ def _powers_of_ten():
 def test_rows_print_log_uniform_values(kern):
     # |x| from 1e-45 to 1e20: the exact path's range and beyond both ends
     rng = random.Random(4817)
-    vals = [math.copysign(10.0 ** rng.uniform(-45.0, 20.0), rng.random() - 0.5)
-            for _ in range(400_000)]
-    assert kern.format_rows(array("d", vals), 8) == _csv_body(vals, 8)
+    vals = _whole_rows([math.copysign(10.0 ** rng.uniform(-45.0, 20.0), rng.random() - 0.5)
+                        for _ in range(400_000)])
+    assert kern.format_rows(array("d", vals)) == _csv_body(vals)
 
 
 def test_rows_print_powers_of_ten_and_their_neighbours(kern):
-    vals = _powers_of_ten()
+    vals = _whole_rows(_powers_of_ten())
     # the double nearest 1e-14 lies below it, and its 17 digits round up
     assert Fraction(1e-14) < Fraction(1, 10 ** 14) and "%.17g" % 1e-14 == "1e-14"
-    assert kern.format_rows(array("d", vals), 3) == _csv_body(vals, 3)
+    assert kern.format_rows(array("d", vals)) == _csv_body(vals)
 
 
 @pytest.mark.parametrize("rows", [0, 1, 1024, 1025])
 def test_rows_at_block_edges(kern, rows):
     rng = random.Random(rows)
     vals = [rng.uniform(-2.0, 2.0) * 10.0 ** rng.randrange(-30, 30) for _ in range(12 * rows)]
-    body = kern.format_rows(array("d", vals), 12)
-    assert body == _csv_body(vals, 12)
+    body = kern.format_rows(array("d", vals))
+    assert body == _csv_body(vals)
     assert body.count("\n") == rows
 
 
 def test_rows_need_whole_rows(kern):
-    with pytest.raises(ValueError, match="whole rows"):
-        kern.format_rows(array("d", [1.0] * 5), 2)
-    with pytest.raises(ValueError, match="whole rows"):
-        kern.format_rows(array("d", [1.0] * 4), 0)
+    for n in (5, 13):
+        with pytest.raises(ValueError, match="whole rows of 12 columns"):
+            kern.format_rows(array("d", [1.0] * n))
+    # the width is the twins' own, not an argument
+    with pytest.raises(TypeError):
+        kern.format_rows(array("d", [1.0] * 12), 12)
 
 
 def _comprehension(xs, ys, sx, xlo, xhi, sy, ylo, yhi, ml, mt, pw, ph):

@@ -153,6 +153,21 @@ def test_simlog_pickles_bit_for_bit(kern, monkeypatch, steady_cfg):
         assert back.partial._data.tobytes() == exc.value.partial._data.tobytes()
 
 
+def test_simlog_equality_is_by_bits_with_one_nan(kern, monkeypatch):
+    # the overflow scenario: the one row holds a nan, which float == finds
+    # unequal to itself; its CSV reads back as another nan's bits
+    _route_to(kern, monkeypatch)
+    log, diverged_at, _ = integrate(loads("init.x = 1e300, 0\nsim.t_end = 0.01\n"))
+    assert (len(log), diverged_at) == (1, 0.001)
+    assert any(v != v for v in log._data)
+    for one in (log, pickle.loads(pickle.dumps(log)), SimLog.from_csv(log.to_csv())):
+        assert one == log and log == one
+    row = (0.0,) * 12
+    assert SimLog([row]) != SimLog([row[:11] + (-0.0,)])
+    assert SimLog([row]) != SimLog([row[:11] + (float("nan"),)])
+    assert SimLog([row]) != SimLog([row, (1.0,) * 12])
+
+
 def test_open_loop_is_negative_control():
     # u forced to 0: the run stays bounded (double-well basin) but the
     # error never settles
